@@ -38,7 +38,8 @@ import numpy as np
 
 from .contfrac import RationalTruncation, from_list, truncation
 from .errors import BoundaryError, ConfigError, SingularOrbitError
-from .observables import VectorObservable, billiard_displacement
+from .observables import (TWO_PI, VectorObservable, billiard_displacement,
+                          phase_fracs)
 from .ergosum import ErgodicContext
 from .sequences import SubsequencePlan
 from .stats import ExperimentReport, covariance_2d
@@ -380,27 +381,36 @@ class PiecewiseLinear:
             total += s * (hi * hi - lo * lo) / 2 + c * (hi - lo)
         return total
 
-    def fourier_gamma(self, r: int) -> complex:
-        """gamma_r = r c_r of the centered function, from slopes and jumps."""
-        if r == 0:
-            raise ValueError("r != 0")
-        two_pi = 2.0 * math.pi
-        acc = 0j
+    def gamma_array(self, rmax: int) -> np.ndarray:
+        """gamma_r = r c_r of the centered function for r = 1..rmax, from
+        the jump at each piece's right edge and the piece's slope, with
+        exactly reduced phases.  Real and imaginary parts are summed piece
+        by piece in the order and rounding of scalar complex arithmetic,
+        so the table equals the one-r-at-a-time closed form bit for bit.
+        """
+        def unit(t):  # e^{-2 pi i r t} as (cos, sin) float64 arrays
+            angle = -TWO_PI * phase_fracs(t, rmax)
+            return np.cos(angle), np.sin(angle)
+
         k = len(self.breaks)
+        w = TWO_PI * np.arange(1, rmax + 1, dtype=np.float64)
+        re = np.zeros(rmax)
+        im = np.zeros(rmax)
+        cos_lo, sin_lo = unit(self.breaks[0])
         for i in range(k):
-            lo = self.breaks[i]
             hi = self.breaks[i + 1] if i + 1 < k else Fraction(1)
             nxt = self.slopes[(i + 1) % k] * (hi % 1) + self.intercepts[(i + 1) % k]
             cur = self.slopes[i] * hi + self.intercepts[i]
             jump = float(nxt - cur)  # jump at the right edge of piece i
-            ph = float((r * hi) % 1)
-            acc += jump * complex(math.cos(-two_pi * ph), math.sin(-two_pi * ph))
-            # slope contribution: integral of s * e^{-2 pi i r x} over the piece
-            phl = float((r * lo) % 1)
-            e_hi = complex(math.cos(-two_pi * ph), math.sin(-two_pi * ph))
-            e_lo = complex(math.cos(-two_pi * phl), math.sin(-two_pi * phl))
-            acc += float(self.slopes[i]) * (e_hi - e_lo) / (-2j * math.pi * r)
-        return acc / (2j * math.pi)
+            cos_hi, sin_hi = unit(hi)
+            re += jump * cos_hi
+            im += jump * sin_hi
+            s = float(self.slopes[i])
+            # slope term s (e_hi - e_lo) / (-2 pi i r)
+            re -= s * (sin_hi - sin_lo) / w
+            im += s * (cos_hi - cos_lo) / w
+            cos_lo, sin_lo = cos_hi, sin_hi
+        return im / TWO_PI - 1j * (re / TWO_PI)  # acc / (2 pi i)
 
 
 def hitting_time_profile(params: ObstacleParams) -> PiecewiseLinear:
@@ -505,8 +515,10 @@ def clt_experiment(params: ObstacleParams, plan: SubsequencePlan, n: int,
     mean = prof.mean()
     from .variance import AlphaFourierTable
     table = AlphaFourierTable(plan.trunc, rmax_drift)
-    gam2 = np.array([abs(prof.fourier_gamma(r)) ** 2
-                     for r in range(1, rmax_drift + 1)])
+    g = prof.gamma_array(rmax_drift)
+    # |gamma|^2 rounded as scalar abs(g) ** 2 rounds it (hypot, then pow);
+    # np.abs(g) ** 2 differs in the last bit on about a quarter of the terms
+    gam2 = np.float_power(np.hypot(g.real, g.imag), 2.0)
     r2 = np.arange(1, rmax_drift + 1, dtype=np.float64) ** 2
     drift = {}
     for m in drift_ns:

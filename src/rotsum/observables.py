@@ -41,9 +41,12 @@ __all__ = [
     "VectorObservable",
     "SmoothnessBudget",
     "evaluate",
-    "fourier_gamma",
     "catalog",
     "hat_observable",
+    "reduce_phases",
+    "phase_fracs",
+    "gamma_array",
+    "gamma_sq_array",
     "hat_norm_sq",
     "PHI0_HAT_NORM_SQ",
 ]
@@ -246,10 +249,6 @@ def evaluate(phi: Observable, x):
     return phi.evaluate(x)
 
 
-def fourier_gamma(phi: Observable, r: int) -> complex:
-    return phi.fourier_gamma(r)
-
-
 def _step_from_intervals(intervals, label: str) -> StepFunction:
     """Centered sum of v * 1_{[u,w)}; intervals are (u, w, v) with u < w.
 
@@ -412,25 +411,39 @@ def hat_observable(phi: Observable, ell: int, cap: int = 200_000) -> Observable:
     return StepFunction(tuple(mbs), tuple(mvs), label=f"hat({phi.label},{ell})")
 
 
-def _phase_fracs(theta: Fraction, rmax: int):
-    """{r * theta} for r = 1..rmax as float64, with exact reduction.
+# Largest bound on r * den for which residue tables stay in int64.
+_INT64_SAFE = 2 ** 62
 
-    Uses vectorized int64 residues when r*num fits; otherwise an incremental
-    big-integer walk (still exact, just slower).
+
+def reduce_phases(num: int, den: int, rmax: int):
+    """{r * num/den} for r = 1..rmax, reduced exactly: (residues, fracs).
+
+    ``residues`` are the int64 numerators (r * num) mod den while every
+    product fits (den < 2**62 // rmax), else None; ``fracs`` are the float64
+    values, each rounded once from its exact residue (by an incremental
+    big-integer walk when the products would overflow).  Every Fourier
+    table reduces its phases here.
     """
     import numpy as np
 
-    num = theta.numerator % theta.denominator
-    den = theta.denominator
-    if den < (2 ** 62) // max(rmax, 1):
+    num %= den
+    if den < _INT64_SAFE // max(rmax, 1):
         r = np.arange(1, rmax + 1, dtype=np.int64)
-        return ((r * np.int64(num)) % np.int64(den)).astype(np.float64) / den
-    out = np.empty(rmax, dtype=np.float64)
+        res = (r * np.int64(num)) % np.int64(den)
+        return res, res.astype(np.float64) / den
+    fracs = np.empty(rmax, dtype=np.float64)
     cur = 0
     for i in range(rmax):
-        cur = (cur + num) % den
-        out[i] = cur / den
-    return out
+        cur += num
+        if cur >= den:
+            cur -= den
+        fracs[i] = cur / den
+    return None, fracs
+
+
+def phase_fracs(theta: Fraction, rmax: int):
+    """{r * theta} for r = 1..rmax as float64, exactly reduced."""
+    return reduce_phases(theta.numerator, theta.denominator, rmax)[1]
 
 
 def gamma_array(phi: Observable, stride, rmax: int):
@@ -438,7 +451,7 @@ def gamma_array(phi: Observable, stride, rmax: int):
 
     ``stride`` may be an arbitrarily large integer (or Fraction-compatible):
     each jump phase is reduced exactly once to theta = {stride * t} and then
-    walked vectorially.
+    walked by ``phase_fracs``.
     """
     import numpy as np
 
@@ -447,8 +460,18 @@ def gamma_array(phi: Observable, stride, rmax: int):
     acc = np.zeros(rmax, dtype=complex)
     for t, j in phi.jumps().items():
         theta = _frac(stride * t)
-        acc += float(j) * np.exp(-2j * math.pi * _phase_fracs(theta, rmax))
+        acc += float(j) * np.exp(-2j * math.pi * phase_fracs(theta, rmax))
     return acc / (2j * math.pi)
+
+
+def gamma_sq_array(phi: Observable, stride, rmax: int):
+    """|gamma_{stride * r}|^2 for r = 1..rmax; the sawtooth's is 1/(4 pi^2)."""
+    import numpy as np
+
+    if isinstance(phi, Sawtooth):
+        return np.full(rmax, 1.0 / (4.0 * math.pi ** 2))
+    g = gamma_array(phi, stride, rmax)
+    return (g * g.conjugate()).real
 
 
 def hat_norm_sq(phi: Observable, ell: int, rmax: int = 4000) -> tuple[float, float]:
@@ -465,8 +488,7 @@ def hat_norm_sq(phi: Observable, ell: int, rmax: int = 4000) -> tuple[float, flo
     if isinstance(phi, Sawtooth):
         return PHI0_HAT_NORM_SQ, 0.0
     k = phi.kbound()
-    g = gamma_array(phi, ell, rmax)
-    gam_sq = (g * g.conjugate()).real
+    gam_sq = gamma_sq_array(phi, ell, rmax)
     r = np.arange(1, rmax + 1, dtype=np.float64)
     total = float(2.0 * np.sum(gam_sq / (r * r)))
     return total, 2.0 * k * k / rmax

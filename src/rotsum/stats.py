@@ -30,7 +30,8 @@ from scipy import special as _special
 from . import __version__ as _VERSION
 from .ergosum import ErgodicContext
 from .errors import ConfigError
-from .observables import Observable, VectorObservable, hat_norm_sq
+from .observables import (Observable, VectorObservable, gamma_array,
+                          gamma_sq_array, hat_norm_sq)
 from .sequences import SubsequencePlan
 
 __all__ = [
@@ -74,10 +75,16 @@ class StratifiedSampler:
     size: int
     den: int = 2 ** 64
 
+    def __post_init__(self):
+        if not 1 <= self.size <= self.den:
+            raise ConfigError(f"sample size must be in [1, den], got {self.size}")
+
     def numerators(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         step = self.den // self.size
-        offs = rng.integers(0, step, size=self.size, dtype=np.int64)
+        # uint64 draws equal the int64 ones wherever both fit; size 1 needs
+        # the full step 2^64
+        offs = rng.integers(0, step, size=self.size, dtype=np.uint64)
         base = np.arange(self.size, dtype=object) * step
         return base + offs.astype(object)
 
@@ -191,6 +198,8 @@ def ks_statistic(samples, cdf) -> float:
     z = np.sort(np.asarray(samples, dtype=np.float64))
     if z.size == 0:
         raise ConfigError("empty sample")
+    if not np.all(np.isfinite(z)):
+        raise ConfigError("samples must be finite")
     try:
         f = np.asarray(cdf(z), dtype=np.float64)
     except Exception:
@@ -393,17 +402,10 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int,
 # Quasi-orthogonality and block variance
 # ---------------------------------------------------------------------------
 
-def _c_coeff(phi: Observable, j: int) -> complex:
-    g = phi.fourier_gamma(j)
-    return g / j
-
-
 def _resonance_sum(f: Observable, ka: int, g: Observable, kb: int,
                    mmax: int) -> float:
     """sum over m != 0 of c_{ka m}(f) conj(c_{kb m}(g)); real by conjugate
     symmetry of real observables."""
-    from .observables import gamma_array
-
     gf = gamma_array(f, ka, mmax)
     gg = gamma_array(g, kb, mmax)
     m = np.arange(1, mmax + 1, dtype=np.float64)
@@ -431,18 +433,9 @@ def resonance_integral(f: Observable, l1: int, g: Observable, l2: int,
 def fourier_tail_norm(f: Observable, t: float, jmax: int = 20_000) -> float:
     """Partial sum of R(f, t) = (sum_{|j| >= t} |c_j|^2)^(1/2); an
     underestimate of the true tail norm (no completion term added)."""
-    from .observables import Sawtooth, _phase_fracs
-
     j0 = max(1, math.ceil(t))
     js = np.arange(j0, jmax + 1, dtype=np.float64)
-    if isinstance(f, Sawtooth):
-        gam_sq = np.full(js.size, 1.0 / (4.0 * math.pi ** 2))
-    else:
-        acc = np.zeros(js.size, dtype=complex)
-        for tp, j in f.jumps().items():
-            fr = _phase_fracs(tp, jmax)[j0 - 1:]
-            acc += float(j) * np.exp(-2j * math.pi * fr)
-        gam_sq = (acc * acc.conjugate()).real / (4.0 * math.pi ** 2)
+    gam_sq = gamma_sq_array(f, 1, jmax)[j0 - 1:]
     return math.sqrt(float(2.0 * np.sum(gam_sq / js ** 2)))
 
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .contfrac import RationalTruncation
 from .errors import ConfigError
-from .observables import Observable, Sawtooth
+from .observables import (_INT64_SAFE, Observable, Sawtooth, gamma_sq_array,
+                          reduce_phases)
 from .ergosum import orbit_sum_profile
 
 __all__ = [
@@ -41,8 +42,6 @@ __all__ = [
     "VarianceProfile",
     "variance_profile",
 ]
-
-_INT64_SAFE = 2 ** 62
 
 
 def gn_kernel(n: int, t: float) -> float:
@@ -83,19 +82,6 @@ def gn_mean(n: int, t: float) -> float:
 # Frequency tables
 # ---------------------------------------------------------------------------
 
-def _mult_mod(num: int, den: int, rmax: int) -> np.ndarray:
-    """(r * num) mod den for r = 1..rmax, as float64-exact int64 when safe."""
-    if den < _INT64_SAFE // max(rmax, 1):
-        r = np.arange(1, rmax + 1, dtype=np.int64)
-        return (r * np.int64(num)) % np.int64(den)
-    out = np.empty(rmax, dtype=np.float64)
-    cur = 0
-    for i in range(rmax):
-        cur = (cur + num) % den
-        out[i] = cur / den
-    return out  # already fractional
-
-
 class AlphaFourierTable:
     """Distances ||r alpha|| and exactly-reduced kernel angles, r = 1..rmax."""
 
@@ -103,35 +89,25 @@ class AlphaFourierTable:
         trunc.require_window(rmax, "Fourier frequency")
         self.trunc = trunc
         self.rmax = rmax
-        p, q = trunc.p, trunc.q
-        self._int64 = q < _INT64_SAFE // max(rmax, 1)
-        if self._int64:
-            self.num = _mult_mod(p, q, rmax)          # int64 residues
-            self.frac = self.num.astype(np.float64) / q
+        q = trunc.q
+        # int64 residues r p mod q (None beyond int64) and {r alpha}
+        self.num, frac = reduce_phases(trunc.p, q, rmax)
+        if self.num is not None:
             # exact integer min keeps tiny distances at full relative accuracy
             self.dist = np.minimum(self.num, np.int64(q) - self.num).astype(
                 np.float64) / q
         else:
-            self.frac = _mult_mod(p, q, rmax)          # float fractions
-            self.num = None
-            self.dist = np.minimum(self.frac, 1.0 - self.frac)
+            self.dist = np.minimum(frac, 1.0 - frac)
         self.sin_dist = np.sin(np.pi * self.dist)
 
     def _angle_frac(self, mult: int) -> np.ndarray:
         """{mult * r * alpha} reduced mod 2, as float in [0,2)."""
         q = self.trunc.q
-        if self._int64 and mult < _INT64_SAFE // q:
+        if self.num is not None and mult < _INT64_SAFE // q:
             return ((np.int64(mult) * self.num) % np.int64(2 * q)).astype(
                 np.float64) / q
-        # fallback: exact python loop on residues
-        p = self.trunc.p
-        step = (mult * p) % (2 * q)
-        out = np.empty(self.rmax)
-        cur = 0
-        for i in range(self.rmax):
-            cur = (cur + step) % (2 * q)
-            out[i] = cur / q
-        return out
+        # {r mult p / 2q} doubled is (r mult p mod 2q) / q, still one rounding
+        return 2.0 * reduce_phases(mult * self.trunc.p, 2 * q, self.rmax)[1]
 
     def gn(self, n: int) -> np.ndarray:
         """G_n(||r alpha||) for r = 1..rmax, exact angle reduction."""
@@ -152,20 +128,6 @@ class AlphaFourierTable:
             for i in idx:
                 vals[i] = _gn_mean_direct(n, float(t[i]))
         return vals
-
-
-def _gamma_sq_table(phi: Observable, rmax: int) -> np.ndarray:
-    """|gamma_r|^2 for r = 1..rmax."""
-    if isinstance(phi, Sawtooth):
-        return np.full(rmax, 1.0 / (4.0 * math.pi ** 2))
-    acc = np.zeros(rmax, dtype=complex)
-    for t, j in phi.jumps().items():
-        fr = _mult_mod(t.numerator % t.denominator, t.denominator, rmax)
-        if fr.dtype != np.float64 or np.max(fr) > 1.0:
-            fr = fr.astype(np.float64) / t.denominator
-        acc += float(j) * np.exp(-2j * np.pi * fr)
-    g = acc / (2j * math.pi)
-    return (g * g.conjugate()).real
 
 
 def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
@@ -194,7 +156,7 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
     if rmax is None:
         rmax = max(20_000, 100 * n)
     table = AlphaFourierTable(trunc, rmax)
-    gam2 = _gamma_sq_table(phi, rmax)
+    gam2 = gamma_sq_array(phi, 1, rmax)
     r = np.arange(1, rmax + 1, dtype=np.float64)
     value = float(2.0 * np.sum(gam2 / r ** 2 * table.gn(n)))
     k = phi.kbound()
@@ -211,7 +173,7 @@ def mean_variance(phi: Observable, n: int, trunc: RationalTruncation,
     if rmax is None:
         rmax = max(20_000, 100 * n)
     table = AlphaFourierTable(trunc, rmax)
-    gam2 = _gamma_sq_table(phi, rmax)
+    gam2 = gamma_sq_array(phi, 1, rmax)
     r = np.arange(1, rmax + 1, dtype=np.float64)
     return float(2.0 * np.sum(gam2 / r ** 2 * table.gn_mean(n)))
 
@@ -320,7 +282,7 @@ def variance_profile(phi: Observable, trunc: RationalTruncation,
         raise ConfigError("profile indices must be >= 1")
     rm = rmax or max(20_000, 100 * max(ns))
     table = AlphaFourierTable(trunc, rm)
-    gam2 = _gamma_sq_table(phi, rm)
+    gam2 = gamma_sq_array(phi, 1, rm)
     r2 = np.arange(1, rm + 1, dtype=np.float64) ** 2
     w = gam2 / r2
     norms, means, lows, ups, lvls = [], [], [], [], []

@@ -2,7 +2,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from rotsum import contfrac as cf
 from rotsum import observables as obs
@@ -238,3 +241,58 @@ def test_vector_observable():
     pair = obs.catalog("billiard_displacement", alpha=Fraction(2, 5))
     assert len(pair.components) == 2
     assert pair.phi1.mean() == 0 and pair.phi2.mean() == 0
+
+
+# --- the exact-phase layer: reduce_phases and gamma_array against exact
+# --- Fraction arithmetic and the scalar jump formula
+
+@settings(max_examples=60, deadline=None)
+@given(rmax=hst.integers(1, 300), offset=hst.integers(-2, 2),
+       num=hst.integers(-2 ** 70, 2 ** 70))
+def test_reduce_phases_against_fraction_oracle(rmax, offset, num):
+    # den straddles 2**62 // rmax, where the int64 table gives way to the
+    # big-integer walk
+    den = 2 ** 62 // rmax + offset
+    residues, fracs = obs.reduce_phases(num, den, rmax)
+    assert (residues is None) == (den >= 2 ** 62 // rmax)
+    for r in range(1, rmax + 1):
+        exact = (r * num) % den
+        if residues is not None:
+            assert int(residues[r - 1]) == exact
+            # int64 residue and den both round to float64 before dividing
+            assert abs(fracs[r - 1] - float(Fraction(exact, den))) <= 2 ** -51
+        else:
+            assert fracs[r - 1] == float(Fraction(exact, den))
+
+
+@settings(max_examples=30, deadline=None)
+@given(num=hst.integers(0, 10 ** 6), den=hst.integers(1, 10 ** 6),
+       rmax=hst.integers(1, 200))
+def test_reduce_phases_small_denominators_exact(num, den, rmax):
+    residues, fracs = obs.reduce_phases(num, den, rmax)
+    for r in range(1, rmax + 1):
+        assert int(residues[r - 1]) == (r * num) % den
+        assert fracs[r - 1] == float(Fraction(r * num, den) % 1)
+
+
+LEVEL40 = cf.truncation(cf.clt_design_rule(c=30, beta=2, max_index=45), 40)
+STEP_CATALOG = [phi for phi in CATALOG if isinstance(phi, obs.StepFunction)] \
+    + [obs.billiard_displacement(Fraction(2, 5)).phi1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=hst.sampled_from(STEP_CATALOG), shift=hst.integers(0, 96),
+       stride=hst.one_of(hst.sampled_from(LEVEL40.qs[:41]),
+                        hst.integers(1, LEVEL40.qs[40])))
+def test_gamma_array_matches_scalar_gamma(phi, shift, stride):
+    phi = phi.shifted(Fraction(shift, 97))
+    g = obs.gamma_array(phi, stride, 24)
+    for r in range(1, 25):
+        assert abs(g[r - 1] - phi.fourier_gamma(stride * r)) < 1e-12
+    gsq = obs.gamma_sq_array(phi, stride, 24)
+    assert np.allclose(gsq, np.abs(g) ** 2, rtol=1e-12, atol=1e-15)
+
+
+def test_gamma_sq_array_sawtooth_constant():
+    gsq = obs.gamma_sq_array(obs.Sawtooth(), 12345, 10)
+    assert np.all(gsq == 1.0 / (4.0 * math.pi ** 2))

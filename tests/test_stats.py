@@ -65,6 +65,25 @@ def test_ks_empty_rejected():
         st.ks_statistic([], st._normal_cdf_array)
 
 
+def test_ks_non_finite_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            st.ks_statistic([0.1, bad, 0.3], st._normal_cdf_array)
+
+
+def test_stratified_sampler_sizes():
+    with pytest.raises(ConfigError):
+        st.StratifiedSampler(seed=0, size=0)
+    # one stratum spans the whole denominator
+    (x,) = st.StratifiedSampler(seed=4, size=1).numerators()
+    assert 0 <= x < 2 ** 64
+    # two strata keep the int64 draws the reproducible reports pin
+    offs = np.random.default_rng(4).integers(0, 2 ** 63, size=2,
+                                             dtype=np.int64)
+    nums = st.StratifiedSampler(seed=4, size=2).numerators()
+    assert list(nums) == [int(offs[0]), 2 ** 63 + int(offs[1])]
+
+
 def test_two_sample_ks_identical():
     rng = np.random.default_rng(1)
     z = rng.standard_normal(500)

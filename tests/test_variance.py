@@ -147,6 +147,21 @@ def test_mean_variance_proof_level_lower_bound(golden_trunc):
             assert lhs >= rhs - 1e-9
 
 
+@pytest.mark.parametrize("level", [43, 80])
+def test_alpha_table_distance_against_exact(level):
+    # level 43: q < 2**62 // rmax, int64 residues; level 80: the big-integer
+    # walk
+    tr = cf.truncation(cf.golden(level + 2), level)
+    rmax = 2000
+    table = var.AlphaFourierTable(tr, rmax)
+    assert (table.num is None) == (tr.q >= 2 ** 62 // rmax)
+    exact = np.array([float(tr.distance(r)) for r in range(1, rmax + 1)])
+    if table.num is not None:
+        assert np.array_equal(table.dist, exact)
+    else:
+        np.testing.assert_allclose(table.dist, exact, rtol=1e-12)
+
+
 def test_diagnostics_golden_and_designed(golden_trunc):
     rep = var.diagnostic_inequalities(golden_trunc, 8, 10)
     assert all(ok for (_, _, ok) in rep.values())
