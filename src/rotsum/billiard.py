@@ -37,7 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .contfrac import RationalTruncation, from_list, truncation
-from .errors import BoundaryError, ConfigError, SingularOrbitError
+from .errors import (BoundaryError, CertificateError, ConfigError,
+                     SingularOrbitError)
 from .observables import (TWO_PI, VectorObservable, billiard_displacement,
                           phase_fracs)
 from .ergosum import ErgodicContext
@@ -130,7 +131,7 @@ class BilliardOrbit:
             om, on = self.events[j - 1].obstacle
             dm, dn = om - 0, on - 0
             if dm % 2 or dn % 2:
-                raise AssertionError("obstacle displacement not even")
+                raise CertificateError("obstacle displacement not even")
             out.append((dm // 2, dn // 2))
         return out
 
@@ -211,7 +212,7 @@ def rational_truncation(alpha: Fraction) -> RationalTruncation:
     spec = from_list(digits)
     tr = truncation(spec, len(digits))
     if tr.value != alpha:
-        raise AssertionError("continued-fraction reconstruction failed")
+        raise CertificateError("continued-fraction reconstruction failed")
     return tr
 
 
@@ -236,7 +237,7 @@ def cell_after(n: int, x, params: ObstacleParams,
     v2 = c2.sum_at(x.numerator, n)
     z1, z2 = int(v1), int(v2)
     if z1 != v1 or z2 != v2:
-        raise AssertionError("displacement sums must be integers")
+        raise CertificateError("displacement sums must be integers")
     return (z1, z2)
 
 
@@ -448,7 +449,7 @@ def hitting_time_profile(params: ObstacleParams) -> PiecewiseLinear:
         intercept = y1 - slope * x1
         y3 = ray_trace(x3, params, 2).hitting_time_exact()
         if slope * x3 + intercept != y3:
-            raise AssertionError(
+            raise CertificateError(
                 f"hitting time not affine on piece [{lo},{hi})")
         slopes.append(slope)
         intercepts.append(intercept)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ConfigError, PrecisionError, SpecExhaustedError
+from .errors import (CertificateError, ConfigError, PrecisionError,
+                     SpecExhaustedError)
 
 __all__ = [
     "PartialQuotientSpec",
@@ -404,7 +405,8 @@ def ostrowski_digits(N: int, trunc: RationalTruncation) -> OstrowskiDigits:
     rem = N
     for k in range(m, -1, -1):
         digits[k], rem = divmod(rem, qs[k])
-    assert rem == 0
+    if rem:
+        raise CertificateError(f"Ostrowski digits of N={N} leave {rem}")
     sums, acc = [], 0
     for k in range(m + 1):
         acc += digits[k] * qs[k]

@@ -16,9 +16,13 @@ Two engines:
   {x}-1/2 needs a single floor sum via sum {x + j alpha} = N x +
   alpha N(N-1)/2 - sum floor(x + j alpha).
 
-The same module holds the exact piecewise profile of x -> S_n phi(x) for
-moderate n (used for exact sup norms and exact L2 integrals), the
-periodic-approximation error, and the Ostrowski bound certificate.
+The same module holds the one exact profile of x -> S_n phi(x), used for
+exact sup norms, exact L2 integrals and the periodic-approximation error.
+It works on integers over the common denominator L of the rotation and the
+jump points: the n * #jumps jump positions are sorted once and the levels
+are running sums of the integer jumps, as int64 arrays while every product
+fits below 2**62 and as object arrays of Python ints beyond.  The Ostrowski
+bound certificate closes the module.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .contfrac import RationalTruncation, ostrowski_digits
-from .errors import ConfigError
-from .observables import Observable, Sawtooth
+from .errors import CertificateError, ConfigError
+from .observables import _INT64_SAFE, Observable, Sawtooth
 
 __all__ = [
     "floor_sum",
@@ -39,7 +45,6 @@ __all__ = [
     "ErgodicContext",
     "OrbitProfile",
     "orbit_sum_profile",
-    "diff_profile",
     "approx_error_sq",
     "ostrowski_bound_check",
 ]
@@ -235,121 +240,112 @@ def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation)
 
 
 # ---------------------------------------------------------------------------
-# Exact piecewise profile of x -> S_n phi(x) for moderate n
+# Exact piecewise profile of x -> S_n phi(x), on integers
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitProfile:
-    """S(x) = slope * x + offsets[i] on [breaks[i], breaks[i+1]) (cyclic)."""
+    """S(x) = slope * x + const + levels[i] / scale on [starts[i], starts[i+1])
+    / L, the last piece ending at 1.  ``starts`` (starts[0] == 0) and
+    ``levels`` are integers: int64 arrays while every product fits below
+    2**62, object arrays of Python ints otherwise."""
 
-    breaks: list          # Fractions, breaks[0] == 0
-    offsets: list         # Fraction/float per piece
-    slope: int = 0
+    starts: np.ndarray
+    levels: np.ndarray
+    L: int
+    scale: int
+    slope: int
+    const: Fraction
 
     def evaluate(self, x):
-        x = Fraction(x)
-        x -= x.numerator // x.denominator
-        import bisect
-        i = bisect.bisect_right(self.breaks, x) - 1
-        return self.slope * x + self.offsets[i]
-
-    def piece_bounds(self):
-        for i, b in enumerate(self.breaks):
-            hi = self.breaks[i + 1] if i + 1 < len(self.breaks) else Fraction(1)
-            yield b, hi, self.offsets[i]
+        x = Fraction(x) % 1
+        i = int(np.searchsorted(self.starts, x.numerator * self.L // x.denominator,
+                                side="right")) - 1
+        return (self.slope * x + self.const
+                + Fraction(int(self.levels[i]), self.scale))
 
     def sup_abs(self):
-        """Exact sup of |S| over the circle (piece endpoints suffice)."""
-        best = None
-        for lo, hi, c in self.piece_bounds():
-            for val in (self.slope * lo + c, self.slope * hi + c):
-                v = abs(val)
-                if best is None or v > best:
-                    best = v
-        return best
+        """Exact sup of |S| over the circle: the extreme piece end values."""
+        vals, den = self.levels, self.scale
+        if self.slope:      # S * scale * L at both ends of every piece
+            ends = np.append(self.starts[1:], self.L)
+            tops, step = self.levels * self.L, self.slope * self.scale
+            vals = np.concatenate([tops + step * self.starts, tops + step * ends])
+            den = self.scale * self.L
+        return max(abs(self.const + Fraction(int(v), den))
+                   for v in (vals.min(), vals.max()))
 
     def integral_sq(self):
-        """Exact integral of S^2 over [0,1)."""
-        s = self.slope
-        total = Fraction(0) if all(isinstance(c, (Fraction, int))
-                                   for c in self.offsets) else 0.0
-        for lo, hi, c in self.piece_bounds():
-            if s == 0:
-                total += c * c * (hi - lo)
-            else:
-                fhi, flo = s * hi + c, s * lo + c
-                total += (fhi ** 3 - flo ** 3) / (3 * s)
-        return total
-
-    def integral(self):
-        s = self.slope
-        total = Fraction(0)
-        for lo, hi, c in self.piece_bounds():
-            total += c * (hi - lo)
-            if s:
-                total += s * (hi * hi - lo * lo) / 2
+        """Exact integral of S^2 over [0,1), from the total length at each
+        integer level (and, with a slope, the positions of the levels)."""
+        L, scale, s, c = self.L, self.scale, self.slope, self.const
+        ends = np.append(self.starts[1:], L)
+        levels, inverse = np.unique(self.levels, return_inverse=True)
+        lengths = np.zeros(len(levels), dtype=self.starts.dtype)
+        np.add.at(lengths, inverse, ends - self.starts)
+        m1 = sum(int(v) * int(w) for v, w in zip(levels, lengths))
+        m2 = sum(int(v) ** 2 * int(w) for v, w in zip(levels, lengths))
+        total = c * c + Fraction(2 * c * m1, scale * L) + Fraction(m2, scale * scale * L)
+        if s:   # plus s^2/3 + s c + (2 s / scale) int_0^1 x level(x) dx
+            lo, hi = self.starts.astype(object), ends.astype(object)
+            cross = (self.levels.astype(object) * (hi * hi - lo * lo)).sum()
+            total += Fraction(s * s, 3) + s * c + Fraction(s * cross, scale * L * L)
         return total
 
 
-def _merge_jump_points(points):
-    """Sort (position, jump) pairs, merging equal positions."""
-    points.sort(key=lambda t: t[0])
-    merged = []
-    for pos, j in points:
-        if merged and merged[-1][0] == pos:
-            merged[-1][1] += j
-        else:
-            merged.append([pos, j])
-    return [(p, j) for p, j in merged if j != 0]
+def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
+    """Profile of sum over (rot, sign) in ``terms`` of sign * S_n phi under
+    rot: jump positions (t - j*rot) mod 1 over a common denominator L sorted
+    once, levels the running sums of the jumps times their denominator."""
+    if isinstance(phi, Sawtooth):       # one jump -1 at 0, plus the slope
+        points, jumps, scale = [Fraction(0)], [-1], 1
+    elif all(isinstance(v, (Fraction, int)) for v in phi.values):
+        points, values = list(phi.jumps()), list(phi.jumps().values())
+        scale = _lcm(*(Fraction(v).denominator for v in values))
+        jumps = [int(v * scale) for v in values]
+    else:
+        raise ConfigError("the exact profile needs exact rational step values")
+    rots = [Fraction(rot) % 1 for rot, _ in terms]
+    L = _lcm(*(r.denominator for r in rots), *(t.denominator for t in points))
+    # sort keys are position * K + jump index; index 0 is a zero jump at 0,
+    # so that the first piece starts at 0
+    K = 1 + len(terms) * len(points)
+    bound = (n + 1) * L * (K + len(terms) * (sum(map(abs, jumps)) + 1))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    j = np.arange(n, dtype=np.int64).astype(dtype, copy=False)
+    keys, gvals = [np.zeros(1, dtype)], [0]
+    for rot, (_, sign) in zip(rots, terms):
+        base = j * (rot.numerator * (L // rot.denominator)) % L
+        for t, g in zip(points, jumps):
+            keys.append((t.numerator * (L // t.denominator) - base) % L * K
+                        + len(gvals))
+            gvals.append(sign * g)
+    keys = np.concatenate(keys)
+    keys.sort()
+    levels = np.asarray(gvals, dtype)[(keys % K).astype(np.intp, copy=False)]
+    np.cumsum(levels, out=levels)
+    keys //= K
+    last = np.append(keys[1:] != keys[:-1], True)  # one piece per position
+    levels = levels[last]
+    starts = keys[last]
+    del keys
+    total = sum(sign for _, sign in terms)
+    slope = n * total if isinstance(phi, Sawtooth) else 0
+    # the constant follows from int_0^1 S = n * total * int_0^1 phi
+    m1 = (int(np.dot(levels[:-1], np.diff(starts)))
+          + int(levels[-1]) * (L - int(starts[-1])))
+    const = (n * total * Fraction(phi.mean()) - Fraction(slope, 2)
+             - Fraction(m1, scale * L))
+    return OrbitProfile(starts, levels, L, scale, slope, const)
 
 
 def orbit_sum_profile(phi: Observable, n: int, rot: Fraction) -> OrbitProfile:
     """Exact profile of x -> sum_{j<n} phi(x + j*rot) for an exact rational
-    rotation step ``rot``.  Cost O(n * #jumps * log); intended for moderate n.
-    """
+    rotation step ``rot``; one sort of the n * #jumps jump positions."""
     n = int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    rot = Fraction(rot)
-    rot -= rot.numerator // rot.denominator
-    if isinstance(phi, Sawtooth):
-        pts = []
-        for j in range(n):
-            t = (-j * rot) % 1
-            pts.append((t, Fraction(-1)))
-        jumps = _merge_jump_points(pts)
-        slope = n
-    else:
-        base_jumps = phi.jumps()
-        pts = []
-        for t, jv in base_jumps.items():
-            for j in range(n):
-                pts.append(((t - j * rot) % 1, jv))
-        jumps = _merge_jump_points(pts)
-        slope = 0
-    breaks = [Fraction(0)] + [p for p, _ in jumps if p != 0]
-    # baseline at the midpoint of the first piece, by direct evaluation
-    first_hi = breaks[1] if len(breaks) > 1 else Fraction(1)
-    x0 = first_hi / 2
-    s0 = sum(phi.evaluate(x0 + j * rot) for j in range(n))
-    offsets = [s0 - slope * x0]
-    jump_at = dict(jumps)
-    for b in breaks[1:]:
-        offsets.append(offsets[-1] + jump_at[b])
-    # wrap consistency: accumulating all jumps around the circle returns to 0
-    return OrbitProfile(breaks=breaks, offsets=offsets, slope=slope)
-
-
-def diff_profile(p1: OrbitProfile, p2: OrbitProfile) -> OrbitProfile:
-    """Profile of p1 - p2 on the merged breakpoint set."""
-    breaks = sorted(set(p1.breaks) | set(p2.breaks))
-    import bisect
-    offs = []
-    for b in breaks:
-        i1 = bisect.bisect_right(p1.breaks, b) - 1
-        i2 = bisect.bisect_right(p2.breaks, b) - 1
-        offs.append(p1.offsets[i1] - p2.offsets[i2])
-    return OrbitProfile(breaks=breaks, offsets=offs, slope=p1.slope - p2.slope)
+    return _signed_profile(phi, n, ((rot, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +357,10 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
                     cap: int = 400_000):
     """|| S_{q_n} phi - periodized transfer ||_2^2.
 
-    exact mode: both x -> S_{q_n}phi(x) and x -> sum_j phi(x + j/q_n) are
-    profiled exactly and the squared difference integrated piece by piece
-    (for the sawtooth the linear parts cancel, leaving a pure step profile).
+    exact mode: one signed integer profile holds the jumps of
+    x -> S_{q_n}phi(x) and, negated, those of x -> sum_j phi(x + j/q_n), and
+    its square is integrated exactly (for the sawtooth the slopes cancel,
+    leaving a pure step profile).
 
     series mode: the Fourier expansion of the difference, truncated at
     |r| <= rmax; returns (value, tail_bound).
@@ -373,9 +370,8 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
         if qn * 8 > cap:
             raise ConfigError(
                 f"profile cap exceeded at q_n={qn}; use series mode")
-        prof_a = orbit_sum_profile(phi, qn, trunc.value)
-        prof_b = orbit_sum_profile(phi, qn, Fraction(1, qn))
-        return diff_profile(prof_a, prof_b).integral_sq()
+        return _signed_profile(phi, qn, ((trunc.value, 1),
+                                         (Fraction(1, qn), -1))).integral_sq()
     if mode != "series":
         raise ConfigError(f"unknown mode {mode!r}")
     return _approx_error_series(phi, n, trunc, rmax)
@@ -419,13 +415,14 @@ def _approx_error_series(phi, n, trunc, rmax):
 
 def ostrowski_bound_check(phi: Observable, x, N: int,
                           trunc: RationalTruncation):
-    """(|S_N phi(x)|, V(phi) * sum_k b_k) with the digits of N; asserts
-    LHS <= RHS (sums over denominators are bounded blockwise)."""
+    """(|S_N phi(x)|, V(phi) * sum_k b_k) with the digits of N; raises
+    CertificateError unless LHS <= RHS (sums over denominators are bounded
+    blockwise)."""
     res = ergodic_sum(phi, x, N, trunc)
     lhs = abs(res.value)
     digits = ostrowski_digits(N, trunc)
     rhs = phi.variation() * digits.digit_sum()
     if lhs > rhs:
-        raise AssertionError(
+        raise CertificateError(
             f"Ostrowski bound violated: |S_N|={float(lhs)} > {float(rhs)}")
     return lhs, rhs

@@ -30,6 +30,11 @@ class ConfigError(RotsumError, ValueError):
     """Invalid configuration (bad guard, malformed rule, unknown name...)."""
 
 
+class CertificateError(RotsumError):
+    """An exact check the package certifies (a bound, an identity, a
+    reconstruction) came out false."""
+
+
 class BoundaryError(RotsumError):
     """A billiard section coordinate landed exactly on a displacement breakpoint."""
 

@@ -29,7 +29,7 @@ from scipy import special as _special
 
 from . import __version__ as _VERSION
 from .ergosum import ErgodicContext
-from .errors import ConfigError
+from .errors import CertificateError, ConfigError
 from .observables import (Observable, VectorObservable, gamma_array,
                           gamma_sq_array, hat_norm_sq)
 from .sequences import SubsequencePlan
@@ -193,19 +193,19 @@ def mixture_cdf(t) -> np.ndarray:
 def ks_statistic(samples, cdf) -> float:
     """sup_t |ECDF(t) - cdf(t)| computed at the sorted sample in O(K log K).
 
-    ``cdf`` is a callable applied to the sorted array (vectorized or scalar).
+    ``cdf`` is a vectorized callable applied to the sorted array; a result
+    of another shape raises ConfigError, and errors raised by ``cdf``
+    propagate.
     """
     z = np.sort(np.asarray(samples, dtype=np.float64))
     if z.size == 0:
         raise ConfigError("empty sample")
     if not np.all(np.isfinite(z)):
         raise ConfigError("samples must be finite")
-    try:
-        f = np.asarray(cdf(z), dtype=np.float64)
-    except Exception:
-        f = np.array([cdf(v) for v in z], dtype=np.float64)
+    f = np.asarray(cdf(z), dtype=np.float64)
     if f.shape != z.shape:
-        f = np.array([cdf(v) for v in z], dtype=np.float64)
+        raise ConfigError(
+            f"cdf returned shape {f.shape} for {z.shape[0]} samples")
     n = z.size
     lo = np.arange(0, n) / n
     hi = np.arange(1, n + 1) / n
@@ -444,7 +444,7 @@ def quasi_orthogonality_check(f: Observable, g: Observable,
                               mmax: int = 2000) -> tuple[float, float]:
     """Check |int f(l1 x) conj(g(l2 x))| <= R(f, l2/l1) ||g||_2.
 
-    Returns (lhs, rhs) as truncated evaluations; the assertion grants the
+    Returns (lhs, rhs) as truncated evaluations; the check grants the
     left side its truncation tail, so genuine violations fail while the
     equality case (l1 = l2, f = g, both sides ||f||_2^2) passes.
     """
@@ -453,7 +453,7 @@ def quasi_orthogonality_check(f: Observable, g: Observable,
     val, tail = resonance_integral(f, l1, g, l2, mmax=mmax)
     rhs = fourier_tail_norm(f, l2 / l1) * math.sqrt(float(g.norm_sq()))
     if val > rhs + tail + 1e-12:
-        raise AssertionError(
+        raise CertificateError(
             f"quasi-orthogonality violated: {val} > {rhs} + {tail}")
     return val, rhs
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .contfrac import RationalTruncation
-from .errors import ConfigError
+from .errors import CertificateError, ConfigError
 from .observables import (_INT64_SAFE, Observable, Sawtooth, gamma_sq_array,
                           reduce_phases)
 from .ergosum import orbit_sum_profile
@@ -220,7 +220,8 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int,
     The constants in (ii)/(iii) come from the Denjoy-Koksma block argument
     applied to the window indicator and to x^-2 on [1/m, 1/2].  The infinite
     sums are truncated at ``kmax`` and the truncation tails (1/kmax and
-    m^2/kmax) are added to the left-hand sides before asserting.
+    m^2/kmax) are added to the left-hand sides before checking; a violated
+    inequality raises CertificateError.
     """
     if m < 3:
         raise ConfigError("m must be >= 3")
@@ -257,7 +258,7 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int,
         "far_frequencies": (lhs3, rhs3, ok3),
     }
     if not (ok1 and ok2 and ok3):
-        raise AssertionError(f"repartition inequality violated: {report}")
+        raise CertificateError(f"repartition inequality violated: {report}")
     return report
 
 

@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
-from rotsum.errors import PrecisionError
+from rotsum.errors import ConfigError, PrecisionError
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +175,76 @@ def test_profile_integral_against_riemann(golden_trunc):
     riemann = sum(float(prof.evaluate(Fraction(i, grid))) ** 2
                   for i in range(grid)) / grid
     assert abs(val - riemann) < 5e-3
+
+
+# Profile properties against brute force.  "deep" is a sqrt2-1 truncation
+# with a 66-bit q, so n * L >= 2**62 and the profile runs on object arrays.
+PROFILE_TRUNCS = {
+    "golden": cf.truncation(cf.golden(40), 32),
+    "sqrt2m1": cf.truncation(cf.sqrt2m1(30), 22),
+    "seeded": cf.truncation(cf.from_list(
+        [random.Random(4).randrange(1, 6) for _ in range(30)]), 20),
+    "deep": cf.truncation(cf.sqrt2m1(60), 52),
+}
+PROFILE_PHIS = CATALOG + [
+    obs.billiard_displacement(Fraction(2, 5)).phi1,
+    # jumps 1/6, -1/2 and 1/3 (scale 6) and mean 11/120
+    obs.StepFunction((Fraction(0), Fraction(1, 4), Fraction(3, 5)),
+                     (Fraction(1, 3), Fraction(-1, 6), Fraction(1, 6))),
+]
+
+
+@hst.composite
+def profile_cases(draw):
+    phi = draw(hst.sampled_from(PROFILE_PHIS))
+    if not isinstance(phi, obs.Sawtooth):
+        den = draw(hst.integers(1, 200))
+        phi = phi.shifted(Fraction(draw(hst.integers(0, den - 1)), den))
+    trunc = PROFILE_TRUNCS[draw(hst.sampled_from(sorted(PROFILE_TRUNCS)))]
+    x_den = draw(hst.integers(1, 10 ** 6))
+    x = Fraction(draw(hst.integers(0, x_den - 1)), x_den)
+    return phi, draw(hst.integers(1, 200)), trunc, x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(profile_cases())
+@example((obs.indicator(Fraction(1, 3)), 200, PROFILE_TRUNCS["deep"],
+          Fraction(5, 7)))
+@example((obs.Sawtooth(), 150, PROFILE_TRUNCS["deep"], Fraction(0)))
+def test_profile_against_brute_force(profile_oracle, case):
+    phi, n, trunc, x = case
+    prof = es.orbit_sum_profile(phi, n, trunc.value)
+    direct = es.ergodic_sum(phi, x, n, trunc, engine="direct").value
+    assert prof.evaluate(x) == direct
+    assert (prof.sup_abs(), prof.integral_sq()) == profile_oracle(phi, n, trunc)
+
+
+def test_profile_merges_coinciding_jumps():
+    # at rotation 1/8 the jumps of half() at 0 and 1/2 land on common
+    # multiples of 1/8; only the net jump there may make a level
+    phi = obs.half()
+    for n in range(1, 17):
+        prof = es.orbit_sum_profile(phi, n, Fraction(1, 8))
+        vals = [sum(phi.evaluate(Fraction(2 * i + 1, 16) + Fraction(j, 8))
+                    for j in range(n)) for i in range(8)]
+        assert prof.sup_abs() == max(abs(v) for v in vals)
+        assert prof.integral_sq() == sum(v * v for v in vals) / 8
+
+
+def test_profile_dtype_follows_size():
+    phi = obs.half()
+    small = es.orbit_sum_profile(phi, 89, PROFILE_TRUNCS["golden"].value)
+    deep = PROFILE_TRUNCS["deep"]
+    assert 89 * deep.q >= 2 ** 62
+    big = es.orbit_sum_profile(phi, 89, deep.value)
+    assert small.levels.dtype == np.int64 and big.levels.dtype == object
+    assert big.sup_abs() <= phi.variation()
+
+
+def test_profile_rejects_float_steps(golden_trunc):
+    phi = obs.StepFunction((Fraction(0), Fraction(1, 2)), (0.5, -0.5))
+    with pytest.raises(ConfigError):
+        es.orbit_sum_profile(phi, 5, golden_trunc.value)
 
 
 def test_ostrowski_bound_certificate(golden_trunc):

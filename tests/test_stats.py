@@ -71,6 +71,20 @@ def test_ks_non_finite_rejected():
             st.ks_statistic([0.1, bad, 0.3], st._normal_cdf_array)
 
 
+def test_ks_cdf_of_wrong_shape_rejected():
+    for cdf in (lambda z: 0.5, lambda z: st._normal_cdf_array(z)[:-1]):
+        with pytest.raises(ConfigError):
+            st.ks_statistic([0.1, 0.2, 0.3], cdf)
+
+
+def test_ks_cdf_errors_propagate():
+    def broken(z):
+        raise ZeroDivisionError("cdf failed")
+
+    with pytest.raises(ZeroDivisionError):
+        st.ks_statistic([0.1, 0.2, 0.3], broken)
+
+
 def test_stratified_sampler_sizes():
     with pytest.raises(ConfigError):
         st.StratifiedSampler(seed=0, size=0)

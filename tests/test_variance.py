@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import observables as obs
 from rotsum import variance as var
@@ -79,6 +80,27 @@ def test_fourier_vs_exact_one_percent(golden_trunc):
             exact, _ = var.norm_sq(phi, n, golden_trunc, mode="exact")
             fo, _ = var.norm_sq(phi, n, golden_trunc, mode="fourier")
             assert abs(fo - float(exact)) <= 0.01 * max(float(exact), 0.05)
+
+
+@pytest.mark.parametrize("alpha", [
+    "golden",
+    pytest.param("sqrt2m1", marks=pytest.mark.xfail(strict=True, reason=(
+        "AlphaFourierTable._angle_frac's big-integer fallback reduces "
+        "mult * r * alpha mod 2 instead of mult * {r alpha} mod 2 (the "
+        "FOUND entry on _angle_frac in CHANGES.md); its fix must move the "
+        "benchmark's variance_cli_* digests together with it"))),
+])
+def test_mean_variance_matches_exact_cesaro_on_both_table_paths(alpha):
+    # the CLI's truncations: golden's 37-bit q takes the int64 angle path,
+    # sqrt2m1's 68-bit q the big-integer fallback (q >= 2**62 // rmax)
+    tr = cli.parse_alpha(alpha, 48)
+    phi = obs.double_interval(Fraction(1, 5), Fraction(3, 8))
+    n = 40
+    cesaro = sum(var.norm_sq(phi, k, tr, mode="exact")[0]
+                 for k in range(n)) / n
+    # the rmax = 20000 series tail alone leaves about 2e-4 on both paths
+    assert var.mean_variance(phi, n, tr) == pytest.approx(float(cesaro),
+                                                          rel=1e-3)
 
 
 def test_mean_variance_small_and_cesaro(golden_trunc):
