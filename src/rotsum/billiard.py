@@ -22,10 +22,10 @@ by 2 * Psi(chi), where the displacement takes the four values
     (0,-1) on (1/2, 1-alpha/2),  (-1,0) on (1-alpha/2, 1).
 
 The ray tracer below is deliberately independent of that structure: it walks
-x-slabs and intersects rectangles geometrically, in exact rational
-arithmetic (slopes +-1 with rational data keep every hit point rational, and
-corner hits are exact equality tests).  The cross-check of its cell sequence
-against the arithmetic engine is therefore a genuine two-route test.
+x-slabs and intersects rectangles geometrically, in exact integers over the
+common denominator D of the start point and a/2, b/2 (slopes +-1 keep every
+hit point and path length a multiple of 1/D, and corner hits are exact
+equality tests), so its cell sequence against the cocycle is a two-route test.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class ObstacleParams:
     def s(self) -> Fraction:
         return self.a + self.b
 
-    @property
+    @cached_property
     def alpha(self) -> Fraction:
         return self.a / (self.a + self.b)
 
@@ -129,10 +130,9 @@ class BilliardOrbit:
         out = []
         for j in range(2, len(self.events) + 1, 2):
             om, on = self.events[j - 1].obstacle
-            dm, dn = om - 0, on - 0
-            if dm % 2 or dn % 2:
+            if om % 2 or on % 2:
                 raise CertificateError("obstacle displacement not even")
-            out.append((dm // 2, dn // 2))
+            out.append((om // 2, on // 2))
         return out
 
     def hitting_time(self) -> float:
@@ -151,23 +151,20 @@ class BilliardOrbit:
 # Displacement cocycle and the arithmetic engine
 # ---------------------------------------------------------------------------
 
-def _breakpoints(alpha: Fraction) -> tuple[Fraction, ...]:
-    return (Fraction(0), Fraction(1, 2) - alpha / 2, Fraction(1, 2),
-            1 - alpha / 2)
-
-
 def displacement(x, params: ObstacleParams) -> tuple[int, int]:
     """Psi(x): the four-valued cell step of one double collision."""
     x = Fraction(x)
-    x -= x.numerator // x.denominator
-    alpha = params.alpha
-    if x in _breakpoints(alpha):
-        raise BoundaryError(f"x = {x} is a displacement breakpoint")
-    if x < Fraction(1, 2) - alpha / 2:
+    u, v = x.numerator % x.denominator, x.denominator  # {x} = u/v
+    p, q = params.alpha.numerator, params.alpha.denominator
+    # 2qu against 2qv times the breakpoints (1-alpha)/2, 1/2, 1-alpha/2
+    u2q, c1, c2, c3 = 2 * q * u, v * (q - p), v * q, v * (2 * q - p)
+    if u == 0 or u2q in (c1, c2, c3):
+        raise BoundaryError(f"x = {Fraction(u, v)} is a displacement breakpoint")
+    if u2q < c1:
         return (0, 1)
-    if x < Fraction(1, 2):
+    if u2q < c2:
         return (1, 0)
-    if x < 1 - alpha / 2:
+    if u2q < c3:
         return (0, -1)
     return (-1, 0)
 
@@ -187,6 +184,8 @@ def step(state: LatticeState, params: ObstacleParams) -> LatticeState:
 
 def cell_after_direct(n: int, x, params: ObstacleParams) -> tuple[int, int]:
     """S(n, Psi)(x) by literal skew-product iteration (exact, O(n))."""
+    if n < 0:
+        raise ConfigError(f"n must be >= 0, got {n}")
     st = LatticeState(Fraction(x), (0, 0))
     for _ in range(int(n)):
         st = step(st, params)
@@ -223,6 +222,8 @@ def cell_after(n: int, x, params: ObstacleParams,
     ``trunc`` must evaluate to alpha = a/(a+b); omitted, the exact rational
     truncation of alpha is built (window = full rational period).
     """
+    if n < 0:
+        raise ConfigError(f"n must be >= 0, got {n}")
     if trunc is None:
         trunc = rational_truncation(params.alpha)
     elif trunc.value != params.alpha:
@@ -270,35 +271,32 @@ def section_start(chi, params: ObstacleParams):
     return pos, direction
 
 
-def _first_hit(px: Fraction, py: Fraction, sx: int, sy: int,
-               params: ObstacleParams, max_slabs: int = 256):
+def _first_hit(px: int, py: int, sx: int, sy: int, ha: int, hb: int,
+               D: int, max_slabs: int = 256):
     """First obstacle intersection of the ray (px,py) + t(sx,sy), t > 0.
 
-    Pure slab-walking geometry in exact rationals; raises
-    ``SingularOrbitError`` on exact corner/tangent incidence.
+    Slab walking on numerators over D (the point, ha = a/2, hb = b/2 and the
+    returned t); raises ``SingularOrbitError`` on exact corner/tangent hits.
     """
-    a, b = params.a, params.b
-    ha, hb = a / 2, b / 2
-    m0 = math.floor(px) if sx > 0 else math.ceil(px)
+    m0 = px // D if sx > 0 else -(-px // D)
     for k in range(max_slabs):
         m = m0 + sx * k
         # t-interval where the x-coordinate crosses the slab of obstacle column m
         if sx > 0:
-            tx_lo, tx_hi = m - ha - px, m + ha - px
+            tx_lo, tx_hi = m * D - ha - px, m * D + ha - px
         else:
-            tx_lo, tx_hi = px - (m + ha), px - (m - ha)
+            tx_lo, tx_hi = px - (m * D + ha), px - (m * D - ha)
         if tx_hi <= 0:
             continue
-        y_lo = py + sy * max(tx_lo, Fraction(0))
+        y_lo = py + sy * max(tx_lo, 0)
         y_hi = py + sy * tx_hi
         ylo, yhi = min(y_lo, y_hi), max(y_lo, y_hi)
-        n_cands = range(math.ceil(ylo - hb), math.floor(yhi + hb) + 1)
         best = None
-        for n in n_cands:
+        for n in range(-((hb - ylo) // D), (yhi + hb) // D + 1):
             if sy > 0:
-                ty_lo, ty_hi = n - hb - py, n + hb - py
+                ty_lo, ty_hi = n * D - hb - py, n * D + hb - py
             else:
-                ty_lo, ty_hi = py - (n + hb), py - (n - hb)
+                ty_lo, ty_hi = py - (n * D + hb), py - (n * D - hb)
             t_enter = max(tx_lo, ty_lo)
             t_exit = min(tx_hi, ty_hi)
             if t_enter <= 0 or t_enter > t_exit:
@@ -313,8 +311,7 @@ def _first_hit(px: Fraction, py: Fraction, sx: int, sy: int,
                     side = "bottom" if sy > 0 else "top"
                 best = (t_enter, (m, n), side)
         if best is not None:
-            t, obstacle, side = best
-            return t, (px + sx * t, py + sy * t), obstacle, side
+            return best
     raise SingularOrbitError("no obstacle found within the slab horizon")
 
 
@@ -326,27 +323,30 @@ def ray_trace(chi, params: ObstacleParams, collisions: int = 2) -> BilliardOrbit
     """
     if collisions < 1:
         raise ConfigError("need at least one collision")
-    pos, (sx, sy) = section_start(chi, params)
-    px, py = pos
+    pos, direction = section_start(chi, params)
+    exact = (*pos, params.a / 2, params.b / 2)
+    D = math.lcm(*(v.denominator for v in exact))
+    px, py, ha, hb = (int(v * D) for v in exact)  # numerators over D
+    sx, sy = direction
     events = []
-    t_total = Fraction(0)
+    T = 0
     for _ in range(collisions):
-        t, hit, obstacle, side = _first_hit(px, py, sx, sy, params)
-        t_total += t
+        t, obstacle, side = _first_hit(px, py, sx, sy, ha, hb, D)
+        T += t
+        px, py = px + sx * t, py + sy * t
         events.append(PathEvent(
-            time=float(t_total) * SQRT2,
-            t_exact=t_total,
-            position=hit,
+            time=T / D * SQRT2,
+            t_exact=Fraction(T, D),
+            position=(Fraction(px, D), Fraction(py, D)),
             obstacle=obstacle,
             side=side,
         ))
-        px, py = hit
         if side in ("left", "right"):
             sx = -sx
         else:
             sy = -sy
     return BilliardOrbit(chi=Fraction(chi), events=tuple(events),
-                         start=pos, direction0=section_start(chi, params)[1])
+                         start=pos, direction0=direction)
 
 
 def hitting_time(chi, params: ObstacleParams) -> float:

@@ -392,7 +392,7 @@ def ostrowski_digits(N: int, trunc: RationalTruncation) -> OstrowskiDigits:
     """Most-significant-first greedy expansion of N >= 1 in the basis (q_k)."""
     N = int(N)
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise ConfigError(f"N must be >= 1, got {N}")
     qs = trunc.qs
     # need q_{m+1} > N realizable
     if N >= qs[trunc.level]:

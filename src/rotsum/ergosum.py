@@ -57,9 +57,9 @@ def floor_sum(n: int, a: int, b: int, c: int) -> int:
     """
     n, a, b, c = int(n), int(a), int(b), int(c)
     if c <= 0:
-        raise ValueError(f"modulus c must be >= 1, got {c}")
+        raise ConfigError(f"modulus c must be >= 1, got {c}")
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ConfigError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0
     ans = 0
@@ -109,7 +109,7 @@ def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
     """
     N = int(N)
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise ConfigError("N must be >= 0")
     if N == 0:
         return 0
     if N > 1:
@@ -216,7 +216,7 @@ def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation,
 
 def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation):
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise ConfigError("N must be >= 0")
     if N > 1:
         trunc.require_window(N - 1, "orbit length")
     L = _lcm(trunc.q, x.denominator)
@@ -344,7 +344,7 @@ def orbit_sum_profile(phi: Observable, n: int, rot: Fraction) -> OrbitProfile:
     rotation step ``rot``; one sort of the n * #jumps jump positions."""
     n = int(n)
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigError("n must be >= 0")
     return _signed_profile(phi, n, ((rot, 1),))
 
 

@@ -146,7 +146,7 @@ class StepFunction:
     def fourier_gamma(self, r: int) -> complex:
         """gamma_r = r c_r via the jump closed form; |gamma_r| <= K."""
         if r == 0:
-            raise ValueError("gamma_r is defined for r != 0")
+            raise ConfigError("gamma_r is defined for r != 0")
         acc = 0j
         for t, j in self.jumps().items():
             # exact reduction of r*t mod 1 keeps the phase accurate for huge r
@@ -194,7 +194,7 @@ class Sawtooth:
 
     def fourier_gamma(self, r: int) -> complex:
         if r == 0:
-            raise ValueError("gamma_r is defined for r != 0")
+            raise ConfigError("gamma_r is defined for r != 0")
         return 1j / TWO_PI  # -1/(2 pi i)
 
 

@@ -47,7 +47,7 @@ __all__ = [
 def gn_kernel(n: int, t: float) -> float:
     """G_n(t) = sin^2(n pi t)/sin^2(pi t); G_n(integer) = n^2 (removable)."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigError("n must be >= 0")
     tf = float(t) % 1.0
     s = math.sin(math.pi * tf)
     if abs(s) < 1e-14:
@@ -66,7 +66,7 @@ def gn_mean(n: int, t: float) -> float:
     the O(n) direct sum is used instead (exact limit (n-1)(2n-1)/6 at 0).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     tf = float(t) % 1.0
     tf = min(tf, 1.0 - tf)
     if tf == 0.0:
@@ -141,7 +141,7 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
     n * #jumps under the enumeration cap).
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigError("n must be >= 0")
     if n == 0:
         return (Fraction(0), 0) if mode == "exact" else (0.0, 0.0)
     if mode == "exact":
@@ -169,7 +169,7 @@ def mean_variance(phi: Observable, n: int, trunc: RationalTruncation,
     """<D phi>_n = (1/n) sum_{k<n} ||S_k phi||_2^2 via the closed-form kernel
     mean (avoids the O(n) sum of kernels per frequency)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     if rmax is None:
         rmax = max(20_000, 100 * n)
     table = AlphaFourierTable(trunc, rmax)

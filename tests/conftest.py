@@ -1,11 +1,19 @@
-"""Brute-force oracles shared by the test files."""
+"""Brute-force oracles shared by the test files, and the hypothesis profile."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
+from rotsum import billiard as bil
 from rotsum import ergosum as es
 from rotsum import observables as obs
+from rotsum.errors import SingularOrbitError
+
+# every property test draws the same examples on every run
+settings.register_profile("rotsum", derandomize=True, deadline=None)
+settings.load_profile("rotsum")
 
 
 def _midpoint_profile_oracle(phi, n, trunc):
@@ -34,3 +42,69 @@ def _midpoint_profile_oracle(phi, n, trunc):
 @pytest.fixture(scope="session")
 def profile_oracle():
     return _midpoint_profile_oracle
+
+
+def _fraction_first_hit(px, py, sx, sy, params, max_slabs=256):
+    """First obstacle hit of the ray (px,py) + t(sx,sy), t > 0, by slab
+    walking in Fractions: (t, hit point, obstacle, side)."""
+    ha, hb = params.a / 2, params.b / 2
+    m0 = math.floor(px) if sx > 0 else math.ceil(px)
+    for k in range(max_slabs):
+        m = m0 + sx * k
+        if sx > 0:
+            tx_lo, tx_hi = m - ha - px, m + ha - px
+        else:
+            tx_lo, tx_hi = px - (m + ha), px - (m - ha)
+        if tx_hi <= 0:
+            continue
+        y_lo = py + sy * max(tx_lo, Fraction(0))
+        y_hi = py + sy * tx_hi
+        ylo, yhi = min(y_lo, y_hi), max(y_lo, y_hi)
+        best = None
+        for n in range(math.ceil(ylo - hb), math.floor(yhi + hb) + 1):
+            if sy > 0:
+                ty_lo, ty_hi = n - hb - py, n + hb - py
+            else:
+                ty_lo, ty_hi = py - (n + hb), py - (n - hb)
+            t_enter = max(tx_lo, ty_lo)
+            t_exit = min(tx_hi, ty_hi)
+            if t_enter <= 0 or t_enter > t_exit:
+                continue
+            if t_enter == t_exit or tx_lo == ty_lo:
+                raise SingularOrbitError(
+                    f"corner/tangent hit at obstacle ({m},{n})")
+            if best is None or t_enter < best[0]:
+                if tx_lo > ty_lo:
+                    side = "left" if sx > 0 else "right"
+                else:
+                    side = "bottom" if sy > 0 else "top"
+                best = (t_enter, (m, n), side)
+        if best is not None:
+            t, obstacle, side = best
+            return t, (px + sx * t, py + sy * t), obstacle, side
+    raise SingularOrbitError("no obstacle found within the slab horizon")
+
+
+def _fraction_ray_trace(chi, params, collisions):
+    """The billiard orbit from chi traced in Fractions: a BilliardOrbit whose
+    events carry exact times, hit points, obstacles and sides."""
+    pos, direction = bil.section_start(chi, params)
+    (px, py), (sx, sy) = pos, direction
+    events = []
+    t_total = Fraction(0)
+    for _ in range(collisions):
+        t, hit, obstacle, side = _fraction_first_hit(px, py, sx, sy, params)
+        t_total += t
+        events.append(bil.PathEvent(float(t_total) * bil.SQRT2, t_total, hit,
+                                    obstacle, side))
+        px, py = hit
+        if side in ("left", "right"):
+            sx = -sx
+        else:
+            sy = -sy
+    return bil.BilliardOrbit(Fraction(chi), tuple(events), pos, direction)
+
+
+@pytest.fixture(scope="session")
+def fraction_ray_trace():
+    return _fraction_ray_trace

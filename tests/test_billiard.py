@@ -1,15 +1,19 @@
+import bisect
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from rotsum import billiard as bil
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
 from rotsum import sequences as seq
-from rotsum.errors import BoundaryError, ConfigError, SingularOrbitError
+from rotsum.errors import (BoundaryError, ConfigError, RotsumError,
+                           SingularOrbitError)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,9 @@ def test_small_obstacle_condition():
     p = bil.ObstacleParams(a=Fraction(1, 4), b=Fraction(1, 2))
     assert p.alpha == Fraction(1, 3)
     assert p.strict
+    # the cached alpha leaves equality and hashing to the two sides
+    q = bil.ObstacleParams(a=Fraction(1, 4), b=Fraction(1, 2))
+    assert p == q and hash(p) == hash(q)
 
 
 def test_displacement_cases(params25):
@@ -85,6 +92,16 @@ def test_cell_after_zero_and_oracle(params25):
             bil.cell_after_direct(n, x, params25)
 
 
+@pytest.mark.parametrize("cell_sum", [bil.cell_after, bil.cell_after_direct])
+def test_cell_sums_reject_negative_n(cell_sum, params25, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("negative n must be rejected before any work")
+    monkeypatch.setattr(bil, "rational_truncation", no_work)
+    monkeypatch.setattr(bil, "step", no_work)
+    with pytest.raises(ConfigError):
+        cell_sum(-3, Fraction(1, 7), params25)
+
+
 def test_cell_bounded_at_denominators():
     # at denominators of alpha the walk returns within a 2-cell box
     tr = cf.truncation(cf.golden(24), 18)
@@ -123,6 +140,89 @@ def test_ray_trace_matches_exact_engine(a, b):
         for j, cell in enumerate(cells, start=1):
             assert cell == bil.cell_after_direct(j, x, params)
         done += 1
+
+
+# --- the integer tracer and the integer cocycle against Fraction oracles
+
+GOLDEN16 = bil.params_for_plan(cf.truncation(cf.golden(20), 16))
+
+
+@hst.composite
+def shapes(draw):
+    """Rectangles with a + b <= 1 (a + b = 1 on about half the draws)."""
+    den = draw(hst.integers(2, 40))
+    i = draw(hst.integers(1, den - 1))
+    j = den - i if draw(hst.booleans()) else draw(hst.integers(1, den - i))
+    return bil.ObstacleParams(Fraction(i, den), Fraction(j, den))
+
+
+SHAPES = hst.one_of(hst.just(GOLDEN16), shapes())
+# small denominators land on corners, copy boundaries and tangencies;
+# prime ones do not
+SMALL_STARTS = hst.integers(2, 24).flatmap(
+    lambda den: hst.integers(1, den - 1).map(lambda u: Fraction(u, den)))
+PRIME_STARTS = hst.sampled_from([65537, 1000003, 2 ** 31 - 1]).flatmap(
+    lambda den: hst.integers(1, den - 1).map(lambda u: Fraction(u, den)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RotsumError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(params=SHAPES, chi=hst.one_of(SMALL_STARTS, PRIME_STARTS),
+       collisions=hst.integers(1, 60))
+@example(params=bil.ObstacleParams(Fraction(2, 5), Fraction(3, 5)),
+         chi=Fraction(1, 5), collisions=4)
+@example(params=bil.ObstacleParams(Fraction(2, 5), Fraction(3, 5)),
+         chi=Fraction(1, 2), collisions=2)
+def test_ray_trace_matches_fraction_oracle(params, chi, collisions,
+                                           fraction_ray_trace):
+    # every PathEvent field, start and direction, or the same typed failure
+    assert _outcome(bil.ray_trace, chi, params, collisions) == \
+        _outcome(fraction_ray_trace, chi, params, collisions)
+
+
+@settings(max_examples=40)
+@given(params=SHAPES, chi=PRIME_STARTS, collisions=hst.integers(2, 60))
+def test_traced_cells_match_cocycle(params, chi, collisions):
+    try:
+        cells = bil.ray_trace(chi, params, collisions).cells()
+    except SingularOrbitError:
+        return
+    ctr = bil.rational_truncation(params.alpha)
+    for j, cell in enumerate(cells, start=1):
+        assert cell == bil.cell_after(j, chi, params, ctr)
+        assert cell == bil.cell_after_direct(j, chi, params)
+
+
+def _fraction_displacement(x, params):
+    x = Fraction(x) % 1
+    alpha = params.alpha
+    cuts = (Fraction(0), (1 - alpha) / 2, Fraction(1, 2), 1 - alpha / 2)
+    if x in cuts:
+        raise BoundaryError(f"x = {x} is a displacement breakpoint")
+    return ((0, 1), (1, 0), (0, -1), (-1, 0))[bisect.bisect_right(cuts, x) - 1]
+
+
+@settings(max_examples=200)
+@given(params=SHAPES, cut=hst.integers(0, 3), shift=hst.integers(-3, 3),
+       nudge=hst.sampled_from([0, 0, 1, -1]), den=hst.integers(1, 10 ** 6),
+       free=hst.fractions(min_value=-5, max_value=5))
+def test_displacement_matches_fraction_oracle(params, cut, shift, nudge, den,
+                                              free):
+    alpha = params.alpha
+    cuts = (Fraction(0), (1 - alpha) / 2, Fraction(1, 2), 1 - alpha / 2)
+    # on a breakpoint, just beside it, in any unit interval, and anywhere
+    for x in (cuts[cut] + shift + Fraction(nudge, den), free):
+        dz = _outcome(_fraction_displacement, x, params)
+        assert _outcome(bil.displacement, x, params) == dz
+        if dz[0] is not BoundaryError:
+            assert bil.step(bil.LatticeState(x, (2, -1)), params) == \
+                bil.LatticeState((x + alpha) % 1, (2 + dz[0], -1 + dz[1]))
 
 
 def test_ray_trace_golden_truncation_alpha():

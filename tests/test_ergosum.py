@@ -206,7 +206,7 @@ def profile_cases(draw):
     return phi, draw(hst.integers(1, 200)), trunc, x
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(profile_cases())
 @example((obs.indicator(Fraction(1, 3)), 200, PROFILE_TRUNCS["deep"],
           Fraction(5, 7)))

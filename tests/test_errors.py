@@ -1,5 +1,5 @@
-"""Typed failures: no bare asserts in the library, and certificate checks
-raise CertificateError."""
+"""Typed failures: no bare asserts or ValueErrors in the library, and
+certificate checks raise CertificateError."""
 
 import ast
 from fractions import Fraction
@@ -15,17 +15,31 @@ from rotsum.errors import CertificateError, RotsumError
 SRC = Path(__file__).resolve().parents[1] / "src" / "rotsum"
 
 
+def _library_nodes():
+    """(file:line, node) for every syntax node of the library's source."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
+
+
+def _raises(node, name):
+    return (isinstance(node, ast.Raise) and node.exc is not None
+            and name in ast.unparse(node.exc))
+
+
 def test_library_has_no_assert_statements():
     # asserts vanish under python -O; exactness checks must raise typed errors
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            bare = isinstance(node, ast.Assert)
-            raised = (isinstance(node, ast.Raise) and node.exc is not None
-                      and "AssertionError" in ast.unparse(node.exc))
-            if bare or raised:
-                found.append(f"{path.name}:{node.lineno}")
-    assert len(list(SRC.glob("*.py"))) >= 9
+    found = [where for where, node in _library_nodes()
+             if isinstance(node, ast.Assert) or _raises(node, "AssertionError")]
+    assert not found, found
+
+
+def test_library_raises_no_bare_value_error():
+    # bad arguments raise ConfigError, which is itself a ValueError
+    found = [where for where, node in _library_nodes()
+             if _raises(node, "ValueError")]
     assert not found, found
 
 

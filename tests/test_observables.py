@@ -246,7 +246,7 @@ def test_vector_observable():
 # --- the exact-phase layer: reduce_phases and gamma_array against exact
 # --- Fraction arithmetic and the scalar jump formula
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(rmax=hst.integers(1, 300), offset=hst.integers(-2, 2),
        num=hst.integers(-2 ** 70, 2 ** 70))
 def test_reduce_phases_against_fraction_oracle(rmax, offset, num):
@@ -265,7 +265,7 @@ def test_reduce_phases_against_fraction_oracle(rmax, offset, num):
             assert fracs[r - 1] == float(Fraction(exact, den))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(num=hst.integers(0, 10 ** 6), den=hst.integers(1, 10 ** 6),
        rmax=hst.integers(1, 200))
 def test_reduce_phases_small_denominators_exact(num, den, rmax):
@@ -280,7 +280,7 @@ STEP_CATALOG = [phi for phi in CATALOG if isinstance(phi, obs.StepFunction)] \
     + [obs.billiard_displacement(Fraction(2, 5)).phi1]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(phi=hst.sampled_from(STEP_CATALOG), shift=hst.integers(0, 96),
        stride=hst.one_of(hst.sampled_from(LEVEL40.qs[:41]),
                         hst.integers(1, LEVEL40.qs[40])))
