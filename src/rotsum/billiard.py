@@ -217,7 +217,7 @@ def rational_truncation(alpha: Fraction) -> RationalTruncation:
 
 def cell_after(n: int, x, params: ObstacleParams,
                trunc: RationalTruncation | None = None) -> tuple[int, int]:
-    """S(n, Psi)(x) via two exact floor-sum ergodic sums.
+    """S(n, Psi)(x) via one exact floor-sum context for both components.
 
     ``trunc`` must evaluate to alpha = a/(a+b); omitted, the exact rational
     truncation of alpha is built (window = full rational period).
@@ -230,12 +230,10 @@ def cell_after(n: int, x, params: ObstacleParams,
         raise ConfigError("truncation value differs from a/(a+b)")
     # the rotation is genuinely rational here, so floor sums are exact at
     # every N and the truncation window does not apply
-    vec = psi_components(params)
     x = Fraction(x)
-    c1 = ErgodicContext(vec.phi1, trunc, x.denominator, enforce_window=False)
-    c2 = ErgodicContext(vec.phi2, trunc, x.denominator, enforce_window=False)
-    v1 = c1.sum_at(x.numerator, n)
-    v2 = c2.sum_at(x.numerator, n)
+    ctx = ErgodicContext(psi_components(params).components, trunc,
+                         x.denominator, enforce_window=False)
+    v1, v2 = ctx.sum_at(x.numerator, n)
     z1, z2 = int(v1), int(v2)
     if z1 != v1 or z2 != v2:
         raise CertificateError("displacement sums must be integers")

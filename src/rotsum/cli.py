@@ -215,12 +215,11 @@ def _cmd_plan(cfg: RunConfig) -> str:
 def _cmd_clt(cfg: RunConfig) -> str:
     plan = _plan_for(cfg, parity=False)
     phi = parse_observable(cfg.observable)
-    rep = st.clt_experiment(plan, phi, cfg.terms, cfg.samples, cfg.seed)
+    sampler = st.StratifiedSampler(seed=cfg.seed, size=cfg.samples)
+    ss = st.sample_sums(plan, phi, sampler, cfg.terms)
+    rep = st.clt_report(plan, phi, cfg.terms, ss, cfg.seed)
     rep.extra["config_hash"] = cfg.hash()
     if "samples_csv" in cfg.options:
-        ss = st.sample_sums(plan, phi,
-                            st.StratifiedSampler(seed=cfg.seed,
-                                                 size=cfg.samples), cfg.terms)
         with open(cfg.options["samples_csv"], "w", newline="") as fh:
             fh.write("index,value\r\n")
             for i, v in enumerate(ss.values):

@@ -4,17 +4,21 @@ truncation of alpha, computed exactly.
 Two engines:
 
 * ``direct`` -- literal summation, O(N); the oracle for small N.
-* ``floorsum`` -- counts orbit visits to each piece of a step function with
-  Euclidean floor sums, O(#jumps * log N) big-integer work.  This is what
-  makes sums at N with hundreds of digits feasible: with everything written
-  over a common denominator L,
+* ``floorsum`` -- the visit-count kernel ``ErgodicContext``, O(#jumps *
+  log N) big-integer work.  This is what makes sums at N with hundreds of
+  digits feasible: with everything written over a common denominator L,
 
       #{j < N : (A + j P) mod L < C}
           = sum_{j<N} ( floor((A + jP)/L) - floor((A - C + jP)/L) ),
 
-  and each floor sum collapses by the Euclid recursion.  The sawtooth
-  {x}-1/2 needs a single floor sum via sum {x + j alpha} = N x +
-  alpha N(N-1)/2 - sum floor(x + j alpha).
+  and each floor sum collapses by the Euclid recursion.  The kernel makes
+  one floor sum per distinct offset C, over the union of the jump points of
+  all the observables it is given (C = 0 included wherever one jumps
+  there), and applies each observable's jumps to those counts; the sawtooth
+  {x}-1/2 adds its affine term to the C = 0 floor sum.  The billiard's
+  psi1 and psi2 share their four jump points, so a sample of both costs
+  four floor sums.  ``count_visits`` is the same kernel applied to an
+  interval's indicator.
 
 The same module holds the one exact profile of x -> S_n phi(x), used for
 exact sup norms, exact L2 integrals and the periodic-approximation error.
@@ -35,7 +39,7 @@ import numpy as np
 
 from .contfrac import RationalTruncation, ostrowski_digits
 from .errors import CertificateError, ConfigError
-from .observables import _INT64_SAFE, Observable, Sawtooth
+from .observables import _INT64_SAFE, Observable, Sawtooth, StepFunction
 
 __all__ = [
     "floor_sum",
@@ -92,41 +96,24 @@ def _lcm(*vals: int) -> int:
     return out
 
 
-def _residue_count_below(N: int, P: int, A: int, C: int, L: int) -> int:
-    """#{j < N : (A + j P) mod L < C} for 0 <= C <= L."""
-    if C <= 0:
-        return 0
-    if C >= L:
-        return N
-    return floor_sum(N, P, A, L) - floor_sum(N, P, A - C, L)
-
-
 def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
     """#{0 <= j < N : {x + j alpha} in [u, w)} exactly (alpha = p_M/q_M).
 
     ``interval`` is (u, w) with exact rational endpoints in [0, 1]; u > w is
-    read as the wrap-around interval [u,1) + [0,w).
+    read as the wrap-around interval [u,1) + [0,w).  The count is the sum of
+    the interval's 0/1 indicator, so it runs on the visit-count kernel.
     """
-    N = int(N)
-    if N < 0:
-        raise ConfigError("N must be >= 0")
-    if N == 0:
-        return 0
-    if N > 1:
-        trunc.require_window(N - 1, "orbit length")
     u, w = Fraction(interval[0]), Fraction(interval[1])
-    x = Fraction(x)
-    x -= x.numerator // x.denominator
-    L = _lcm(trunc.q, x.denominator, u.denominator, w.denominator)
-    P = trunc.p * (L // trunc.q)
-    A = x.numerator * (L // x.denominator)
-    U = u.numerator * (L // u.denominator)
-    W = w.numerator * (L // w.denominator)
+    if not (0 <= u <= 1 and 0 <= w <= 1):
+        raise ConfigError(f"interval endpoints must lie in [0, 1], got {interval}")
+    cuts = sorted({Fraction(0), u % 1, w % 1})
     if u <= w:
-        return (_residue_count_below(N, P, A, W, L)
-                - _residue_count_below(N, P, A, U, L))
-    return N - (_residue_count_below(N, P, A, U, L)
-                - _residue_count_below(N, P, A, W, L))
+        values = tuple(int(u <= t < w) for t in cuts)
+    else:
+        values = tuple(int(not w <= t < u) for t in cuts)
+    x = Fraction(x)
+    ctx = ErgodicContext(StepFunction(tuple(cuts), values), trunc, x.denominator)
+    return int(ctx.sum_at(x.numerator, N))
 
 
 @dataclass(frozen=True)
@@ -138,64 +125,81 @@ class ErgodicSumResult:
 
 
 class ErgodicContext:
-    """Precomputed integer data for repeated sums of one observable at one
-    sample denominator.  ``sum_at(x_num, N)`` evaluates S_N phi(x_num/x_den).
+    """The visit-count kernel: exact sums S_N phi(x_num / x_den) of one
+    observable, or of a tuple of observables sampled at the same points.
+
+    Over the common denominator L of the rotation, the sample denominator
+    and the jump points, with A = x L, P = alpha L and
+    F(C) = floor_sum(N, P, A - C, L), the visits to [0, C) number
+    F(0) - F(C), so
+
+        S_N phi(x) = a N + s (A N + P N(N-1)/2) + sum_C J(C) F(C),
+
+    where J(C) is the jump phi(C) - phi(C-) at C, a = phi(0-) and s = 0 for
+    a step function, and a = -1/2, s = 1/L, J(0) = -1 for the sawtooth.
+    ``sum_at`` makes one floor sum per distinct jump point of the union,
+    shared by every observable, and returns each value as one exact
+    Fraction (a float for a step function with float values): a single
+    value for one observable, a tuple for a tuple.
     """
 
-    def __init__(self, phi: Observable, trunc: RationalTruncation, x_den: int,
+    def __init__(self, phi: Observable | tuple[Observable, ...],
+                 trunc: RationalTruncation, x_den: int,
                  enforce_window: bool = True):
         if x_den < 1:
             raise ConfigError("sample denominator must be >= 1")
-        self.phi = phi
+        self._single = not isinstance(phi, (tuple, list))
+        phis = (phi,) if self._single else tuple(phi)
+        for f in phis:
+            if not isinstance(f, (StepFunction, Sawtooth)):
+                raise ConfigError(
+                    f"{type(f).__name__} {getattr(f, 'label', '')!r} is not a "
+                    "scalar observable; sum its components separately")
         self.trunc = trunc
         self.x_den = int(x_den)
         # the window guards faithfulness to the irrational target; callers
         # rotating by a genuinely rational angle may disable it (the floor
         # sums themselves are exact at every N)
         self.enforce_window = enforce_window
-        self.sawtooth = isinstance(phi, Sawtooth)
-        if self.sawtooth:
-            L = _lcm(trunc.q, self.x_den)
-        else:
-            dens = [b.denominator for b in phi.breakpoints]
-            L = _lcm(trunc.q, self.x_den, *dens)
+        jumps = [{Fraction(0): Fraction(-1)} if isinstance(f, Sawtooth)
+                 else {t: Fraction(v) for t, v in f.jumps().items()}
+                 for f in phis]
+        L = _lcm(trunc.q, self.x_den, *(t.denominator for js in jumps for t in js))
         self.L = L
         self.P = trunc.p * (L // trunc.q)
         self.x_scale = L // self.x_den
-        if not self.sawtooth:
-            # S_N = v_last * N + (v_0 - v_last) F(C_0=L->skip)... expressed as
-            # v_last*N + sum over interior boundaries C_i of (v_{i-1}-v_i) F(C_i)
-            # where F(C) = fs(A) - fs(A-C); the fs(A) coefficients telescope.
-            bounds = [b.numerator * (L // b.denominator)
-                      for b in phi.breakpoints[1:]]
-            vals = list(phi.values)
-            self._v_last = vals[-1]
-            self._jump_terms = [
-                (vals[i] - vals[i + 1], bounds[i]) for i in range(len(bounds))
-            ]
-            self._lead_coeff = sum(c for c, _ in self._jump_terms)
-            self._exact = all(isinstance(v, (Fraction, int)) for v in vals)
-        else:
-            self._exact = True
+        columns = {}            # jump point C * L -> index of F(C)
+        self._rows = []         # (a d, s d, [(index, J d)], d, cast)
+        for f, js in zip(phis, jumps):
+            saw = isinstance(f, Sawtooth)
+            a = Fraction(-1, 2) if saw else Fraction(f.values[-1])
+            s = Fraction(1, L) if saw else Fraction(0)
+            d = _lcm(a.denominator, s.denominator,
+                     *(v.denominator for v in js.values()))
+            terms = [(columns.setdefault(t.numerator * (L // t.denominator),
+                                         len(columns)), int(v * d))
+                     for t, v in js.items()]
+            exact = saw or all(isinstance(v, (Fraction, int)) for v in f.values)
+            self._rows.append((int(a * d), int(s * d), terms, d,
+                               Fraction if exact else float))
+        self.offsets = tuple(columns)
+        self._ramp = any(row[1] for row in self._rows)
 
     def sum_at(self, x_num: int, N: int):
-        """S_N phi(x) for x = x_num/x_den reduced mod 1."""
+        """S_N phi(x) for x = x_num/x_den reduced mod 1, for each observable."""
         N = int(N)
-        if N == 0:
-            return Fraction(0) if self._exact else 0.0
+        if N < 0:
+            raise ConfigError(f"N must be >= 0, got {N}")
         if N > 1 and self.enforce_window:
             self.trunc.require_window(N - 1, "orbit length")
         A = (int(x_num) * self.x_scale) % self.L
         L, P = self.L, self.P
-        if self.sawtooth:
-            fs = floor_sum(N, P, A, L)
-            total = Fraction(A * N + P * (N * (N - 1) // 2) - L * fs, L)
-            return total - Fraction(N, 2)
-        fs_a = floor_sum(N, P, A, L)
-        acc = self._v_last * N + self._lead_coeff * fs_a
-        for coeff, C in self._jump_terms:
-            acc -= coeff * floor_sum(N, P, A - C, L)
-        return acc
+        F = [floor_sum(N, P, A - C, L) if N else 0 for C in self.offsets]
+        ramp = A * N + P * (N * (N - 1) // 2) if self._ramp else 0
+        vals = tuple(
+            cast(Fraction(a * N + s * ramp + sum(c * F[i] for i, c in terms), d))
+            for a, s, terms, d, cast in self._rows)
+        return vals[0] if self._single else vals
 
 
 def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation,

@@ -45,6 +45,7 @@ __all__ = [
     "ks_statistic",
     "two_sample_ks",
     "sample_sums",
+    "clt_report",
     "clt_experiment",
     "erdos_fortet_experiment",
     "erdos_fortet_identity_error",
@@ -233,25 +234,25 @@ def sample_sums(plan: SubsequencePlan, phi: Observable,
     """
     if not 0 <= n <= plan.count:
         raise ConfigError("n outside plan range")
-    Ln = plan.L[n]
+    ctx = ErgodicContext(phi, plan.trunc, sampler.den)
     nums = sampler.numerators()
     if n == 0:
         vals = np.zeros(len(nums))
         return SampleSet(vals, sampler.describe(), 1.0, prediction=0.0)
-    ctx = ErgodicContext(phi, plan.trunc, sampler.den)
+    Ln = plan.L[n]
     vals = np.array([float(ctx.sum_at(int(m), Ln)) for m in nums])
     pred = sum(hat_norm_sq(phi, plan.q(k))[0] for k in range(1, n + 1))
     norm = math.sqrt(float(np.mean(vals ** 2)))
     return SampleSet(vals, sampler.describe(), norm, prediction=pred)
 
 
-def clt_experiment(plan: SubsequencePlan, phi: Observable, n: int,
-                   samples: int, seed: int,
-                   ks_tol: float = 0.03,
-                   ratio_band: tuple[float, float] = (0.9, 1.1)) -> ExperimentReport:
-    """Normalized-sum Gaussianity check along the plan at position n."""
-    sampler = StratifiedSampler(seed=seed, size=samples)
-    ss = sample_sums(plan, phi, sampler, n)
+def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
+               seed: int, ks_tol: float = 0.03,
+               ratio_band: tuple[float, float] = (0.9, 1.1)) -> ExperimentReport:
+    """Normalized-sum Gaussianity check of the samples ``ss`` of
+    S_{L_n} phi, drawn by ``sample_sums`` at plan position n."""
+    if not 1 <= n <= plan.count:
+        raise ConfigError("n outside plan range [1, plan.count]")
     emp_var = ss.normalization ** 2
     ratio = emp_var / ss.prediction
     ks = ks_statistic(ss.normalized(), _normal_cdf_array)
@@ -266,8 +267,19 @@ def clt_experiment(plan: SubsequencePlan, phi: Observable, n: int,
         passed=passed,
         seed=seed,
         plan_hash=plan.plan_hash(),
-        extra={"n": n, "samples": samples, "observable": getattr(phi, "label", "?")},
+        extra={"n": n, "samples": len(ss.values),
+               "observable": getattr(phi, "label", "?")},
     )
+
+
+def clt_experiment(plan: SubsequencePlan, phi: Observable, n: int,
+                   samples: int, seed: int,
+                   ks_tol: float = 0.03,
+                   ratio_band: tuple[float, float] = (0.9, 1.1)) -> ExperimentReport:
+    """Normalized-sum Gaussianity check along the plan at position n, on
+    ``samples`` stratified points drawn with ``seed``."""
+    ss = sample_sums(plan, phi, StratifiedSampler(seed=seed, size=samples), n)
+    return clt_report(plan, phi, n, ss, seed, ks_tol, ratio_band)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +506,10 @@ def covariance_2d(plan: SubsequencePlan, psi: VectorObservable,
     sampler = StratifiedSampler(seed=seed, size=samples)
     nums = sampler.numerators()
     Ln = plan.L[n]
-    ctx1 = ErgodicContext(psi.phi1, plan.trunc, sampler.den)
-    ctx2 = ErgodicContext(psi.phi2, plan.trunc, sampler.den)
-    v1 = np.array([float(ctx1.sum_at(int(m), Ln)) for m in nums]) / math.sqrt(n)
-    v2 = np.array([float(ctx2.sum_at(int(m), Ln)) for m in nums]) / math.sqrt(n)
+    ctx = ErgodicContext(psi.components, plan.trunc, sampler.den)
+    sums = np.array([[float(v) for v in ctx.sum_at(int(m), Ln)] for m in nums])
+    v1 = sums[:, 0] / math.sqrt(n)
+    v2 = sums[:, 1] / math.sqrt(n)
     cov = {
         "c11": float(np.mean(v1 * v1)),
         "c22": float(np.mean(v2 * v2)),

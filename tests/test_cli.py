@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from rotsum import cli
+from rotsum import stats as st
 
 
 def run_cli(args, tmp_path, name):
@@ -99,6 +100,37 @@ def test_invalid_config_exit_code(capsys):
     rc = cli.main(["cf", "--alpha", "bogus-name"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_clt_rejects_vector_observable(capsys):
+    rc = cli.main(["clt", "--alpha", "clt:c=30", "--terms", "3", "--samples",
+                   "5", "--observable", "billiard_displacement:alpha=1/3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a scalar observable" in err
+
+
+def test_clt_samples_csv_samples_once(tmp_path, monkeypatch):
+    calls = []
+    real = st.sample_sums
+    monkeypatch.setattr(st, "sample_sums",
+                        lambda *args: calls.append(args) or real(*args))
+    csv_path = tmp_path / "samples.csv"
+    args = ["clt", "--alpha", "clt:c=30", "--terms", "10", "--samples", "300",
+            "--seed", "3", "--observable", "indicator:beta=1/3",
+            "--opt", f"samples_csv={csv_path}"]
+    report = run_cli(list(args), tmp_path, "r.json")
+    monkeypatch.undo()
+    assert len(calls) == 1
+    plan, phi, sampler, n = calls[0]
+    values = real(plan, phi, sampler, n).values
+    assert csv_path.read_bytes().decode().split("\r\n") == (
+        ["index,value"] + [f"{i},{v!r}" for i, v in enumerate(values)] + [""])
+    # the report is the one clt_experiment makes from the same samples
+    rep = st.clt_experiment(plan, phi, 10, 300, 3)
+    cfg = cli.config_from_args(cli.build_parser().parse_args(args))
+    rep.extra["config_hash"] = cfg.hash()
+    assert report.decode() == rep.to_json() + "\n"
 
 
 def test_run_config_round_trip():

@@ -99,6 +99,54 @@ def test_window_violation(golden_trunc):
                         golden_trunc.validity_bound + 1, golden_trunc)
 
 
+def test_sum_at_and_count_visits_edges():
+    # N - 1 = q_(M-1) - 1 is the last orbit length inside the window
+    tr = cf.truncation(cf.golden(20), 12)
+    edge = tr.validity_bound
+    phis = (obs.Sawtooth(), obs.indicator(Fraction(1, 3)),
+            obs.half_shifted(Fraction(2, 7)))
+    ctx = es.ErgodicContext(phis, tr, 97)
+    x, (u, w) = Fraction(5, 97), (Fraction(1, 4), Fraction(2, 3))
+    assert ctx.sum_at(5, edge) == tuple(
+        es.ergodic_sum(phi, x, edge, tr, engine="direct").value for phi in phis)
+    assert es.count_visits(x, (u, w), edge, tr) == sum(
+        u <= (x + j * tr.value) % 1 < w for j in range(edge))
+    with pytest.raises(PrecisionError):
+        ctx.sum_at(5, edge + 1)
+    with pytest.raises(PrecisionError):
+        es.count_visits(x, (u, w), edge + 1, tr)
+    with pytest.raises(ConfigError):
+        ctx.sum_at(5, -1)
+    with pytest.raises(ConfigError):     # no floor sum to reject it
+        es.count_visits(x, (0, 1), -1, tr)
+    with pytest.raises(ConfigError):
+        es.count_visits(x, (Fraction(-1, 2), 0), 5, tr)
+
+
+@settings(max_examples=200)
+@given(hst.integers(0, 60), hst.integers(-10 ** 12, 10 ** 6),
+       hst.integers(-10 ** 12, 10 ** 6), hst.integers(1, 10 ** 4))
+@example(7, -5, -3, 4)
+def test_floor_sum_negative_arguments(n, a, b, c):
+    assert es.floor_sum(n, a, b, c) == sum((a * j + b) // c for j in range(n))
+
+
+_BIG = hst.integers(2 ** 999, 2 ** 1000)
+_SIGN = hst.sampled_from((-1, 1))
+
+
+@settings(max_examples=100)
+@given(_BIG, _SIGN, _BIG, _SIGN, _BIG, _BIG, hst.integers(0, 40))
+def test_floor_sum_huge_arguments(n, sa, a, sb, b, c, small):
+    # about 1000-bit operands: split n at h, fs(n) = fs(h) + fs'(n - h) with
+    # fs' started at j = h; and brute force at small n
+    a, b, h = sa * a, sb * b, n // 3
+    assert es.floor_sum(n, a, b, c) == (es.floor_sum(h, a, b, c)
+                                        + es.floor_sum(n - h, a, a * h + b, c))
+    assert es.floor_sum(small, a, b, c) == sum((a * j + b) // c
+                                               for j in range(small))
+
+
 CATALOG = [
     obs.Sawtooth(),
     obs.indicator(Fraction(1, 3)),
@@ -217,6 +265,60 @@ def test_profile_against_brute_force(profile_oracle, case):
     direct = es.ergodic_sum(phi, x, n, trunc, engine="direct").value
     assert prof.evaluate(x) == direct
     assert (prof.sup_abs(), prof.integral_sq()) == profile_oracle(phi, n, trunc)
+
+
+# psi1 and psi2 share all their breakpoints; shifted steps mostly do not
+CONTEXT_PHIS = PROFILE_PHIS + [obs.billiard_displacement(Fraction(2, 5)).phi2]
+
+
+@hst.composite
+def context_cases(draw):
+    phis = []
+    for _ in range(draw(hst.integers(1, 4))):
+        phi = draw(hst.sampled_from(CONTEXT_PHIS))
+        if not isinstance(phi, obs.Sawtooth) and draw(hst.booleans()):
+            den = draw(hst.integers(1, 60))
+            phi = phi.shifted(Fraction(draw(hst.integers(0, den - 1)), den))
+        phis.append(phi)
+    trunc = PROFILE_TRUNCS[draw(hst.sampled_from(sorted(PROFILE_TRUNCS)))]
+    x_den = draw(hst.integers(1, 10 ** 6))
+    return (tuple(phis), trunc, x_den, draw(hst.integers(0, x_den - 1)),
+            draw(hst.integers(0, 300)))
+
+
+@settings(max_examples=80)
+@given(context_cases())
+@example((tuple(CONTEXT_PHIS), PROFILE_TRUNCS["deep"], 2 ** 64, 12345, 300))
+def test_context_matches_direct_per_observable(case):
+    phis, trunc, x_den, x_num, n = case
+    ctx = es.ErgodicContext(phis, trunc, x_den)
+    x = Fraction(x_num, x_den)
+    direct = tuple(es.ergodic_sum(phi, x, n, trunc, engine="direct").value
+                   for phi in phis)
+    assert ctx.sum_at(x_num, n) == direct
+    assert es.ErgodicContext(phis[0], trunc, x_den).sum_at(x_num, n) == direct[0]
+    # one floor sum per distinct jump point of the union
+    points = set()
+    for phi in phis:
+        points |= {Fraction(0)} if isinstance(phi, obs.Sawtooth) else set(phi.jumps())
+    assert len(ctx.offsets) == len(points)
+
+
+def test_context_float_values_stay_floats(golden_trunc):
+    phi = obs.StepFunction((Fraction(0), Fraction(1, 2)), (0.5, -0.25))
+    x = Fraction(3, 8)
+    val = es.ErgodicContext(phi, golden_trunc, 8).sum_at(3, 500)
+    assert isinstance(val, float)
+    exact = sum(Fraction(phi.evaluate(x + j * golden_trunc.value))
+                for j in range(500))
+    assert val == float(exact)
+
+
+def test_context_rejects_vector_observable(golden_trunc):
+    vec = obs.billiard_displacement(Fraction(1, 3))
+    with pytest.raises(ConfigError, match="not a scalar observable"):
+        es.ErgodicContext(vec, golden_trunc, 8)
+    assert len(es.ErgodicContext(vec.components, golden_trunc, 8).sum_at(1, 9)) == 2
 
 
 def test_profile_merges_coinciding_jumps():

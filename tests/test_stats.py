@@ -186,6 +186,40 @@ def test_grid_sampler_runs(plan40):
     assert len(ss.values) == 256
 
 
+def test_clt_experiment_rejects_positions_outside_plan(plan40):
+    # n = 0 would divide by a zero prediction
+    for n in (-1, 0, plan40.count + 1):
+        with pytest.raises(ConfigError, match="outside plan range"):
+            st.clt_experiment(plan40, obs.Sawtooth(), n, 50, seed=0)
+
+
+def test_sample_sums_rejects_vector_observable(plan40):
+    vec = obs.billiard_displacement(Fraction(1, 3))
+    for n in (0, 10):
+        with pytest.raises(ConfigError, match="not a scalar observable"):
+            st.sample_sums(plan40, vec, st.StratifiedSampler(seed=0, size=8), n)
+
+
+def test_floor_sums_per_sample(monkeypatch, plan40):
+    # one floor sum per distinct jump point, shared by psi1 and psi2
+    calls = []
+    real = es.floor_sum
+    monkeypatch.setattr(es, "floor_sum",
+                        lambda *args: calls.append(1) or real(*args))
+    k = 40
+    sampler = st.StratifiedSampler(seed=0, size=k)
+    for phi, per_sample in ((obs.Sawtooth(), 1),
+                            (obs.indicator(Fraction(1, 3)), 2)):
+        calls.clear()
+        st.sample_sums(plan40, phi, sampler, 10)
+        assert len(calls) == per_sample * k
+    tr = cf.truncation(cf.parity_design_rule(c=12, beta=2, max_index=30), 26)
+    plan = seq.plan_parity(tr, 2, 6)
+    calls.clear()
+    st.covariance_2d(plan, obs.billiard_displacement(tr.value), 6, k, seed=0)
+    assert len(calls) == 4 * k
+
+
 def test_clt_experiment_report(plan40):
     rep = st.clt_experiment(plan40, obs.Sawtooth(), 12, 2000, seed=1)
     assert rep.passed
