@@ -65,10 +65,11 @@ class RunConfig:
                          options=doc.get("options", {}))
 
     def hash(self) -> str:
-        # the output path is not semantic: identical experiments hashed
-        # identically wherever they are written
+        # output paths are not semantic: identical experiments hashed
+        # identically wherever they (and their sample CSV) are written
         doc = json.loads(self.to_json())
         doc.pop("out", None)
+        doc["options"].pop("samples_csv", None)
         return hashlib.sha256(
             json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 

@@ -165,7 +165,8 @@ class PartialQuotientSpec:
     def from_json(text: str) -> "PartialQuotientSpec":
         doc = json.loads(text)
         if doc["kind"] == "list":
-            return from_list(doc["quotients"])
+            return PartialQuotientSpec(name="list", max_index=doc["max_index"],
+                                       quotients=tuple(doc["quotients"]))
         name = doc["name"]
         if name not in _RULES:
             raise ConfigError(f"unknown rule name {name!r}")
@@ -292,11 +293,6 @@ class RationalTruncation:
         self.require_window(int(k))
         r = (int(k) * self.p) % self.q
         return Fraction(min(r, self.q - r), self.q)
-
-    def frac_multiple(self, k: int) -> Fraction:
-        """{k * p_M/q_M} in [0,1) as an exact rational (window-checked)."""
-        self.require_window(int(k))
-        return Fraction((int(k) * self.p) % self.q, self.q)
 
     def denominator_distance(self, n: int) -> Fraction:
         """||q_n alpha|| exactly; defined for 0 <= n <= M-1."""

@@ -413,16 +413,95 @@ def hat_observable(phi: Observable, ell: int, cap: int = 200_000) -> Observable:
 
 # Largest bound on r * den for which residue tables stay in int64.
 _INT64_SAFE = 2 ** 62
+# r below this times a 27-bit part of theta is exact in float64.
+_SPLIT_RMAX = 2 ** 26
+# r values per vectorized pass, so that temporaries stay small.
+_PHASE_CHUNK = 4096
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _exact_phases(fracs, num: int, den: int, rs) -> None:
+    """fracs[r - 1] = ((r * num) % den) / den, one rounding from the residue."""
+    for r in rs:
+        fracs[r - 1] = (r * num % den) / den
+
+
+def _certified_phases(num: int, den: int, rmax: int):
+    """{r * num/den} for r = 1..rmax in double-double arithmetic, each entry
+    equal to ((r * num) % den) / den: those the error bound cannot round are
+    recomputed from the exact residue."""
+    import numpy as np
+
+    fracs = np.empty(rmax, dtype=np.float64)
+    theta_hi = num / den
+    theta_lo = float(Fraction(num, den) - Fraction(theta_hi))
+    # exact split theta_hi = a1 + a2 into its top 26 and low 27 mantissa bits
+    m, ex = math.frexp(theta_hi)
+    mant = int(m * 2 ** 53)
+    a1 = math.ldexp(mant >> 27, ex - 26)
+    a2 = math.ldexp(mant & (2 ** 27 - 1), ex - 53)
+    # Error bound.  For r < 2**26, r a1 and p2 = r a2 are exact (at most 53
+    # bits, none below theta_hi's last), p1 = {r a1} is exact, s_hi + s_lo =
+    # p1 + p2 exactly and u = {s_hi} >= 0 exactly.  Three roundings remain:
+    # theta_lo = theta - theta_hi - delta with |delta| <= 2**-53 |theta_lo|
+    # + 2**-1075, t = fl(r theta_lo) and w = fl(s_lo + t), each off by at
+    # most 2**-53 of its result plus 2**-1075 (the subnormal half-spacing).
+    # With u + w = f + e exactly (TwoSum),
+    #     {r theta} = f + e + d (mod 1),  |d| <= 2**-51 (|t| + |w|) + 2**-1040,
+    # and E = 2**-50 (|t| + |s_lo| + |w|) + 2**-1000 is at least twice that,
+    # which absorbs the rounding of E and of the tests below.  Unless f is a
+    # power of two its rounding interval is f +- ulp(f)/2, and TwoSum gives
+    # |e| <= ulp(f)/2; so when ulp(f)/2 - |e| > E and 4E < f < 1 - 4E, the
+    # value f + e + d lies strictly inside that interval and inside (0, 1),
+    # and f is the correctly rounded {r theta}.  Every other entry is
+    # recomputed from the exact residue.
+    mantissa = np.int64(2 ** 52 - 1)
+    nvec = min(rmax, _SPLIT_RMAX - 1)
+    for start in range(0, nvec, _PHASE_CHUNK):
+        stop = min(start + _PHASE_CHUNK, nvec)
+        r = np.arange(start + 1, stop + 1, dtype=np.float64)
+        p1 = r * a1
+        p1 -= np.floor(p1)
+        s_hi, s_lo = _two_sum(p1, r * a2)
+        u = s_hi - np.floor(s_hi)
+        t = r * theta_lo
+        w = s_lo + t
+        f, e = _two_sum(u, w)
+        bound = (2.0 ** -50 * (np.abs(t) + np.abs(s_lo) + np.abs(w))
+                 + 2.0 ** -1000)
+        half_ulp = np.spacing(f) / 2
+        undecided = ((np.abs(np.abs(e) - half_ulp) <= bound)
+                     | (f <= 4 * bound) | (f >= 1 - 4 * bound)
+                     | (half_ulp <= 4 * bound)
+                     | ((f.view(np.int64) & mantissa) == 0))
+        fracs[start:stop] = f
+        _exact_phases(fracs, num, den,
+                      (start + 1 + int(i) for i in np.flatnonzero(undecided)))
+    _exact_phases(fracs, num, den, range(nvec + 1, rmax + 1))
+    return fracs
 
 
 def reduce_phases(num: int, den: int, rmax: int):
     """{r * num/den} for r = 1..rmax, reduced exactly: (residues, fracs).
 
-    ``residues`` are the int64 numerators (r * num) mod den while every
-    product fits (den < 2**62 // rmax), else None; ``fracs`` are the float64
-    values, each rounded once from its exact residue (by an incremental
-    big-integer walk when the products would overflow).  Every Fourier
-    table reduces its phases here.
+    Every Fourier table reduces its phases here, in one of two regimes:
+
+    * while every product fits (den < 2**62 // rmax), ``residues`` are the
+      int64 numerators (r * num) mod den and ``fracs`` their float64
+      quotients by den;
+    * beyond that ``residues`` is None and ``fracs`` are computed in
+      vectorized double-double arithmetic (theta = num/den split exactly
+      into a correctly rounded head and a rounded tail, the head's mantissa
+      into its top 26 and low 27 bits) with a certified error bound.  Every
+      entry the bound cannot round correctly, and every r >= 2**26, is
+      recomputed from its exact Python-int residue, so each value equals
+      ``((r * num) % den) / den`` bit for bit at any width of den.
     """
     import numpy as np
 
@@ -431,14 +510,7 @@ def reduce_phases(num: int, den: int, rmax: int):
         r = np.arange(1, rmax + 1, dtype=np.int64)
         res = (r * np.int64(num)) % np.int64(den)
         return res, res.astype(np.float64) / den
-    fracs = np.empty(rmax, dtype=np.float64)
-    cur = 0
-    for i in range(rmax):
-        cur += num
-        if cur >= den:
-            cur -= den
-        fracs[i] = cur / den
-    return None, fracs
+    return None, _certified_phases(num, den, rmax)
 
 
 def phase_fracs(theta: Fraction, rmax: int):

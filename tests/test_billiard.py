@@ -325,3 +325,11 @@ def test_clt_requires_matching_alpha():
     wrong = bil.ObstacleParams(a=Fraction(2, 5), b=Fraction(3, 5))
     with pytest.raises(ConfigError):
         bil.clt_experiment(wrong, plan, 6, 100, seed=0)
+
+
+@settings(max_examples=150)
+@given(alpha=hst.fractions(min_value=0, max_value=1, max_denominator=10 ** 30)
+       .filter(lambda a: 0 < a < 1))
+def test_rational_truncation_value_is_alpha(alpha):
+    tr = bil.rational_truncation(alpha)
+    assert tr.value == alpha

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
 from rotsum import cli
 from rotsum import stats as st
 
@@ -133,6 +136,22 @@ def test_clt_samples_csv_samples_once(tmp_path, monkeypatch):
     assert report.decode() == rep.to_json() + "\n"
 
 
+def test_clt_report_ignores_samples_csv_path(tmp_path, capsys):
+    # the CSV path is not semantic: config_hash, and so the report, is the
+    # same wherever the samples are written
+    reports = []
+    for name in ("a.csv", "elsewhere.csv"):
+        rc = cli.main(["clt", "--alpha", "clt:c=30", "--terms", "6",
+                       "--samples", "100", "--seed", "2",
+                       "--opt", f"samples_csv={tmp_path / name}"])
+        assert rc == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["extra"]["config_hash"]
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "elsewhere.csv").read_bytes()
+
+
 def test_run_config_round_trip():
     cfg = cli.RunConfig(command="clt", alpha="clt:c=30", observable="phi0",
                         beta=2.0, terms=40, samples=100, seed=7, out=None,
@@ -140,6 +159,24 @@ def test_run_config_round_trip():
     cfg2 = cli.RunConfig.from_json(cfg.to_json())
     assert cfg2 == cfg
     assert cfg.hash() == cfg2.hash()
+
+
+TEXT = hst.text(max_size=12)
+
+
+@settings(max_examples=100)
+@given(cfg=hst.builds(
+    cli.RunConfig, command=hst.sampled_from(sorted(cli._HANDLERS)),
+    alpha=TEXT, observable=TEXT,
+    beta=hst.floats(allow_nan=False, allow_infinity=False),
+    terms=hst.integers(0, 10 ** 6), samples=hst.integers(0, 10 ** 9),
+    seed=hst.integers(-2 ** 70, 2 ** 70), out=hst.none() | TEXT,
+    fmt=hst.sampled_from(["csv", "json"]),
+    options=hst.dictionaries(TEXT, TEXT, max_size=4)))
+def test_run_config_json_round_trip(cfg):
+    cfg2 = cli.RunConfig.from_json(cfg.to_json())
+    assert cfg2 == cfg
+    assert cfg2.to_json() == cfg.to_json() and cfg2.hash() == cfg.hash()
 
 
 def test_console_entry_point():

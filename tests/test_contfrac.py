@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from rotsum import contfrac as cf
 from rotsum.errors import ConfigError, PrecisionError, SpecExhaustedError
@@ -181,3 +183,41 @@ def test_custom_rule_not_serializable():
     spec, _ = cf.design_alpha(lambda k: k + 1, 5, guard=3)
     with pytest.raises(ConfigError):
         spec.to_json()
+
+
+SPECS = hst.one_of(
+    hst.builds(lambda qs, cut: cf.PartialQuotientSpec(
+        name="list", max_index=max(2, len(qs) - cut), quotients=tuple(qs)),
+        hst.lists(hst.integers(1, 10 ** 6), min_size=2, max_size=40),
+        hst.integers(0, 3)),
+    hst.builds(cf.golden, hst.integers(2, 80)),
+    hst.builds(cf.sqrt2m1, hst.integers(2, 80)),
+    hst.builds(cf.clt_design_rule, hst.integers(1, 40), hst.integers(1, 3),
+               hst.integers(2, 60)),
+    hst.builds(cf.parity_design_rule, hst.integers(1, 40), hst.integers(1, 3),
+               hst.integers(2, 60)),
+)
+
+
+@settings(max_examples=80)
+@given(spec=SPECS, data=hst.data())
+def test_spec_and_truncation_json_round_trip(spec, data):
+    spec2 = cf.PartialQuotientSpec.from_json(spec.to_json())
+    assert spec2 == spec
+    assert spec2.to_json() == spec.to_json()
+    tr = cf.truncation(spec, data.draw(hst.integers(2, spec.max_index),
+                                       label="level"))
+    tr2 = cf.RationalTruncation.from_json(tr.to_json())
+    assert tr2 == tr and tr2.to_json() == tr.to_json()
+
+
+@settings(max_examples=80)
+@given(spec=SPECS, data=hst.data())
+def test_ostrowski_digits_sum_back_to_n(spec, data):
+    tr = cf.truncation(spec, data.draw(hst.integers(2, spec.max_index),
+                                       label="level"))
+    n = data.draw(hst.one_of(hst.integers(1, tr.qs[tr.level] - 1),
+                             hst.sampled_from(tr.qs[1:tr.level])), label="n")
+    d = cf.ostrowski_digits(n, tr)
+    assert sum(b * q for b, q in zip(d.digits, tr.qs)) == n
+    assert d.value == n

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from rotsum import billiard as bil
+from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import observables as obs
 from rotsum.errors import ConfigError
@@ -273,6 +275,82 @@ def test_reduce_phases_small_denominators_exact(num, den, rmax):
     for r in range(1, rmax + 1):
         assert int(residues[r - 1]) == (r * num) % den
         assert fracs[r - 1] == float(Fraction(r * num, den) % 1)
+
+
+def exact_division(num, den, rmax):
+    """((r * num) % den) / den for r = 1..rmax, the big regime's oracle."""
+    return np.array([(r * num % den) / den for r in range(1, rmax + 1)])
+
+
+def assert_big_regime_exact(num, den, rmax):
+    residues, fracs = obs.reduce_phases(num, den, rmax)
+    assert residues is None
+    assert fracs.tobytes() == exact_division(num % den, den, rmax).tobytes()
+
+
+@settings(max_examples=80)
+@given(bits=hst.integers(63, 2000), dyadic=hst.booleans(), data=hst.data(),
+       rmax=hst.integers(1, 5000))
+def test_reduce_phases_big_regime_is_exact_division(bits, dyadic, data, rmax):
+    # a dyadic den makes exact ties of the final rounding
+    den = 2 ** bits if dyadic else data.draw(
+        hst.integers(2 ** (bits - 1), 2 ** bits - 1), label="den")
+    num = data.draw(hst.one_of(hst.sampled_from([0, 1, den - 1]),
+                               hst.integers(0, den - 1)), label="num")
+    assert_big_regime_exact(num, den, rmax)
+
+
+@settings(max_examples=120)
+@given(bits=hst.integers(120, 1500), data=hst.data(), r0=hst.integers(2, 3000),
+       below_power=hst.booleans(), k=hst.integers(1, 6),
+       offset=hst.integers(-1000, 1000))
+def test_reduce_phases_near_rounding_ties(bits, data, r0, below_power, k,
+                                          offset):
+    # {r0 theta} sits within 1000/den of a rounding midpoint: between two
+    # doubles in [1/4, 1), or just below the power of two 2**-k, where the
+    # doubles below are twice as dense as above.  The double-double value
+    # lands on either side of such a midpoint; only the exact recompute
+    # rounds it correctly.
+    den = data.draw(hst.integers(2 ** (bits - 1), 2 ** bits - 1)
+                    .filter(lambda d: math.gcd(d, r0) == 1), label="den")
+    if below_power:
+        mid = Fraction(1, 2 ** k) - Fraction(1, 2 ** (k + 54))
+    else:
+        mant = data.draw(hst.integers(2 ** 52, 2 ** 53 - 1), label="mant")
+        mid = Fraction(2 * mant + 1, 2 ** (55 + k % 2))
+    target = mid.numerator * den // mid.denominator + offset
+    num = target * pow(r0, -1, den) % den
+    assert_big_regime_exact(num, den, r0 + 8)
+
+
+def test_reduce_phases_deep_variance_tables():
+    # the sqrt2m1 CLI table (level 53, a 68-bit q) at rmax = 50000: its
+    # phases p/q and the kernel angles mult * p over 2q of both parities
+    tr = cli.parse_alpha("sqrt2m1", 48)
+    assert (tr.level, tr.q.bit_length()) == (53, 68)
+    assert_big_regime_exact(tr.p, tr.q, 50_000)
+    parities = set()
+    for mult in (1, 2, 39, 40, 199, 399):
+        parities.add(mult * tr.p % 2)
+        assert_big_regime_exact(mult * tr.p, 2 * tr.q, 50_000)
+    assert parities == {0, 1}
+
+
+def test_reduce_phases_deep_drift_table():
+    # the billiard-clt drift table: the level-133 parity:c=30 plan (a
+    # 1325-bit q) at rmax = 20000, its hitting-time breaks and kernel angles
+    cfg = cli.RunConfig(command="billiard-clt", alpha="parity:c=30", terms=40)
+    plan = cli._plan_for(cfg, parity=True)
+    tr = plan.trunc
+    assert (tr.level, tr.q.bit_length()) == (133, 1325)
+    prof = bil.hitting_time_profile(bil.params_for_plan(tr))
+    big = [t for t in prof.breaks if t.denominator >= 2 ** 62 // 20_000]
+    assert len(big) >= 4
+    for t in big:
+        assert_big_regime_exact(t.numerator, t.denominator, 20_000)
+    assert_big_regime_exact(tr.p, tr.q, 20_000)
+    for m in (10, 20, 40):
+        assert_big_regime_exact(plan.L[m] * tr.p, 2 * tr.q, 20_000)
 
 
 LEVEL40 = cf.truncation(cf.clt_design_rule(c=30, beta=2, max_index=45), 40)
