@@ -41,7 +41,7 @@ from .contfrac import RationalTruncation, from_list, truncation
 from .errors import (BoundaryError, CertificateError, ConfigError,
                      SingularOrbitError)
 from .observables import (TWO_PI, VectorObservable, billiard_displacement,
-                          phase_fracs)
+                          phase_fracs, series_weights)
 from .ergosum import ErgodicContext
 from .sequences import SubsequencePlan
 from .stats import ExperimentReport, covariance_2d
@@ -517,14 +517,12 @@ def clt_experiment(params: ObstacleParams, plan: SubsequencePlan, n: int,
     g = prof.gamma_array(rmax_drift)
     # |gamma|^2 rounded as scalar abs(g) ** 2 rounds it (hypot, then pow);
     # np.abs(g) ** 2 differs in the last bit on about a quarter of the terms
-    gam2 = np.float_power(np.hypot(g.real, g.imag), 2.0)
-    r2 = np.arange(1, rmax_drift + 1, dtype=np.float64) ** 2
+    w = series_weights(np.float_power(np.hypot(g.real, g.imag), 2.0))
     drift = {}
     for m in drift_ns:
         if m > plan.count:
             continue
-        Lm = plan.L[m]
-        val = float(2.0 * np.sum(gam2 / r2 * table.gn(Lm)))
+        val = float(np.sum(w * table.gn(plan.L[m])))
         drift[str(m)] = 2.0 * val / m  # physical time scale: psi = sqrt2 * g
     report.kind = "billiard_clt"
     report.extra.update({

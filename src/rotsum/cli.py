@@ -195,12 +195,7 @@ def _cmd_variance(cfg: RunConfig) -> str:
 
 def _plan_for(cfg: RunConfig, parity: bool):
     levels = 3 * cfg.terms + 8 if parity else cfg.terms + 8
-    alpha = cfg.alpha
-    if alpha in ("golden", "sqrt2m1") or alpha.startswith("list:"):
-        tr = parse_alpha(alpha, levels)
-    else:
-        tr = parse_alpha(alpha if ":" in alpha or alpha in ("clt", "parity")
-                         else ("parity" if parity else "clt"), levels)
+    tr = parse_alpha(cfg.alpha, levels)
     if parity:
         return seq.plan_parity(tr, cfg.beta, cfg.terms)
     return seq.plan_growth(tr, cfg.beta, cfg.terms)

@@ -39,7 +39,8 @@ import numpy as np
 
 from .contfrac import RationalTruncation, ostrowski_digits
 from .errors import CertificateError, ConfigError
-from .observables import _INT64_SAFE, Observable, Sawtooth, StepFunction
+from .observables import (_INT64_SAFE, Observable, Sawtooth, StepFunction,
+                          gamma_sq_array, reduce_phases, series_weights)
 
 __all__ = [
     "floor_sum",
@@ -118,7 +119,7 @@ def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
 
 @dataclass(frozen=True)
 class ErgodicSumResult:
-    value: object          # Fraction when exact, else float
+    value: Fraction
     N: int
     engine: str            # "direct" | "floorsum"
     exact: bool
@@ -139,8 +140,7 @@ class ErgodicContext:
     a step function, and a = -1/2, s = 1/L, J(0) = -1 for the sawtooth.
     ``sum_at`` makes one floor sum per distinct jump point of the union,
     shared by every observable, and returns each value as one exact
-    Fraction (a float for a step function with float values): a single
-    value for one observable, a tuple for a tuple.
+    Fraction: a single value for one observable, a tuple for a tuple.
     """
 
     def __init__(self, phi: Observable | tuple[Observable, ...],
@@ -169,7 +169,7 @@ class ErgodicContext:
         self.P = trunc.p * (L // trunc.q)
         self.x_scale = L // self.x_den
         columns = {}            # jump point C * L -> index of F(C)
-        self._rows = []         # (a d, s d, [(index, J d)], d, cast)
+        self._rows = []         # (a d, s d, [(index, J d)], d)
         for f, js in zip(phis, jumps):
             saw = isinstance(f, Sawtooth)
             a = Fraction(-1, 2) if saw else Fraction(f.values[-1])
@@ -179,9 +179,7 @@ class ErgodicContext:
             terms = [(columns.setdefault(t.numerator * (L // t.denominator),
                                          len(columns)), int(v * d))
                      for t, v in js.items()]
-            exact = saw or all(isinstance(v, (Fraction, int)) for v in f.values)
-            self._rows.append((int(a * d), int(s * d), terms, d,
-                               Fraction if exact else float))
+            self._rows.append((int(a * d), int(s * d), terms, d))
         self.offsets = tuple(columns)
         self._ramp = any(row[1] for row in self._rows)
 
@@ -197,8 +195,8 @@ class ErgodicContext:
         F = [floor_sum(N, P, A - C, L) if N else 0 for C in self.offsets]
         ramp = A * N + P * (N * (N - 1) // 2) if self._ramp else 0
         vals = tuple(
-            cast(Fraction(a * N + s * ramp + sum(c * F[i] for i, c in terms), d))
-            for a, s, terms, d, cast in self._rows)
+            Fraction(a * N + s * ramp + sum(c * F[i] for i, c in terms), d)
+            for a, s, terms, d in self._rows)
         return vals[0] if self._single else vals
 
 
@@ -234,8 +232,7 @@ def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation)
         return total
     bounds = [int(b * L) for b in phi.breakpoints]
     vals = phi.values
-    exact = all(isinstance(v, (Fraction, int)) for v in vals)
-    total = Fraction(0) if exact else 0.0
+    total = Fraction(0)
     import bisect
     for _ in range(N):
         total += vals[bisect.bisect_right(bounds, r) - 1]
@@ -303,12 +300,10 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
     once, levels the running sums of the jumps times their denominator."""
     if isinstance(phi, Sawtooth):       # one jump -1 at 0, plus the slope
         points, jumps, scale = [Fraction(0)], [-1], 1
-    elif all(isinstance(v, (Fraction, int)) for v in phi.values):
+    else:
         points, values = list(phi.jumps()), list(phi.jumps().values())
         scale = _lcm(*(Fraction(v).denominator for v in values))
         jumps = [int(v * scale) for v in values]
-    else:
-        raise ConfigError("the exact profile needs exact rational step values")
     rots = [Fraction(rot) % 1 for rot, _ in terms]
     L = _lcm(*(r.denominator for r in rots), *(t.denominator for t in points))
     # sort keys are position * K + jump index; index 0 is a zero jump at 0,
@@ -381,36 +376,29 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
     return _approx_error_series(phi, n, trunc, rmax)
 
 
-def _sin_pi_mult(k: int, trunc: RationalTruncation) -> float:
-    """sin(pi * k * alpha) with the angle reduced exactly mod 2."""
-    num = (k * trunc.p) % (2 * trunc.q)
-    return math.sin(math.pi * num / trunc.q)
-
-
 def _approx_error_series(phi, n, trunc, rmax):
     qn = trunc.qs[n]
     # largest multiple of alpha used below is qn^2 * rmax
     trunc.require_window(qn * qn * rmax, "Fourier multiple")
     k = phi.kbound()
-    total = 0.0
-    for r in range(1, rmax + 1):
-        g_mult = phi.fourier_gamma(r * qn)
-        w_mult = abs(g_mult) ** 2 / r ** 2
-        # |e^{i pi (qn-1) qn r alpha} * sin(pi qn^2 r alpha)/(qn sin(pi qn r alpha)) - 1|^2
-        s_big = _sin_pi_mult(qn * qn * r, trunc)
-        s_small = _sin_pi_mult(qn * r, trunc)
-        phase_num = ((qn - 1) * qn * r * trunc.p) % (2 * trunc.q)
-        phase = math.pi * phase_num / trunc.q
-        z = complex(math.cos(phase), math.sin(phase)) * (s_big / (qn * s_small)) - 1.0
-        total += 2.0 * w_mult * abs(z) ** 2
-        if r % qn != 0:
-            g = phi.fourier_gamma(r)
-            ratio = _sin_pi_mult(qn * r, trunc) / _sin_pi_mult(r, trunc)
-            total += 2.0 * (abs(g) ** 2 / r ** 2) * ratio ** 2
+
+    def angle(mult):    # pi * r * mult * alpha for r = 1..rmax, exact mod 2 pi
+        return 2.0 * np.pi * reduce_phases(mult * trunc.p, 2 * trunc.q, rmax)[1]
+
+    # frequency r qn: |e^{i pi (qn-1) x} sin(pi qn x)/(qn sin(pi x)) - 1|^2
+    # at x = qn r alpha
+    s_qn = np.sin(angle(qn))
+    dirichlet = np.sin(angle(qn * qn)) / (float(qn) * s_qn)
+    z = np.exp(1j * angle((qn - 1) * qn)) * dirichlet - 1.0
+    total = np.sum(series_weights(gamma_sq_array(phi, qn, rmax)) * np.abs(z) ** 2)
+    # frequency r, not a multiple of qn: (sin(pi qn r alpha)/sin(pi r alpha))^2
+    ratio = s_qn / np.sin(angle(1))
+    ratio[qn - 1::qn] = 0.0
+    total += np.sum(series_weights(gamma_sq_array(phi, 1, rmax)) * ratio ** 2)
     # |z|^2 <= 4 and the non-multiple ratio is bounded by qn^2; both tails
     # decay like 1/r^2.
     tail = 2.0 * k * k * (4.0 + float(qn) ** 2) / rmax
-    return total, tail
+    return float(total), tail
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ __all__ = [
     "phase_fracs",
     "gamma_array",
     "gamma_sq_array",
+    "series_weights",
     "hat_norm_sq",
     "PHI0_HAT_NORM_SQ",
 ]
@@ -71,15 +72,18 @@ class StepFunction:
     """Piecewise-constant observable; ``values[i]`` holds on
     [breakpoints[i], breakpoints[i+1]) with the last piece wrapping to 1.
 
-    Breakpoints are exact rationals in [0,1) with breakpoints[0] == 0.
-    Values may be Fractions (exact ergodic sums) or floats.
+    Breakpoints and values are exact (int or Fraction); breakpoints lie in
+    [0,1) with breakpoints[0] == 0.
     """
 
     breakpoints: tuple[Fraction, ...]
-    values: tuple  # Fraction or float per piece
+    values: tuple[Fraction, ...]
     label: str = "step"
 
     def __post_init__(self):
+        if any(not isinstance(v, (int, Fraction))
+               for v in self.breakpoints + self.values):
+            raise ConfigError("breakpoints and values must be int or Fraction")
         if not self.breakpoints or self.breakpoints[0] != 0:
             raise ConfigError("breakpoints must start at 0")
         if any(not 0 <= b < 1 for b in self.breakpoints):
@@ -150,8 +154,7 @@ class StepFunction:
         acc = 0j
         for t, j in self.jumps().items():
             # exact reduction of r*t mod 1 keeps the phase accurate for huge r
-            ph = _frac(r * t) if isinstance(t, Fraction) else (r * t) % 1
-            acc += float(j) * cmath.exp(-2j * math.pi * float(ph))
+            acc += float(j) * cmath.exp(-2j * math.pi * float(_frac(r * t)))
         return acc / (2j * math.pi)
 
     def shifted(self, delta: Fraction) -> "StepFunction":
@@ -546,6 +549,19 @@ def gamma_sq_array(phi: Observable, stride, rmax: int):
     return (g * g.conjugate()).real
 
 
+def series_weights(gam_sq):
+    """2 |gamma_r|^2 / r^2 for r = 1..len(gam_sq), from |gamma_r|^2.
+
+    Every Fourier norm in the package is sum_r weights[r-1] * kernel(r):
+    the periodized norm (kernel 1), ||S_n phi||^2 (G_n), its Cesaro mean,
+    the billiard drift and the periodic-approximation error.
+    """
+    import numpy as np
+
+    r = np.arange(1, len(gam_sq) + 1, dtype=np.float64)
+    return 2.0 * gam_sq / (r * r)
+
+
 def hat_norm_sq(phi: Observable, ell: int, rmax: int = 4000) -> tuple[float, float]:
     """(value, tail_bound) for ||hat_phi_ell||_2^2 = sum_{r != 0} |gamma_{r ell}|^2 / r^2.
 
@@ -560,7 +576,5 @@ def hat_norm_sq(phi: Observable, ell: int, rmax: int = 4000) -> tuple[float, flo
     if isinstance(phi, Sawtooth):
         return PHI0_HAT_NORM_SQ, 0.0
     k = phi.kbound()
-    gam_sq = gamma_sq_array(phi, ell, rmax)
-    r = np.arange(1, rmax + 1, dtype=np.float64)
-    total = float(2.0 * np.sum(gam_sq / (r * r)))
+    total = float(np.sum(series_weights(gamma_sq_array(phi, ell, rmax))))
     return total, 2.0 * k * k / rmax

@@ -60,6 +60,14 @@ class SubsequencePlan:
     def denominators(self) -> list[int]:
         return [self.trunc.qs[tk] for tk in self.t]
 
+    def hat_variance(self, phi: Observable, n: int, rmax: int = 4000) -> float:
+        """sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2, summed left to right: the
+        Fourier variance prediction for S_{L_n} phi."""
+        total = 0.0
+        for k in range(1, n + 1):
+            total += hat_norm_sq(phi, self.q(k), rmax=rmax)[0]
+        return total
+
     def plan_hash(self) -> str:
         doc = json.dumps({"t": list(self.t), "L": [str(v) for v in self.L],
                           "beta": self.beta}, sort_keys=True)
@@ -97,57 +105,52 @@ def _prefix_sums(qs: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _greedy(trunc: RationalTruncation, beta: float, count: int,
+            admissible, exhausted) -> list[int]:
+    """Smallest indices t_1 < ... < t_count with a_{t_k+1} >= k^beta and
+    ``admissible(k, t_k)``; raises ``exhausted(k, k^beta)`` when the
+    spec/truncation runs out first."""
+    if beta <= 1:
+        raise ConfigError("growth exponent beta must be > 1")
+    if count < 1:
+        raise ConfigError("count must be >= 1")
+    spec = trunc.spec
+    last = min(spec.max_index, trunc.level)
+    t: list[int] = []
+    n = 1
+    for k in range(1, count + 1):
+        need = k ** beta
+        while n < last and not (admissible(k, n) and spec.a(n + 1) >= need):
+            n += 1
+        if n >= last:
+            raise exhausted(k, need)
+        t.append(n)
+        n += 1
+    return t
+
+
 def plan_growth(trunc: RationalTruncation, beta: float, count: int) -> SubsequencePlan:
     """Greedy smallest admissible indices with a_{t_k+1} >= k^beta.
 
     Raises ``InsufficientPartialQuotientsError`` when the spec cannot supply
     ``count`` terms (bounded partial quotients have no such plan).
     """
-    if beta <= 1:
-        raise ConfigError("growth exponent beta must be > 1")
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    spec = trunc.spec
-    t: list[int] = []
-    n = 1
-    for k in range(1, count + 1):
-        need = k ** beta
-        while True:
-            if n + 1 > min(spec.max_index, trunc.level):
-                raise InsufficientPartialQuotientsError(
+    t = _greedy(trunc, beta, count, lambda k, n: True,
+                lambda k, need: InsufficientPartialQuotientsError(
                     f"insufficient partial quotients: position {k} needs "
-                    f"a_(t+1) >= {need} but the spec/truncation is exhausted")
-            if spec.a(n + 1) >= need:
-                t.append(n)
-                n += 1
-                break
-            n += 1
+                    f"a_(t+1) >= {need} but the spec/truncation is exhausted"))
     return _certify(trunc, t, beta, parity=False)
 
 
 def plan_parity(trunc: RationalTruncation, beta: float, count: int) -> SubsequencePlan:
     """Greedy plan with q_{t_k} odd, p_{t_k} even at even plan positions and
     odd at odd positions, plus the growth condition."""
-    if beta <= 1:
-        raise ConfigError("growth exponent beta must be > 1")
     pairs = pairs_mod2(trunc.spec, min(trunc.spec.max_index, trunc.level))
-    t: list[int] = []
-    n = 1
-    spec = trunc.spec
-    for k in range(1, count + 1):
-        want = (1, 1) if k % 2 == 1 else (0, 1)
-        need = k ** beta
-        while True:
-            if n + 1 > min(spec.max_index, trunc.level):
-                raise ParityPatternError(
+    t = _greedy(trunc, beta, count, lambda k, n: pairs[n - 1] == (k % 2, 1),
+                lambda k, need: ParityPatternError(
                     f"parity pattern unavailable: position {k} wants "
-                    f"(p,q) = {want} mod 2 with a_(t+1) >= {need}",
-                    diagnostic=pairs)
-            if pairs[n - 1] == want and spec.a(n + 1) >= need:
-                t.append(n)
-                n += 1
-                break
-            n += 1
+                    f"(p,q) = {(k % 2, 1)} mod 2 with a_(t+1) >= {need}",
+                    diagnostic=pairs))
     return _certify(trunc, t, beta, parity=True)
 
 
@@ -276,7 +279,4 @@ def nondegeneracy_average(plan: SubsequencePlan, phi: Observable, n: int,
     the Gaussian limit requires to stay above a positive constant."""
     if not 1 <= n <= plan.count:
         raise ConfigError("n outside plan range")
-    total = 0.0
-    for k in range(1, n + 1):
-        total += hat_norm_sq(phi, plan.q(k), rmax=rmax)[0]
-    return total / n
+    return plan.hat_variance(phi, n, rmax) / n

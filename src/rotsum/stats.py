@@ -31,7 +31,7 @@ from . import __version__ as _VERSION
 from .ergosum import ErgodicContext
 from .errors import CertificateError, ConfigError
 from .observables import (Observable, VectorObservable, gamma_array,
-                          gamma_sq_array, hat_norm_sq)
+                          gamma_sq_array, series_weights)
 from .sequences import SubsequencePlan
 
 __all__ = [
@@ -241,9 +241,9 @@ def sample_sums(plan: SubsequencePlan, phi: Observable,
         return SampleSet(vals, sampler.describe(), 1.0, prediction=0.0)
     Ln = plan.L[n]
     vals = np.array([float(ctx.sum_at(int(m), Ln)) for m in nums])
-    pred = sum(hat_norm_sq(phi, plan.q(k))[0] for k in range(1, n + 1))
     norm = math.sqrt(float(np.mean(vals ** 2)))
-    return SampleSet(vals, sampler.describe(), norm, prediction=pred)
+    return SampleSet(vals, sampler.describe(), norm,
+                     prediction=plan.hat_variance(phi, n))
 
 
 def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
@@ -446,9 +446,8 @@ def fourier_tail_norm(f: Observable, t: float, jmax: int = 20_000) -> float:
     """Partial sum of R(f, t) = (sum_{|j| >= t} |c_j|^2)^(1/2); an
     underestimate of the true tail norm (no completion term added)."""
     j0 = max(1, math.ceil(t))
-    js = np.arange(j0, jmax + 1, dtype=np.float64)
-    gam_sq = gamma_sq_array(f, 1, jmax)[j0 - 1:]
-    return math.sqrt(float(2.0 * np.sum(gam_sq / js ** 2)))
+    w = series_weights(gamma_sq_array(f, 1, jmax))
+    return math.sqrt(float(np.sum(w[j0 - 1:])))
 
 
 def quasi_orthogonality_check(f: Observable, g: Observable,

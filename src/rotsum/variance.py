@@ -10,6 +10,10 @@ and the Cesaro mean over n has the closed form
     <G_n>(t) = (1/n) sum_{k<n} G_k(t)
              = (1/sin^2 pi t) * [ 1/2 - (1/4n) (1 + sin((2n-1) pi t)/sin(pi t)) ].
 
+Every Fourier norm here is the one series sum_r w_r K(r) with the weights
+w_r = 2 |gamma_r|^2 / r^2 of ``observables.series_weights``, formed once per
+observable and table; only the kernel K changes (G_n, <G_n>).
+
 Angles are reduced exactly: with alpha = p/q frozen rational, n * r * alpha
 mod 2 is integer arithmetic, so G_n is evaluated without float drift even
 when n * r is large.  The exact piecewise profile (``ergosum``) is the
@@ -28,7 +32,7 @@ import numpy as np
 from .contfrac import RationalTruncation
 from .errors import CertificateError, ConfigError
 from .observables import (_INT64_SAFE, Observable, Sawtooth, gamma_sq_array,
-                          reduce_phases)
+                          reduce_phases, series_weights)
 from .ergosum import orbit_sum_profile
 
 __all__ = [
@@ -156,9 +160,8 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
     if rmax is None:
         rmax = max(20_000, 100 * n)
     table = AlphaFourierTable(trunc, rmax)
-    gam2 = gamma_sq_array(phi, 1, rmax)
-    r = np.arange(1, rmax + 1, dtype=np.float64)
-    value = float(2.0 * np.sum(gam2 / r ** 2 * table.gn(n)))
+    w = series_weights(gamma_sq_array(phi, 1, rmax))
+    value = float(np.sum(w * table.gn(n)))
     k = phi.kbound()
     tail = 2.0 * k * k * float(n) ** 2 / rmax
     return value, tail
@@ -173,9 +176,8 @@ def mean_variance(phi: Observable, n: int, trunc: RationalTruncation,
     if rmax is None:
         rmax = max(20_000, 100 * n)
     table = AlphaFourierTable(trunc, rmax)
-    gam2 = gamma_sq_array(phi, 1, rmax)
-    r = np.arange(1, rmax + 1, dtype=np.float64)
-    return float(2.0 * np.sum(gam2 / r ** 2 * table.gn_mean(n)))
+    w = series_weights(gamma_sq_array(phi, 1, rmax))
+    return float(np.sum(w * table.gn_mean(n)))
 
 
 def bound_series(phi: Observable, ell: int, trunc: RationalTruncation):
@@ -283,13 +285,11 @@ def variance_profile(phi: Observable, trunc: RationalTruncation,
         raise ConfigError("profile indices must be >= 1")
     rm = rmax or max(20_000, 100 * max(ns))
     table = AlphaFourierTable(trunc, rm)
-    gam2 = gamma_sq_array(phi, 1, rm)
-    r2 = np.arange(1, rm + 1, dtype=np.float64) ** 2
-    w = gam2 / r2
+    w = series_weights(gamma_sq_array(phi, 1, rm))
     norms, means, lows, ups, lvls = [], [], [], [], []
     for n in ns:
-        norms.append(float(2.0 * np.sum(w * table.gn(n))))
-        means.append(float(2.0 * np.sum(w * table.gn_mean(n))))
+        norms.append(float(np.sum(w * table.gn(n))))
+        means.append(float(np.sum(w * table.gn_mean(n))))
         ell = level_of(n, trunc)
         lo, up = bound_series(phi, ell, trunc) if ell >= 1 else (0.0, 0.0)
         lows.append(lo)

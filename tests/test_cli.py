@@ -105,6 +105,14 @@ def test_invalid_config_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_plan_rejects_unknown_alpha(capsys):
+    for argv in (["plan", "--alpha", "gloden"],
+                 ["plan", "--alpha", "gloden", "--opt", "parity=1"],
+                 ["plan", "--opt", "parity=1", "--terms", "0"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_clt_rejects_vector_observable(capsys):
     rc = cli.main(["clt", "--alpha", "clt:c=30", "--terms", "3", "--samples",
                    "5", "--observable", "billiard_displacement:alpha=1/3"])

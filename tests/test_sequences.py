@@ -57,6 +57,11 @@ def test_plan_rejects_bad_parameters(designed):
         seq.plan_growth(designed, 1.0, 5)
     with pytest.raises(ConfigError):
         seq.plan_growth(designed, 2, 0)
+    for count in (0, -1):
+        with pytest.raises(ConfigError, match="count must be >= 1"):
+            seq.plan_parity(designed, 2, count)
+    with pytest.raises(ConfigError):
+        seq.plan_parity(designed, 1.0, 5)
 
 
 def test_plan_parity_certificates(parity_trunc):

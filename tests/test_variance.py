@@ -206,3 +206,12 @@ def test_variance_profile_shape(golden_trunc):
     assert all(v >= 0 for v in prof.norm_sq)
     assert all(u >= l - 1e-12 for l, u in zip(prof.lower_series,
                                               prof.upper_series))
+
+
+@pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
+def test_variance_profile_matches_pointwise(phi, golden_trunc):
+    ns = (1, 5, 21, 100)
+    prof = var.variance_profile(phi, golden_trunc, ns, rmax=5000)
+    for n, norm, mean in zip(ns, prof.norm_sq, prof.mean_variance):
+        assert norm == var.norm_sq(phi, n, golden_trunc, rmax=5000)[0]
+        assert mean == var.mean_variance(phi, n, golden_trunc, rmax=5000)
