@@ -37,7 +37,7 @@ def main():
     print(f"  horizon N has {len(str(big_n))} digits")
     phi = obs.indicator(Fraction(1, 3))
     for x in (Fraction(1, 7), Fraction(2, 11)):
-        val = es.ergodic_sum(phi, x, big_n, deep).value
+        val = es.ergodic_sum(phi, x, big_n, deep)
         print(f"  S_N(1_[0,1/3) - 1/3) at x={x}: {val} = {float(val):.6f}")
     print("  (each value is an exact rational; runtime is logarithmic in N)")
 

@@ -163,22 +163,20 @@ def _cmd_ostrowski(cfg: RunConfig) -> str:
 
 
 def _cmd_sum(cfg: RunConfig) -> str:
-    from .ergosum import ErgodicContext
     N = int(cfg.options.get("N", 1000))
     grid = int(cfg.options.get("grid", 64))
     tr = parse_alpha(cfg.alpha, max(cfg.terms, 48))
     phi = parse_observable(cfg.observable)
-    ctx = ErgodicContext(phi, tr, grid)
-    rows = []
-    for i in range(grid):
-        val = ctx.sum_at(i, N)
-        rows.append({"x": f"{i}/{grid}", "sum": float(val)})
+    sums = st.draw_sums(phi, tr, st.GridSampler(grid), N)[:, 0]
+    rows = [{"x": f"{i}/{grid}", "sum": float(v)} for i, v in enumerate(sums)]
     _write(_emit(rows, cfg, ["x", "sum"]), cfg)
     return f"sum: S_N over {grid} grid points, N={N}"
 
 
 def _cmd_variance(cfg: RunConfig) -> str:
     nmax = int(cfg.options.get("nmax", 200))
+    if nmax < 1:
+        raise ConfigError(f"nmax must be >= 1, got {nmax}")
     tr = parse_alpha(cfg.alpha, 48)
     phi = parse_observable(cfg.observable)
     ns = sorted({max(1, round(nmax ** (i / 39))) for i in range(40)})

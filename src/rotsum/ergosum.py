@@ -14,18 +14,20 @@ Two engines:
   and each floor sum collapses by the Euclid recursion.  The kernel makes
   one floor sum per distinct offset C, over the union of the jump points of
   all the observables it is given (C = 0 included wherever one jumps
-  there), and applies each observable's jumps to those counts; the sawtooth
-  {x}-1/2 adds its affine term to the C = 0 floor sum.  The billiard's
-  psi1 and psi2 share their four jump points, so a sample of both costs
-  four floor sums.  ``count_visits`` is the same kernel applied to an
-  interval's indicator.
+  there), and applies each observable's jumps to those counts.  It reads
+  only the observable's exact form, its jumps plus a constant slope, whose
+  affine term is closed-form: the sawtooth {x}-1/2 is one jump -1 at 0
+  plus slope 1.  The billiard's psi1 and psi2 share their four jump
+  points, so a sample of both costs four floor sums.  ``count_visits`` is
+  the same kernel applied to an interval's indicator.
 
 The same module holds the one exact profile of x -> S_n phi(x), used for
 exact sup norms, exact L2 integrals and the periodic-approximation error.
-It works on integers over the common denominator L of the rotation and the
-jump points: the n * #jumps jump positions are sorted once and the levels
-are running sums of the integer jumps, as int64 arrays while every product
-fits below 2**62 and as object arrays of Python ints beyond.  The Ostrowski
+It reads the same jumps and slope, and works on integers over the common
+denominator L of the rotation and the jump points: the n * #jumps jump
+positions are sorted once and the levels are running sums of the integer
+jumps, as int64 arrays while every product fits below 2**62 and as object
+arrays of Python ints beyond.  The Ostrowski
 bound certificate closes the module.
 """
 
@@ -46,7 +48,6 @@ __all__ = [
     "floor_sum",
     "count_visits",
     "ergodic_sum",
-    "ErgodicSumResult",
     "ErgodicContext",
     "OrbitProfile",
     "orbit_sum_profile",
@@ -90,13 +91,6 @@ def floor_sum(n: int, a: int, b: int, c: int) -> int:
         c, a = a, c
 
 
-def _lcm(*vals: int) -> int:
-    out = 1
-    for v in vals:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
     """#{0 <= j < N : {x + j alpha} in [u, w)} exactly (alpha = p_M/q_M).
 
@@ -117,14 +111,6 @@ def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
     return int(ctx.sum_at(x.numerator, N))
 
 
-@dataclass(frozen=True)
-class ErgodicSumResult:
-    value: Fraction
-    N: int
-    engine: str            # "direct" | "floorsum"
-    exact: bool
-
-
 class ErgodicContext:
     """The visit-count kernel: exact sums S_N phi(x_num / x_den) of one
     observable, or of a tuple of observables sampled at the same points.
@@ -136,11 +122,11 @@ class ErgodicContext:
 
         S_N phi(x) = a N + s (A N + P N(N-1)/2) + sum_C J(C) F(C),
 
-    where J(C) is the jump phi(C) - phi(C-) at C, a = phi(0-) and s = 0 for
-    a step function, and a = -1/2, s = 1/L, J(0) = -1 for the sawtooth.
-    ``sum_at`` makes one floor sum per distinct jump point of the union,
-    shared by every observable, and returns each value as one exact
-    Fraction: a single value for one observable, a tuple for a tuple.
+    where J(C) is the jump phi(C) - phi(C-) at C from ``phi.jumps()``,
+    a = phi(0-) - slope and s = slope / L.  ``sum_at`` makes one floor sum
+    per distinct jump point of the union, shared by every observable, and
+    returns each value as one exact Fraction: a single value for one
+    observable, a tuple for a tuple.
     """
 
     def __init__(self, phi: Observable | tuple[Observable, ...],
@@ -151,7 +137,7 @@ class ErgodicContext:
         self._single = not isinstance(phi, (tuple, list))
         phis = (phi,) if self._single else tuple(phi)
         for f in phis:
-            if not isinstance(f, (StepFunction, Sawtooth)):
+            if not hasattr(f, "jumps"):
                 raise ConfigError(
                     f"{type(f).__name__} {getattr(f, 'label', '')!r} is not a "
                     "scalar observable; sum its components separately")
@@ -161,21 +147,20 @@ class ErgodicContext:
         # rotating by a genuinely rational angle may disable it (the floor
         # sums themselves are exact at every N)
         self.enforce_window = enforce_window
-        jumps = [{Fraction(0): Fraction(-1)} if isinstance(f, Sawtooth)
-                 else {t: Fraction(v) for t, v in f.jumps().items()}
-                 for f in phis]
-        L = _lcm(trunc.q, self.x_den, *(t.denominator for js in jumps for t in js))
+        jumps = [{t: Fraction(v) for t, v in f.jumps().items()} for f in phis]
+        L = math.lcm(trunc.q, self.x_den,
+                     *(t.denominator for js in jumps for t in js))
         self.L = L
         self.P = trunc.p * (L // trunc.q)
         self.x_scale = L // self.x_den
         columns = {}            # jump point C * L -> index of F(C)
         self._rows = []         # (a d, s d, [(index, J d)], d)
         for f, js in zip(phis, jumps):
-            saw = isinstance(f, Sawtooth)
-            a = Fraction(-1, 2) if saw else Fraction(f.values[-1])
-            s = Fraction(1, L) if saw else Fraction(0)
-            d = _lcm(a.denominator, s.denominator,
-                     *(v.denominator for v in js.values()))
+            # a = phi(0-) - slope with phi(0-) = phi(0) - J(0)
+            a = f.evaluate(0) - js.get(0, 0) - f.slope
+            s = Fraction(f.slope, L)
+            d = math.lcm(a.denominator, s.denominator,
+                         *(v.denominator for v in js.values()))
             terms = [(columns.setdefault(t.numerator * (L // t.denominator),
                                          len(columns)), int(v * d))
                      for t, v in js.items()]
@@ -201,19 +186,16 @@ class ErgodicContext:
 
 
 def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation,
-                engine: str = "floorsum") -> ErgodicSumResult:
-    """S_N phi(x); the floorsum engine is exact at any N in the window."""
+                engine: str = "floorsum") -> Fraction:
+    """S_N phi(x) as an exact Fraction; the floorsum engine is exact at any N
+    in the window, the direct engine sums term by term."""
     x = Fraction(x)
     x -= x.numerator // x.denominator
     if engine == "direct":
-        val = _direct_sum(phi, x, int(N), trunc)
-        return ErgodicSumResult(val, int(N), "direct",
-                                isinstance(val, Fraction))
+        return _direct_sum(phi, x, int(N), trunc)
     if engine != "floorsum":
         raise ConfigError(f"unknown engine {engine!r}")
-    ctx = ErgodicContext(phi, trunc, x.denominator)
-    val = ctx.sum_at(x.numerator, N)
-    return ErgodicSumResult(val, int(N), "floorsum", isinstance(val, Fraction))
+    return ErgodicContext(phi, trunc, x.denominator).sum_at(x.numerator, N)
 
 
 def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation):
@@ -221,7 +203,7 @@ def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation)
         raise ConfigError("N must be >= 0")
     if N > 1:
         trunc.require_window(N - 1, "orbit length")
-    L = _lcm(trunc.q, x.denominator)
+    L = math.lcm(trunc.q, x.denominator)
     P = trunc.p * (L // trunc.q)
     r = (x.numerator * (L // x.denominator)) % L
     if isinstance(phi, Sawtooth):
@@ -298,14 +280,11 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
     """Profile of sum over (rot, sign) in ``terms`` of sign * S_n phi under
     rot: jump positions (t - j*rot) mod 1 over a common denominator L sorted
     once, levels the running sums of the jumps times their denominator."""
-    if isinstance(phi, Sawtooth):       # one jump -1 at 0, plus the slope
-        points, jumps, scale = [Fraction(0)], [-1], 1
-    else:
-        points, values = list(phi.jumps()), list(phi.jumps().values())
-        scale = _lcm(*(Fraction(v).denominator for v in values))
-        jumps = [int(v * scale) for v in values]
+    points, values = list(phi.jumps()), list(phi.jumps().values())
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    jumps = [int(v * scale) for v in values]
     rots = [Fraction(rot) % 1 for rot, _ in terms]
-    L = _lcm(*(r.denominator for r in rots), *(t.denominator for t in points))
+    L = math.lcm(*(r.denominator for r in rots), *(t.denominator for t in points))
     # sort keys are position * K + jump index; index 0 is a zero jump at 0,
     # so that the first piece starts at 0
     K = 1 + len(terms) * len(points)
@@ -329,7 +308,7 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
     starts = keys[last]
     del keys
     total = sum(sign for _, sign in terms)
-    slope = n * total if isinstance(phi, Sawtooth) else 0
+    slope = n * total * phi.slope
     # the constant follows from int_0^1 S = n * total * int_0^1 phi
     m1 = (int(np.dot(levels[:-1], np.diff(starts)))
           + int(levels[-1]) * (L - int(starts[-1])))
@@ -410,8 +389,7 @@ def ostrowski_bound_check(phi: Observable, x, N: int,
     """(|S_N phi(x)|, V(phi) * sum_k b_k) with the digits of N; raises
     CertificateError unless LHS <= RHS (sums over denominators are bounded
     blockwise)."""
-    res = ergodic_sum(phi, x, N, trunc)
-    lhs = abs(res.value)
+    lhs = abs(ergodic_sum(phi, x, N, trunc))
     digits = ostrowski_digits(N, trunc)
     rhs = phi.variation() * digits.digit_sum()
     if lhs > rhs:

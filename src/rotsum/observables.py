@@ -1,19 +1,23 @@
 """Zero-mean bounded-variation observables on the circle.
 
-Two concrete kinds:
+Two concrete kinds, with one exact form that the exact engines read:
+``jumps()``, the jump phi(t) - phi(t-) at each point t where phi jumps
+(the wrap at 0 included), plus a constant ``slope`` between the jumps.
 
 * ``StepFunction`` -- piecewise constant with exact rational breakpoints
   (closed-left / open-right pieces; the value at a breakpoint follows the
-  piece to its right).  The variation is the cyclic sum of absolute jumps,
-  wrap at 0 included, and the Fourier coefficients have the closed form
+  piece to its right), so its slope is 0.  The variation is the cyclic sum
+  of absolute jumps, wrap at 0 included, and the Fourier coefficients have
+  the closed form
 
       c_r = gamma_r / r,   gamma_r = (1 / 2 pi i) * sum_jumps J * e^{-2 pi i r t},
 
   so sup_r |gamma_r| <= V/(2 pi) =: K.
 
-* ``Sawtooth`` -- the centered fractional part {x} - 1/2, whose gamma_r is
-  the constant i/(2 pi).  It is the normalizing observable for the variance
-  machinery and is exactly invariant under the periodization transfer.
+* ``Sawtooth`` -- the centered fractional part {x} - 1/2: slope 1 and one
+  jump -1 at 0.  Its gamma_r is the constant i/(2 pi).  It is the
+  normalizing observable for the variance machinery and is exactly
+  invariant under the periodization transfer.
 
 The periodization transfer ("hat") of an observable at modulus l is
 
@@ -59,12 +63,9 @@ TWO_PI = 2.0 * math.pi
 PHI0_HAT_NORM_SQ = 1.0 / 12.0
 
 
-def _frac(x) -> Fraction | float:
-    if isinstance(x, Fraction):
-        return x - (x.numerator // x.denominator)
-    if isinstance(x, int):
-        return Fraction(0)
-    return x - math.floor(x)
+def _frac(x) -> Fraction:
+    x = Fraction(x)
+    return x - (x.numerator // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class StepFunction:
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     label: str = "step"
+    slope = 0       # constant between breakpoints (not a dataclass field)
 
     def __post_init__(self):
         if any(not isinstance(v, (int, Fraction))
@@ -172,12 +174,17 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class Sawtooth:
-    """The centered fractional part {x} - 1/2."""
+    """The centered fractional part {x} - 1/2: slope 1 and one jump -1 at 0."""
 
     label: str = "phi0"
+    slope = 1       # not a dataclass field
 
     def evaluate(self, x):
         return _frac(x) - Fraction(1, 2)
+
+    def jumps(self) -> dict[Fraction, Fraction]:
+        """The wrap jump at 0, the only one; the slope carries the rest."""
+        return {Fraction(0): Fraction(-1)}
 
     def mean(self):
         return Fraction(0)
@@ -252,39 +259,28 @@ def evaluate(phi: Observable, x):
     return phi.evaluate(x)
 
 
+def _step_pieces(cuts, value_at):
+    """(breakpoints, values) of the step function equal to ``value_at(m)`` on
+    each piece between the sorted ``cuts`` (0 added), m the midpoint of the
+    piece.  Equal neighbours are merged (cyclically irrelevant duplicates
+    keep V honest)."""
+    bs = sorted(set(cuts) | {Fraction(0)})
+    vals = [value_at((b + e) / 2) for b, e in zip(bs, bs[1:] + [Fraction(1)])]
+    keep = [i for i, v in enumerate(vals) if i == 0 or v != vals[i - 1]]
+    return [bs[i] for i in keep], [vals[i] for i in keep]
+
+
 def _step_from_intervals(intervals, label: str) -> StepFunction:
-    """Centered sum of v * 1_{[u,w)}; intervals are (u, w, v) with u < w.
+    """Centered sum of v * 1_{[u,w)}; intervals are (u, w, v) with u < w <= 1.
 
     Builds the breakpoint partition and subtracts the mean so the result is
     exactly centered.
     """
-    points = {Fraction(0)}
-    for u, w, _ in intervals:
-        points.add(Fraction(u))
-        points.add(Fraction(w) if w < 1 else Fraction(0))
-    bs = sorted(points)
-    vals = []
-    for i, b in enumerate(bs):
-        hi = bs[i + 1] if i + 1 < len(bs) else Fraction(1)
-        mid = (b + hi) / 2
-        v = Fraction(0)
-        for u, w, coeff in intervals:
-            if u <= mid < w:
-                v += Fraction(coeff)
-        vals.append(v)
-    mean = sum(
-        v * ((bs[i + 1] if i + 1 < len(bs) else Fraction(1)) - bs[i])
-        for i, v in enumerate(vals)
-    )
-    vals = [v - mean for v in vals]
-    # merge equal neighbours (cyclically irrelevant duplicates keep V honest)
-    mbs, mvs = [bs[0]], [vals[0]]
-    for b, v in zip(bs[1:], vals[1:]):
-        if v == mvs[-1]:
-            continue
-        mbs.append(b)
-        mvs.append(v)
-    return StepFunction(tuple(mbs), tuple(mvs), label=label)
+    bs, vals = _step_pieces(
+        {Fraction(t) % 1 for u, w, _ in intervals for t in (u, w)},
+        lambda x: sum(Fraction(c) for u, w, c in intervals if u <= x < w))
+    mean = sum(v * (e - b) for v, b, e in zip(vals, bs, bs[1:] + [1]))
+    return StepFunction(tuple(bs), tuple(v - mean for v in vals), label=label)
 
 
 def indicator(beta: Fraction) -> StepFunction:
@@ -399,19 +395,10 @@ def hat_observable(phi: Observable, ell: int, cap: int = 200_000) -> Observable:
     if ell * len(phi.breakpoints) > cap:
         raise ConfigError(
             f"hat enumeration cap exceeded (ell={ell}); use hat_norm_sq")
-    bs = sorted({_frac(ell * t) for t in phi.breakpoints} | {Fraction(0)})
-    vals = []
-    for i, b in enumerate(bs):
-        hi = bs[i + 1] if i + 1 < len(bs) else Fraction(1)
-        y = (b + hi) / 2
-        vals.append(sum(phi.evaluate((y + j) / ell) for j in range(ell)))
-    mbs, mvs = [bs[0]], [vals[0]]
-    for b, v in zip(bs[1:], vals[1:]):
-        if v == mvs[-1]:
-            continue
-        mbs.append(b)
-        mvs.append(v)
-    return StepFunction(tuple(mbs), tuple(mvs), label=f"hat({phi.label},{ell})")
+    bs, vals = _step_pieces(
+        (_frac(ell * t) for t in phi.breakpoints),
+        lambda y: sum(phi.evaluate((y + j) / ell) for j in range(ell)))
+    return StepFunction(tuple(bs), tuple(vals), label=f"hat({phi.label},{ell})")
 
 
 # Largest bound on r * den for which residue tables stay in int64.

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contfrac import PartialQuotientSpec, RationalTruncation
+from .contfrac import PartialQuotientSpec, RationalTruncation, truncation
 from .errors import (ConfigError, InsufficientPartialQuotientsError,
                      ParityPatternError, PrecisionError)
 from .observables import Observable, hat_norm_sq
@@ -85,6 +85,25 @@ class SubsequencePlan:
                    [str(self.rho.numerator), str(self.rho.denominator)],
         }
         return json.dumps(doc, sort_keys=True)
+
+    @staticmethod
+    def from_json(text: str) -> "SubsequencePlan":
+        """Rebuild a plan from ``to_json``: the truncation from its spec and
+        level, then L and the certificate by re-certifying t under beta and
+        the recorded parity; a document that disagrees raises ConfigError."""
+        doc = json.loads(text)
+        spec = PartialQuotientSpec.from_json(json.dumps(doc["spec"]))
+        trunc = truncation(spec, doc["level"])
+        t = [int(tk) for tk in doc["t"]]
+        last = min(spec.max_index, trunc.level)
+        if any(not 1 <= tk < last for tk in t) or t != sorted(set(t)):
+            raise ConfigError(f"plan indices {t} are not increasing in [1, {last})")
+        plan = _certify(trunc, t, doc["beta"], parity=doc["certified"]["parity"])
+        rho = None if doc["rho"] is None else Fraction(*map(int, doc["rho"]))
+        if ([str(v) for v in plan.L] != doc["L"]
+                or plan.certified != doc["certified"] or plan.rho != rho):
+            raise ConfigError("plan JSON does not match its spec")
+        return plan
 
 
 @dataclass(frozen=True)

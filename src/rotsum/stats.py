@@ -28,6 +28,7 @@ import numpy as np
 from scipy import special as _special
 
 from . import __version__ as _VERSION
+from .contfrac import RationalTruncation
 from .ergosum import ErgodicContext
 from .errors import CertificateError, ConfigError
 from .observables import (Observable, VectorObservable, gamma_array,
@@ -44,6 +45,7 @@ __all__ = [
     "mixture_cdf",
     "ks_statistic",
     "two_sample_ks",
+    "draw_sums",
     "sample_sums",
     "clt_report",
     "clt_experiment",
@@ -225,6 +227,18 @@ def two_sample_ks(a, b) -> float:
 # Subsequence CLT sampling
 # ---------------------------------------------------------------------------
 
+def draw_sums(phi: Observable | tuple[Observable, ...],
+              trunc: RationalTruncation,
+              sampler: StratifiedSampler | GridSampler, N: int) -> np.ndarray:
+    """S_N phi(x) at every point x of the sampler, exact engine, rounded once
+    to float64: one row per point and one column per observable (``phi`` is
+    one observable or a tuple sampled together).  Every sample set of the
+    package is drawn here."""
+    ctx = ErgodicContext(phi, trunc, sampler.den)
+    sums = [ctx.sum_at(int(m), N) for m in sampler.numerators()]
+    return np.array(sums, dtype=np.float64).reshape(len(sums), -1)
+
+
 def sample_sums(plan: SubsequencePlan, phi: Observable,
                 sampler: StratifiedSampler | GridSampler, n: int) -> SampleSet:
     """Samples of S_{L_n} phi(x) over the sampler's x, exact engine.
@@ -234,13 +248,9 @@ def sample_sums(plan: SubsequencePlan, phi: Observable,
     """
     if not 0 <= n <= plan.count:
         raise ConfigError("n outside plan range")
-    ctx = ErgodicContext(phi, plan.trunc, sampler.den)
-    nums = sampler.numerators()
+    vals = draw_sums(phi, plan.trunc, sampler, plan.L[n])[:, 0]
     if n == 0:
-        vals = np.zeros(len(nums))
         return SampleSet(vals, sampler.describe(), 1.0, prediction=0.0)
-    Ln = plan.L[n]
-    vals = np.array([float(ctx.sum_at(int(m), Ln)) for m in nums])
     norm = math.sqrt(float(np.mean(vals ** 2)))
     return SampleSet(vals, sampler.describe(), norm,
                      prediction=plan.hat_variance(phi, n))
@@ -287,6 +297,8 @@ def clt_experiment(plan: SubsequencePlan, phi: Observable, n: int,
 # ---------------------------------------------------------------------------
 
 def _doubling_numerators(seed: int, size: int) -> np.ndarray:
+    if size < 1:
+        raise ConfigError(f"sample size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     step = DOUBLING_DEN // size
     return (np.arange(size, dtype=np.int64) * step
@@ -325,6 +337,8 @@ def erdos_fortet_experiment(n: int, samples: int, seed: int,
     Passes when KS(mixture) <= ks_mix_tol and the best-fit single normal is
     worse by at least gap_tol.
     """
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     nums = _doubling_numerators(seed, samples)
     z = _f0_sum(nums, n) / math.sqrt(n)
     ks_mix = ks_statistic(z, mixture_cdf)
@@ -388,6 +402,8 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int,
     scale sqrt(n)."""
     if a < 5:
         raise ConfigError("exponent a must be >= 5")
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     nums = _doubling_numerators(seed, samples)
     mism = gaposhkin_index_set(a, n)
     s_plain = _f0_sum(nums, n, shifted_set=frozenset()) / math.sqrt(n)
@@ -502,11 +518,8 @@ def covariance_2d(plan: SubsequencePlan, psi: VectorObservable,
         raise ConfigError("covariance_2d requires a parity-certified plan")
     if not 1 <= n <= plan.count:
         raise ConfigError("n outside plan range")
-    sampler = StratifiedSampler(seed=seed, size=samples)
-    nums = sampler.numerators()
-    Ln = plan.L[n]
-    ctx = ErgodicContext(psi.components, plan.trunc, sampler.den)
-    sums = np.array([[float(v) for v in ctx.sum_at(int(m), Ln)] for m in nums])
+    sums = draw_sums(psi.components, plan.trunc,
+                     StratifiedSampler(seed=seed, size=samples), plan.L[n])
     v1 = sums[:, 0] / math.sqrt(n)
     v2 = sums[:, 1] / math.sqrt(n)
     cov = {

@@ -31,7 +31,7 @@ import numpy as np
 
 from .contfrac import RationalTruncation
 from .errors import CertificateError, ConfigError
-from .observables import (_INT64_SAFE, Observable, Sawtooth, gamma_sq_array,
+from .observables import (_INT64_SAFE, Observable, gamma_sq_array,
                           reduce_phases, series_weights)
 from .ergosum import orbit_sum_profile
 
@@ -149,9 +149,7 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
     if n == 0:
         return (Fraction(0), 0) if mode == "exact" else (0.0, 0.0)
     if mode == "exact":
-        npieces = n * (1 if isinstance(phi, Sawtooth)
-                       else len(phi.breakpoints))
-        if npieces > cap:
+        if n * len(phi.jumps()) > cap:
             raise ConfigError(f"profile cap exceeded (n={n}); use fourier mode")
         prof = orbit_sum_profile(phi, n, trunc.value)
         return prof.integral_sq(), 0

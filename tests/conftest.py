@@ -8,7 +8,6 @@ from hypothesis import settings
 
 from rotsum import billiard as bil
 from rotsum import ergosum as es
-from rotsum import observables as obs
 from rotsum.errors import SingularOrbitError
 
 # every property test draws the same examples on every run
@@ -25,14 +24,12 @@ def _midpoint_profile_oracle(phi, n, trunc):
     end values to the sup and v^2 len + n^2 len^3 / 12 to the integral.
     """
     alpha = trunc.value
-    sawtooth = isinstance(phi, obs.Sawtooth)
-    points = [Fraction(0)] if sawtooth else list(phi.jumps())
     cuts = sorted({Fraction(0)} | {(t - j * alpha) % 1
-                                   for t in points for j in range(n)})
-    slope = n if sawtooth else 0
+                                   for t in phi.jumps() for j in range(n)})
+    slope = n * phi.slope
     sup = integral = Fraction(0)
     for lo, hi in zip(cuts, cuts[1:] + [Fraction(1)]):
-        v = es.ergodic_sum(phi, (lo + hi) / 2, n, trunc).value
+        v = es.ergodic_sum(phi, (lo + hi) / 2, n, trunc)
         half = slope * (hi - lo) / 2
         sup = max(sup, abs(v - half), abs(v + half))
         integral += (v * v + half * half / 3) * (hi - lo)

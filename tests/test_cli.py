@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -111,6 +112,24 @@ def test_plan_rejects_unknown_alpha(capsys):
                  ["plan", "--opt", "parity=1", "--terms", "0"]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# each used to escape as a TypeError, a ZeroDivisionError, a math domain
+# error or a NaN sample, or (nmax=0) to print a row for n = 1
+@pytest.mark.parametrize("argv", [
+    ["variance", "--opt", "nmax=-5"],
+    ["variance", "--opt", "nmax=0"],
+    ["gaposhkin", "--samples", "50", "--opt", "n=0"],
+    ["gaposhkin", "--samples", "0"],
+    ["erdos-fortet", "--samples", "50", "--opt", "n=-3"],
+    ["erdos-fortet", "--samples", "50", "--opt", "n=0"],
+    ["erdos-fortet", "--samples", "0"],
+], ids=" ".join)
+def test_edge_counts_exit_with_config_error(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "must be >= 1" in captured.err
 
 
 def test_clt_rejects_vector_observable(capsys):

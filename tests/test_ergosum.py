@@ -108,7 +108,7 @@ def test_sum_at_and_count_visits_edges():
     ctx = es.ErgodicContext(phis, tr, 97)
     x, (u, w) = Fraction(5, 97), (Fraction(1, 4), Fraction(2, 3))
     assert ctx.sum_at(5, edge) == tuple(
-        es.ergodic_sum(phi, x, edge, tr, engine="direct").value for phi in phis)
+        es.ergodic_sum(phi, x, edge, tr, engine="direct") for phi in phis)
     assert es.count_visits(x, (u, w), edge, tr) == sum(
         u <= (x + j * tr.value) % 1 < w for j in range(edge))
     with pytest.raises(PrecisionError):
@@ -164,13 +164,12 @@ def test_engines_agree(phi, golden_trunc):
         n = rng.randrange(0, 3000)
         fast = es.ergodic_sum(phi, x, n, golden_trunc)
         slow = es.ergodic_sum(phi, x, n, golden_trunc, engine="direct")
-        assert fast.engine == "floorsum" and slow.engine == "direct"
-        assert fast.exact and slow.exact
-        assert fast.value == slow.value
+        assert type(fast) is Fraction and type(slow) is Fraction
+        assert fast == slow
 
 
 def test_zero_length_sum(golden_trunc):
-    assert es.ergodic_sum(obs.half(), Fraction(1, 3), 0, golden_trunc).value == 0
+    assert es.ergodic_sum(obs.half(), Fraction(1, 3), 0, golden_trunc) == 0
 
 
 @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
@@ -199,9 +198,9 @@ def test_cocycle_identity(golden_trunc):
         x = Fraction(rng.randrange(0, 10 ** 6), 10 ** 6)
         n = rng.randrange(0, 10 ** 4)
         m = rng.randrange(0, 10 ** 4)
-        total = es.ergodic_sum(phi, x, n + m, golden_trunc).value
-        part = (es.ergodic_sum(phi, x, n, golden_trunc).value
-                + es.ergodic_sum(phi, (x + n * a) % 1, m, golden_trunc).value)
+        total = es.ergodic_sum(phi, x, n + m, golden_trunc)
+        part = (es.ergodic_sum(phi, x, n, golden_trunc)
+                + es.ergodic_sum(phi, (x + n * a) % 1, m, golden_trunc))
         assert total == part
 
 
@@ -212,7 +211,7 @@ def test_profile_matches_pointwise(golden_trunc):
     rng = random.Random(2)
     for _ in range(40):
         x = Fraction(rng.randrange(0, 10 ** 5), 10 ** 5)
-        assert prof.evaluate(x) == es.ergodic_sum(phi, x, n, golden_trunc).value
+        assert prof.evaluate(x) == es.ergodic_sum(phi, x, n, golden_trunc)
 
 
 def test_profile_integral_against_riemann(golden_trunc):
@@ -262,7 +261,7 @@ def profile_cases(draw):
 def test_profile_against_brute_force(profile_oracle, case):
     phi, n, trunc, x = case
     prof = es.orbit_sum_profile(phi, n, trunc.value)
-    direct = es.ergodic_sum(phi, x, n, trunc, engine="direct").value
+    direct = es.ergodic_sum(phi, x, n, trunc, engine="direct")
     assert prof.evaluate(x) == direct
     assert (prof.sup_abs(), prof.integral_sq()) == profile_oracle(phi, n, trunc)
 
@@ -293,15 +292,44 @@ def test_context_matches_direct_per_observable(case):
     phis, trunc, x_den, x_num, n = case
     ctx = es.ErgodicContext(phis, trunc, x_den)
     x = Fraction(x_num, x_den)
-    direct = tuple(es.ergodic_sum(phi, x, n, trunc, engine="direct").value
+    direct = tuple(es.ergodic_sum(phi, x, n, trunc, engine="direct")
                    for phi in phis)
     assert ctx.sum_at(x_num, n) == direct
     assert es.ErgodicContext(phis[0], trunc, x_den).sum_at(x_num, n) == direct[0]
     # one floor sum per distinct jump point of the union
-    points = set()
-    for phi in phis:
-        points |= {Fraction(0)} if isinstance(phi, obs.Sawtooth) else set(phi.jumps())
+    points = set().union(*(phi.jumps() for phi in phis))
     assert len(ctx.offsets) == len(points)
+
+
+@hst.composite
+def jump_form_cases(draw):
+    phi = draw(hst.sampled_from(CONTEXT_PHIS))
+    if not isinstance(phi, obs.Sawtooth) and draw(hst.booleans()):
+        den = draw(hst.integers(1, 60))
+        phi = phi.shifted(Fraction(draw(hst.integers(0, den - 1)), den))
+    if draw(hst.booleans()):        # on a jump point, the wrap at 0 included
+        t = draw(hst.sampled_from(sorted(phi.jumps())))
+        den = t.denominator * draw(hst.integers(1, 5))
+        m = t.numerator * (den // t.denominator) + den * draw(hst.integers(0, 2))
+    else:
+        den = draw(hst.integers(1, 10 ** 6))
+        m = draw(hst.integers(0, 3 * den))
+    trunc = PROFILE_TRUNCS[draw(hst.sampled_from(sorted(PROFILE_TRUNCS)))]
+    return phi, trunc, den, m
+
+
+@settings(max_examples=120)
+@given(jump_form_cases())
+@example((obs.Sawtooth(), PROFILE_TRUNCS["deep"], 1, 0))
+def test_jump_form_reproduces_observable(case):
+    # jumps plus slope are the whole exact form: they close up around the
+    # circle, add up to the variation, and S_1 from them is phi itself
+    phi, trunc, den, m = case
+    jumps = phi.jumps()
+    assert sum(jumps.values()) + phi.slope == 0
+    assert phi.variation() == sum(abs(v) for v in jumps.values()) + phi.slope
+    assert es.ErgodicContext(phi, trunc, den).sum_at(m, 1) == \
+        phi.evaluate(Fraction(m, den))
 
 
 def test_step_function_rejects_inexact_values():
@@ -310,7 +338,8 @@ def test_step_function_rejects_inexact_values():
     with pytest.raises(ConfigError, match="int or Fraction"):
         obs.StepFunction((Fraction(0), 0.5), (Fraction(1, 2), Fraction(-1, 2)))
     phi = obs.StepFunction((0, Fraction(1, 2)), (1, -1))
-    assert es.ergodic_sum(phi, Fraction(3, 8), 7, cf.truncation(cf.golden(20), 15)).exact
+    val = es.ergodic_sum(phi, Fraction(3, 8), 7, cf.truncation(cf.golden(20), 15))
+    assert type(val) is Fraction
 
 
 def test_context_rejects_vector_observable(golden_trunc):

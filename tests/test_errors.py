@@ -1,7 +1,9 @@
 """Typed failures: no bare asserts or ValueErrors in the library, and
-certificate checks raise CertificateError."""
+certificate checks raise CertificateError.  Also every exported name of the
+library resolves."""
 
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,14 +45,26 @@ def test_library_raises_no_bare_value_error():
     assert not found, found
 
 
+def test_every_exported_name_resolves():
+    # a deleted function or class must leave no dangling __all__ entry
+    exporting = 0
+    for path in sorted(SRC.glob("*.py")):
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"rotsum{stem}")
+        names = getattr(module, "__all__", ())
+        exporting += bool(names)
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (path.name, missing)
+    assert exporting >= 7
+
+
 def test_certificate_failure_is_typed(monkeypatch):
     tr = cf.truncation(cf.golden(30), 20)
     phi = obs.half()
     lhs, rhs = es.ostrowski_bound_check(phi, Fraction(1, 7), 10, tr)
     assert lhs <= rhs
     # an engine reporting a sum past the Ostrowski bound must fail the check
-    monkeypatch.setattr(es, "ergodic_sum", lambda *args: es.ErgodicSumResult(
-        100 * rhs, 10, "floorsum", True))
+    monkeypatch.setattr(es, "ergodic_sum", lambda *args: 100 * rhs)
     with pytest.raises(CertificateError) as exc:
         es.ostrowski_bound_check(phi, Fraction(1, 7), 10, tr)
     assert isinstance(exc.value, RotsumError)

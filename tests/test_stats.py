@@ -142,10 +142,10 @@ def test_plan_extension_block_identity(plan40):
     phi = obs.indicator(Fraction(1, 3))
     n = 6
     x = Fraction(5, 17)
-    s_n = es.ergodic_sum(phi, x, plan40.L[n], tr).value
-    s_n1 = es.ergodic_sum(phi, x, plan40.L[n + 1], tr).value
+    s_n = es.ergodic_sum(phi, x, plan40.L[n], tr)
+    s_n1 = es.ergodic_sum(phi, x, plan40.L[n + 1], tr)
     shift = (x + plan40.L[n] * tr.value) % 1
-    block = es.ergodic_sum(phi, shift, plan40.q(n + 1), tr).value
+    block = es.ergodic_sum(phi, shift, plan40.q(n + 1), tr)
     assert s_n1 - s_n == block
 
 
@@ -171,7 +171,7 @@ def test_partial_block_clt(plan40):
     vals = []
     for num in sampler.numerators():
         x = (Fraction(int(num), sampler.den) + alpha_shift) % 1
-        vals.append(float(es.ergodic_sum(phi, x, block_len, tr).value))
+        vals.append(float(es.ergodic_sum(phi, x, block_len, tr)))
     vals = np.array(vals)
     pred = (n - m) / 12.0
     emp = float(np.mean(vals ** 2))
