@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -219,25 +219,31 @@ def cell_after(n: int, x, params: ObstacleParams,
                trunc: RationalTruncation | None = None) -> tuple[int, int]:
     """S(n, Psi)(x) via one exact floor-sum context for both components.
 
-    ``trunc`` must evaluate to alpha = a/(a+b); omitted, the exact rational
-    truncation of alpha is built (window = full rational period).
+    ``trunc``, if given, must evaluate to alpha = a/(a+b).  The sums run on
+    the exact rational truncation of alpha (window = full rational period)
+    either way: a truncation with that value has the same p_M/q_M.
     """
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
-    if trunc is None:
-        trunc = rational_truncation(params.alpha)
-    elif trunc.value != params.alpha:
+    if trunc is not None and trunc.value != params.alpha:
         raise ConfigError("truncation value differs from a/(a+b)")
-    # the rotation is genuinely rational here, so floor sums are exact at
-    # every N and the truncation window does not apply
     x = Fraction(x)
-    ctx = ErgodicContext(psi_components(params).components, trunc,
-                         x.denominator, enforce_window=False)
-    v1, v2 = ctx.sum_at(x.numerator, n)
+    v1, v2 = _cell_context(params, x.denominator).sum_at(x.numerator, n)
     z1, z2 = int(v1), int(v2)
     if z1 != v1 or z2 != v2:
         raise CertificateError("displacement sums must be integers")
     return (z1, z2)
+
+
+@lru_cache(maxsize=16)
+def _cell_context(params: ObstacleParams, x_den: int) -> ErgodicContext:
+    """The context of psi1 and psi2 for one obstacle shape and sample
+    denominator, built once.  The rotation is genuinely rational here, so
+    floor sums are exact at every N and the truncation window does not
+    apply."""
+    return ErgodicContext(psi_components(params).components,
+                          rational_truncation(params.alpha), x_den,
+                          enforce_window=False)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def _cmd_clt(cfg: RunConfig) -> str:
         with open(cfg.options["samples_csv"], "w", newline="") as fh:
             fh.write("index,value\r\n")
             for i, v in enumerate(ss.values):
-                fh.write(f"{i},{v!r}\r\n")
+                fh.write(f"{i},{float(v)!r}\r\n")
     _write(rep.to_json() + "\n", cfg)
     return (f"clt: KS={rep.empirical['ks']:.4f} "
             f"ratio={rep.empirical['variance_ratio']:.4f} passed={rep.passed}")

@@ -21,6 +21,13 @@ Two engines:
   points, so a sample of both costs four floor sums.  ``count_visits`` is
   the same kernel applied to an interval's indicator.
 
+  The floor sums of one sample set differ only in their offset A - C, so
+  ``floor_sum`` splits the Euclid recursion into a chain that depends on
+  (N, P, L) alone, built once per (N, rotation, denominator) and cached,
+  and a walk per offset whose every step multiplies a big number by a small
+  one or divides with a small quotient: linear, not quadratic, in the
+  operand size.
+
 The same module holds the one exact profile of x -> S_n phi(x), used for
 exact sup norms, exact L2 integrals and the periodic-approximation error.
 It reads the same jumps and slope, and works on integers over the common
@@ -36,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +67,9 @@ __all__ = [
 def floor_sum(n: int, a: int, b: int, c: int) -> int:
     """sum_{j=0}^{n-1} floor((a*j + b)/c) in O(log max(a,c)) integer steps.
 
-    c must be >= 1; a and b may be negative (reduced first).
+    c must be >= 1; a and b may be negative (reduced first).  The Euclid
+    chain of (n, a, c) is built once and cached, so further sums with the
+    same (n, a, c) and another b cost one linear-size walk each.
     """
     n, a, b, c = int(n), int(a), int(b), int(c)
     if c <= 0:
@@ -68,27 +78,54 @@ def floor_sum(n: int, a: int, b: int, c: int) -> int:
         raise ConfigError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0
-    ans = 0
-    if a < 0:
-        a2 = a % c
-        ans -= n * (n - 1) // 2 * ((a2 - a) // c)
-        a = a2
-    if b < 0:
-        b2 = b % c
-        ans -= n * ((b2 - b) // c)
-        b = b2
-    while True:
-        if a >= c:
-            ans += n * (n - 1) // 2 * (a // c)
-            a %= c
-        if b >= c:
-            ans += n * (b // c)
-            b %= c
-        y_max = a * n + b
-        if y_max < c:
-            return ans
-        n, b = divmod(y_max, c)
-        c, a = a, c
+    return _walk(_chain(n, a, c), b)
+
+
+def _tri(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+@lru_cache(maxsize=8)
+def _chain(n: int, a: int, c: int):
+    """The Euclid recursion of floor_sum(n, a, b, c) at the nominal b = 0.
+
+    Level i rewrites sum_{j<n} floor((a j + b)/c), 0 <= a, b < c, as
+    sum_{j<n'} floor((c j + b')/a) with n' = Q + e, where Q, R =
+    divmod(a n, c) does not depend on b and e = (R + b) // c is small.  The
+    chain keeps each level's (a, c, R, k, k Q, Q), k = c // a, and the part
+    of the sum that b does not move, so that every quadratic-size product
+    and division happens here, once per (n, a, c).
+    """
+    ka, a = divmod(a, c)
+    base = ka * _tri(n)
+    n0, c0 = n, c
+    levels = []
+    while n and a:
+        Q, R = divmod(a * n, c)
+        k, rest = divmod(c, a)
+        base += k * _tri(Q)
+        levels.append((a, c, R, k, k * Q, Q))
+        n, a, c = Q, rest, a
+    return n0, c0, base, tuple(levels), a, c
+
+
+def _walk(chain, b: int) -> int:
+    """floor_sum at offset b along a chain: every step multiplies a big
+    number by a small one or divides with a small quotient.  The true n of
+    a level is Q + e; T(Q + e) = T(Q) + Q e + T(e) splits the triangular
+    term into the chain's part and the walk's."""
+    n0, c0, base, levels, a_end, c_end = chain
+    B, b = divmod(b, c0)
+    ans = base + n0 * B
+    e = 0
+    for a, c, R, k, kQ, Q in levels:
+        e, b = divmod(R + a * e + b, c)
+        ans += e * kQ + k * (e * (e - 1) // 2)
+        s, b = divmod(b, a)
+        ans += (Q + e) * s
+    # the nominal n ran out (or a did, when every term below is 0): the true
+    # n is the few carries e left over
+    return ans + sum((a_end * j + b) // c_end for j in range(e))
 
 
 def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:

@@ -305,27 +305,35 @@ def _doubling_numerators(seed: int, size: int) -> np.ndarray:
             + rng.integers(0, step, size=size, dtype=np.int64))
 
 
-def _f0_sum(nums: np.ndarray, n: int, shifted_set=None) -> np.ndarray:
-    """sum_{k=1..n} f0(e_k x) with f0 = cos(2 pi x) + cos(4 pi x) and
-    e_k = 2^k - 1 when shifted_set is None or k in shifted_set, else 2^k.
+def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
+    """One sum_{k=1..n} f0(e_k x) per shifted set, f0 = cos(2 pi x) +
+    cos(4 pi x), with e_k = 2^k - 1 when the set is None or holds k, else
+    2^k.
 
     Exact residues: r_k = 2^k num mod D by int64 doubling, and the shifted
-    frequency uses (2^k - 1) num = r_k - num mod D.
+    frequency uses (2^k - 1) num = r_k - num mod D.  All sums share one
+    pass: each k computes the term of each e_k in use once and adds it to
+    every sum in k order, so each sum equals its own separate pass.
     """
     D = DOUBLING_DEN
     r = nums.copy()
-    out = np.zeros(nums.size)
+    outs = [np.zeros(nums.size) for _ in shifted_sets]
     for k in range(1, n + 1):
         r = 2 * r
         r -= D * (r >= D)
-        if shifted_set is None or k in shifted_set:
-            t = r - nums
-            t += D * (t < 0)
-        else:
-            t = r
-        frac = t.astype(np.float64) / D
-        out += np.cos(2 * np.pi * frac) + np.cos(4 * np.pi * frac)
-    return out
+        terms = {}                  # shifted at k -> f0(e_k x)
+        for out, shifted_set in zip(outs, shifted_sets):
+            shifted = shifted_set is None or k in shifted_set
+            if shifted not in terms:
+                t = r
+                if shifted:
+                    t = r - nums
+                    t += D * (t < 0)
+                frac = t.astype(np.float64) / D
+                terms[shifted] = (np.cos(2 * np.pi * frac)
+                                  + np.cos(4 * np.pi * frac))
+            out += terms[shifted]
+    return outs
 
 
 def erdos_fortet_experiment(n: int, samples: int, seed: int,
@@ -340,7 +348,7 @@ def erdos_fortet_experiment(n: int, samples: int, seed: int,
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     nums = _doubling_numerators(seed, samples)
-    z = _f0_sum(nums, n) / math.sqrt(n)
+    z = _f0_sum(nums, n, None)[0] / math.sqrt(n)
     ks_mix = ks_statistic(z, mixture_cdf)
     sd = math.sqrt(float(np.mean(z ** 2)))
     ks_norm = ks_statistic(z, lambda v: _normal_cdf_array(np.asarray(v) / sd))
@@ -406,8 +414,7 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int,
         raise ConfigError(f"n must be >= 1, got {n}")
     nums = _doubling_numerators(seed, samples)
     mism = gaposhkin_index_set(a, n)
-    s_plain = _f0_sum(nums, n, shifted_set=frozenset()) / math.sqrt(n)
-    s_mod = _f0_sum(nums, n, shifted_set=mism) / math.sqrt(n)
+    s_plain, s_mod = (s / math.sqrt(n) for s in _f0_sum(nums, n, (), mism))
     ks = two_sample_ks(s_plain, s_mod)
     count = len([k for k in mism if 1 <= k <= n])
     sup_diff = float(np.max(np.abs(s_plain - s_mod)))

@@ -15,6 +15,40 @@ settings.register_profile("rotsum", derandomize=True, deadline=None)
 settings.load_profile("rotsum")
 
 
+def _euclid_floor_sum(n, a, b, c):
+    """sum_{j<n} floor((a j + b)/c) by the plain Euclid recursion, which
+    redoes every quadratic-size product and division for each b: the loop
+    that the chain-and-walk floor sum replaced, kept as its oracle."""
+    if n == 0:
+        return 0
+    ans = 0
+    if a < 0:
+        a2 = a % c
+        ans -= n * (n - 1) // 2 * ((a2 - a) // c)
+        a = a2
+    if b < 0:
+        b2 = b % c
+        ans -= n * ((b2 - b) // c)
+        b = b2
+    while True:
+        if a >= c:
+            ans += n * (n - 1) // 2 * (a // c)
+            a %= c
+        if b >= c:
+            ans += n * (b // c)
+            b %= c
+        y_max = a * n + b
+        if y_max < c:
+            return ans
+        n, b = divmod(y_max, c)
+        c, a = a, c
+
+
+@pytest.fixture(scope="session")
+def euclid_floor_sum():
+    return _euclid_floor_sum
+
+
 def _midpoint_profile_oracle(phi, n, trunc):
     """(sup |S|, integral of S^2) for S(x) = sum_{j<n} phi(x + j alpha).
 

@@ -92,6 +92,19 @@ def test_cell_after_zero_and_oracle(params25):
             bil.cell_after_direct(n, x, params25)
 
 
+def test_cell_after_builds_one_context_per_shape(params25):
+    bil._cell_context.cache_clear()
+    x = Fraction(3, 7)
+    for n in (5, 9, 5):
+        assert bil.cell_after(n, x, params25) == \
+            bil.cell_after_direct(n, x, params25)
+    assert bil.cell_after(9, x, params25, bil.rational_truncation(
+        params25.alpha)) == bil.cell_after_direct(9, x, params25)
+    assert bil._cell_context.cache_info().misses == 1
+    with pytest.raises(ConfigError, match="differs"):
+        bil.cell_after(9, x, params25, cf.truncation(cf.golden(20), 10))
+
+
 @pytest.mark.parametrize("cell_sum", [bil.cell_after, bil.cell_after_direct])
 def test_cell_sums_reject_negative_n(cell_sum, params25, monkeypatch):
     def no_work(*args):

@@ -154,8 +154,11 @@ def test_clt_samples_csv_samples_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     plan, phi, sampler, n = calls[0]
     values = real(plan, phi, sampler, n).values
-    assert csv_path.read_bytes().decode().split("\r\n") == (
-        ["index,value"] + [f"{i},{v!r}" for i, v in enumerate(values)] + [""])
+    text = csv_path.read_bytes().decode()
+    assert "np.float64" not in text
+    assert text.split("\r\n") == (
+        ["index,value"] + [f"{i},{float(v)!r}" for i, v in enumerate(values)]
+        + [""])
     # the report is the one clt_experiment makes from the same samples
     rep = st.clt_experiment(plan, phi, 10, 300, 3)
     cfg = cli.config_from_args(cli.build_parser().parse_args(args))

@@ -147,6 +147,71 @@ def test_floor_sum_huge_arguments(n, sa, a, sb, b, c, small):
                                                for j in range(small))
 
 
+_WIDTHS = hst.sampled_from((1, 2, 3, 8, 31, 33, 63, 64, 65, 200, 500, 772,
+                            1000, 1389, 1400))
+
+
+@hst.composite
+def _floor_sum_operands(draw):
+    """(n, a, b, c) with c of 1-1400 bits, a and b anywhere in [-3c, 3c]
+    (negative, reduced, or at least c), and n of 0-1400 bits."""
+    bits = draw(_WIDTHS)
+    c = draw(hst.integers(2 ** (bits - 1), 2 ** bits - 1))
+    a = draw(hst.integers(-3 * c, 3 * c))
+    b = draw(hst.integers(-3 * c, 3 * c))
+    n = draw(hst.integers(0, 2 ** draw(_WIDTHS) - 1))
+    return n, a, b, c
+
+
+@settings(max_examples=600)
+@given(_floor_sum_operands())
+@example((0, 5, 3, 7))
+@example((9, 0, -13, 5))
+@example((2 ** 700, 0, 3 ** 600, 5 ** 400))
+@example((2 ** 700, 5 ** 400, 3 ** 600, 5 ** 400))
+@example((10 ** 400, 3 ** 800, -(7 ** 500), 2 ** 1399 + 1))
+def test_floor_sum_matches_euclid_oracle(euclid_floor_sum, operands):
+    assert es.floor_sum(*operands) == euclid_floor_sum(*operands)
+
+
+@hst.composite
+def _carry_operands(draw):
+    """a n < c <= a n + b: the nominal n of the chain runs out at the first
+    level, and the whole sum comes from the walk's carry and the terms
+    after it."""
+    bits = draw(_WIDTHS.filter(lambda w: w > 1))
+    c = draw(hst.integers(max(3, 2 ** (bits - 1)), 2 ** bits - 1))
+    a = draw(hst.integers(2, c - 1))
+    n = draw(hst.integers(1, (c - 1) // a))
+    b = draw(hst.integers(c - a * n, c - 1))
+    return n, a, b, c
+
+
+@settings(max_examples=150)
+@given(_carry_operands())
+@example((3, 2, 5, 7))
+def test_floor_sum_carries_past_nominal_end(euclid_floor_sum, operands):
+    n, a, b, c = operands
+    levels = es._chain(n, a, c)[3]
+    assert len(levels) == 1 and levels[0][-1] == 0      # nominal Q = 0
+    assert es.floor_sum(*operands) == euclid_floor_sum(*operands)
+
+
+def test_context_reused_across_horizons(golden_trunc):
+    # the chain cache is keyed by (N, P, L): one context at N1, N2, N1 (with
+    # more horizons between than the cache holds) equals the direct engine
+    phis = (obs.indicator(Fraction(1, 3)), obs.Sawtooth())
+    den = 101
+    ctx = es.ErgodicContext(phis, golden_trunc, den)
+    N1, N2 = 987, 1597
+    for N in (N1, N2, *range(100, 120), N1):
+        for m in range(0, den, 17):
+            x = Fraction(m, den)
+            assert ctx.sum_at(m, N) == tuple(
+                es.ergodic_sum(phi, x, N, golden_trunc, engine="direct")
+                for phi in phis)
+
+
 CATALOG = [
     obs.Sawtooth(),
     obs.indicator(Fraction(1, 3)),

@@ -45,6 +45,25 @@ def test_library_raises_no_bare_value_error():
     assert not found, found
 
 
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_no_cache_on_public_functions():
+    # the benchmark tracer wraps public functions only: a memoized public
+    # layer would answer hits without entering its span, so caches sit on
+    # private helpers
+    cached = [(where, node.name) for where, node in _library_nodes()
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(_decorator_name(d) in ("lru_cache", "cache")
+                      for d in node.decorator_list)]
+    assert {"_chain", "_cell_context"} <= {name for _, name in cached}
+    public = [(where, name) for where, name in cached if not name.startswith("_")]
+    assert not public, public
+
+
 def test_every_exported_name_resolves():
     # a deleted function or class must leave no dangling __all__ entry
     exporting = 0

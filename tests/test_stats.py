@@ -220,6 +220,18 @@ def test_floor_sums_per_sample(monkeypatch, plan40):
     assert len(calls) == 4 * k
 
 
+def test_draw_sums_builds_one_chain(plan40):
+    # every floor sum of a sample set at one N shares (N, P, L), so the set
+    # runs one Euclid chain and a walk per floor sum
+    k = 40
+    sampler = st.StratifiedSampler(seed=0, size=k)
+    es._chain.cache_clear()
+    st.draw_sums((obs.indicator(Fraction(1, 3)), obs.Sawtooth()),
+                 plan40.trunc, sampler, plan40.L[10])
+    info = es._chain.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * k - 1)
+
+
 def test_clt_experiment_report(plan40):
     rep = st.clt_experiment(plan40, obs.Sawtooth(), 12, 2000, seed=1)
     assert rep.passed
@@ -253,6 +265,14 @@ def test_gaposhkin_count_exact():
     # I_5 inside [1, 10^6]: sum over m <= 15 of (m + 1)
     assert st.gaposhkin_count(5, 10 ** 6) == sum(m + 1 for m in range(1, 16))
     assert st.gaposhkin_count(5, 10 ** 6) <= (10 ** 6) ** (2 / 5)
+
+
+def test_f0_sums_share_one_pass():
+    # the fused pass equals a separate pass per shifted set, bit for bit
+    nums = st._doubling_numerators(4, 300)
+    sets = ((), st.gaposhkin_index_set(5, 60), None)
+    for fused, shifted_set in zip(st._f0_sum(nums, 60, *sets), sets):
+        assert np.array_equal(fused, st._f0_sum(nums, 60, shifted_set)[0])
 
 
 def test_gaposhkin_demo_small():
