@@ -24,9 +24,11 @@ Two engines:
   The floor sums of one sample set differ only in their offset A - C, so
   ``floor_sum`` splits the Euclid recursion into a chain that depends on
   (N, P, L) alone, built once per (N, rotation, denominator) and cached,
-  and a walk per offset whose every step multiplies a big number by a small
-  one or divides with a small quotient: linear, not quadratic, in the
-  operand size.
+  and a walk per offset.  The chain keeps, per level, the sums R + e a for
+  the few carries e that occur, so a walk level adds one stored number and
+  reduces by compare-and-subtract; it divides only at levels with partial
+  quotient k > 1, and then with a quotient of at most k.  Its cost is
+  linear, not quadratic, in the operand size.
 
 The same module holds the one exact profile of x -> S_n phi(x), used for
 exact sup norms, exact L2 integrals and the periodic-approximation error.
@@ -41,6 +43,7 @@ bound certificate closes the module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,11 +70,12 @@ __all__ = [
 def floor_sum(n: int, a: int, b: int, c: int) -> int:
     """sum_{j=0}^{n-1} floor((a*j + b)/c) in O(log max(a,c)) integer steps.
 
-    c must be >= 1; a and b may be negative (reduced first).  The Euclid
-    chain of (n, a, c) is built once and cached, so further sums with the
-    same (n, a, c) and another b cost one linear-size walk each.
+    c must be >= 1; a and b may be negative (reduced first).  The operands
+    must be integers (Python or numpy); anything else raises ConfigError.
+    The Euclid chain of (n, a, c) is built once and cached, so further sums
+    with the same (n, a, c) and another b cost one linear-size walk each.
     """
-    n, a, b, c = int(n), int(a), int(b), int(c)
+    n, a, b, c = _integers("floor_sum operands", n, a, b, c)
     if c <= 0:
         raise ConfigError(f"modulus c must be >= 1, got {c}")
     if n < 0:
@@ -79,6 +83,15 @@ def floor_sum(n: int, a: int, b: int, c: int) -> int:
     if n == 0:
         return 0
     return _walk(_chain(n, a, c), b)
+
+
+def _integers(what: str, *values) -> list[int]:
+    """``values`` as Python ints, accepting Python and numpy integers; int()
+    would silently truncate a float or a Fraction, so anything else raises."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise ConfigError(f"{what} must be integers, got {values!r}") from None
 
 
 def _tri(n: int) -> int:
@@ -91,10 +104,13 @@ def _chain(n: int, a: int, c: int):
 
     Level i rewrites sum_{j<n} floor((a j + b)/c), 0 <= a, b < c, as
     sum_{j<n'} floor((c j + b')/a) with n' = Q + e, where Q, R =
-    divmod(a n, c) does not depend on b and e = (R + b) // c is small.  The
-    chain keeps each level's (a, c, R, k, k Q, Q), k = c // a, and the part
-    of the sum that b does not move, so that every quadratic-size product
-    and division happens here, once per (n, a, c).
+    divmod(a n, c) does not depend on b and e = (R + a e_prev + b) // c is
+    the small carry.  The chain keeps each level's ((R, R + a, R + 2 a), a,
+    c, k, k Q, Q), k = c // a, and the part of the sum that b does not move,
+    so that every quadratic-size product and division happens here, once
+    per (n, a, c).  The CLI's widest sample sets carry e = 2 at about one
+    level in a thousand and never more; the walk computes R + a e for a
+    larger carry.
     """
     ka, a = divmod(a, c)
     base = ka * _tri(n)
@@ -104,28 +120,48 @@ def _chain(n: int, a: int, c: int):
         Q, R = divmod(a * n, c)
         k, rest = divmod(c, a)
         base += k * _tri(Q)
-        levels.append((a, c, R, k, k * Q, Q))
+        levels.append(((R, R + a, R + 2 * a), a, c, k, k * Q, Q))
         n, a, c = Q, rest, a
     return n0, c0, base, tuple(levels), a, c
 
 
 def _walk(chain, b: int) -> int:
-    """floor_sum at offset b along a chain: every step multiplies a big
-    number by a small one or divides with a small quotient.  The true n of
-    a level is Q + e; T(Q + e) = T(Q) + Q e + T(e) splits the triangular
-    term into the chain's part and the walk's."""
+    """floor_sum at offset b along a chain.  A level adds its stored R + e a
+    to b and reduces mod c by subtraction, the new carry e counting the
+    subtractions; it reduces mod a by one subtraction where k = 1 and
+    divides only where k > 1 and b >= a, with a quotient s <= k.  The true
+    n of a level is Q + e; T(Q + e) = T(Q) + Q e + T(e) splits the
+    triangular term into the chain's part and the walk's, and the terms
+    that b moves (e k Q + k T(e) + (Q + e) s, about as wide as n) gather in
+    a narrow accumulator added to the wide total once."""
     n0, c0, base, levels, a_end, c_end = chain
     B, b = divmod(b, c0)
-    ans = base + n0 * B
-    e = 0
-    for a, c, R, k, kQ, Q in levels:
-        e, b = divmod(R + a * e + b, c)
-        ans += e * kQ + k * (e * (e - 1) // 2)
-        s, b = divmod(b, a)
-        ans += (Q + e) * s
-    # the nominal n ran out (or a did, when every term below is 0): the true
-    # n is the few carries e left over
-    return ans + sum((a_end * j + b) // c_end for j in range(e))
+    acc = e = 0
+    for Ra, a, c, k, kQ, Q in levels:
+        try:
+            b += Ra[e]
+        except IndexError:
+            b += Ra[0] + a * e
+        e = 0
+        while b >= c:
+            b -= c
+            e += 1
+        if e == 1:
+            acc += kQ
+        elif e:
+            acc += e * kQ + k * (e * (e - 1) // 2)
+        if b >= a:
+            if k == 1:
+                b -= a
+                acc += Q + e
+            else:
+                s, b = divmod(b, a)
+                acc += (Q + e) * s
+    if e:
+        # the nominal n ran out (or a did, when every term below is 0): the
+        # true n is the few carries e left over
+        acc += sum((a_end * j + b) // c_end for j in range(e))
+    return base + n0 * B + acc
 
 
 def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
@@ -169,6 +205,7 @@ class ErgodicContext:
     def __init__(self, phi: Observable | tuple[Observable, ...],
                  trunc: RationalTruncation, x_den: int,
                  enforce_window: bool = True):
+        (x_den,) = _integers("sample denominator", x_den)
         if x_den < 1:
             raise ConfigError("sample denominator must be >= 1")
         self._single = not isinstance(phi, (tuple, list))
@@ -179,7 +216,7 @@ class ErgodicContext:
                     f"{type(f).__name__} {getattr(f, 'label', '')!r} is not a "
                     "scalar observable; sum its components separately")
         self.trunc = trunc
-        self.x_den = int(x_den)
+        self.x_den = x_den
         # the window guards faithfulness to the irrational target; callers
         # rotating by a genuinely rational angle may disable it (the floor
         # sums themselves are exact at every N)
@@ -207,12 +244,12 @@ class ErgodicContext:
 
     def sum_at(self, x_num: int, N: int):
         """S_N phi(x) for x = x_num/x_den reduced mod 1, for each observable."""
-        N = int(N)
+        x_num, N = _integers("sample numerator and N", x_num, N)
         if N < 0:
             raise ConfigError(f"N must be >= 0, got {N}")
         if N > 1 and self.enforce_window:
             self.trunc.require_window(N - 1, "orbit length")
-        A = (int(x_num) * self.x_scale) % self.L
+        A = (x_num * self.x_scale) % self.L
         L, P = self.L, self.P
         F = [floor_sum(N, P, A - C, L) if N else 0 for C in self.offsets]
         ramp = A * N + P * (N * (N - 1) // 2) if self._ramp else 0
@@ -229,7 +266,7 @@ def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation,
     x = Fraction(x)
     x -= x.numerator // x.denominator
     if engine == "direct":
-        return _direct_sum(phi, x, int(N), trunc)
+        return _direct_sum(phi, x, *_integers("N", N), trunc)
     if engine != "floorsum":
         raise ConfigError(f"unknown engine {engine!r}")
     return ErgodicContext(phi, trunc, x.denominator).sum_at(x.numerator, N)

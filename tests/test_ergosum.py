@@ -7,9 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from rotsum import billiard as bil
+from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
+from rotsum import sequences as seq
+from rotsum import stats as st
 from rotsum.errors import ConfigError, PrecisionError
 
 
@@ -163,8 +167,95 @@ def _floor_sum_operands(draw):
     return n, a, b, c
 
 
-@settings(max_examples=600)
-@given(_floor_sum_operands())
+def _fib(m):
+    a, b = 0, 1
+    for _ in range(m):
+        a, b = b, a + b
+    return a
+
+
+def _walk_branches(n, a, b, c):
+    """The names of the walk branches that floor_sum(n, a, b, c) takes,
+    recomputed level by level from its chain: the carry e fed into a level
+    is read from the chain's stored R + e a, or computed past them."""
+    names = {f"n = {n}"} if n < 2 else set()
+    if not 0 <= b < c:
+        names.add("b < 0" if b < 0 else "b >= c")
+    if n == 0:
+        return names
+    b, e = b % c, 0
+    for Ra, a, c, k, _, _ in es._chain(n, a, c)[3]:
+        if e == 2:
+            names.add("stored carry 2")
+        if e >= len(Ra):
+            names.add("carry past the table")
+        e, b = divmod(Ra[0] + a * e + b, c)
+        names.add(f"carry {min(e, 2)}")
+        names.add(("k = 1" if k == 1 else "k > 1")
+                  + (", b >= a" if b >= a else ", b < a"))
+        b %= a
+    if e:
+        names.add("carries left at the end")
+    return names
+
+
+# one pinned example per branch of the walk and per edge of its input
+_WALK_EXAMPLES = {
+    "n = 0": (0, 2 ** 100, -7, 3 ** 50),
+    "n = 1": (1, 3 ** 40, -(2 ** 70), 2 ** 64 + 13),
+    "b < 0": (10 ** 30, 3 ** 90, -(7 ** 60), 2 ** 160 + 7),
+    "b >= c": (10 ** 300, _fib(1500), 2 * _fib(1501) + 17, _fib(1501)),
+    "k = 1, b >= a": (1, 2, 0, 3),
+    "k = 1, b < a": (1, 2, 1, 3),
+    "k > 1, b >= a": (1, 1, 0, 2),
+    "k > 1, b < a": (1, 1, 1, 2),
+    "carry 0": (1, 1, 0, 2),
+    "carry 1": (1, 1, 1, 2),
+    "carry 2": (3, 3, 3, 5),
+    "stored carry 2": (8, 3, 3, 5),
+    "carry past the table": (29, 11, 15, 18),
+    "carries left at the end": (3, 2, 5, 7),
+}
+
+
+def _pin_walk_examples(test):
+    for operands in _WALK_EXAMPLES.values():
+        test = example(operands)(test)
+    return test
+
+
+@hst.composite
+def _fibonacci_operands(draw):
+    """(n, F_m, b, F_(m+1)) with c up to about 1390 bits: every partial
+    quotient of F_m / F_(m+1) is 1 but the last, so the walk reduces mod a
+    by subtraction at every level but one."""
+    m = draw(hst.integers(3, 2000))
+    a, c = _fib(m), _fib(m + 1)
+    b = draw(hst.integers(-3 * c, 3 * c))
+    n = draw(hst.integers(0, 2 ** draw(_WIDTHS) - 1))
+    return n, a, b, c
+
+
+@hst.composite
+def _small_operands(draw):
+    """(n, a, b, c) with c < 64 and n < 4c: the carries run up to 2 and
+    past the chain's table far more often than at wide operands."""
+    c = draw(hst.integers(1, 63))
+    a = draw(hst.integers(-c, 2 * c))
+    b = draw(hst.integers(-2 * c, 2 * c))
+    n = draw(hst.integers(0, 4 * c))
+    return n, a, b, c
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_EXAMPLES))
+def test_walk_examples_take_their_branch(name):
+    assert name in _walk_branches(*_WALK_EXAMPLES[name])
+
+
+@settings(max_examples=1800)
+@given(hst.one_of(_floor_sum_operands(), _fibonacci_operands(),
+                  _small_operands()))
+@_pin_walk_examples
 @example((0, 5, 3, 7))
 @example((9, 0, -13, 5))
 @example((2 ** 700, 0, 3 ** 600, 5 ** 400))
@@ -195,6 +286,75 @@ def test_floor_sum_carries_past_nominal_end(euclid_floor_sum, operands):
     levels = es._chain(n, a, c)[3]
     assert len(levels) == 1 and levels[0][-1] == 0      # nominal Q = 0
     assert es.floor_sum(*operands) == euclid_floor_sum(*operands)
+
+
+@pytest.fixture(scope="module")
+def sample_set_contexts():
+    """(context, N) of the CLI's two widest sample sets: the indicator of
+    [0, 1/3) on clt:c=30 at --terms 40 (a 772-bit L), and psi1, psi2 on the
+    level-133 parity plan of parity:c=30 at --terms 40 (a 1389-bit L)."""
+    plan = seq.plan_growth(cli.parse_alpha("clt:c=30", 48), 2.0, 40)
+    pplan = seq.plan_parity(cli.parse_alpha("parity:c=30", 128), 2.0, 40)
+    params = bil.params_for_plan(pplan.trunc)
+    return (
+        (es.ErgodicContext(obs.indicator(Fraction(1, 3)), plan.trunc, 2 ** 64),
+         plan.L[40]),
+        (es.ErgodicContext(bil.psi_components(params).components,
+                           pplan.trunc, 2 ** 64), pplan.L[40]))
+
+
+def test_sample_set_chains_match_euclid_oracle(euclid_floor_sum,
+                                               sample_set_contexts):
+    (ind, N), (psi, N2) = sample_set_contexts
+    assert (ind.L.bit_length(), psi.L.bit_length()) == (772, 1389)
+    assert psi.trunc.level == 133
+    # k > 1 at every level of the indicator's chain but the first; on the
+    # parity chain every third level has k = 1
+    ks = [level[3] for level in es._chain(N, ind.P, ind.L)[3]]
+    assert ks[0] == 1 and min(ks[1:]) > 1
+    ks = [level[3] for level in es._chain(N2, psi.P, psi.L)[3]]
+    assert ks.count(1) >= len(ks) // 3
+    for ctx, n in sample_set_contexts:
+        for m in st.StratifiedSampler(seed=4, size=20).numerators():
+            A = int(m) * ctx.x_scale % ctx.L
+            for C in ctx.offsets:
+                assert es.floor_sum(n, ctx.P, A - C, ctx.L) == \
+                    euclid_floor_sum(n, ctx.P, A - C, ctx.L)
+
+
+@pytest.mark.parametrize("operands", [
+    (4, Fraction(1, 2), 0, 1), (4, 0.5, 0, 1), (4.9, 1, 0, 1),
+    (4, 1, 0.5, 1), (4, 1, 0, 2.0), ("4", 1, 0, 1), (None, 1, 0, 1)])
+def test_floor_sum_rejects_non_integers(operands):
+    with pytest.raises(ConfigError, match="must be integers"):
+        es.floor_sum(*operands)
+
+
+def test_integer_operands_of_any_kind(golden_trunc):
+    # numpy integers and bools are integers; their sums equal the int ones
+    assert es.floor_sum(np.int64(7), np.uint64(3), np.int32(-2), 5) == \
+        es.floor_sum(7, 3, -2, 5)
+    ctx = es.ErgodicContext(obs.Sawtooth(), golden_trunc, np.int64(64))
+    assert ctx.x_den == 64 and type(ctx.x_den) is int
+    assert ctx.sum_at(np.uint64(3), np.int64(10)) == ctx.sum_at(3, 10)
+    assert es.ergodic_sum(obs.half(), Fraction(1, 3), np.int16(40),
+                          golden_trunc, engine="direct") == \
+        es.ergodic_sum(obs.half(), Fraction(1, 3), 40, golden_trunc)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx, tr: ctx.sum_at(3, 10.7),
+    lambda ctx, tr: ctx.sum_at(3.5, 10),
+    lambda ctx, tr: ctx.sum_at(Fraction(7, 2), 10),
+    lambda ctx, tr: es.ErgodicContext(obs.Sawtooth(), tr, 64.5),
+    lambda ctx, tr: es.ergodic_sum(obs.half(), Fraction(1, 3), 40.5, tr,
+                                   engine="direct"),
+    lambda ctx, tr: es.ergodic_sum(obs.half(), Fraction(1, 3), 40.5, tr),
+], ids=["N", "x_num", "x_num_fraction", "x_den", "direct_N", "floorsum_N"])
+def test_sum_rejects_non_integers(call, golden_trunc):
+    ctx = es.ErgodicContext(obs.Sawtooth(), golden_trunc, 64)
+    with pytest.raises(ConfigError, match="must be integers"):
+        call(ctx, golden_trunc)
 
 
 def test_context_reused_across_horizons(golden_trunc):
