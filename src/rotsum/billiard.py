@@ -40,8 +40,8 @@ import numpy as np
 from .contfrac import RationalTruncation, from_list, truncation
 from .errors import (BoundaryError, CertificateError, ConfigError,
                      SingularOrbitError)
-from .observables import (TWO_PI, VectorObservable, billiard_displacement,
-                          phase_fracs, series_weights)
+from .observables import (TWO_PI, VectorObservable, _phase_table,
+                          billiard_displacement, series_weights)
 from .ergosum import ErgodicContext
 from .sequences import SubsequencePlan
 from .stats import ExperimentReport, covariance_2d
@@ -389,13 +389,17 @@ class PiecewiseLinear:
     def gamma_array(self, rmax: int) -> np.ndarray:
         """gamma_r = r c_r of the centered function for r = 1..rmax, from
         the jump at each piece's right edge and the piece's slope, with
-        exactly reduced phases.  Real and imaginary parts are summed piece
+        exactly reduced phases; each break's (cos, sin) table is built on
+        one period of r and tiled.  Real and imaginary parts are summed piece
         by piece in the order and rounding of scalar complex arithmetic,
         so the table equals the one-r-at-a-time closed form bit for bit.
         """
-        def unit(t):  # e^{-2 pi i r t} as (cos, sin) float64 arrays
-            angle = -TWO_PI * phase_fracs(t, rmax)
-            return np.cos(angle), np.sin(angle)
+        def cos_sin(fracs):
+            angle = -TWO_PI * fracs
+            return np.stack((np.cos(angle), np.sin(angle)))
+
+        def unit(t):  # e^{-2 pi i r t} as (cos, sin) float64 rows
+            return _phase_table(t, rmax, cos_sin)
 
         k = len(self.breaks)
         w = TWO_PI * np.arange(1, rmax + 1, dtype=np.float64)

@@ -508,21 +508,48 @@ def phase_fracs(theta: Fraction, rmax: int):
     return reduce_phases(theta.numerator, theta.denominator, rmax)[1]
 
 
+def _require_rmax(rmax: int) -> None:
+    if rmax < 1:
+        raise ConfigError(f"rmax must be >= 1, got {rmax}")
+
+
+def _phase_table(theta: Fraction, rmax: int, fn):
+    """fn(phase_fracs(theta, rmax)) for an elementwise ``fn``, built on one
+    period and tiled along the last axis.
+
+    {r theta} depends only on r mod den(theta), so fn is evaluated on the
+    first min(den, rmax) phases only.  The tiled table equals the
+    full-length one bit for bit: with den > rmax the two calls coincide,
+    and with den <= rmax both phase tables are small int64 ones whose
+    entries are the same exact quotients residue / den.
+    """
+    import numpy as np
+
+    period = min(theta.denominator, rmax)
+    table = fn(phase_fracs(theta, period))
+    if period == rmax:
+        return table
+    return np.tile(table, -(-rmax // period))[..., :rmax]
+
+
 def gamma_array(phi: Observable, stride, rmax: int):
     """gamma_{stride * r} for r = 1..rmax as a complex vector.
 
     ``stride`` may be an arbitrarily large integer (or Fraction-compatible):
-    each jump phase is reduced exactly once to theta = {stride * t} and then
-    walked by ``phase_fracs``.
+    each jump phase is reduced exactly once to theta = {stride * t}, and its
+    term J e^{-2 pi i r theta} is built on one period of r (den(theta)
+    entries at most) and tiled to rmax.
     """
     import numpy as np
 
+    _require_rmax(rmax)
     if isinstance(phi, Sawtooth):
         return np.full(rmax, 1j / TWO_PI, dtype=complex)
     acc = np.zeros(rmax, dtype=complex)
     for t, j in phi.jumps().items():
-        theta = _frac(stride * t)
-        acc += float(j) * np.exp(-2j * math.pi * phase_fracs(theta, rmax))
+        jump = float(j)
+        acc += _phase_table(_frac(stride * t), rmax,
+                            lambda f: jump * np.exp(-2j * math.pi * f))
     return acc / (2j * math.pi)
 
 
@@ -530,6 +557,7 @@ def gamma_sq_array(phi: Observable, stride, rmax: int):
     """|gamma_{stride * r}|^2 for r = 1..rmax; the sawtooth's is 1/(4 pi^2)."""
     import numpy as np
 
+    _require_rmax(rmax)
     if isinstance(phi, Sawtooth):
         return np.full(rmax, 1.0 / (4.0 * math.pi ** 2))
     g = gamma_array(phi, stride, rmax)
@@ -560,6 +588,7 @@ def hat_norm_sq(phi: Observable, ell: int, rmax: int = 4000) -> tuple[float, flo
 
     if ell < 1:
         raise ConfigError("ell must be >= 1")
+    _require_rmax(rmax)
     if isinstance(phi, Sawtooth):
         return PHI0_HAT_NORM_SQ, 0.0
     k = phi.kbound()

@@ -31,8 +31,8 @@ import numpy as np
 
 from .contfrac import RationalTruncation
 from .errors import CertificateError, ConfigError
-from .observables import (_INT64_SAFE, Observable, gamma_sq_array,
-                          reduce_phases, series_weights)
+from .observables import (_INT64_SAFE, Observable, _require_rmax,
+                          gamma_sq_array, reduce_phases, series_weights)
 from .ergosum import orbit_sum_profile
 
 __all__ = [
@@ -60,7 +60,14 @@ def gn_kernel(n: int, t: float) -> float:
 
 
 def _gn_mean_direct(n: int, t: float) -> float:
-    return sum(gn_kernel(k, t) for k in range(n)) / n
+    """sum(gn_kernel(k, t) for k < n) / n, bit for bit, with the reduction
+    of t and its sine done once."""
+    tf = float(t) % 1.0
+    s = math.sin(math.pi * tf)
+    if abs(s) < 1e-14:
+        return sum(float(k * k) for k in range(n)) / n
+    return sum((math.sin(math.pi * ((k * tf) % 2.0)) / s) ** 2
+               for k in range(n)) / n
 
 
 def gn_mean(n: int, t: float) -> float:
@@ -231,11 +238,20 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int,
     kmax = min(kmax, trunc.validity_bound - 1)
     if qn > kmax:
         raise ConfigError("q_n beyond the scan range")
-    # (i) exact
-    lhs1 = Fraction(0)
+    # (i) exact: 1/(k^2 ||k a||^2) = q^2 / (k m_k)^2 with m_k = ||k a|| q,
+    # summed over a running common denominator; every k < q_n <= kmax lies
+    # inside the exact window
+    p, q = trunc.p, trunc.q
+    num, den = 0, 1
     for k in range(1, qn):
-        d = trunc.distance(k)
-        lhs1 += Fraction(1, k * k) / (d * d)
+        res = k * p % q
+        x = k * min(res, q - res)
+        x *= x
+        g = math.gcd(den, x)
+        scale = x // g
+        num = num * scale + den // g
+        den *= scale
+    lhs1 = Fraction(num * q * q, den)
     rhs1 = 6 * sum(Fraction(trunc.qs[j + 1], trunc.qs[j]) ** 2 for j in range(n))
     ok1 = lhs1 <= rhs1
     # (ii)/(iii) vectorized floats with exact residues
@@ -281,7 +297,8 @@ def variance_profile(phi: Observable, trunc: RationalTruncation,
     ns = tuple(int(v) for v in ns)
     if any(v < 1 for v in ns):
         raise ConfigError("profile indices must be >= 1")
-    rm = rmax or max(20_000, 100 * max(ns))
+    rm = max(20_000, 100 * max(ns)) if rmax is None else rmax
+    _require_rmax(rm)
     table = AlphaFourierTable(trunc, rm)
     w = series_weights(gamma_sq_array(phi, 1, rm))
     norms, means, lows, ups, lvls = [], [], [], [], []

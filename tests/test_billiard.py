@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from rotsum import billiard as bil
+from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
@@ -305,6 +306,47 @@ def test_hitting_time_gamma_against_quadrature(params25):
             acc += antider(float(hi)) - antider(float(lo))
         oracle = r * acc
         assert abs(table[r - 1] - oracle) < 1e-10
+
+
+def gamma_array_full_length(prof, rmax):
+    """PiecewiseLinear.gamma_array with every break's cos/sin table built at
+    full length rmax."""
+    def unit(t):
+        angle = -obs.TWO_PI * obs.phase_fracs(t, rmax)
+        return np.cos(angle), np.sin(angle)
+
+    k = len(prof.breaks)
+    w = obs.TWO_PI * np.arange(1, rmax + 1, dtype=np.float64)
+    re, im = np.zeros(rmax), np.zeros(rmax)
+    cos_lo, sin_lo = unit(prof.breaks[0])
+    for i in range(k):
+        hi = prof.breaks[i + 1] if i + 1 < k else Fraction(1)
+        nxt = prof.slopes[(i + 1) % k] * (hi % 1) + prof.intercepts[(i + 1) % k]
+        jump = float(nxt - (prof.slopes[i] * hi + prof.intercepts[i]))
+        cos_hi, sin_hi = unit(hi)
+        re += jump * cos_hi
+        im += jump * sin_hi
+        s = float(prof.slopes[i])
+        re -= s * (sin_hi - sin_lo) / w
+        im += s * (cos_hi - cos_lo) / w
+        cos_lo, sin_lo = cos_hi, sin_hi
+    return im / obs.TWO_PI - 1j * (re / obs.TWO_PI)
+
+
+@pytest.mark.parametrize("shape", ["params25", "level133"])
+def test_hitting_time_gamma_tiles_exactly(shape, params25):
+    # params25's breaks have denominators up to 10, so their tables are
+    # tiled; the level-133 drift shape's breaks are 1325-bit wide
+    if shape == "params25":
+        params, sizes = params25, (1, 7, 10, 64, 101, 2000)
+    else:
+        params = bil.params_for_plan(cli.parse_alpha("parity:c=30", 128))
+        sizes = (1, 64, 3000)
+    prof = bil.hitting_time_profile(params)
+    for rmax in sizes:
+        table = prof.gamma_array(rmax)
+        oracle = gamma_array_full_length(prof, rmax)
+        assert np.array_equal(table.view(np.uint64), oracle.view(np.uint64))
 
 
 def test_mild_hypothesis_designed():

@@ -12,7 +12,8 @@ import pytest
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
-from rotsum.errors import CertificateError, RotsumError
+from rotsum import variance as var
+from rotsum.errors import CertificateError, ConfigError, RotsumError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rotsum"
 
@@ -87,3 +88,30 @@ def test_certificate_failure_is_typed(monkeypatch):
     with pytest.raises(CertificateError) as exc:
         es.ostrowski_bound_check(phi, Fraction(1, 7), 10, tr)
     assert isinstance(exc.value, RotsumError)
+
+
+@pytest.mark.parametrize("phi", [obs.Sawtooth(), obs.half()],
+                         ids=lambda p: p.label)
+@pytest.mark.parametrize("rmax", [-3, 0])
+def test_fourier_tables_reject_rmax_below_one(phi, rmax):
+    # not numpy's ValueError for a negative length
+    with pytest.raises(ConfigError, match="rmax"):
+        obs.gamma_array(phi, 1, rmax)
+    with pytest.raises(ConfigError, match="rmax"):
+        obs.gamma_sq_array(phi, 1, rmax)
+
+
+@pytest.mark.parametrize("phi", [obs.Sawtooth(), obs.half()],
+                         ids=lambda p: p.label)
+def test_hat_norm_sq_rejects_rmax_zero(phi):
+    # not a ZeroDivisionError in the tail bound
+    with pytest.raises(ConfigError, match="rmax"):
+        obs.hat_norm_sq(phi, 3, rmax=0)
+
+
+def test_variance_profile_rejects_rmax_zero():
+    # rmax=0 is refused, not read as the default
+    tr = cf.truncation(cf.golden(30), 20)
+    with pytest.raises(ConfigError, match="rmax"):
+        var.variance_profile(obs.half(), tr, [1, 5], rmax=0)
+    assert var.variance_profile(obs.half(), tr, [1, 5], rmax=1).ns == (1, 5)

@@ -371,6 +371,102 @@ def test_gamma_array_matches_scalar_gamma(phi, shift, stride):
     assert np.allclose(gsq, np.abs(g) ** 2, rtol=1e-12, atol=1e-15)
 
 
+PARITY_Q = cli.parse_alpha("parity:c=30", 128).q   # level 133, 1325 bits
+
+
+def gamma_array_oracle(phi, stride, rmax):
+    """gamma_array with every jump's phases built at full length rmax."""
+    acc = np.zeros(rmax, dtype=complex)
+    for t, j in phi.jumps().items():
+        theta = (stride * t) % 1
+        acc += float(j) * np.exp(-2j * math.pi * obs.phase_fracs(theta, rmax))
+    return acc / (2j * math.pi)
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_tiled_tables_exact(phi, stride, rmax):
+    g = obs.gamma_array(phi, stride, rmax)
+    oracle = gamma_array_oracle(phi, stride, rmax)
+    assert g.shape == (rmax,) and same_bits(g, oracle)
+    assert same_bits(obs.gamma_sq_array(phi, stride, rmax),
+                     (oracle * oracle.conjugate()).real)
+
+
+def max_phase_den(phi, stride):
+    return max(((stride * t) % 1).denominator for t in phi.jumps())
+
+
+CASES = ["den < rmax", "den == rmax", "den > rmax"]
+WIDE_DENS = [2 ** 61 - 1, LEVEL40.q, PARITY_Q]
+
+
+def rmax_for(case, den, periods, extra):
+    """An rmax on the given side of the largest phase denominator den;
+    den < rmax leaves a part period of 1 <= extra < den when den > 1."""
+    if case == "den > rmax":
+        return min(den - 1, extra)
+    if case == "den == rmax":
+        return den
+    return den * periods + (extra % (den - 1) + 1 if den > 1 else 0)
+
+
+@settings(max_examples=60)
+@given(phi=hst.sampled_from(STEP_CATALOG),
+       shift_den=hst.sampled_from([97] + WIDE_DENS),
+       stride=hst.one_of(hst.sampled_from(LEVEL40.qs[:41] + (PARITY_Q,)),
+                         hst.integers(1, LEVEL40.qs[40])),
+       case=hst.sampled_from(CASES), periods=hst.integers(1, 4),
+       extra=hst.integers(1, 3000), data=hst.data())
+def test_gamma_array_tiles_one_period_exactly(phi, shift_den, stride, case,
+                                              periods, extra, data):
+    # a k/97 shift keeps den({stride t}) small, so its period is tiled; a
+    # wide shift puts den beyond any rmax, in either reduce_phases regime
+    # (2**61 - 1 is an int64 table only for rmax <= 2)
+    phi = phi.shifted(Fraction(data.draw(hst.integers(1, shift_den - 1),
+                                         label="shift"), shift_den))
+    den = max_phase_den(phi, stride)
+    if den > 4000:
+        case = "den > rmax"
+    rmax = max(rmax_for(case, den, periods, extra), 1)
+    assert_tiled_tables_exact(phi, stride, rmax)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("stride", [1, 2, LEVEL40.qs[40], PARITY_Q],
+                         ids=lambda d: f"{d.bit_length()}bit")
+def test_gamma_array_tiles_small_denominators(case, stride):
+    for phi in STEP_CATALOG:
+        phi = phi.shifted(Fraction(5, 97))
+        den = max_phase_den(phi, stride)
+        assert 1 < den <= 4000
+        rmax = rmax_for(case, den, 2, 1234)
+        assert (den < rmax and rmax % den) or case != "den < rmax"
+        assert_tiled_tables_exact(phi, stride, rmax)
+
+
+@pytest.mark.parametrize("rmax", [1, 2, 3, 3000])
+@pytest.mark.parametrize("shift_den", WIDE_DENS,
+                         ids=lambda d: f"{d.bit_length()}bit")
+def test_gamma_array_wide_denominators_both_regimes(shift_den, rmax):
+    regimes = set()
+    for phi in STEP_CATALOG:
+        phi = phi.shifted(Fraction(5, shift_den))
+        for stride in (7, LEVEL40.qs[39], PARITY_Q - 1):
+            for t in phi.jumps():
+                theta = (stride * t) % 1
+                regimes.add(obs.reduce_phases(theta.numerator,
+                                              theta.denominator, rmax)[0]
+                            is None)
+            assert_tiled_tables_exact(phi, stride, rmax)
+    # big-regime tables throughout; the 61-bit shift also gives int64 ones,
+    # with den above 2**53, at rmax <= 2
+    int64 = shift_den == 2 ** 61 - 1 and rmax <= 2
+    assert regimes == ({True, False} if int64 else {True})
+
+
 def test_gamma_sq_array_sawtooth_constant():
     gsq = obs.gamma_sq_array(obs.Sawtooth(), 12345, 10)
     assert np.all(gsq == 1.0 / (4.0 * math.pi ** 2))

@@ -46,6 +46,15 @@ def test_gn_mean_matches_direct():
             assert var.gn_mean(n, t) == pytest.approx(direct, rel=1e-8)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 1e-15, 3e-15, 1 - 1e-16, 1e-9,
+                               1e-4, 0.0123, 0.37, 0.5, 1.75])
+def test_gn_mean_direct_is_the_kernel_sum(t):
+    # bit for bit, including the tiny-sine branch (|sin(pi t)| < 1e-14)
+    for n in (1, 2, 17, 150, 1000):
+        direct = sum(var.gn_kernel(k, t) for k in range(n)) / n
+        assert var._gn_mean_direct(n, t).hex() == direct.hex()
+
+
 def test_gn_mean_lower_bounds():
     # <G_n>(t) >= n^2/pi^2 on [0, 1/(2n)] and >= 1/(8 pi^2 t^2) up to 1/2
     for n in (5, 20, 100):
@@ -194,6 +203,27 @@ def test_diagnostics_golden_and_designed(golden_trunc):
                                            1, 1, 1, 1, 1, 1]), 18)
     rep = var.diagnostic_inequalities(designed, 3, 12)
     assert all(ok for (_, _, ok) in rep.values())
+
+
+A4_TRUNCATIONS = {
+    "golden": (cf.truncation(cf.golden(45), 43), 8),
+    "sqrt2m1": (cf.truncation(cf.sqrt2m1(24), 22), 8),
+    "designed": (cf.truncation(cf.from_list(
+        [1, 50, 1, 1, 2, 1, 1, 1, 3] + [1] * 15), 24), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(A4_TRUNCATIONS))
+def test_diagnostic_orbit_sum_matches_fraction_loop(name):
+    trunc, n = A4_TRUNCATIONS[name]
+    lhs = Fraction(0)
+    for k in range(1, trunc.qs[n]):
+        d = trunc.distance(k)
+        lhs += Fraction(1, k * k) / (d * d)
+    rhs = 6 * sum(Fraction(trunc.qs[j + 1], trunc.qs[j]) ** 2
+                  for j in range(n))
+    report = var.diagnostic_inequalities(trunc, n, 10)
+    assert report["orbit_sum"] == (float(lhs), float(rhs), lhs <= rhs)
 
 
 def test_variance_profile_shape(golden_trunc):
