@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .contfrac import RationalTruncation, from_list, truncation
+from .contfrac import RationalTruncation
 from .errors import (BoundaryError, CertificateError, ConfigError,
                      SingularOrbitError)
 from .observables import (TWO_PI, VectorObservable, _phase_table,
@@ -60,7 +60,6 @@ __all__ = [
     "hitting_time",
     "hitting_time_profile",
     "estimate_c",
-    "rational_truncation",
     "params_for_plan",
     "mild_hypothesis_values",
     "clt_experiment",
@@ -192,41 +191,10 @@ def cell_after_direct(n: int, x, params: ObstacleParams) -> tuple[int, int]:
     return st.z
 
 
-def rational_truncation(alpha: Fraction) -> RationalTruncation:
-    """A truncation whose value is exactly the rational alpha (its full
-    continued fraction), for driving the floor-sum engine at rational angles."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must be in (0,1)")
-    digits = []
-    num, den = alpha.denominator, alpha.numerator  # expand 1/alpha
-    while den:
-        q, r = divmod(num, den)
-        digits.append(q)
-        num, den = den, r
-    if digits and digits[-1] == 1 and len(digits) > 1:
-        digits = digits[:-2] + [digits[-2] + 1]
-    if len(digits) < 2:
-        digits = digits[:-1] + [digits[-1] - 1, 1] if digits[-1] > 1 else digits + [1]
-    spec = from_list(digits)
-    tr = truncation(spec, len(digits))
-    if tr.value != alpha:
-        raise CertificateError("continued-fraction reconstruction failed")
-    return tr
-
-
-def cell_after(n: int, x, params: ObstacleParams,
-               trunc: RationalTruncation | None = None) -> tuple[int, int]:
-    """S(n, Psi)(x) via one exact floor-sum context for both components.
-
-    ``trunc``, if given, must evaluate to alpha = a/(a+b).  The sums run on
-    the exact rational truncation of alpha (window = full rational period)
-    either way: a truncation with that value has the same p_M/q_M.
-    """
+def cell_after(n: int, x, params: ObstacleParams) -> tuple[int, int]:
+    """S(n, Psi)(x) via one exact floor-sum context for both components."""
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
-    if trunc is not None and trunc.value != params.alpha:
-        raise ConfigError("truncation value differs from a/(a+b)")
     x = Fraction(x)
     v1, v2 = _cell_context(params, x.denominator).sum_at(x.numerator, n)
     z1, z2 = int(v1), int(v2)
@@ -238,12 +206,10 @@ def cell_after(n: int, x, params: ObstacleParams,
 @lru_cache(maxsize=16)
 def _cell_context(params: ObstacleParams, x_den: int) -> ErgodicContext:
     """The context of psi1 and psi2 for one obstacle shape and sample
-    denominator, built once.  The rotation is genuinely rational here, so
-    floor sums are exact at every N and the truncation window does not
-    apply."""
-    return ErgodicContext(psi_components(params).components,
-                          rational_truncation(params.alpha), x_den,
-                          enforce_window=False)
+    denominator, built once.  The rotation by alpha = a/(a+b) is genuinely
+    rational, so the kernel sums it exactly at every N."""
+    return ErgodicContext(psi_components(params).components, params.alpha,
+                          x_den)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +241,18 @@ def section_start(chi, params: ObstacleParams):
     return pos, direction
 
 
-def _first_hit(px: int, py: int, sx: int, sy: int, ha: int, hb: int,
-               D: int, max_slabs: int = 256):
+# Obstacle columns _first_hit walks before giving up on a ray.
+_MAX_SLABS = 256
+
+
+def _first_hit(px: int, py: int, sx: int, sy: int, ha: int, hb: int, D: int):
     """First obstacle intersection of the ray (px,py) + t(sx,sy), t > 0.
 
     Slab walking on numerators over D (the point, ha = a/2, hb = b/2 and the
     returned t); raises ``SingularOrbitError`` on exact corner/tangent hits.
     """
     m0 = px // D if sx > 0 else -(-px // D)
-    for k in range(max_slabs):
+    for k in range(_MAX_SLABS):
         m = m0 + sx * k
         # t-interval where the x-coordinate crosses the slab of obstacle column m
         if sx > 0:

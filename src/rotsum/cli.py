@@ -3,8 +3,7 @@
 Subcommands: cf, ostrowski, sum, variance, plan, clt, erdos-fortet,
 gaposhkin, billiard, billiard-clt.  Outputs are RFC-4180 CSV (data tables,
 big integers as decimal strings) or single-line JSON reports; identical
-configuration and seed produce byte-identical output.  ROTSUM_THREADS is
-read and recorded for reproducibility (current engines are single-process).
+configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,7 +50,9 @@ class RunConfig:
                "terms": self.terms, "samples": self.samples,
                "seed": self.seed, "out": self.out, "format": self.fmt,
                "options": self.options,
-               "threads": os.environ.get("ROTSUM_THREADS", "1")}
+               # a constant: every run is single-process, and the field
+               # stays only because the recorded config hashes include it
+               "threads": "1"}
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
@@ -74,31 +74,35 @@ class RunConfig:
             json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def parse_alpha(text: str, levels: int, guard: int = 5):
+# Levels a parsed alpha is truncated beyond the requested depth.
+_GUARD = 5
+
+
+def parse_alpha(text: str, levels: int):
     """'golden' | 'sqrt2m1' | 'list:1,2,3' | 'clt:c=30' | 'parity:c=30'."""
     if text == "golden":
-        spec = cf.golden(max_index=levels + guard)
+        spec = cf.golden(max_index=levels + _GUARD)
     elif text == "sqrt2m1":
-        spec = cf.sqrt2m1(max_index=levels + guard)
+        spec = cf.sqrt2m1(max_index=levels + _GUARD)
     elif text.startswith("list:"):
         vals = [int(v) for v in text[5:].split(",") if v]
         spec = cf.from_list(vals)
-        levels = min(levels, len(vals) - guard)
+        levels = min(levels, len(vals) - _GUARD)
         if levels < 1:
             raise ConfigError("explicit list too short for the guard")
     elif text.startswith("clt:") or text == "clt":
         kw = _parse_kw(text[4:] if ":" in text else "")
         spec = cf.clt_design_rule(c=int(kw.get("c", 30)),
                                   beta=int(kw.get("beta", 2)),
-                                  max_index=levels + guard)
+                                  max_index=levels + _GUARD)
     elif text.startswith("parity:") or text == "parity":
         kw = _parse_kw(text[7:] if ":" in text else "")
         spec = cf.parity_design_rule(c=int(kw.get("c", 30)),
                                      beta=int(kw.get("beta", 2)),
-                                     max_index=levels + guard)
+                                     max_index=levels + _GUARD)
     else:
         raise ConfigError(f"cannot parse alpha spec {text!r}")
-    return cf.truncation(spec, min(spec.max_index, levels + guard))
+    return cf.truncation(spec, min(spec.max_index, levels + _GUARD))
 
 
 def _parse_kw(text: str) -> dict:

@@ -42,7 +42,9 @@ bound certificate closes the module.
 
 from __future__ import annotations
 
+import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,6 +190,11 @@ class ErgodicContext:
     """The visit-count kernel: exact sums S_N phi(x_num / x_den) of one
     observable, or of a tuple of observables sampled at the same points.
 
+    The rotation ``rot`` is a ``RationalTruncation`` p_M/q_M of an irrational
+    alpha, whose sums are faithful only inside the window N - 1 < q_(M-1)
+    (``PrecisionError`` beyond it), or an exact rational (int or Fraction),
+    a genuinely rational rotation whose sums are exact at every N.
+
     Over the common denominator L of the rotation, the sample denominator
     and the jump points, with A = x L, P = alpha L and
     F(C) = floor_sum(N, P, A - C, L), the visits to [0, C) number
@@ -203,11 +210,18 @@ class ErgodicContext:
     """
 
     def __init__(self, phi: Observable | tuple[Observable, ...],
-                 trunc: RationalTruncation, x_den: int,
-                 enforce_window: bool = True):
+                 rot: RationalTruncation | int | Fraction, x_den: int):
         (x_den,) = _integers("sample denominator", x_den)
         if x_den < 1:
             raise ConfigError("sample denominator must be >= 1")
+        if isinstance(rot, RationalTruncation):
+            alpha = rot.value
+        elif isinstance(rot, numbers.Rational):
+            alpha = Fraction(rot)
+        else:
+            raise ConfigError(
+                "rotation must be a RationalTruncation or an exact rational "
+                f"(int or Fraction), got {type(rot).__name__} {rot!r}")
         self._single = not isinstance(phi, (tuple, list))
         phis = (phi,) if self._single else tuple(phi)
         for f in phis:
@@ -215,17 +229,13 @@ class ErgodicContext:
                 raise ConfigError(
                     f"{type(f).__name__} {getattr(f, 'label', '')!r} is not a "
                     "scalar observable; sum its components separately")
-        self.trunc = trunc
+        self.rot = rot
         self.x_den = x_den
-        # the window guards faithfulness to the irrational target; callers
-        # rotating by a genuinely rational angle may disable it (the floor
-        # sums themselves are exact at every N)
-        self.enforce_window = enforce_window
         jumps = [{t: Fraction(v) for t, v in f.jumps().items()} for f in phis]
-        L = math.lcm(trunc.q, self.x_den,
+        L = math.lcm(alpha.denominator, self.x_den,
                      *(t.denominator for js in jumps for t in js))
         self.L = L
-        self.P = trunc.p * (L // trunc.q)
+        self.P = alpha.numerator * (L // alpha.denominator)
         self.x_scale = L // self.x_den
         columns = {}            # jump point C * L -> index of F(C)
         self._rows = []         # (a d, s d, [(index, J d)], d)
@@ -247,8 +257,8 @@ class ErgodicContext:
         x_num, N = _integers("sample numerator and N", x_num, N)
         if N < 0:
             raise ConfigError(f"N must be >= 0, got {N}")
-        if N > 1 and self.enforce_window:
-            self.trunc.require_window(N - 1, "orbit length")
+        if N > 1 and isinstance(self.rot, RationalTruncation):
+            self.rot.require_window(N - 1, "orbit length")
         A = (x_num * self.x_scale) % self.L
         L, P = self.L, self.P
         F = [floor_sum(N, P, A - C, L) if N else 0 for C in self.offsets]
@@ -278,27 +288,36 @@ def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation)
     if N > 1:
         trunc.require_window(N - 1, "orbit length")
     L = math.lcm(trunc.q, x.denominator)
-    P = trunc.p * (L // trunc.q)
+    P = trunc.p * (L // trunc.q) % L
     r = (x.numerator * (L // x.denominator)) % L
+    # integer residues r = {x + j alpha} L: the sawtooth sums them, a step
+    # function counts its visits per piece; one Fraction at the end
     if isinstance(phi, Sawtooth):
-        total = Fraction(0)
+        total = 0
         for _ in range(N):
-            total += Fraction(r, L) - Fraction(1, 2)
-            r = (r + P) % L
-        return total
+            total += r
+            r += P
+            if r >= L:
+                r -= L
+        return Fraction(2 * total - N * L, 2 * L)
     bounds = [int(b * L) for b in phi.breakpoints]
-    vals = phi.values
-    total = Fraction(0)
-    import bisect
+    visits = [0] * len(bounds)
     for _ in range(N):
-        total += vals[bisect.bisect_right(bounds, r) - 1]
-        r = (r + P) % L
-    return total
+        visits[bisect.bisect_right(bounds, r) - 1] += 1
+        r += P
+        if r >= L:
+            r -= L
+    return Fraction(sum(c * v for c, v in zip(visits, phi.values)))
 
 
 # ---------------------------------------------------------------------------
 # Exact piecewise profile of x -> S_n phi(x), on integers
 # ---------------------------------------------------------------------------
+
+# Largest n * #jumps an exact profile enumerates; beyond it the Fourier
+# (series) modes apply.
+_PROFILE_CAP = 400_000
+
 
 @dataclass(frozen=True)
 class OrbitProfile:
@@ -405,8 +424,7 @@ def orbit_sum_profile(phi: Observable, n: int, rot: Fraction) -> OrbitProfile:
 # ---------------------------------------------------------------------------
 
 def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
-                    mode: str = "exact", rmax: int = 2000,
-                    cap: int = 400_000):
+                    mode: str = "exact", rmax: int = 2000):
     """|| S_{q_n} phi - periodized transfer ||_2^2.
 
     exact mode: one signed integer profile holds the jumps of
@@ -419,7 +437,7 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
     """
     qn = trunc.qs[n]
     if mode == "exact":
-        if qn * 8 > cap:
+        if qn * 8 > _PROFILE_CAP:
             raise ConfigError(
                 f"profile cap exceeded at q_n={qn}; use series mode")
         return _signed_profile(phi, qn, ((trunc.value, 1),

@@ -379,11 +379,15 @@ def catalog(name: str, **params):
 # Periodization transfer
 # ---------------------------------------------------------------------------
 
-def hat_observable(phi: Observable, ell: int, cap: int = 200_000) -> Observable:
+# Largest ell * #pieces that hat_observable enumerates.
+_HAT_CAP = 200_000
+
+
+def hat_observable(phi: Observable, ell: int) -> Observable:
     """hat_phi_ell with hat_phi_ell(ell x) = sum_{j<ell} phi(x + j/ell).
 
     For a step function the breakpoints are {ell t mod 1}; enumeration costs
-    ell * (#pieces) evaluations and is refused beyond ``cap`` (use
+    ell * (#pieces) evaluations and is refused beyond ``_HAT_CAP`` (use
     ``hat_norm_sq`` for the Fourier route instead).
     """
     if ell < 1:
@@ -392,7 +396,7 @@ def hat_observable(phi: Observable, ell: int, cap: int = 200_000) -> Observable:
         return phi  # gamma_{r ell} = gamma_r: the transfer fixes the sawtooth
     if ell == 1:
         return phi
-    if ell * len(phi.breakpoints) > cap:
+    if ell * len(phi.breakpoints) > _HAT_CAP:
         raise ConfigError(
             f"hat enumeration cap exceeded (ell={ell}); use hat_norm_sq")
     bs, vals = _step_pieces(
@@ -484,7 +488,8 @@ def reduce_phases(num: int, den: int, rmax: int):
 
     * while every product fits (den < 2**62 // rmax), ``residues`` are the
       int64 numerators (r * num) mod den and ``fracs`` their float64
-      quotients by den;
+      quotients by den (from the double-double path below once den >= 2**53,
+      where a residue would round to float64 before the division);
     * beyond that ``residues`` is None and ``fracs`` are computed in
       vectorized double-double arithmetic (theta = num/den split exactly
       into a correctly rounded head and a rounded tail, the head's mantissa
@@ -499,6 +504,8 @@ def reduce_phases(num: int, den: int, rmax: int):
     if den < _INT64_SAFE // max(rmax, 1):
         r = np.arange(1, rmax + 1, dtype=np.int64)
         res = (r * np.int64(num)) % np.int64(den)
+        if den >= 2 ** 53:
+            return res, _certified_phases(num, den, rmax)
         return res, res.astype(np.float64) / den
     return None, _certified_phases(num, den, rmax)
 

@@ -65,6 +65,18 @@ __all__ = [
 # horizons used here, and all residues fit exact int64 arithmetic.
 DOUBLING_DEN = 4503599627370449
 
+# Pass criteria of the experiment reports (recorded in their ``tolerance``).
+_CLT_KS_TOL = 0.03                  # KS distance to N(0,1)
+_CLT_RATIO_BAND = (0.9, 1.1)        # empirical / predicted variance
+_EF_KS_MIX_TOL = 0.03               # KS distance to the Erdos-Fortet mixture
+_EF_GAP_TOL = 0.02                  # how much worse the best single normal is
+_GAPOSHKIN_KS_TOL = 0.02            # two-sample KS, plain against modified
+_COV_TOL = 0.1                      # absolute, per covariance entry
+_DIR_TOL = 0.10                     # relative, per directional variance
+# Series lengths of the Fourier instruments.
+_TAIL_JMAX = 20_000                 # fourier_tail_norm
+_RESONANCE_MMAX = 2000              # resonance sums
+
 
 # ---------------------------------------------------------------------------
 # Samplers
@@ -80,7 +92,8 @@ class StratifiedSampler:
 
     def __post_init__(self):
         if not 1 <= self.size <= self.den:
-            raise ConfigError(f"sample size must be in [1, den], got {self.size}")
+            raise ConfigError(f"sample size must be >= 1 and at most "
+                              f"den = {self.den}, got {self.size}")
 
     def numerators(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -257,8 +270,7 @@ def sample_sums(plan: SubsequencePlan, phi: Observable,
 
 
 def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
-               seed: int, ks_tol: float = 0.03,
-               ratio_band: tuple[float, float] = (0.9, 1.1)) -> ExperimentReport:
+               seed: int) -> ExperimentReport:
     """Normalized-sum Gaussianity check of the samples ``ss`` of
     S_{L_n} phi, drawn by ``sample_sums`` at plan position n."""
     if not 1 <= n <= plan.count:
@@ -267,13 +279,14 @@ def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
     ratio = emp_var / ss.prediction
     ks = ks_statistic(ss.normalized(), _normal_cdf_array)
     mean = float(np.mean(ss.values))
-    passed = (ks <= ks_tol) and (ratio_band[0] <= ratio <= ratio_band[1])
+    lo, hi = _CLT_RATIO_BAND
+    passed = (ks <= _CLT_KS_TOL) and (lo <= ratio <= hi)
     return ExperimentReport(
         kind="clt_subsequence",
         empirical={"ks": ks, "variance": emp_var, "variance_ratio": ratio,
                    "mean": mean},
         prediction={"variance": ss.prediction, "reference": "N(0,1)"},
-        tolerance={"ks": ks_tol, "ratio_band": list(ratio_band)},
+        tolerance={"ks": _CLT_KS_TOL, "ratio_band": list(_CLT_RATIO_BAND)},
         passed=passed,
         seed=seed,
         plan_hash=plan.plan_hash(),
@@ -283,27 +296,16 @@ def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
 
 
 def clt_experiment(plan: SubsequencePlan, phi: Observable, n: int,
-                   samples: int, seed: int,
-                   ks_tol: float = 0.03,
-                   ratio_band: tuple[float, float] = (0.9, 1.1)) -> ExperimentReport:
+                   samples: int, seed: int) -> ExperimentReport:
     """Normalized-sum Gaussianity check along the plan at position n, on
     ``samples`` stratified points drawn with ``seed``."""
     ss = sample_sums(plan, phi, StratifiedSampler(seed=seed, size=samples), n)
-    return clt_report(plan, phi, n, ss, seed, ks_tol, ratio_band)
+    return clt_report(plan, phi, n, ss, seed)
 
 
 # ---------------------------------------------------------------------------
 # Doubling-map experiments
 # ---------------------------------------------------------------------------
-
-def _doubling_numerators(seed: int, size: int) -> np.ndarray:
-    if size < 1:
-        raise ConfigError(f"sample size must be >= 1, got {size}")
-    rng = np.random.default_rng(seed)
-    step = DOUBLING_DEN // size
-    return (np.arange(size, dtype=np.int64) * step
-            + rng.integers(0, step, size=size, dtype=np.int64))
-
 
 def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
     """One sum_{k=1..n} f0(e_k x) per shifted set, f0 = cos(2 pi x) +
@@ -336,29 +338,28 @@ def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
     return outs
 
 
-def erdos_fortet_experiment(n: int, samples: int, seed: int,
-                            ks_mix_tol: float = 0.03,
-                            gap_tol: float = 0.02) -> ExperimentReport:
+def erdos_fortet_experiment(n: int, samples: int, seed: int) -> ExperimentReport:
     """Distribution of (1/sqrt n) sum f0((2^k - 1) x): converges to the
     sqrt(2)|cos(pi Y)| Gaussian mixture, detectably non-Gaussian.
 
-    Passes when KS(mixture) <= ks_mix_tol and the best-fit single normal is
-    worse by at least gap_tol.
+    Passes when KS(mixture) <= _EF_KS_MIX_TOL and the best-fit single normal
+    is worse by at least _EF_GAP_TOL.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    nums = _doubling_numerators(seed, samples)
+    sampler = StratifiedSampler(seed, samples, DOUBLING_DEN)
+    nums = sampler.numerators().astype(np.int64)
     z = _f0_sum(nums, n, None)[0] / math.sqrt(n)
     ks_mix = ks_statistic(z, mixture_cdf)
     sd = math.sqrt(float(np.mean(z ** 2)))
     ks_norm = ks_statistic(z, lambda v: _normal_cdf_array(np.asarray(v) / sd))
-    passed = (ks_mix <= ks_mix_tol) and (ks_norm >= ks_mix + gap_tol)
+    passed = (ks_mix <= _EF_KS_MIX_TOL) and (ks_norm >= ks_mix + _EF_GAP_TOL)
     return ExperimentReport(
         kind="erdos_fortet",
         empirical={"ks_mixture": ks_mix, "ks_best_normal": ks_norm,
                    "variance": sd * sd, "gap": ks_norm - ks_mix},
         prediction={"variance": 1.0, "reference": "sqrt(2)|cos(pi Y)| mixture"},
-        tolerance={"ks_mixture": ks_mix_tol, "gap": gap_tol},
+        tolerance={"ks_mixture": _EF_KS_MIX_TOL, "gap": _EF_GAP_TOL},
         passed=passed,
         seed=seed,
         extra={"n": n, "samples": samples},
@@ -403,8 +404,7 @@ def gaposhkin_count(a: int, nmax: int) -> int:
     return len([k for k in gaposhkin_index_set(a, nmax) if 1 <= k <= nmax])
 
 
-def gaposhkin_demo(a: int, n: int, samples: int, seed: int,
-                   ks_tol: float = 0.02) -> ExperimentReport:
+def gaposhkin_demo(a: int, n: int, samples: int, seed: int) -> ExperimentReport:
     """Compares the normalized sums over 2^k against the sequence modified to
     2^k - 1 on the sparse index set I_a: the modification is invisible at
     scale sqrt(n)."""
@@ -412,21 +412,22 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int,
         raise ConfigError("exponent a must be >= 5")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    nums = _doubling_numerators(seed, samples)
+    sampler = StratifiedSampler(seed, samples, DOUBLING_DEN)
+    nums = sampler.numerators().astype(np.int64)
     mism = gaposhkin_index_set(a, n)
     s_plain, s_mod = (s / math.sqrt(n) for s in _f0_sum(nums, n, (), mism))
     ks = two_sample_ks(s_plain, s_mod)
-    count = len([k for k in mism if 1 <= k <= n])
+    count = gaposhkin_count(a, n)
     sup_diff = float(np.max(np.abs(s_plain - s_mod)))
     sup_bound = 2.0 * 2.0 * count / math.sqrt(n)  # 2 ||f0||_inf per mismatch
-    passed = (ks <= ks_tol) and (sup_diff <= sup_bound)
+    passed = (ks <= _GAPOSHKIN_KS_TOL) and (sup_diff <= sup_bound)
     return ExperimentReport(
         kind="gaposhkin_modified_sequence",
         empirical={"ks_two_sample": ks, "mismatches": count,
                    "sup_diff": sup_diff, "var_plain": float(np.var(s_plain)),
                    "var_modified": float(np.var(s_mod))},
         prediction={"mismatch_scale": n ** (2.0 / a), "sup_diff_bound": sup_bound},
-        tolerance={"ks_two_sample": ks_tol},
+        tolerance={"ks_two_sample": _GAPOSHKIN_KS_TOL},
         passed=passed,
         seed=seed,
         extra={"a": a, "n": n, "samples": samples},
@@ -449,7 +450,7 @@ def _resonance_sum(f: Observable, ka: int, g: Observable, kb: int,
 
 
 def resonance_integral(f: Observable, l1: int, g: Observable, l2: int,
-                       mmax: int = 2000) -> tuple[float, float]:
+                       mmax: int = _RESONANCE_MMAX) -> tuple[float, float]:
     """(|value|, tail_bound) for int_0^1 f(l1 x) conj(g(l2 x)) dx.
 
     Only frequencies with l1 k = l2 m resonate: k = (l2/d) m', m = (l1/d) m'
@@ -465,17 +466,16 @@ def resonance_integral(f: Observable, l1: int, g: Observable, l2: int,
     return abs(val), tail
 
 
-def fourier_tail_norm(f: Observable, t: float, jmax: int = 20_000) -> float:
+def fourier_tail_norm(f: Observable, t: float) -> float:
     """Partial sum of R(f, t) = (sum_{|j| >= t} |c_j|^2)^(1/2); an
     underestimate of the true tail norm (no completion term added)."""
     j0 = max(1, math.ceil(t))
-    w = series_weights(gamma_sq_array(f, 1, jmax))
+    w = series_weights(gamma_sq_array(f, 1, _TAIL_JMAX))
     return math.sqrt(float(np.sum(w[j0 - 1:])))
 
 
 def quasi_orthogonality_check(f: Observable, g: Observable,
-                              l1: int, l2: int,
-                              mmax: int = 2000) -> tuple[float, float]:
+                              l1: int, l2: int) -> tuple[float, float]:
     """Check |int f(l1 x) conj(g(l2 x))| <= R(f, l2/l1) ||g||_2.
 
     Returns (lhs, rhs) as truncated evaluations; the check grants the
@@ -484,7 +484,7 @@ def quasi_orthogonality_check(f: Observable, g: Observable,
     """
     if l2 < l1:
         raise ConfigError("need l2 >= l1")
-    val, tail = resonance_integral(f, l1, g, l2, mmax=mmax)
+    val, tail = resonance_integral(f, l1, g, l2)
     rhs = fourier_tail_norm(f, l2 / l1) * math.sqrt(float(g.norm_sq()))
     if val > rhs + tail + 1e-12:
         raise CertificateError(
@@ -492,12 +492,13 @@ def quasi_orthogonality_check(f: Observable, g: Observable,
     return val, rhs
 
 
-def block_variance_ratio(fs: list, ns: list, mmax: int = 2000) -> float:
+def block_variance_ratio(fs: list, ns: list) -> float:
     """int (sum_k f_k(n_k x))^2 dx / sum_k ||f_k||_2^2 via resonance sums.
 
     The numerator expands into exact diagonal norms plus pairwise resonance
     integrals (signed real parts, truncation tails included in neither side:
-    tails are O(K^2/(rho mmax)) and reported by the caller's tolerance).
+    tails are O(K^2/(rho mmax)) with mmax = _RESONANCE_MMAX, and reported by
+    the caller's tolerance).
     """
     if len(fs) != len(ns):
         raise ConfigError("need one observable per frequency")
@@ -507,7 +508,7 @@ def block_variance_ratio(fs: list, ns: list, mmax: int = 2000) -> float:
         for j in range(i + 1, len(fs)):
             d = math.gcd(ns[i], ns[j])
             ka, kb = ns[j] // d, ns[i] // d
-            cross += 2.0 * _resonance_sum(fs[i], ka, fs[j], kb, mmax)
+            cross += 2.0 * _resonance_sum(fs[i], ka, fs[j], kb, _RESONANCE_MMAX)
     return (diag + cross) / diag
 
 
@@ -516,8 +517,7 @@ def block_variance_ratio(fs: list, ns: list, mmax: int = 2000) -> float:
 # ---------------------------------------------------------------------------
 
 def covariance_2d(plan: SubsequencePlan, psi: VectorObservable,
-                  n: int, samples: int, seed: int,
-                  cov_tol: float = 0.1, dir_tol: float = 0.10) -> ExperimentReport:
+                  n: int, samples: int, seed: int) -> ExperimentReport:
     """Empirical covariance of n^{-1/2} (S_{L_n} psi1, S_{L_n} psi2) against
     diag(1/2, 1/2), plus directional variances (u^2+v^2)/2 for
     (u,v) in {(1,0), (0,1), (1,1)}.  Requires a parity-certified plan."""
@@ -540,15 +540,15 @@ def covariance_2d(plan: SubsequencePlan, psi: VectorObservable,
         var_uv = float(np.mean((u * v1 + v * v2) ** 2))
         pred = (u * u + v * v) / 2.0
         directions[f"({u},{v})"] = {"variance": var_uv, "prediction": pred}
-        ok_dirs = ok_dirs and abs(var_uv - pred) <= dir_tol * pred
-    ok_cov = (abs(cov["c11"] - 0.5) <= cov_tol
-              and abs(cov["c22"] - 0.5) <= cov_tol
-              and abs(cov["c12"]) <= cov_tol)
+        ok_dirs = ok_dirs and abs(var_uv - pred) <= _DIR_TOL * pred
+    ok_cov = (abs(cov["c11"] - 0.5) <= _COV_TOL
+              and abs(cov["c22"] - 0.5) <= _COV_TOL
+              and abs(cov["c12"]) <= _COV_TOL)
     return ExperimentReport(
         kind="vector_clt_covariance",
         empirical={**cov, "directions": directions},
         prediction={"covariance": [[0.5, 0.0], [0.0, 0.5]]},
-        tolerance={"cov_entry": cov_tol, "direction_rel": dir_tol},
+        tolerance={"cov_entry": _COV_TOL, "direction_rel": _DIR_TOL},
         passed=ok_cov and ok_dirs,
         seed=seed,
         plan_hash=plan.plan_hash(),

@@ -33,7 +33,7 @@ from .contfrac import RationalTruncation
 from .errors import CertificateError, ConfigError
 from .observables import (_INT64_SAFE, Observable, _require_rmax,
                           gamma_sq_array, reduce_phases, series_weights)
-from .ergosum import orbit_sum_profile
+from .ergosum import _PROFILE_CAP, orbit_sum_profile
 
 __all__ = [
     "gn_kernel",
@@ -142,8 +142,7 @@ class AlphaFourierTable:
 
 
 def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
-            mode: str = "fourier", rmax: int | None = None,
-            cap: int = 400_000):
+            mode: str = "fourier", rmax: int | None = None):
     """||S_n phi||_2^2.
 
     fourier mode returns (value, tail_bound) with the series truncated at
@@ -156,7 +155,7 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
     if n == 0:
         return (Fraction(0), 0) if mode == "exact" else (0.0, 0.0)
     if mode == "exact":
-        if n * len(phi.jumps()) > cap:
+        if n * len(phi.jumps()) > _PROFILE_CAP:
             raise ConfigError(f"profile cap exceeded (n={n}); use fourier mode")
         prof = orbit_sum_profile(phi, n, trunc.value)
         return prof.integral_sq(), 0
@@ -214,8 +213,11 @@ def level_of(n: int, trunc: RationalTruncation) -> int:
 # Lemma-level inequality diagnostics
 # ---------------------------------------------------------------------------
 
-def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int,
-                            kmax: int = 100_000) -> dict:
+# Frequency scan length of diagnostic_inequalities (ii) and (iii).
+_DIAG_KMAX = 100_000
+
+
+def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     """Checks three repartition inequalities for the orbit of 0.
 
     (i)   sum_{k=1}^{q_n - 1} 1/(k^2 ||k a||^2) <= 6 sum_{j<n} (q_{j+1}/q_j)^2
@@ -226,20 +228,20 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int,
 
     The constants in (ii)/(iii) come from the Denjoy-Koksma block argument
     applied to the window indicator and to x^-2 on [1/m, 1/2].  The infinite
-    sums are truncated at ``kmax`` and the truncation tails (1/kmax and
-    m^2/kmax) are added to the left-hand sides before checking; a violated
-    inequality raises CertificateError.
+    sums are truncated at kscan = min(_DIAG_KMAX, q_(M-1) - 1) and the
+    truncation tails (1/kscan and m^2/kscan) are added to the left-hand sides
+    before checking; a violated inequality raises CertificateError.
     """
     if m < 3:
         raise ConfigError("m must be >= 3")
     qn = trunc.qs[n]
     # the scan cannot leave the exact window; a shorter scan only enlarges
     # the (still valid) truncation tails added below
-    kmax = min(kmax, trunc.validity_bound - 1)
-    if qn > kmax:
+    kscan = min(_DIAG_KMAX, trunc.validity_bound - 1)
+    if qn > kscan:
         raise ConfigError("q_n beyond the scan range")
     # (i) exact: 1/(k^2 ||k a||^2) = q^2 / (k m_k)^2 with m_k = ||k a|| q,
-    # summed over a running common denominator; every k < q_n <= kmax lies
+    # summed over a running common denominator; every k < q_n <= kscan lies
     # inside the exact window
     p, q = trunc.p, trunc.q
     num, den = 0, 1
@@ -255,17 +257,17 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int,
     rhs1 = 6 * sum(Fraction(trunc.qs[j + 1], trunc.qs[j]) ** 2 for j in range(n))
     ok1 = lhs1 <= rhs1
     # (ii)/(iii) vectorized floats with exact residues
-    table = AlphaFourierTable(trunc, kmax)
+    table = AlphaFourierTable(trunc, kscan)
     dist = table.dist
-    k = np.arange(1, kmax + 1, dtype=np.float64)
-    sel = slice(qn - 1, kmax)
+    k = np.arange(1, kscan + 1, dtype=np.float64)
+    sel = slice(qn - 1, kscan)
     close = dist[sel] <= 1.0 / m
     inv_k2 = 1.0 / k[sel] ** 2
-    lhs2 = float(np.sum(inv_k2[close])) + 1.0 / kmax
+    lhs2 = float(np.sum(inv_k2[close])) + 1.0 / kscan
     rhs2 = 4.0 * (1.0 / (m * qn) + 1.0 / qn ** 2)
     ok2 = lhs2 <= rhs2
     far = ~close
-    lhs3 = float(np.sum(inv_k2[far] / dist[sel][far] ** 2)) + m * m / kmax
+    lhs3 = float(np.sum(inv_k2[far] / dist[sel][far] ** 2)) + m * m / kscan
     rhs3 = 4.0 * m / qn + 8.0 * m * m / qn ** 2
     ok3 = lhs3 <= rhs3
     report = {

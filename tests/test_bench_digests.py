@@ -13,11 +13,9 @@ WORKLOADS = ("rotation_clt", "billiard_clt", "variance_backends", "billiard_rays
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_matches_reference_digests(workload, monkeypatch):
     # importing bench/workloads.py sets these thread variables; setting them
-    # here first lets monkeypatch restore them.  CLI reports embed
-    # ROTSUM_THREADS, which a benchmark run unsets.
+    # here first lets monkeypatch restore them.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    monkeypatch.delenv("ROTSUM_THREADS", raising=False)
     monkeypatch.syspath_prepend(str(BENCH))
     import run
     import workloads

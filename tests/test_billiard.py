@@ -99,21 +99,38 @@ def test_cell_after_builds_one_context_per_shape(params25):
     for n in (5, 9, 5):
         assert bil.cell_after(n, x, params25) == \
             bil.cell_after_direct(n, x, params25)
-    assert bil.cell_after(9, x, params25, bil.rational_truncation(
-        params25.alpha)) == bil.cell_after_direct(9, x, params25)
     assert bil._cell_context.cache_info().misses == 1
-    with pytest.raises(ConfigError, match="differs"):
-        bil.cell_after(9, x, params25, cf.truncation(cf.golden(20), 10))
 
 
 @pytest.mark.parametrize("cell_sum", [bil.cell_after, bil.cell_after_direct])
 def test_cell_sums_reject_negative_n(cell_sum, params25, monkeypatch):
     def no_work(*args):
         raise AssertionError("negative n must be rejected before any work")
-    monkeypatch.setattr(bil, "rational_truncation", no_work)
+    bil._cell_context.cache_clear()
+    monkeypatch.setattr(bil, "ErgodicContext", no_work)
     monkeypatch.setattr(bil, "step", no_work)
     with pytest.raises(ConfigError):
         cell_sum(-3, Fraction(1, 7), params25)
+
+
+@settings(max_examples=150)
+@given(alpha=hst.fractions(min_value=0, max_value=1, max_denominator=10 ** 30)
+       .filter(lambda a: 0 < a < 1),
+       x=hst.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
+       n=hst.integers(0, 300))
+# 5/13 = [0; 2, 1, 1, 2]: n = 300 passes q_(M-1) = 5 and the period q_M = 13
+@example(alpha=Fraction(5, 13), x=Fraction(1, 9), n=300)
+def test_cell_context_on_exact_alpha_matches_iteration(alpha, x, n):
+    # the kernel takes the rational rotation a/(a+b) as it is: exact at every
+    # n, past q_(M-1) of every truncation of alpha and past its period
+    params = bil.ObstacleParams(a=alpha, b=1 - alpha)
+    try:
+        direct = bil.cell_after_direct(n, x, params)
+    except BoundaryError:
+        return
+    ctx = es.ErgodicContext(bil.psi_components(params).components, alpha,
+                            x.denominator)
+    assert ctx.sum_at(x.numerator, n) == direct
 
 
 def test_cell_bounded_at_denominators():
@@ -207,9 +224,8 @@ def test_traced_cells_match_cocycle(params, chi, collisions):
         cells = bil.ray_trace(chi, params, collisions).cells()
     except SingularOrbitError:
         return
-    ctr = bil.rational_truncation(params.alpha)
     for j, cell in enumerate(cells, start=1):
-        assert cell == bil.cell_after(j, chi, params, ctr)
+        assert cell == bil.cell_after(j, chi, params)
         assert cell == bil.cell_after_direct(j, chi, params)
 
 
@@ -247,9 +263,8 @@ def test_ray_trace_golden_truncation_alpha():
         x = Fraction(rng.randrange(1, 2 ** 30), 2 ** 30)
         orbit = bil.ray_trace(x, params, collisions=60)
         cells = orbit.cells()
-        ctr = bil.rational_truncation(params.alpha)
         for j in (1, 7, 30):
-            assert cells[j - 1] == bil.cell_after(j, x, params, ctr)
+            assert cells[j - 1] == bil.cell_after(j, x, params)
 
 
 def test_mirror_symmetry_square_obstacles(square_params):
@@ -381,10 +396,3 @@ def test_clt_requires_matching_alpha():
     with pytest.raises(ConfigError):
         bil.clt_experiment(wrong, plan, 6, 100, seed=0)
 
-
-@settings(max_examples=150)
-@given(alpha=hst.fractions(min_value=0, max_value=1, max_denominator=10 ** 30)
-       .filter(lambda a: 0 < a < 1))
-def test_rational_truncation_value_is_alpha(alpha):
-    tr = bil.rational_truncation(alpha)
-    assert tr.value == alpha

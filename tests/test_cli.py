@@ -43,6 +43,22 @@ def test_determinism_byte_identical(tmp_path):
     assert "config_hash" in doc and doc["version"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["clt", "--alpha", "clt:c=30", "--terms", "4", "--samples", "40"],
+    ["billiard-clt", "--alpha", "parity:c=30", "--terms", "4", "--samples",
+     "40"],
+], ids=lambda argv: argv[0])
+def test_output_ignores_thread_variable(argv, capsys, monkeypatch):
+    # no environment variable reaches a report or its config hash
+    monkeypatch.delenv("ROTSUM_THREADS", raising=False)
+    assert cli.main(list(argv)) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setenv("ROTSUM_THREADS", "4")
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr() == plain
+    assert '"config_hash"' in plain.out
+
+
 def test_ostrowski_and_sum(tmp_path):
     data = run_cli(["ostrowski", "--alpha", "golden", "--opt", "N=10"],
                    tmp_path, "o.csv")

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -307,7 +308,7 @@ def test_sample_set_chains_match_euclid_oracle(euclid_floor_sum,
                                                sample_set_contexts):
     (ind, N), (psi, N2) = sample_set_contexts
     assert (ind.L.bit_length(), psi.L.bit_length()) == (772, 1389)
-    assert psi.trunc.level == 133
+    assert psi.rot.level == 133
     # k > 1 at every level of the indicator's chain but the first; on the
     # parity chain every third level has k = 1
     ks = [level[3] for level in es._chain(N, ind.P, ind.L)[3]]
@@ -524,6 +525,61 @@ def test_context_matches_direct_per_observable(case):
     # one floor sum per distinct jump point of the union
     points = set().union(*(phi.jumps() for phi in phis))
     assert len(ctx.offsets) == len(points)
+
+
+def _fraction_loop_sum(phi, x, N, trunc):
+    """The direct engine as first written, one Fraction added per term: the
+    oracle of the integer direct engine."""
+    L = math.lcm(trunc.q, x.denominator)
+    P = trunc.p * (L // trunc.q)
+    r = (x.numerator * (L // x.denominator)) % L
+    total = Fraction(0)
+    if isinstance(phi, obs.Sawtooth):
+        for _ in range(N):
+            total += Fraction(r, L) - Fraction(1, 2)
+            r = (r + P) % L
+        return total
+    bounds = [int(b * L) for b in phi.breakpoints]
+    for _ in range(N):
+        total += phi.values[bisect.bisect_right(bounds, r) - 1]
+        r = (r + P) % L
+    return total
+
+
+@settings(max_examples=80)
+@given(profile_cases())
+@example((PROFILE_PHIS[-1], 200, PROFILE_TRUNCS["seeded"], Fraction(3, 7)))
+def test_direct_sum_equals_fraction_loop(case):
+    phi, n, trunc, x = case
+    direct = es._direct_sum(phi, x, n, trunc)
+    assert type(direct) is Fraction
+    assert direct == _fraction_loop_sum(phi, x, n, trunc)
+
+
+def test_context_rotation_is_a_truncation_or_an_exact_rational():
+    # a truncation p_M/q_M stands for an irrational alpha and guards its
+    # window; the same value given as an exact rational is a rational
+    # rotation, summed exactly past q_(M-1) and past its period q_M
+    tr = cf.truncation(cf.golden(20), 12)
+    phis = (obs.Sawtooth(), obs.indicator(Fraction(1, 3)))
+    x = Fraction(5, 97)
+    with pytest.raises(PrecisionError):
+        es.ErgodicContext(phis, tr, 97).sum_at(5, tr.validity_bound + 1)
+    exact = es.ErgodicContext(phis, tr.value, 97)
+    for N in (tr.validity_bound + 1, 3 * tr.q + 1):
+        assert exact.sum_at(5, N) == tuple(
+            sum(phi.evaluate(x + j * tr.value) for j in range(N))
+            for phi in phis)
+    # an integer rotation keeps x fixed
+    assert es.ErgodicContext(phis, 1, 97).sum_at(5, 10) == tuple(
+        10 * phi.evaluate(x) for phi in phis)
+
+
+@pytest.mark.parametrize("rot", [0.5, np.float64(0.25), "1/3", None],
+                         ids=["float", "float64", "str", "None"])
+def test_context_rejects_inexact_rotation(rot):
+    with pytest.raises(ConfigError, match="rotation must be"):
+        es.ErgodicContext(obs.Sawtooth(), rot, 64)
 
 
 @hst.composite

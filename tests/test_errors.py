@@ -1,6 +1,6 @@
 """Typed failures: no bare asserts or ValueErrors in the library, and
 certificate checks raise CertificateError.  Also every exported name of the
-library resolves."""
+library resolves, and the library reads no environment variable."""
 
 import ast
 import importlib
@@ -43,6 +43,20 @@ def test_library_raises_no_bare_value_error():
     # bad arguments raise ConfigError, which is itself a ValueError
     found = [where for where, node in _library_nodes()
              if _raises(node, "ValueError")]
+    assert not found, found
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_library_reads_no_environment():
+    # outputs depend on the configuration and seed alone, so no environment
+    # variable may reach them
+    found = [where for where, node in _library_nodes()
+             if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                 and ast.unparse(node.value) == "os")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and {alias.name for alias in node.names} & _ENVIRONMENT)]
     assert not found, found
 
 

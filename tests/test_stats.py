@@ -269,7 +269,8 @@ def test_gaposhkin_count_exact():
 
 def test_f0_sums_share_one_pass():
     # the fused pass equals a separate pass per shifted set, bit for bit
-    nums = st._doubling_numerators(4, 300)
+    sampler = st.StratifiedSampler(4, 300, st.DOUBLING_DEN)
+    nums = sampler.numerators().astype(np.int64)
     sets = ((), st.gaposhkin_index_set(5, 60), None)
     for fused, shifted_set in zip(st._f0_sum(nums, 60, *sets), sets):
         assert np.array_equal(fused, st._f0_sum(nums, 60, shifted_set)[0])
