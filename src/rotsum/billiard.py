@@ -30,7 +30,9 @@ equality tests), so its cell sequence against the cocycle is a two-route test.
 
 from __future__ import annotations
 
+import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -42,7 +44,7 @@ from .errors import (BoundaryError, CertificateError, ConfigError,
                      SingularOrbitError)
 from .observables import (TWO_PI, VectorObservable, _phase_table,
                           billiard_displacement, series_weights)
-from .ergosum import ErgodicContext
+from .ergosum import ErgodicContext, _integers
 from .sequences import SubsequencePlan
 from .stats import ExperimentReport, covariance_2d
 
@@ -119,53 +121,80 @@ class PathEvent:
 
 @dataclass(frozen=True)
 class BilliardOrbit:
+    """A traced orbit.  Each hit is kept as the tracer computed it, in
+    integers over the common denominator D: (T, px, py, obstacle, side) with
+    path length T/D (in units of |dx|) and hit point (px/D, py/D).
+    ``events`` builds the PathEvents from these records on first access."""
+
     chi: Fraction
-    events: tuple[PathEvent, ...]
     start: tuple[Fraction, Fraction]
     direction0: tuple[int, int]
+    D: int
+    hits: tuple[tuple[int, int, int, tuple[int, int], str], ...]
+
+    @cached_property
+    def events(self) -> tuple[PathEvent, ...]:
+        """The hits as PathEvents, built on first access and then kept."""
+        D = self.D
+        return tuple(
+            PathEvent(time=T / D * SQRT2, t_exact=Fraction(T, D),
+                      position=(Fraction(px, D), Fraction(py, D)),
+                      obstacle=obstacle, side=side)
+            for T, px, py, obstacle, side in self.hits)
 
     def cells(self) -> list[tuple[int, int]]:
         """Cell labels after each double collision: (O_{2j} - O_0)/2."""
         out = []
-        for j in range(2, len(self.events) + 1, 2):
-            om, on = self.events[j - 1].obstacle
+        for _, _, _, (om, on), _ in self.hits[1::2]:
             if om % 2 or on % 2:
                 raise CertificateError("obstacle displacement not even")
             out.append((om // 2, on // 2))
         return out
 
+    def _second_hit_numerator(self) -> int:
+        if len(self.hits) < 2:
+            raise ConfigError("orbit too short")
+        return self.hits[1][0]
+
     def hitting_time(self) -> float:
         """Path length to the second obstacle collision."""
-        if len(self.events) < 2:
-            raise ConfigError("orbit too short")
-        return self.events[1].time
+        return self._second_hit_numerator() / self.D * SQRT2
 
     def hitting_time_exact(self) -> Fraction:
-        if len(self.events) < 2:
-            raise ConfigError("orbit too short")
-        return self.events[1].t_exact
+        return Fraction(self._second_hit_numerator(), self.D)
 
 
 # ---------------------------------------------------------------------------
 # Displacement cocycle and the arithmetic engine
 # ---------------------------------------------------------------------------
 
-def displacement(x, params: ObstacleParams) -> tuple[int, int]:
-    """Psi(x): the four-valued cell step of one double collision."""
-    x = Fraction(x)
-    u, v = x.numerator % x.denominator, x.denominator  # {x} = u/v
-    p, q = params.alpha.numerator, params.alpha.denominator
+def _residue(x) -> tuple[int, int]:
+    """(u, v) with {x} = u/v in lowest terms.  The cocycle takes x as an
+    exact rational (an int or a Fraction); a float would stand for its
+    binary expansion, not for the number written."""
+    # the concrete types first: the Rational ABC check alone is slower
+    if not isinstance(x, (Fraction, int, numbers.Rational)):
+        raise ConfigError("x must be an exact rational (int or Fraction), "
+                          f"got {type(x).__name__} {x!r}")
+    v = int(x.denominator)
+    return int(x.numerator) % v, v
+
+
+def _psi(u: int, v: int, p: int, q: int) -> tuple[int, int]:
+    """Psi(u/v) for 0 <= u < v and alpha = p/q, by integer cross-multiplying."""
     # 2qu against 2qv times the breakpoints (1-alpha)/2, 1/2, 1-alpha/2
     u2q, c1, c2, c3 = 2 * q * u, v * (q - p), v * q, v * (2 * q - p)
     if u == 0 or u2q in (c1, c2, c3):
         raise BoundaryError(f"x = {Fraction(u, v)} is a displacement breakpoint")
-    if u2q < c1:
-        return (0, 1)
     if u2q < c2:
-        return (1, 0)
-    if u2q < c3:
-        return (0, -1)
-    return (-1, 0)
+        return (0, 1) if u2q < c1 else (1, 0)
+    return (0, -1) if u2q < c3 else (-1, 0)
+
+
+def displacement(x, params: ObstacleParams) -> tuple[int, int]:
+    """Psi(x): the four-valued cell step of one double collision."""
+    alpha = params.alpha
+    return _psi(*_residue(x), alpha.numerator, alpha.denominator)
 
 
 def psi_components(params: ObstacleParams) -> VectorObservable:
@@ -175,28 +204,39 @@ def psi_components(params: ObstacleParams) -> VectorObservable:
 
 def step(state: LatticeState, params: ObstacleParams) -> LatticeState:
     """One skew-product move (x, z) -> (x + alpha, z + Psi(x))."""
-    dz = displacement(state.x, params)
-    x = state.x + params.alpha
-    x -= x.numerator // x.denominator
-    return LatticeState(x, (state.z[0] + dz[0], state.z[1] + dz[1]))
+    u, v = _residue(state.x)
+    p, q = params.alpha.numerator, params.alpha.denominator
+    dz1, dz2 = _psi(u, v, p, q)
+    z1, z2 = state.z
+    vq = v * q
+    return LatticeState(Fraction((u * q + p * v) % vq, vq), (z1 + dz1, z2 + dz2))
 
 
 def cell_after_direct(n: int, x, params: ObstacleParams) -> tuple[int, int]:
     """S(n, Psi)(x) by literal skew-product iteration (exact, O(n))."""
+    (n,) = _integers("n", n)
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
-    st = LatticeState(Fraction(x), (0, 0))
-    for _ in range(int(n)):
-        st = step(st, params)
-    return st.z
+    u, v = _residue(x)
+    p, q = params.alpha.numerator, params.alpha.denominator
+    # x_j = u_j / (vq) with u_j = (u q + j p v) mod vq
+    w, u, dp = v * q, u * q, p * v
+    z1 = z2 = 0
+    for _ in range(n):
+        dz1, dz2 = _psi(u, w, p, q)
+        z1 += dz1
+        z2 += dz2
+        u = (u + dp) % w
+    return (z1, z2)
 
 
 def cell_after(n: int, x, params: ObstacleParams) -> tuple[int, int]:
     """S(n, Psi)(x) via one exact floor-sum context for both components."""
+    (n,) = _integers("n", n)
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
-    x = Fraction(x)
-    v1, v2 = _cell_context(params, x.denominator).sum_at(x.numerator, n)
+    u, v = _residue(x)
+    v1, v2 = _cell_context(params, v).sum_at(u, n)
     z1, z2 = int(v1), int(v2)
     if z1 != v1 or z2 != v2:
         raise CertificateError("displacement sums must be integers")
@@ -250,39 +290,42 @@ def _first_hit(px: int, py: int, sx: int, sy: int, ha: int, hb: int, D: int):
 
     Slab walking on numerators over D (the point, ha = a/2, hb = b/2 and the
     returned t); raises ``SingularOrbitError`` on exact corner/tangent hits.
+    The walk runs in the mirror image where the ray moves along (1, 1): the
+    obstacle lattice is symmetric, so every t is unchanged, and column m,
+    row n there are column sx*m, row sy*n of the ray's own frame.
     """
-    m0 = px // D if sx > 0 else -(-px // D)
-    for k in range(_MAX_SLABS):
-        m = m0 + sx * k
-        # t-interval where the x-coordinate crosses the slab of obstacle column m
-        if sx > 0:
-            tx_lo, tx_hi = m * D - ha - px, m * D + ha - px
-        else:
-            tx_lo, tx_hi = px - (m * D + ha), px - (m * D - ha)
+    X, Y = sx * px, sy * py
+    x_side = "left" if sx > 0 else "right"
+    y_side = "bottom" if sy > 0 else "top"
+    hb2 = 2 * hb
+    m = X // D - 1
+    tx_mid = m * D - X  # t at which the ray crosses the axis of column m
+    for _ in range(_MAX_SLABS):
+        m += 1
+        tx_mid += D
+        # t-interval where the x-coordinate crosses the slab of column m
+        tx_lo, tx_hi = tx_mid - ha, tx_mid + ha
         if tx_hi <= 0:
             continue
-        y_lo = py + sy * max(tx_lo, 0)
-        y_hi = py + sy * tx_hi
-        ylo, yhi = min(y_lo, y_hi), max(y_lo, y_hi)
+        # rows whose band meets the ray over the slab, in ascending sy*n
+        # (which fixes the obstacle a singular-hit error names)
+        n_lo = -((hb - Y - (tx_lo if tx_lo > 0 else 0)) // D)
+        n_hi = (Y + tx_hi + hb) // D
+        rows = range(n_lo, n_hi + 1) if sy > 0 else range(n_hi, n_lo - 1, -1)
         best = None
-        for n in range(-((hb - ylo) // D), (yhi + hb) // D + 1):
-            if sy > 0:
-                ty_lo, ty_hi = n * D - hb - py, n * D + hb - py
-            else:
-                ty_lo, ty_hi = py - (n * D + hb), py - (n * D - hb)
-            t_enter = max(tx_lo, ty_lo)
-            t_exit = min(tx_hi, ty_hi)
+        for n in rows:
+            ty_lo = n * D - hb - Y
+            ty_hi = ty_lo + hb2
+            t_enter = tx_lo if tx_lo > ty_lo else ty_lo
+            t_exit = tx_hi if tx_hi < ty_hi else ty_hi
             if t_enter <= 0 or t_enter > t_exit:
                 continue
             if t_enter == t_exit or tx_lo == ty_lo:
                 raise SingularOrbitError(
-                    f"corner/tangent hit at obstacle ({m},{n})")
+                    f"corner/tangent hit at obstacle ({sx * m},{sy * n})")
             if best is None or t_enter < best[0]:
-                if tx_lo > ty_lo:
-                    side = "left" if sx > 0 else "right"
-                else:
-                    side = "bottom" if sy > 0 else "top"
-                best = (t_enter, (m, n), side)
+                best = (t_enter, (sx * m, sy * n),
+                        x_side if tx_lo > ty_lo else y_side)
         if best is not None:
             return best
     raise SingularOrbitError("no obstacle found within the slab horizon")
@@ -294,6 +337,7 @@ def ray_trace(chi, params: ObstacleParams, collisions: int = 2) -> BilliardOrbit
     Returns the orbit with ``collisions`` obstacle hits; reflection flips the
     velocity component normal to the struck side.
     """
+    (collisions,) = _integers("collisions", collisions)
     if collisions < 1:
         raise ConfigError("need at least one collision")
     pos, direction = section_start(chi, params)
@@ -301,25 +345,20 @@ def ray_trace(chi, params: ObstacleParams, collisions: int = 2) -> BilliardOrbit
     D = math.lcm(*(v.denominator for v in exact))
     px, py, ha, hb = (int(v * D) for v in exact)  # numerators over D
     sx, sy = direction
-    events = []
+    hits = []
     T = 0
     for _ in range(collisions):
         t, obstacle, side = _first_hit(px, py, sx, sy, ha, hb, D)
         T += t
-        px, py = px + sx * t, py + sy * t
-        events.append(PathEvent(
-            time=T / D * SQRT2,
-            t_exact=Fraction(T, D),
-            position=(Fraction(px, D), Fraction(py, D)),
-            obstacle=obstacle,
-            side=side,
-        ))
+        px += sx * t
+        py += sy * t
+        hits.append((T, px, py, obstacle, side))
         if side in ("left", "right"):
             sx = -sx
         else:
             sy = -sy
-    return BilliardOrbit(chi=Fraction(chi), events=tuple(events),
-                         start=pos, direction0=direction)
+    return BilliardOrbit(chi=Fraction(chi), start=pos, direction0=direction,
+                         D=D, hits=tuple(hits))
 
 
 def hitting_time(chi, params: ObstacleParams) -> float:
@@ -343,7 +382,6 @@ class PiecewiseLinear:
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
         x -= x.numerator // x.denominator
-        import bisect
         i = bisect.bisect_right(self.breaks, x) - 1
         return self.slopes[i] * x + self.intercepts[i]
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _special
 
 from . import __version__ as _VERSION
 from .contfrac import RationalTruncation
@@ -181,7 +180,10 @@ def normal_cdf(x: float) -> float:
 
 
 def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    return _special.ndtr(x)
+    # imported on first use: scipy.special adds about 20 MB to the process,
+    # and neither the exact sums nor the billiard's two routes need it
+    from scipy import special
+    return special.ndtr(x)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(512)

@@ -117,8 +117,9 @@ def _fraction_first_hit(px, py, sx, sy, params, max_slabs=256):
 
 
 def _fraction_ray_trace(chi, params, collisions):
-    """The billiard orbit from chi traced in Fractions: a BilliardOrbit whose
-    events carry exact times, hit points, obstacles and sides."""
+    """The billiard orbit from chi traced in Fractions, as the BilliardOrbit
+    fields (chi, events, start, direction0), with events that carry exact
+    times, hit points, obstacles and sides."""
     pos, direction = bil.section_start(chi, params)
     (px, py), (sx, sy) = pos, direction
     events = []
@@ -133,7 +134,7 @@ def _fraction_ray_trace(chi, params, collisions):
             sx = -sx
         else:
             sy = -sy
-    return bil.BilliardOrbit(Fraction(chi), tuple(events), pos, direction)
+    return Fraction(chi), tuple(events), pos, direction
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,7 @@ def test_cell_sums_reject_negative_n(cell_sum, params25, monkeypatch):
         raise AssertionError("negative n must be rejected before any work")
     bil._cell_context.cache_clear()
     monkeypatch.setattr(bil, "ErgodicContext", no_work)
-    monkeypatch.setattr(bil, "step", no_work)
+    monkeypatch.setattr(bil, "_psi", no_work)
     with pytest.raises(ConfigError):
         cell_sum(-3, Fraction(1, 7), params25)
 
@@ -213,8 +213,38 @@ def _outcome(fn, *args):
 def test_ray_trace_matches_fraction_oracle(params, chi, collisions,
                                            fraction_ray_trace):
     # every PathEvent field, start and direction, or the same typed failure
-    assert _outcome(bil.ray_trace, chi, params, collisions) == \
+    assert _outcome(_orbit_fields, chi, params, collisions) == \
         _outcome(fraction_ray_trace, chi, params, collisions)
+
+
+def _orbit_fields(chi, params, collisions):
+    orbit = bil.ray_trace(chi, params, collisions)
+    return orbit.chi, orbit.events, orbit.start, orbit.direction0
+
+
+@settings(max_examples=60)
+@given(params=SHAPES, chi=hst.one_of(SMALL_STARTS, PRIME_STARTS),
+       collisions=hst.integers(1, 60))
+def test_orbit_readers_match_events(params, chi, collisions):
+    # cells and hitting times read the integer hit records, events are built
+    # from them on access: both must tell the same orbit
+    try:
+        orbit = bil.ray_trace(chi, params, collisions)
+    except RotsumError:
+        return
+    events = orbit.events
+    assert len(events) == collisions
+    assert orbit.cells() == [(e.obstacle[0] // 2, e.obstacle[1] // 2)
+                             for e in events[1::2]]
+    if collisions < 2:
+        with pytest.raises(ConfigError, match="too short"):
+            orbit.hitting_time()
+        with pytest.raises(ConfigError, match="too short"):
+            orbit.hitting_time_exact()
+    else:
+        assert orbit.hitting_time() == events[1].time
+        assert orbit.hitting_time_exact() == events[1].t_exact
+    assert orbit.events is events
 
 
 @settings(max_examples=40)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -106,6 +107,17 @@ def test_billiard_events_csv(tmp_path):
     assert len(rows) == 9
     times = [float(r.split(",")[0]) for r in rows[1:]]
     assert all(b > a for a, b in zip(times, times[1:]))
+
+
+def test_billiard_events_csv_pinned(capsys):
+    # the exact events CSV on a shape with a + b = 1, recorded before orbits
+    # kept integer hit records and built their events on access
+    assert cli.main(["billiard", "--opt",
+                     "a=2/5,b=3/5,collisions=50,x=1/9"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 2775
+    assert hashlib.sha256(out).hexdigest() == (
+        "4083237664352f96b87e44cb61384272128d33b60a9cc57ba8feeeb8893d6239")
 
 
 def test_billiard_clt_smoke(tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rotsum import billiard as bil
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
@@ -129,3 +130,27 @@ def test_variance_profile_rejects_rmax_zero():
     with pytest.raises(ConfigError, match="rmax"):
         var.variance_profile(obs.half(), tr, [1, 5], rmax=0)
     assert var.variance_profile(obs.half(), tr, [1, 5], rmax=1).ns == (1, 5)
+
+
+_SHAPE = bil.ObstacleParams(Fraction(2, 5), Fraction(3, 5))
+_X = Fraction(1, 9)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: bil.ray_trace(_X, _SHAPE, collisions=2.5),
+                 id="ray_trace-collisions"),
+    pytest.param(lambda: bil.cell_after_direct(2.5, _X, _SHAPE),
+                 id="cell_after_direct-n"),
+    pytest.param(lambda: bil.cell_after(2.5, _X, _SHAPE), id="cell_after-n"),
+    # one rule for x across the cocycle: an exact rational, never a float
+    pytest.param(lambda: bil.step(bil.LatticeState(0.3, (0, 0)), _SHAPE),
+                 id="step-x"),
+    pytest.param(lambda: bil.displacement(0.3, _SHAPE), id="displacement-x"),
+    pytest.param(lambda: bil.cell_after(3, 0.3, _SHAPE), id="cell_after-x"),
+    pytest.param(lambda: bil.cell_after_direct(3, 0.3, _SHAPE),
+                 id="cell_after_direct-x"),
+])
+def test_billiard_rejects_inexact_arguments(call):
+    # not a TypeError, an AttributeError or a silently truncated count
+    with pytest.raises(ConfigError):
+        call()

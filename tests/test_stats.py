@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,19 @@ from rotsum.errors import ConfigError
 # ---------------------------------------------------------------------------
 # Instruments
 # ---------------------------------------------------------------------------
+
+def test_scipy_special_loads_on_first_gaussian_cdf():
+    # about 20 MB that the exact sums and the billiard never pay for
+    code = ("import sys; import rotsum.cli, rotsum.billiard; "
+            "assert 'scipy.special' not in sys.modules; "
+            "from rotsum import stats; stats._normal_cdf_array(0.0); "
+            "assert 'scipy.special' in sys.modules")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_normal_cdf_values():
     assert st.normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
