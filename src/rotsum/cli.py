@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
@@ -41,28 +41,19 @@ class RunConfig:
     samples: int = 20000
     seed: int = 0
     out: str | None = None
-    fmt: str = "csv"
+    format: str = "csv"
     options: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {"command": self.command, "alpha": self.alpha,
-               "observable": self.observable, "beta": self.beta,
-               "terms": self.terms, "samples": self.samples,
-               "seed": self.seed, "out": self.out, "format": self.fmt,
-               "options": self.options,
-               # a constant: every run is single-process, and the field
-               # stays only because the recorded config hashes include it
-               "threads": "1"}
-        return json.dumps(doc, sort_keys=True)
+        # "threads" is a constant: every run is single-process, and the field
+        # stays only because the recorded config hashes include it
+        return json.dumps({**asdict(self), "threads": "1"}, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
         doc = json.loads(text)
-        return RunConfig(command=doc["command"], alpha=doc["alpha"],
-                         observable=doc["observable"], beta=doc["beta"],
-                         terms=doc["terms"], samples=doc["samples"],
-                         seed=doc["seed"], out=doc["out"], fmt=doc["format"],
-                         options=doc.get("options", {}))
+        doc.pop("threads")
+        return RunConfig(**doc)
 
     def hash(self) -> str:
         # output paths are not semantic: identical experiments hashed
@@ -74,35 +65,31 @@ class RunConfig:
             json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-# Levels a parsed alpha is truncated beyond the requested depth.
-_GUARD = 5
-
-
 def parse_alpha(text: str, levels: int):
     """'golden' | 'sqrt2m1' | 'list:1,2,3' | 'clt:c=30' | 'parity:c=30'."""
+    max_index = levels + cf.GUARD
     if text == "golden":
-        spec = cf.golden(max_index=levels + _GUARD)
+        spec = cf.golden(max_index)
     elif text == "sqrt2m1":
-        spec = cf.sqrt2m1(max_index=levels + _GUARD)
+        spec = cf.sqrt2m1(max_index)
     elif text.startswith("list:"):
-        vals = [int(v) for v in text[5:].split(",") if v]
-        spec = cf.from_list(vals)
-        levels = min(levels, len(vals) - _GUARD)
+        spec = cf.from_list([int(v) for v in text[5:].split(",") if v])
+        levels = min(levels, spec.max_index - cf.GUARD)
         if levels < 1:
             raise ConfigError("explicit list too short for the guard")
     elif text.startswith("clt:") or text == "clt":
         kw = _parse_kw(text[4:] if ":" in text else "")
         spec = cf.clt_design_rule(c=int(kw.get("c", 30)),
                                   beta=int(kw.get("beta", 2)),
-                                  max_index=levels + _GUARD)
+                                  max_index=max_index)
     elif text.startswith("parity:") or text == "parity":
         kw = _parse_kw(text[7:] if ":" in text else "")
         spec = cf.parity_design_rule(c=int(kw.get("c", 30)),
                                      beta=int(kw.get("beta", 2)),
-                                     max_index=levels + _GUARD)
+                                     max_index=max_index)
     else:
         raise ConfigError(f"cannot parse alpha spec {text!r}")
-    return cf.truncation(spec, min(spec.max_index, levels + _GUARD))
+    return cf.design_alpha(spec, levels)
 
 
 def _parse_kw(text: str) -> dict:
@@ -123,7 +110,7 @@ def parse_observable(text: str):
 
 
 def _emit(rows: list[dict], cfg: RunConfig, header: list[str]) -> str:
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         return "\n".join(json.dumps(r, sort_keys=True, default=str)
                          for r in rows) + "\n"
     buf = io.StringIO()
@@ -142,12 +129,19 @@ def _write(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _write_report(rep: st.ExperimentReport, cfg: RunConfig) -> None:
+    rep.extra["config_hash"] = cfg.hash()
+    _write(rep.to_json() + "\n", cfg)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
 def _cmd_cf(cfg: RunConfig) -> str:
     n = cfg.terms
+    if n < 1:
+        raise ConfigError(f"terms must be >= 1, got {n}")
     tr = parse_alpha(cfg.alpha, n)
     rows = []
     for k in range(1, min(n, tr.level) + 1):
@@ -216,13 +210,12 @@ def _cmd_clt(cfg: RunConfig) -> str:
     sampler = st.StratifiedSampler(seed=cfg.seed, size=cfg.samples)
     ss = st.sample_sums(plan, phi, sampler, cfg.terms)
     rep = st.clt_report(plan, phi, cfg.terms, ss, cfg.seed)
-    rep.extra["config_hash"] = cfg.hash()
     if "samples_csv" in cfg.options:
         with open(cfg.options["samples_csv"], "w", newline="") as fh:
             fh.write("index,value\r\n")
             for i, v in enumerate(ss.values):
                 fh.write(f"{i},{float(v)!r}\r\n")
-    _write(rep.to_json() + "\n", cfg)
+    _write_report(rep, cfg)
     return (f"clt: KS={rep.empirical['ks']:.4f} "
             f"ratio={rep.empirical['variance_ratio']:.4f} passed={rep.passed}")
 
@@ -230,8 +223,7 @@ def _cmd_clt(cfg: RunConfig) -> str:
 def _cmd_erdos_fortet(cfg: RunConfig) -> str:
     n = int(cfg.options.get("n", 500))
     rep = st.erdos_fortet_experiment(n, cfg.samples, cfg.seed)
-    rep.extra["config_hash"] = cfg.hash()
-    _write(rep.to_json() + "\n", cfg)
+    _write_report(rep, cfg)
     return (f"erdos-fortet: KS(mix)={rep.empirical['ks_mixture']:.4f} "
             f"gap={rep.empirical['gap']:.4f} passed={rep.passed}")
 
@@ -240,8 +232,7 @@ def _cmd_gaposhkin(cfg: RunConfig) -> str:
     n = int(cfg.options.get("n", 500))
     a = int(cfg.options.get("a", 5))
     rep = st.gaposhkin_demo(a, n, cfg.samples, cfg.seed)
-    rep.extra["config_hash"] = cfg.hash()
-    _write(rep.to_json() + "\n", cfg)
+    _write_report(rep, cfg)
     return (f"gaposhkin: KS={rep.empirical['ks_two_sample']:.4f} "
             f"mismatches={rep.empirical['mismatches']} passed={rep.passed}")
 
@@ -274,23 +265,24 @@ def _cmd_billiard_clt(cfg: RunConfig) -> str:
     scale = Fraction(cfg.options.get("scale", "1"))
     params = bil.params_for_plan(plan.trunc, scale=scale)
     rep = bil.clt_experiment(params, plan, cfg.terms, cfg.samples, cfg.seed)
-    rep.extra["config_hash"] = cfg.hash()
-    _write(rep.to_json() + "\n", cfg)
+    _write_report(rep, cfg)
     return (f"billiard-clt: c11={rep.empirical['c11']:.3f} "
             f"c22={rep.empirical['c22']:.3f} passed={rep.passed}")
 
 
+# Each subcommand's handler and the --opt keys it reads; run() refuses any
+# other key.
 _HANDLERS = {
-    "cf": _cmd_cf,
-    "ostrowski": _cmd_ostrowski,
-    "sum": _cmd_sum,
-    "variance": _cmd_variance,
-    "plan": _cmd_plan,
-    "clt": _cmd_clt,
-    "erdos-fortet": _cmd_erdos_fortet,
-    "gaposhkin": _cmd_gaposhkin,
-    "billiard": _cmd_billiard,
-    "billiard-clt": _cmd_billiard_clt,
+    "cf": (_cmd_cf, ()),
+    "ostrowski": (_cmd_ostrowski, ("N",)),
+    "sum": (_cmd_sum, ("N", "grid")),
+    "variance": (_cmd_variance, ("nmax",)),
+    "plan": (_cmd_plan, ("parity",)),
+    "clt": (_cmd_clt, ("samples_csv",)),
+    "erdos-fortet": (_cmd_erdos_fortet, ("n",)),
+    "gaposhkin": (_cmd_gaposhkin, ("n", "a")),
+    "billiard": (_cmd_billiard, ("a", "b", "collisions", "x")),
+    "billiard-clt": (_cmd_billiard_clt, ("scale",)),
 }
 
 
@@ -303,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        p = sub.add_parser(name)
+        # no prefix matching: billiard-clt must not read --a as --alpha
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--alpha", default="golden",
                        help="golden|sqrt2m1|list:..|clt:c=30|parity:c=30")
         p.add_argument("--observable", default="phi0",
@@ -315,12 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=20000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--opt", action="append", default=[],
-                       help="extra key=value options (N, grid, nmax, scale, "
-                            "parity, n, samples_csv)")
-        if name in ("billiard", "billiard-clt"):
+                       help="key=value options: "
+                            + (", ".join(_HANDLERS[name][1]) or "none"))
+        if name == "billiard":
             p.add_argument("--a", default=None, help="obstacle width (rational)")
             p.add_argument("--b", default=None, help="obstacle height (rational)")
             p.add_argument("--collisions", type=int, default=None)
@@ -330,19 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     options = _parse_kw(",".join(args.opt))
-    for key in ("a", "b", "collisions", "x"):
+    for key in _HANDLERS["billiard"][1]:
         val = getattr(args, key, None)
         if val is not None:
             options[key] = str(val)
-    return RunConfig(command=args.command, alpha=args.alpha,
-                     observable=args.observable, beta=args.beta,
-                     terms=args.terms, samples=args.samples, seed=args.seed,
-                     out=args.out, fmt=args.fmt, options=options)
+    return RunConfig(options=options, **{
+        f.name: getattr(args, f.name) for f in fields(RunConfig)
+        if f.name != "options"})
 
 
 def run(cfg: RunConfig) -> int:
     try:
-        summary = _HANDLERS[cfg.command](cfg)
+        handler, keys = _HANDLERS[cfg.command]
+        unknown = sorted(set(cfg.options) - set(keys))
+        if unknown:
+            raise ConfigError(f"{cfg.command} reads no --opt {', '.join(unknown)}"
+                              f" (it reads: {', '.join(keys) or 'none'})")
+        summary = handler(cfg)
     except PrecisionError as exc:
         hint = (f" (rebuild at level >= {exc.required_level})"
                 if exc.required_level else "")

@@ -35,14 +35,13 @@ __all__ = [
     "RationalTruncation",
     "OstrowskiDigits",
     "convergents",
-    "nearest_integer_distance",
     "ostrowski_digits",
+    "GUARD",
     "design_alpha",
     "beta_from_ostrowski",
     "golden",
     "sqrt2m1",
     "from_list",
-    "from_rule",
     "clt_design_rule",
     "parity_design_rule",
 ]
@@ -120,12 +119,14 @@ class PartialQuotientSpec:
     max_index: int
     quotients: tuple[int, ...] | None = None
     params: dict = field(default_factory=dict)
-    rule: Callable[[int, dict], int] | None = None
 
     def __post_init__(self):
         if self.max_index < 1:
             raise ConfigError("max_index must be >= 1")
-        if self.quotients is not None:
+        if self.quotients is None:
+            if self.name not in _RULES:
+                raise ConfigError(f"unknown rule name {self.name!r}")
+        else:
             if len(self.quotients) < self.max_index:
                 raise ConfigError("explicit quotient list shorter than max_index")
             if any(a < 1 for a in self.quotients):
@@ -141,8 +142,7 @@ class PartialQuotientSpec:
             )
         if self.quotients is not None:
             return self.quotients[k - 1]
-        fn = self.rule if self.rule is not None else _RULES[self.name]
-        v = fn(k, self.params)
+        v = _RULES[self.name](k, self.params)
         if v < 1:
             raise ConfigError(f"rule produced a_{k}={v} < 1")
         return v
@@ -155,8 +155,6 @@ class PartialQuotientSpec:
             doc = {"kind": "list", "quotients": list(self.quotients),
                    "max_index": self.max_index}
         else:
-            if self.rule is not None and self.name not in _RULES:
-                raise ConfigError("custom callable rules are not serializable")
             doc = {"kind": "rule", "name": self.name, "params": self.params,
                    "max_index": self.max_index}
         return json.dumps(doc, sort_keys=True)
@@ -167,10 +165,7 @@ class PartialQuotientSpec:
         if doc["kind"] == "list":
             return PartialQuotientSpec(name="list", max_index=doc["max_index"],
                                        quotients=tuple(doc["quotients"]))
-        name = doc["name"]
-        if name not in _RULES:
-            raise ConfigError(f"unknown rule name {name!r}")
-        return PartialQuotientSpec(name=name, max_index=doc["max_index"],
+        return PartialQuotientSpec(name=doc["name"], max_index=doc["max_index"],
                                    params=doc.get("params", {}))
 
 
@@ -187,12 +182,6 @@ def sqrt2m1(max_index: int = 48) -> PartialQuotientSpec:
 def from_list(quotients: Sequence[int]) -> PartialQuotientSpec:
     qs = tuple(int(a) for a in quotients)
     return PartialQuotientSpec(name="list", max_index=len(qs), quotients=qs)
-
-
-def from_rule(name: str, fn: Callable[[int, dict], int], max_index: int,
-              params: dict | None = None) -> PartialQuotientSpec:
-    return PartialQuotientSpec(name=name, max_index=max_index,
-                               params=dict(params or {}), rule=fn)
 
 
 def clt_design_rule(c: int = 30, beta: int = 2, max_index: int = 64) -> PartialQuotientSpec:
@@ -334,30 +323,19 @@ def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
     )
 
 
-def design_alpha(rule: PartialQuotientSpec | Callable[[int], int],
-                 levels: int, guard: int = 5):
-    """Build (spec, truncation) whose truncation level exceeds every index the
-    experiment will query by ``guard`` levels.
+# Levels a designed truncation reaches beyond the deepest index an experiment
+# queries; >= 2 keeps the validity window [1, q_(M-1)) nonempty.
+GUARD = 5
 
-    ``rule`` is either a ready spec or a callable k -> a_k (1-based).
-    """
-    if guard < 2:
-        raise ConfigError("guard must be >= 2 (validity window would be empty)")
-    if isinstance(rule, PartialQuotientSpec):
-        spec = rule
-    else:
-        fn = rule
-        spec = from_rule("custom", lambda k, params: fn(k), levels + guard)
-    level = levels + guard
+
+def design_alpha(spec: PartialQuotientSpec, levels: int) -> RationalTruncation:
+    """Freeze ``spec`` ``GUARD`` levels beyond every index the experiment
+    will query (1..levels)."""
+    level = levels + GUARD
     if level > spec.max_index:
         raise SpecExhaustedError(
             f"design needs level {level} but spec max_index={spec.max_index}")
-    return spec, truncation(spec, level)
-
-
-def nearest_integer_distance(k: int, trunc: RationalTruncation) -> Fraction:
-    """||k alpha|| on the truncation, window-enforced."""
-    return trunc.distance(k)
+    return truncation(spec, level)
 
 
 # ---------------------------------------------------------------------------

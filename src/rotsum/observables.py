@@ -44,7 +44,6 @@ __all__ = [
     "Observable",
     "VectorObservable",
     "SmoothnessBudget",
-    "evaluate",
     "catalog",
     "hat_observable",
     "reduce_phases",
@@ -253,11 +252,6 @@ class SmoothnessBudget:
 # ---------------------------------------------------------------------------
 # Module-level conveniences
 # ---------------------------------------------------------------------------
-
-def evaluate(phi: Observable, x):
-    """phi({x}); the piece containing {x} decides (closed-left/open-right)."""
-    return phi.evaluate(x)
-
 
 def _step_pieces(cuts, value_at):
     """(breakpoints, values) of the step function equal to ``value_at(m)`` on

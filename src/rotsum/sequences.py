@@ -112,8 +112,6 @@ class LacunaryCertificate:
 
     rho: Fraction                 # exact min of consecutive ratios
     superlacunary: bool           # increasing-trend flag on the window
-    tail_min_ratio: Fraction
-    dm_report: dict | None = None
 
 
 def _prefix_sums(qs: list[int]) -> tuple[int, ...]:
@@ -252,8 +250,7 @@ def check_lacunarity(n_list) -> LacunaryCertificate:
     head_min = min(ratios[:quarter])
     tail_min = min(ratios[-quarter:])
     super_flag = tail_min > 2 * head_min and ratios[-1] > 2 * ratios[0]
-    return LacunaryCertificate(rho=rho, superlacunary=super_flag,
-                               tail_min_ratio=tail_min)
+    return LacunaryCertificate(rho=rho, superlacunary=super_flag)
 
 
 def check_Dm(n_list, m: int, window: int | None = None) -> dict:

@@ -103,10 +103,6 @@ class StratifiedSampler:
         base = np.arange(self.size, dtype=object) * step
         return base + offs.astype(object)
 
-    def describe(self) -> dict:
-        return {"kind": "stratified", "seed": self.seed, "size": self.size,
-                "den": str(self.den)}
-
 
 @dataclass(frozen=True)
 class GridSampler:
@@ -121,19 +117,12 @@ class GridSampler:
     def den(self) -> int:
         return self.size
 
-    def describe(self) -> dict:
-        return {"kind": "grid", "size": self.size, "den": str(self.size)}
-
 
 @dataclass(frozen=True)
 class SampleSet:
     values: np.ndarray
-    sampler: dict
     normalization: float
     prediction: float | None = None
-
-    def normalized(self) -> np.ndarray:
-        return self.values / self.normalization
 
 
 @dataclass
@@ -265,10 +254,9 @@ def sample_sums(plan: SubsequencePlan, phi: Observable,
         raise ConfigError("n outside plan range")
     vals = draw_sums(phi, plan.trunc, sampler, plan.L[n])[:, 0]
     if n == 0:
-        return SampleSet(vals, sampler.describe(), 1.0, prediction=0.0)
+        return SampleSet(vals, 1.0, prediction=0.0)
     norm = math.sqrt(float(np.mean(vals ** 2)))
-    return SampleSet(vals, sampler.describe(), norm,
-                     prediction=plan.hat_variance(phi, n))
+    return SampleSet(vals, norm, prediction=plan.hat_variance(phi, n))
 
 
 def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
@@ -279,7 +267,7 @@ def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
         raise ConfigError("n outside plan range [1, plan.count]")
     emp_var = ss.normalization ** 2
     ratio = emp_var / ss.prediction
-    ks = ks_statistic(ss.normalized(), _normal_cdf_array)
+    ks = ks_statistic(ss.values / ss.normalization, _normal_cdf_array)
     mean = float(np.mean(ss.values))
     lo, hi = _CLT_RATIO_BAND
     passed = (ks <= _CLT_KS_TOL) and (lo <= ratio <= hi)

@@ -143,8 +143,11 @@ def test_plan_rejects_unknown_alpha(capsys):
 
 
 # each used to escape as a TypeError, a ZeroDivisionError, a math domain
-# error or a NaN sample, or (nmax=0) to print a row for n = 1
+# error or a NaN sample, or (nmax=0) to print a row for n = 1, or (cf) to
+# print a header-only table
 @pytest.mark.parametrize("argv", [
+    ["cf", "--terms", "0"],
+    ["cf", "--terms", "-2"],
     ["variance", "--opt", "nmax=-5"],
     ["variance", "--opt", "nmax=0"],
     ["gaposhkin", "--samples", "50", "--opt", "n=0"],
@@ -210,10 +213,38 @@ def test_clt_report_ignores_samples_csv_path(tmp_path, capsys):
         (tmp_path / "elsewhere.csv").read_bytes()
 
 
+def test_unknown_opt_key_is_refused(capsys):
+    # a misspelt key used to run silently on the default nmax=200
+    assert cli.main(["variance", "--opt", "nmx=5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "nmx" in captured.err
+
+
+def test_billiard_flags_only_on_billiard(capsys):
+    # billiard-clt never read --a, --b, --collisions or --x
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["billiard-clt", "--a", "1/3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_config_hash_pinned():
+    # every report embeds its config hash, so the serialised config must not
+    # drift (values recorded when each field was still listed by hand)
+    cfg = cli.RunConfig(command="clt", alpha="clt:c=30", terms=40,
+                        samples=5000, seed=1)
+    assert cfg.hash() == "4da4a123a76621ef"
+    assert cfg.to_json() == (
+        '{"alpha": "clt:c=30", "beta": 2.0, "command": "clt", '
+        '"format": "csv", "observable": "phi0", "options": {}, "out": null, '
+        '"samples": 5000, "seed": 1, "terms": 40, "threads": "1"}')
+
+
 def test_run_config_round_trip():
     cfg = cli.RunConfig(command="clt", alpha="clt:c=30", observable="phi0",
                         beta=2.0, terms=40, samples=100, seed=7, out=None,
-                        fmt="json", options={"n": "5"})
+                        format="json", options={"n": "5"})
     cfg2 = cli.RunConfig.from_json(cfg.to_json())
     assert cfg2 == cfg
     assert cfg.hash() == cfg2.hash()
@@ -229,7 +260,7 @@ TEXT = hst.text(max_size=12)
     beta=hst.floats(allow_nan=False, allow_infinity=False),
     terms=hst.integers(0, 10 ** 6), samples=hst.integers(0, 10 ** 9),
     seed=hst.integers(-2 ** 70, 2 ** 70), out=hst.none() | TEXT,
-    fmt=hst.sampled_from(["csv", "json"]),
+    format=hst.sampled_from(["csv", "json"]),
     options=hst.dictionaries(TEXT, TEXT, max_size=4)))
 def test_run_config_json_round_trip(cfg):
     cfg2 = cli.RunConfig.from_json(cfg.to_json())

@@ -73,7 +73,7 @@ def golden_trunc():
 def test_distance_at_denominators(golden_trunc):
     tr = golden_trunc
     for n in range(1, tr.level - 2):
-        d = cf.nearest_integer_distance(tr.qs[n], tr)
+        d = tr.distance(tr.qs[n])
         assert Fraction(1, 2 * tr.qs[n + 1]) <= d <= Fraction(1, tr.qs[n + 1])
         # tighter lower bound 1/(q_{n+1} + q_n)
         assert d >= Fraction(1, tr.qs[n + 1] + tr.qs[n])
@@ -84,7 +84,7 @@ def test_distance_at_denominators(golden_trunc):
 def test_distance_k1_is_alpha(golden_trunc):
     tr = golden_trunc
     a = tr.value
-    assert cf.nearest_integer_distance(1, tr) == min(a, 1 - a)
+    assert tr.distance(1) == min(a, 1 - a)
 
 
 def test_denominators_minimize_distance(golden_trunc):
@@ -92,15 +92,15 @@ def test_denominators_minimize_distance(golden_trunc):
     for n in range(3, 9):
         floor_d = tr.denominator_distance(n - 1)
         for k in range(1, tr.qs[n]):
-            assert cf.nearest_integer_distance(k, tr) >= floor_d
+            assert tr.distance(k) >= floor_d
 
 
 def test_distance_window_enforced(golden_trunc):
     tr = golden_trunc
     with pytest.raises(PrecisionError):
-        cf.nearest_integer_distance(tr.validity_bound, tr)
+        tr.distance(tr.validity_bound)
     with pytest.raises(PrecisionError):
-        cf.nearest_integer_distance(0, tr)
+        tr.distance(0)
 
 
 def test_one_equals_mixed_distance_sum(golden_trunc):
@@ -146,13 +146,8 @@ def test_ostrowski_rejects_nonpositive(golden_trunc):
         cf.ostrowski_digits(0, golden_trunc)
 
 
-def test_design_alpha_guard():
-    with pytest.raises(ConfigError):
-        cf.design_alpha(lambda k: 1, 10, guard=1)
-
-
 def test_design_alpha_golden_rule():
-    spec, tr = cf.design_alpha(lambda k: 1, 10, guard=5)
+    tr = cf.design_alpha(cf.golden(15), 10)
     assert tr.level == 15
     assert tr.qs[:7] == (1, 1, 2, 3, 5, 8, 13)
 
@@ -177,12 +172,6 @@ def test_json_round_trip(golden_trunc):
     spec = cf.from_list([1, 2, 3, 4, 5])
     assert cf.PartialQuotientSpec.from_json(spec.to_json()).prefix(5) == \
         [1, 2, 3, 4, 5]
-
-
-def test_custom_rule_not_serializable():
-    spec, _ = cf.design_alpha(lambda k: k + 1, 5, guard=3)
-    with pytest.raises(ConfigError):
-        spec.to_json()
 
 
 SPECS = hst.one_of(

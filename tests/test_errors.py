@@ -132,6 +132,12 @@ def test_variance_profile_rejects_rmax_zero():
     assert var.variance_profile(obs.half(), tr, [1, 5], rmax=1).ns == (1, 5)
 
 
+def test_spec_with_unknown_rule_name_is_refused():
+    # used to build, then fail with a bare KeyError on the first a(k)
+    with pytest.raises(ConfigError, match="bogus"):
+        cf.PartialQuotientSpec(name="bogus", max_index=5)
+
+
 _SHAPE = bil.ObstacleParams(Fraction(2, 5), Fraction(3, 5))
 _X = Fraction(1, 9)
 

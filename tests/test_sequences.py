@@ -16,9 +16,8 @@ from rotsum.errors import (ConfigError, InsufficientPartialQuotientsError,
 @pytest.fixture(scope="module")
 def designed():
     # boosts at every third slot: a_{3k} = k^2 + 1, else 1
-    def rule(k, params):
-        return (k // 3) ** 2 + 1 if k % 3 == 0 else 1
-    spec = cf.from_rule("slots", rule, 140)
+    spec = cf.from_list([(k // 3) ** 2 + 1 if k % 3 == 0 else 1
+                         for k in range(1, 141)])
     return cf.truncation(spec, 140)
 
 
