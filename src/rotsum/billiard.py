@@ -474,6 +474,8 @@ def hitting_time_profile(params: ObstacleParams) -> PiecewiseLinear:
 def estimate_c(params: ObstacleParams, n_starts: int = 2000, seed: int = 0):
     """(monte_carlo, quadrature): mean hitting time by seeded random starts
     and by exact integration of the piecewise-linear chart."""
+    if n_starts < 1:
+        raise ConfigError(f"n_starts must be >= 1, got {n_starts}")
     rng = np.random.default_rng(seed)
     prof = hitting_time_profile(params)
     exact = float(prof.mean()) * SQRT2
@@ -508,6 +510,8 @@ def mild_hypothesis_values(spec, ns) -> list[float]:
     for tame quotient growth."""
     out = []
     for n in ns:
+        if n < 1:
+            raise ConfigError(f"horizons must be >= 1, got {n}")
         j_max = int(math.log(n))
         total = sum(spec.a(j + 1) for j in range(1, j_max + 1))
         out.append(total / math.sqrt(n))

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -270,19 +270,37 @@ def _cmd_billiard_clt(cfg: RunConfig) -> str:
             f"c22={rep.empirical['c22']:.3f} passed={rep.passed}")
 
 
-# Each subcommand's handler and the --opt keys it reads; run() refuses any
-# other key.
+# argparse settings of the common flags; their defaults live in RunConfig
+_FLAGS = {
+    "alpha": dict(help="golden|sqrt2m1|list:..|clt:c=30|parity:c=30"),
+    "observable": dict(help="phi0|indicator:beta=1/3|half|double_interval:...|"
+                            "half_shifted:beta=1/5"),
+    "beta": dict(type=float, help="growth exponent of the plan"),
+    "terms": dict(type=int),
+    "samples": dict(type=int),
+    "seed": dict(type=int),
+    "out": dict(),
+    "format": dict(choices=("csv", "json")),
+}
+
+# Each subcommand's handler, the flags it reads and the --opt keys it reads;
+# the parser defines no other flag and run() refuses any other key.
 _HANDLERS = {
-    "cf": (_cmd_cf, ()),
-    "ostrowski": (_cmd_ostrowski, ("N",)),
-    "sum": (_cmd_sum, ("N", "grid")),
-    "variance": (_cmd_variance, ("nmax",)),
-    "plan": (_cmd_plan, ("parity",)),
-    "clt": (_cmd_clt, ("samples_csv",)),
-    "erdos-fortet": (_cmd_erdos_fortet, ("n",)),
-    "gaposhkin": (_cmd_gaposhkin, ("n", "a")),
-    "billiard": (_cmd_billiard, ("a", "b", "collisions", "x")),
-    "billiard-clt": (_cmd_billiard_clt, ("scale",)),
+    "cf": (_cmd_cf, ("alpha", "terms", "out", "format"), ()),
+    "ostrowski": (_cmd_ostrowski, ("alpha", "terms", "out", "format"), ("N",)),
+    "sum": (_cmd_sum, ("alpha", "observable", "terms", "out", "format"),
+            ("N", "grid")),
+    "variance": (_cmd_variance, ("alpha", "observable", "out", "format"),
+                 ("nmax",)),
+    "plan": (_cmd_plan, ("alpha", "beta", "terms", "out"), ("parity",)),
+    "clt": (_cmd_clt, ("alpha", "observable", "beta", "terms", "samples",
+                       "seed", "out"), ("samples_csv",)),
+    "erdos-fortet": (_cmd_erdos_fortet, ("samples", "seed", "out"), ("n",)),
+    "gaposhkin": (_cmd_gaposhkin, ("samples", "seed", "out"), ("n", "a")),
+    "billiard": (_cmd_billiard, ("seed", "out", "format"),
+                 ("a", "b", "collisions", "x")),
+    "billiard-clt": (_cmd_billiard_clt, ("alpha", "beta", "terms", "samples",
+                                         "seed", "out"), ("scale",)),
 }
 
 
@@ -294,46 +312,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the rectangular periodic billiard.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        # no prefix matching: billiard-clt must not read --a as --alpha
-        p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--alpha", default="golden",
-                       help="golden|sqrt2m1|list:..|clt:c=30|parity:c=30")
-        p.add_argument("--observable", default="phi0",
-                       help="phi0|indicator:beta=1/3|half|double_interval:...|"
-                            "half_shifted:beta=1/5")
-        p.add_argument("--beta", type=float, default=2.0,
-                       help="growth exponent of the plan")
-        p.add_argument("--terms", "--n", dest="terms", type=int, default=40)
-        p.add_argument("--samples", type=int, default=20000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--opt", action="append", default=[],
-                       help="key=value options: "
-                            + (", ".join(_HANDLERS[name][1]) or "none"))
-        if name == "billiard":
-            p.add_argument("--a", default=None, help="obstacle width (rational)")
-            p.add_argument("--b", default=None, help="obstacle height (rational)")
-            p.add_argument("--collisions", type=int, default=None)
-            p.add_argument("--x", default=None, help="section start (rational)")
+    for name, (_, flags, keys) in _HANDLERS.items():
+        # no prefix matching: a flag is read only under its full name; unset
+        # flags stay off the namespace, so RunConfig supplies their defaults
+        p = sub.add_parser(name, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        if keys:
+            p.add_argument("--opt", action="append",
+                           help="key=value options: " + ", ".join(keys))
     return ap
 
 
 def config_from_args(args) -> RunConfig:
-    options = _parse_kw(",".join(args.opt))
-    for key in _HANDLERS["billiard"][1]:
-        val = getattr(args, key, None)
-        if val is not None:
-            options[key] = str(val)
-    return RunConfig(options=options, **{
-        f.name: getattr(args, f.name) for f in fields(RunConfig)
-        if f.name != "options"})
+    doc = dict(vars(args))
+    options = _parse_kw(",".join(doc.pop("opt", [])))
+    return RunConfig(options=options, **doc)
 
 
 def run(cfg: RunConfig) -> int:
     try:
-        handler, keys = _HANDLERS[cfg.command]
+        handler, _, keys = _HANDLERS[cfg.command]
         unknown = sorted(set(cfg.options) - set(keys))
         if unknown:
             raise ConfigError(f"{cfg.command} reads no --opt {', '.join(unknown)}"

@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .contfrac import RationalTruncation, ostrowski_digits
-from .errors import CertificateError, ConfigError
+from .errors import CertificateError, ConfigError, PrecisionError
 from .observables import (_INT64_SAFE, Observable, Sawtooth, StepFunction,
                           gamma_sq_array, reduce_phases, series_weights)
 
@@ -435,6 +435,13 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
     series mode: the Fourier expansion of the difference, truncated at
     |r| <= rmax; returns (value, tail_bound).
     """
+    if n < 0:
+        raise ConfigError(f"n must be >= 0, got {n}")
+    if n >= trunc.level:
+        # S_{q_n} reaches the multiple q_n - 1, inside the window [1, q_(M-1))
+        # only for n < M (and series mode reaches q_n^2 rmax)
+        raise PrecisionError(f"orbit length q_{n} needs level > {n}",
+                             required_level=n + 1)
     qn = trunc.qs[n]
     if mode == "exact":
         if qn * 8 > _PROFILE_CAP:

@@ -31,6 +31,7 @@ breakpoints (each breakpoint t maps to {l t}).
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -346,27 +347,29 @@ def billiard_displacement(alpha: Fraction) -> VectorObservable:
 
 
 _CATALOG = {
-    "phi0": lambda **kw: Sawtooth(),
-    "indicator": lambda **kw: indicator(kw["beta"]),
-    "half": lambda **kw: half(),
-    "double_interval": lambda **kw: double_interval(kw["beta"], kw["gamma"]),
-    "half_shifted": lambda **kw: half_shifted(kw["beta"]),
-    "billiard_pair": lambda **kw: billiard_pair(kw["alpha"]),
-    "billiard_displacement": lambda **kw: billiard_displacement(kw["alpha"]),
+    "phi0": lambda: Sawtooth(),
+    "indicator": indicator,
+    "half": half,
+    "double_interval": double_interval,
+    "half_shifted": half_shifted,
+    "billiard_pair": billiard_pair,
+    "billiard_displacement": billiard_displacement,
 }
 
 
 def catalog(name: str, **params):
-    """Named observables; interval parameters are exact rationals."""
+    """Named observables; interval parameters are exact rationals.  Each name
+    takes exactly its builder's parameters."""
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise ConfigError(
             f"unknown observable {name!r}; known: {sorted(_CATALOG)}") from None
     try:
-        return builder(**params)
-    except KeyError as exc:
-        raise ConfigError(f"observable {name!r} missing parameter {exc}") from None
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise ConfigError(f"observable {name!r}: {exc}") from None
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ def _greedy(trunc: RationalTruncation, beta: float, count: int,
     """Smallest indices t_1 < ... < t_count with a_{t_k+1} >= k^beta and
     ``admissible(k, t_k)``; raises ``exhausted(k, k^beta)`` when the
     spec/truncation runs out first."""
-    if beta <= 1:
-        raise ConfigError("growth exponent beta must be > 1")
+    if not beta > 1:
+        raise ConfigError(f"growth exponent beta must be > 1, got {beta}")
     if count < 1:
         raise ConfigError("count must be >= 1")
     spec = trunc.spec

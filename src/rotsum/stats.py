@@ -204,11 +204,7 @@ def ks_statistic(samples, cdf) -> float:
     of another shape raises ConfigError, and errors raised by ``cdf``
     propagate.
     """
-    z = np.sort(np.asarray(samples, dtype=np.float64))
-    if z.size == 0:
-        raise ConfigError("empty sample")
-    if not np.all(np.isfinite(z)):
-        raise ConfigError("samples must be finite")
+    z = _sorted_sample(samples)
     f = np.asarray(cdf(z), dtype=np.float64)
     if f.shape != z.shape:
         raise ConfigError(
@@ -219,8 +215,19 @@ def ks_statistic(samples, cdf) -> float:
     return float(max(np.max(f - lo), np.max(hi - f)))
 
 
+def _sorted_sample(samples) -> np.ndarray:
+    """The sample as a sorted float64 array; empty or non-finite samples
+    raise ConfigError."""
+    z = np.sort(np.asarray(samples, dtype=np.float64))
+    if z.size == 0:
+        raise ConfigError("empty sample")
+    if not np.all(np.isfinite(z)):
+        raise ConfigError("samples must be finite")
+    return z
+
+
 def two_sample_ks(a, b) -> float:
-    za, zb = np.sort(np.asarray(a, float)), np.sort(np.asarray(b, float))
+    za, zb = _sorted_sample(a), _sorted_sample(b)
     allv = np.concatenate([za, zb])
     ca = np.searchsorted(za, allv, side="right") / za.size
     cb = np.searchsorted(zb, allv, side="right") / zb.size
@@ -380,6 +387,8 @@ def erdos_fortet_identity_error(n: int, xs) -> float:
 
 def gaposhkin_index_set(a: int, nmax: int) -> set[int]:
     """I_a = union over m of {k : m^a <= k <= m^a + m}, restricted to <= nmax."""
+    if a < 1:
+        raise ConfigError(f"exponent a must be >= 1, got {a}")
     out: set[int] = set()
     m = 1
     while m ** a <= nmax:
@@ -459,6 +468,8 @@ def resonance_integral(f: Observable, l1: int, g: Observable, l2: int,
 def fourier_tail_norm(f: Observable, t: float) -> float:
     """Partial sum of R(f, t) = (sum_{|j| >= t} |c_j|^2)^(1/2); an
     underestimate of the true tail norm (no completion term added)."""
+    if not math.isfinite(t):
+        raise ConfigError(f"tail index t must be finite, got {t}")
     j0 = max(1, math.ceil(t))
     w = series_weights(gamma_sq_array(f, 1, _TAIL_JMAX))
     return math.sqrt(float(np.sum(w[j0 - 1:])))
@@ -493,6 +504,8 @@ def block_variance_ratio(fs: list, ns: list) -> float:
     if len(fs) != len(ns):
         raise ConfigError("need one observable per frequency")
     diag = sum(float(f.norm_sq()) for f in fs)
+    if diag == 0:
+        raise ConfigError("need observables of nonzero total norm")
     cross = 0.0
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):

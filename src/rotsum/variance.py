@@ -141,6 +141,17 @@ class AlphaFourierTable:
         return vals
 
 
+def _series(phi: Observable, trunc: RationalTruncation, n: int,
+            rmax: int | None):
+    """The kernel table and series weights of the Fourier norms at horizon
+    n, truncated at rmax (default max(20000, 100 n))."""
+    if rmax is None:
+        rmax = max(20_000, 100 * n)
+    _require_rmax(rmax)
+    table = AlphaFourierTable(trunc, rmax)
+    return table, series_weights(gamma_sq_array(phi, 1, rmax))
+
+
 def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
             mode: str = "fourier", rmax: int | None = None):
     """||S_n phi||_2^2.
@@ -161,13 +172,10 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
         return prof.integral_sq(), 0
     if mode != "fourier":
         raise ConfigError(f"unknown mode {mode!r}")
-    if rmax is None:
-        rmax = max(20_000, 100 * n)
-    table = AlphaFourierTable(trunc, rmax)
-    w = series_weights(gamma_sq_array(phi, 1, rmax))
+    table, w = _series(phi, trunc, n, rmax)
     value = float(np.sum(w * table.gn(n)))
     k = phi.kbound()
-    tail = 2.0 * k * k * float(n) ** 2 / rmax
+    tail = 2.0 * k * k * float(n) ** 2 / table.rmax
     return value, tail
 
 
@@ -177,10 +185,7 @@ def mean_variance(phi: Observable, n: int, trunc: RationalTruncation,
     mean (avoids the O(n) sum of kernels per frequency)."""
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if rmax is None:
-        rmax = max(20_000, 100 * n)
-    table = AlphaFourierTable(trunc, rmax)
-    w = series_weights(gamma_sq_array(phi, 1, rmax))
+    table, w = _series(phi, trunc, n, rmax)
     return float(np.sum(w * table.gn_mean(n)))
 
 
@@ -190,8 +195,8 @@ def bound_series(phi: Observable, ell: int, trunc: RationalTruncation):
         lower = sum_{j<ell} |gamma_{q_j}|^2 a_{j+1}^2
         upper = K^2 * sum_{j<=ell} a_{j+1}^2
     """
-    if ell >= trunc.level:
-        raise ConfigError("ell must be < truncation level")
+    if not 0 <= ell < trunc.level:
+        raise ConfigError(f"ell must be in [0, {trunc.level}), got {ell}")
     lower = 0.0
     for j in range(ell):
         g = phi.fourier_gamma(trunc.qs[j])
@@ -234,6 +239,8 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     """
     if m < 3:
         raise ConfigError("m must be >= 3")
+    if not 0 <= n < trunc.level:
+        raise ConfigError(f"n must be in [0, {trunc.level}), got {n}")
     qn = trunc.qs[n]
     # the scan cannot leave the exact window; a shorter scan only enlarges
     # the (still valid) truncation tails added below
@@ -297,12 +304,9 @@ class VarianceProfile:
 def variance_profile(phi: Observable, trunc: RationalTruncation,
                      ns, rmax: int | None = None) -> VarianceProfile:
     ns = tuple(int(v) for v in ns)
-    if any(v < 1 for v in ns):
-        raise ConfigError("profile indices must be >= 1")
-    rm = max(20_000, 100 * max(ns)) if rmax is None else rmax
-    _require_rmax(rm)
-    table = AlphaFourierTable(trunc, rm)
-    w = series_weights(gamma_sq_array(phi, 1, rm))
+    if not ns or min(ns) < 1:
+        raise ConfigError("a profile needs indices, each >= 1")
+    table, w = _series(phi, trunc, max(ns), rmax)
     norms, means, lows, ups, lvls = [], [], [], [], []
     for n in ns:
         norms.append(float(np.sum(w * table.gn(n))))

@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -35,7 +38,7 @@ def test_cf_explicit_list(tmp_path):
 
 def test_determinism_byte_identical(tmp_path):
     args = ["clt", "--alpha", "clt:c=30", "--terms", "10", "--samples", "500",
-            "--seed", "3", "--format", "json"]
+            "--seed", "3"]
     a = run_cli(list(args), tmp_path, "r1.json")
     b = run_cli(list(args), tmp_path, "r2.json")
     assert a == b
@@ -222,11 +225,93 @@ def test_unknown_opt_key_is_refused(capsys):
 
 
 def test_billiard_flags_only_on_billiard(capsys):
-    # billiard-clt never read --a, --b, --collisions or --x
+    # billiard-clt never read --a, --b, --collisions or --x, and billiard
+    # reads its shape through --opt alone
+    for argv in (["billiard-clt", "--a", "1/3"], ["billiard", "--a", "1/3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+# each used to exit 0 with the unread input hashed into the config
+@pytest.mark.parametrize("argv", [
+    ["cf", "--seed", "5"],
+    ["cf", "--n", "3"],
+    ["cf", "--opt", "N=3"],
+    ["erdos-fortet", "--alpha", "golden"],
+    ["clt", "--format", "json"],
+], ids=" ".join)
+def test_unread_flags_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["billiard-clt", "--a", "1/3"])
+        cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_unread_observable_parameter_is_refused(capsys):
+    assert cli.main(["clt", "--alpha", "clt:c=30", "--terms", "3",
+                     "--samples", "5",
+                     "--observable", "indicator:beta=1/3,gamma=7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "gamma" in captured.err
+
+
+_CLI_TREE = ast.parse(inspect.getsource(cli))
+_FUNCTIONS = {node.name: node for node in _CLI_TREE.body
+              if isinstance(node, ast.FunctionDef)}
+_FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+
+def _is_cfg(node):
+    return isinstance(node, ast.Name) and node.id == "cfg"
+
+
+def _is_options(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "options"
+            and _is_cfg(node.value))
+
+
+def _option_key(node):
+    """k in cfg.options.get("k", ..), cfg.options["k"] or "k" in cfg.options."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "get" and _is_options(node.func.value):
+        return node.args[0].value
+    if isinstance(node, ast.Subscript) and _is_options(node.value):
+        return node.slice.value
+    if isinstance(node, ast.Compare) and _is_options(node.comparators[0]):
+        return node.left.value
+    return None
+
+
+def _config_reads(name):
+    """RunConfig fields and --opt keys that function ``name`` reads from its
+    ``cfg``, following the module functions it hands ``cfg`` to."""
+    fields, keys = set(), set()
+    for node in ast.walk(_FUNCTIONS[name]):
+        if isinstance(node, ast.Attribute) and _is_cfg(node.value) \
+                and node.attr in _FIELDS:
+            fields.add(node.attr)
+        if isinstance(node, ast.Call) and any(map(_is_cfg, node.args)) \
+                and getattr(node.func, "id", None) in _FUNCTIONS:
+            more_fields, more_keys = _config_reads(node.func.id)
+            fields |= more_fields
+            keys |= more_keys
+        if _option_key(node) is not None:
+            keys.add(_option_key(node))
+    return fields, keys
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_declared_flags_are_the_ones_read(command):
+    handler, flags, keys = cli._HANDLERS[command]
+    fields, opt_keys = _config_reads(handler.__name__)
+    assert fields == set(flags) | ({"options"} if keys else set())
+    assert opt_keys == set(keys)
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    defined = {a.dest for a in sub._actions} - {"help"}
+    assert defined == set(flags) | ({"opt"} if keys else set())
 
 
 def test_config_hash_pinned():

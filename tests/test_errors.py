@@ -13,8 +13,11 @@ from rotsum import billiard as bil
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
+from rotsum import sequences as seq
+from rotsum import stats as st
 from rotsum import variance as var
-from rotsum.errors import CertificateError, ConfigError, RotsumError
+from rotsum.errors import (CertificateError, ConfigError, PrecisionError,
+                           RotsumError)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rotsum"
 
@@ -160,3 +163,65 @@ def test_billiard_rejects_inexact_arguments(call):
     # not a TypeError, an AttributeError or a silently truncated count
     with pytest.raises(ConfigError):
         call()
+
+
+_GOLDEN = cf.truncation(cf.golden(15), 10)
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    # a <= 0 used to loop forever on m ** a <= nmax
+    pytest.param(lambda: st.gaposhkin_index_set(0, 10), id="index_set-a0"),
+    pytest.param(lambda: st.gaposhkin_count(-1, 10), id="count-a-1"),
+    # negative level indices used to wrap to the deepest level
+    pytest.param(lambda: es.approx_error_sq(obs.half(), -1, _GOLDEN),
+                 id="approx_error_sq-n-1"),
+    pytest.param(lambda: var.bound_series(obs.half(), -3, _GOLDEN),
+                 id="bound_series-ell-3"),
+    pytest.param(lambda: var.diagnostic_inequalities(_GOLDEN, -20, 10),
+                 id="diagnostics-n-20"),
+    # each used to return NaN or 1.0, or escape as a ZeroDivisionError, a
+    # math domain error or a bare ValueError
+    pytest.param(lambda: st.two_sample_ks([], [1.0]), id="two_sample_ks-empty"),
+    pytest.param(lambda: st.two_sample_ks([_NAN], [1.0]),
+                 id="two_sample_ks-nan"),
+    pytest.param(lambda: st.block_variance_ratio([], []),
+                 id="block_variance_ratio-empty"),
+    pytest.param(lambda: bil.estimate_c(_SHAPE, n_starts=0),
+                 id="estimate_c-no-starts"),
+    pytest.param(lambda: bil.mild_hypothesis_values(cf.golden(10), [0]),
+                 id="mild_hypothesis-n0"),
+    pytest.param(lambda: var.variance_profile(obs.half(), _GOLDEN, []),
+                 id="variance_profile-empty"),
+    pytest.param(lambda: st.fourier_tail_norm(obs.half(), _NAN),
+                 id="fourier_tail_norm-nan"),
+    pytest.param(lambda: seq.plan_growth(_GOLDEN, _NAN, 3), id="plan-beta-nan"),
+    # one Fourier setup: rmax=0 used to be a PrecisionError here
+    pytest.param(lambda: var.norm_sq(obs.half(), 3, _GOLDEN, rmax=0),
+                 id="norm_sq-rmax0"),
+    pytest.param(lambda: var.mean_variance(obs.half(), 3, _GOLDEN, rmax=0),
+                 id="mean_variance-rmax0"),
+])
+def test_edge_inputs_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_approx_error_beyond_the_window_is_a_precision_error(n):
+    # n = level used to return 0 (q_n read as q_M) and n = level + 1 to raise
+    # a bare IndexError
+    assert _GOLDEN.level == 10
+    with pytest.raises(PrecisionError):
+        es.approx_error_sq(obs.half(), n, _GOLDEN)
+    assert es.approx_error_sq(obs.half(), 9, _GOLDEN) > 0
+
+
+@pytest.mark.parametrize("name, params", [
+    ("indicator", {"beta": Fraction(1, 3), "gamma": Fraction(7)}),
+    ("half", {"beta": Fraction(1, 3)}),
+    ("phi0", {"label": "x"}),
+])
+def test_catalog_takes_exactly_its_builders_parameters(name, params):
+    with pytest.raises(ConfigError, match=name):
+        obs.catalog(name, **params)
