@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -41,10 +40,10 @@ import numpy as np
 
 from .contfrac import RationalTruncation
 from .errors import (BoundaryError, CertificateError, ConfigError,
-                     SingularOrbitError)
+                     SingularOrbitError, _integers, _rational)
 from .observables import (TWO_PI, VectorObservable, _phase_table,
                           billiard_displacement, series_weights)
-from .ergosum import ErgodicContext, _integers
+from .ergosum import ErgodicContext
 from .sequences import SubsequencePlan
 from .stats import ExperimentReport, covariance_2d
 
@@ -78,7 +77,7 @@ class ObstacleParams:
     b: Fraction
 
     def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
+        a, b = _rational("side a", self.a), _rational("side b", self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not (0 < a < 1 and 0 < b < 1):
@@ -169,13 +168,8 @@ class BilliardOrbit:
 # ---------------------------------------------------------------------------
 
 def _residue(x) -> tuple[int, int]:
-    """(u, v) with {x} = u/v in lowest terms.  The cocycle takes x as an
-    exact rational (an int or a Fraction); a float would stand for its
-    binary expansion, not for the number written."""
-    # the concrete types first: the Rational ABC check alone is slower
-    if not isinstance(x, (Fraction, int, numbers.Rational)):
-        raise ConfigError("x must be an exact rational (int or Fraction), "
-                          f"got {type(x).__name__} {x!r}")
+    """(u, v) with {x} = u/v in lowest terms, for an exact rational x."""
+    x = _rational("x", x)
     v = int(x.denominator)
     return int(x.numerator) % v, v
 
@@ -259,7 +253,7 @@ def _cell_context(params: ObstacleParams, x_den: int) -> ErgodicContext:
 def section_start(chi, params: ObstacleParams):
     """(position on the boundary of obstacle (0,0), direction) for the
     outgoing slope +1 section coordinate chi in (0,1) \\ {1/2}."""
-    chi = Fraction(chi)
+    chi = _rational("chi", chi)
     chi -= chi.numerator // chi.denominator
     if chi == 0 or chi == Fraction(1, 2):
         raise BoundaryError("chi on the copy boundary")
@@ -474,8 +468,11 @@ def hitting_time_profile(params: ObstacleParams) -> PiecewiseLinear:
 def estimate_c(params: ObstacleParams, n_starts: int = 2000, seed: int = 0):
     """(monte_carlo, quadrature): mean hitting time by seeded random starts
     and by exact integration of the piecewise-linear chart."""
+    n_starts, seed = _integers("n_starts and seed", n_starts, seed)
     if n_starts < 1:
         raise ConfigError(f"n_starts must be >= 1, got {n_starts}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     prof = hitting_time_profile(params)
     exact = float(prof.mean()) * SQRT2
@@ -498,7 +495,7 @@ def estimate_c(params: ObstacleParams, n_starts: int = 2000, seed: int = 0):
 
 def params_for_plan(trunc: RationalTruncation, scale: Fraction = Fraction(1)) -> ObstacleParams:
     """Obstacle sides realizing alpha = trunc.value: a = alpha*s, b = (1-alpha)*s."""
-    scale = Fraction(scale)
+    scale = _rational("scale", scale)
     if not 0 < scale <= 1:
         raise ConfigError("scale must be in (0,1]")
     alpha = trunc.value
@@ -510,8 +507,8 @@ def mild_hypothesis_values(spec, ns) -> list[float]:
     for tame quotient growth."""
     out = []
     for n in ns:
-        if n < 1:
-            raise ConfigError(f"horizons must be >= 1, got {n}")
+        if not 1 <= n < math.inf:
+            raise ConfigError(f"horizons must be finite and >= 1, got {n}")
         j_max = int(math.log(n))
         total = sum(spec.a(j + 1) for j in range(1, j_max + 1))
         out.append(total / math.sqrt(n))

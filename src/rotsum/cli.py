@@ -65,9 +65,15 @@ class RunConfig:
             json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
+# The designed rotation numbers of the alpha specs 'clt:' and 'parity:'; the
+# defaults of their keys c and beta are those of the builders.
+_DESIGNS = {"clt": cf.clt_design_rule, "parity": cf.parity_design_rule}
+
+
 def parse_alpha(text: str, levels: int):
     """'golden' | 'sqrt2m1' | 'list:1,2,3' | 'clt:c=30' | 'parity:c=30'."""
     max_index = levels + cf.GUARD
+    name, _, rest = text.partition(":")
     if text == "golden":
         spec = cf.golden(max_index)
     elif text == "sqrt2m1":
@@ -77,16 +83,14 @@ def parse_alpha(text: str, levels: int):
         levels = min(levels, spec.max_index - cf.GUARD)
         if levels < 1:
             raise ConfigError("explicit list too short for the guard")
-    elif text.startswith("clt:") or text == "clt":
-        kw = _parse_kw(text[4:] if ":" in text else "")
-        spec = cf.clt_design_rule(c=int(kw.get("c", 30)),
-                                  beta=int(kw.get("beta", 2)),
-                                  max_index=max_index)
-    elif text.startswith("parity:") or text == "parity":
-        kw = _parse_kw(text[7:] if ":" in text else "")
-        spec = cf.parity_design_rule(c=int(kw.get("c", 30)),
-                                     beta=int(kw.get("beta", 2)),
-                                     max_index=max_index)
+    elif name in _DESIGNS:
+        kw = _parse_kw(rest)
+        unknown = sorted(set(kw) - {"c", "beta"})
+        if unknown:
+            raise ConfigError(f"alpha {name!r} takes only c and beta, got "
+                              f"{', '.join(unknown)}")
+        spec = _DESIGNS[name](max_index=max_index,
+                              **{k: int(v) for k, v in kw.items()})
     else:
         raise ConfigError(f"cannot parse alpha spec {text!r}")
     return cf.design_alpha(spec, levels)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (CertificateError, ConfigError, PrecisionError,
-                     SpecExhaustedError)
+                     SpecExhaustedError, _integers)
 
 __all__ = [
     "PartialQuotientSpec",
@@ -180,7 +180,7 @@ def sqrt2m1(max_index: int = 48) -> PartialQuotientSpec:
 
 
 def from_list(quotients: Sequence[int]) -> PartialQuotientSpec:
-    qs = tuple(int(a) for a in quotients)
+    qs = tuple(_integers("partial quotients", *quotients))
     return PartialQuotientSpec(name="list", max_index=len(qs), quotients=qs)
 
 
@@ -279,8 +279,9 @@ class RationalTruncation:
 
     def distance(self, k: int) -> Fraction:
         """||k * p_M/q_M|| as an exact rational, for 1 <= k < q_{M-1}."""
-        self.require_window(int(k))
-        r = (int(k) * self.p) % self.q
+        (k,) = _integers("k", k)
+        self.require_window(k)
+        r = (k * self.p) % self.q
         return Fraction(min(r, self.q - r), self.q)
 
     def denominator_distance(self, n: int) -> Fraction:
@@ -312,6 +313,7 @@ class RationalTruncation:
 
 def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
     """Freeze the spec at p_level/q_level."""
+    (level,) = _integers("truncation level", level)
     if level < 2:
         raise ConfigError("truncation level must be >= 2 for a nonempty window")
     cs = convergents(spec, level)
@@ -331,6 +333,9 @@ GUARD = 5
 def design_alpha(spec: PartialQuotientSpec, levels: int) -> RationalTruncation:
     """Freeze ``spec`` ``GUARD`` levels beyond every index the experiment
     will query (1..levels)."""
+    (levels,) = _integers("levels", levels)
+    if levels < 1:
+        raise ConfigError(f"levels must be >= 1, got {levels}")
     level = levels + GUARD
     if level > spec.max_index:
         raise SpecExhaustedError(
@@ -364,7 +369,7 @@ class OstrowskiDigits:
 
 def ostrowski_digits(N: int, trunc: RationalTruncation) -> OstrowskiDigits:
     """Most-significant-first greedy expansion of N >= 1 in the basis (q_k)."""
-    N = int(N)
+    (N,) = _integers("N", N)
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     qs = trunc.qs
@@ -396,7 +401,8 @@ def beta_from_ostrowski(b: Sequence[int] | dict[int, int],
     else:
         items = [(n, v) for n, v in enumerate(b)]
     total = Fraction(0)
-    for n, coeff in items:
+    for item in items:
+        n, coeff = _integers("Ostrowski indices and digits", *item)
         if coeff == 0:
             continue
         if not 0 <= n < trunc.level - 1:

@@ -45,7 +45,6 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,9 +52,11 @@ from functools import lru_cache
 import numpy as np
 
 from .contfrac import RationalTruncation, ostrowski_digits
-from .errors import CertificateError, ConfigError, PrecisionError
-from .observables import (_INT64_SAFE, Observable, Sawtooth, StepFunction,
-                          gamma_sq_array, reduce_phases, series_weights)
+from .errors import (CertificateError, ConfigError, PrecisionError, _integers,
+                     _rational)
+from .observables import (_INT64_SAFE, Observable, Sawtooth, _require_rmax,
+                          _step_from_jumps, gamma_sq_array, reduce_phases,
+                          series_weights)
 
 __all__ = [
     "floor_sum",
@@ -85,15 +86,6 @@ def floor_sum(n: int, a: int, b: int, c: int) -> int:
     if n == 0:
         return 0
     return _walk(_chain(n, a, c), b)
-
-
-def _integers(what: str, *values) -> list[int]:
-    """``values`` as Python ints, accepting Python and numpy integers; int()
-    would silently truncate a float or a Fraction, so anything else raises."""
-    try:
-        return list(map(operator.index, values))
-    except TypeError:
-        raise ConfigError(f"{what} must be integers, got {values!r}") from None
 
 
 def _tri(n: int) -> int:
@@ -173,16 +165,13 @@ def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
     read as the wrap-around interval [u,1) + [0,w).  The count is the sum of
     the interval's 0/1 indicator, so it runs on the visit-count kernel.
     """
-    u, w = Fraction(interval[0]), Fraction(interval[1])
+    u, w = _rational("u", interval[0]), _rational("w", interval[1])
     if not (0 <= u <= 1 and 0 <= w <= 1):
         raise ConfigError(f"interval endpoints must lie in [0, 1], got {interval}")
-    cuts = sorted({Fraction(0), u % 1, w % 1})
-    if u <= w:
-        values = tuple(int(u <= t < w) for t in cuts)
-    else:
-        values = tuple(int(not w <= t < u) for t in cuts)
-    x = Fraction(x)
-    ctx = ErgodicContext(StepFunction(tuple(cuts), values), trunc, x.denominator)
+    length = w - u if u <= w else 1 - u + w
+    x = _rational("x", x)
+    indicator = _step_from_jumps(((u, 1), (w, -1)), length, "indicator")
+    ctx = ErgodicContext(indicator, trunc, x.denominator)
     return int(ctx.sum_at(x.numerator, N))
 
 
@@ -273,7 +262,7 @@ def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation,
                 engine: str = "floorsum") -> Fraction:
     """S_N phi(x) as an exact Fraction; the floorsum engine is exact at any N
     in the window, the direct engine sums term by term."""
-    x = Fraction(x)
+    x = _rational("x", x)
     x -= x.numerator // x.denominator
     if engine == "direct":
         return _direct_sum(phi, x, *_integers("N", N), trunc)
@@ -413,10 +402,10 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
 def orbit_sum_profile(phi: Observable, n: int, rot: Fraction) -> OrbitProfile:
     """Exact profile of x -> sum_{j<n} phi(x + j*rot) for an exact rational
     rotation step ``rot``; one sort of the n * #jumps jump positions."""
-    n = int(n)
+    (n,) = _integers("n", n)
     if n < 0:
         raise ConfigError("n must be >= 0")
-    return _signed_profile(phi, n, ((rot, 1),))
+    return _signed_profile(phi, n, ((_rational("rotation", rot), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +444,7 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
 
 
 def _approx_error_series(phi, n, trunc, rmax):
+    _require_rmax(rmax)
     qn = trunc.qs[n]
     # largest multiple of alpha used below is qn^2 * rmax
     trunc.require_window(qn * qn * rmax, "Fourier multiple")

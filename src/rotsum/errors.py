@@ -2,8 +2,15 @@
 
 The exact engines refuse to return silently degraded answers: any request
 that falls outside the window where rational-truncation arithmetic is
-faithful raises ``PrecisionError`` instead of returning a number.
+faithful raises ``PrecisionError`` instead of returning a number.  The
+two argument checks below keep a float from standing in for an exact
+number: an int() or a Fraction() of it would silently truncate it, or read
+its binary expansion, where an exact engine needs the number written.
 """
+
+import numbers
+import operator
+from fractions import Fraction
 
 
 class RotsumError(Exception):
@@ -56,3 +63,25 @@ class ParityPatternError(RotsumError):
     def __init__(self, message: str, diagnostic=None):
         super().__init__(message)
         self.diagnostic = diagnostic
+
+
+def _integers(what: str, *values) -> list[int]:
+    """``values`` as Python ints, accepting Python and numpy integers; int()
+    would silently truncate a float or a Fraction, so anything else raises."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise ConfigError(f"{what} must be integers, got {values!r}") from None
+
+
+def _rational(what: str, x) -> Fraction:
+    """``x`` as a Fraction, accepting an int, a Fraction or any
+    numbers.Rational; a float would stand for its binary expansion, not for
+    the number written, so anything else raises."""
+    # the concrete types first: the Rational ABC check alone is slower
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, (int, numbers.Rational)):
+        raise ConfigError(f"{what} must be an exact rational (int or "
+                          f"Fraction), got {type(x).__name__} {x!r}")
+    return Fraction(int(x.numerator), int(x.denominator))

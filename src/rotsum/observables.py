@@ -24,20 +24,24 @@ The periodization transfer ("hat") of an observable at modulus l is
     hat_phi_l(x) = sum_{r != 0} (gamma_{r l} / r) e^{2 pi i r x},
     hat_phi_l(l x) = sum_{j < l} phi(x + j/l),
 
-which for a step function is again a step function with at most as many
-breakpoints (each breakpoint t maps to {l t}).
+which for a step function is again a step function: each jump J at t
+becomes a jump J at {l t}, and the mean is multiplied by l.  Step functions
+are built, shifted and transferred from their jumps alone, so the transfer
+costs O(#jumps) at any l.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ConfigError
+from .errors import ConfigError, _integers, _rational
 
 __all__ = [
     "StepFunction",
@@ -98,15 +102,7 @@ class StepFunction:
     # -- basic structure ----------------------------------------------------
 
     def piece_index(self, x) -> int:
-        x = _frac(x)
-        lo, hi = 0, len(self.breakpoints)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.breakpoints[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect.bisect_right(self.breakpoints, _frac(x)) - 1
 
     def evaluate(self, x):
         return self.values[self.piece_index(x)]
@@ -132,9 +128,7 @@ class StepFunction:
 
     def variation(self):
         """Cyclic total variation: sum of |jumps| including the wrap at 0."""
-        k = len(self.values)
-        return sum(abs(self.values[i] - self.values[(i - 1) % k])
-                   for i in range(k))
+        return sum(abs(j) for j in self.jumps().values())
 
     def kbound(self) -> float:
         """K with |r c_r| <= K for all r != 0; from jumps, K = V/(2 pi)."""
@@ -160,16 +154,11 @@ class StepFunction:
         return acc / (2j * math.pi)
 
     def shifted(self, delta: Fraction) -> "StepFunction":
-        """The observable x -> phi(x + delta), breakpoints renormalized."""
-        pieces = sorted(
-            (_frac(b - delta), v) for b, v in zip(self.breakpoints, self.values)
-        )
-        bs = [b for b, _ in pieces]
-        vs = [v for _, v in pieces]
-        if bs[0] != 0:
-            bs.insert(0, Fraction(0))
-            vs.insert(0, vs[-1])
-        return StepFunction(tuple(bs), tuple(vs), label=f"{self.label}+shift")
+        """The observable x -> phi(x + delta): each jump moves to t - delta."""
+        delta = _rational("shift", delta)
+        return _step_from_jumps(
+            ((t - delta, j) for t, j in self.jumps().items()), self.mean(),
+            f"{self.label}+shift")
 
 
 @dataclass(frozen=True)
@@ -254,28 +243,30 @@ class SmoothnessBudget:
 # Module-level conveniences
 # ---------------------------------------------------------------------------
 
-def _step_pieces(cuts, value_at):
-    """(breakpoints, values) of the step function equal to ``value_at(m)`` on
-    each piece between the sorted ``cuts`` (0 added), m the midpoint of the
-    piece.  Equal neighbours are merged (cyclically irrelevant duplicates
-    keep V honest)."""
-    bs = sorted(set(cuts) | {Fraction(0)})
-    vals = [value_at((b + e) / 2) for b, e in zip(bs, bs[1:] + [Fraction(1)])]
-    keep = [i for i, v in enumerate(vals) if i == 0 or v != vals[i - 1]]
-    return [bs[i] for i in keep], [vals[i] for i in keep]
+def _step_from_jumps(pairs, mean, label: str) -> StepFunction:
+    """The step function with a jump J at each (t, J) of ``pairs`` and the
+    given ``mean``; the jumps of a periodic function sum to 0.
+
+    Each point is read mod 1, jumps at one point are summed and zero jumps
+    dropped.  Breakpoint 0 stays even without a jump; the values are the
+    running sums of the jumps plus the constant that fixes the mean.
+    """
+    jumps = {}
+    for t, j in pairs:
+        t = Fraction(t) % 1
+        jumps[t] = jumps.get(t, 0) + j
+    bs = sorted({Fraction(0)} | {t for t, j in jumps.items() if j})
+    vals = list(itertools.accumulate(jumps.get(b, 0) for b in bs))
+    lengths = [e - b for b, e in zip(bs, bs[1:] + [1])]
+    c = mean - sum(v * l for v, l in zip(vals, lengths))
+    return StepFunction(tuple(bs), tuple(v + c for v in vals), label=label)
 
 
 def _step_from_intervals(intervals, label: str) -> StepFunction:
-    """Centered sum of v * 1_{[u,w)}; intervals are (u, w, v) with u < w <= 1.
-
-    Builds the breakpoint partition and subtracts the mean so the result is
-    exactly centered.
-    """
-    bs, vals = _step_pieces(
-        {Fraction(t) % 1 for u, w, _ in intervals for t in (u, w)},
-        lambda x: sum(Fraction(c) for u, w, c in intervals if u <= x < w))
-    mean = sum(v * (e - b) for v, b, e in zip(vals, bs, bs[1:] + [1]))
-    return StepFunction(tuple(bs), tuple(v - mean for v in vals), label=label)
+    """Centered sum of v * 1_{[u,w)}; intervals are (u, w, v), each read mod
+    1, so that w > 1 wraps: a jump +v at u and -v at w."""
+    return _step_from_jumps(
+        (pair for u, w, v in intervals for pair in ((u, v), (w, -v))), 0, label)
 
 
 def indicator(beta: Fraction) -> StepFunction:
@@ -299,14 +290,9 @@ def double_interval(beta: Fraction, gamma: Fraction) -> StepFunction:
     beta, gamma = Fraction(beta), Fraction(gamma)
     if not (0 < beta < 1 and 0 < gamma < 1):
         raise ConfigError("beta, gamma must be in (0,1)")
-    intervals = [(Fraction(0), beta, 1)]
-    end = gamma + beta
-    if end <= 1:
-        intervals.append((gamma, end, -1))
-    else:
-        intervals.append((gamma, Fraction(1), -1))
-        intervals.append((Fraction(0), end - 1, -1))
-    return _step_from_intervals(intervals, f"double(beta={beta},gamma={gamma})")
+    return _step_from_intervals([(Fraction(0), beta, 1),
+                                 (gamma, gamma + beta, -1)],
+                                f"double(beta={beta},gamma={gamma})")
 
 
 def half_shifted(beta: Fraction) -> StepFunction:
@@ -376,30 +362,26 @@ def catalog(name: str, **params):
 # Periodization transfer
 # ---------------------------------------------------------------------------
 
-# Largest ell * #pieces that hat_observable enumerates.
-_HAT_CAP = 200_000
+def _require_ell(ell) -> int:
+    (ell,) = _integers("ell", ell)
+    if ell < 1:
+        raise ConfigError(f"ell must be >= 1, got {ell}")
+    return ell
 
 
 def hat_observable(phi: Observable, ell: int) -> Observable:
     """hat_phi_ell with hat_phi_ell(ell x) = sum_{j<ell} phi(x + j/ell).
 
-    For a step function the breakpoints are {ell t mod 1}; enumeration costs
-    ell * (#pieces) evaluations and is refused beyond ``_HAT_CAP`` (use
-    ``hat_norm_sq`` for the Fourier route instead).
+    For a step function each jump J at t becomes a jump J at {ell t}, and
+    the mean is ell * mean(phi): O(#jumps) exact work at any ell.
     """
-    if ell < 1:
-        raise ConfigError("ell must be >= 1")
+    ell = _require_ell(ell)
     if isinstance(phi, Sawtooth):
         return phi  # gamma_{r ell} = gamma_r: the transfer fixes the sawtooth
     if ell == 1:
         return phi
-    if ell * len(phi.breakpoints) > _HAT_CAP:
-        raise ConfigError(
-            f"hat enumeration cap exceeded (ell={ell}); use hat_norm_sq")
-    bs, vals = _step_pieces(
-        (_frac(ell * t) for t in phi.breakpoints),
-        lambda y: sum(phi.evaluate((y + j) / ell) for j in range(ell)))
-    return StepFunction(tuple(bs), tuple(vals), label=f"hat({phi.label},{ell})")
+    return _step_from_jumps(((ell * t, j) for t, j in phi.jumps().items()),
+                            ell * phi.mean(), f"hat({phi.label},{ell})")
 
 
 # Largest bound on r * den for which residue tables stay in int64.
@@ -513,6 +495,7 @@ def phase_fracs(theta: Fraction, rmax: int):
 
 
 def _require_rmax(rmax: int) -> None:
+    (rmax,) = _integers("rmax", rmax)
     if rmax < 1:
         raise ConfigError(f"rmax must be >= 1, got {rmax}")
 
@@ -547,8 +530,6 @@ def gamma_array(phi: Observable, stride, rmax: int):
     import numpy as np
 
     _require_rmax(rmax)
-    if isinstance(phi, Sawtooth):
-        return np.full(rmax, 1j / TWO_PI, dtype=complex)
     acc = np.zeros(rmax, dtype=complex)
     for t, j in phi.jumps().items():
         jump = float(j)
@@ -590,8 +571,7 @@ def hat_norm_sq(phi: Observable, ell: int, rmax: int = 4000) -> tuple[float, flo
     """
     import numpy as np
 
-    if ell < 1:
-        raise ConfigError("ell must be >= 1")
+    ell = _require_ell(ell)
     _require_rmax(rmax)
     if isinstance(phi, Sawtooth):
         return PHI0_HAT_NORM_SQ, 0.0

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .contfrac import PartialQuotientSpec, RationalTruncation, truncation
 from .errors import (ConfigError, InsufficientPartialQuotientsError,
-                     ParityPatternError, PrecisionError)
+                     ParityPatternError, PrecisionError, _integers)
 from .observables import Observable, hat_norm_sq
 
 __all__ = [
@@ -129,6 +129,7 @@ def _greedy(trunc: RationalTruncation, beta: float, count: int,
     spec/truncation runs out first."""
     if not beta > 1:
         raise ConfigError(f"growth exponent beta must be > 1, got {beta}")
+    (count,) = _integers("count", count)
     if count < 1:
         raise ConfigError("count must be >= 1")
     spec = trunc.spec
@@ -239,7 +240,7 @@ def check_lacunarity(n_list) -> LacunaryCertificate:
     """Exact min ratio rho over the window; the superlacunary flag compares
     the tail of the ratio sequence against its head (window heuristic, not a
     claim about the unscanned infinite tail)."""
-    ns = [int(v) for v in n_list]
+    ns = _integers("sequence terms", *n_list)
     if len(ns) < 2:
         raise ConfigError("need at least two terms")
     if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
@@ -262,10 +263,14 @@ def check_Dm(n_list, m: int, window: int | None = None) -> dict:
     index pairs (k, l).  The arithmetic condition asks for a uniform bound
     over all nu, which a finite scan can only certify on its window.
     """
+    (m,) = _integers("m", m)
     if m < 1:
         raise ConfigError("m must be >= 1")
-    ns = [int(v) for v in n_list]
+    ns = _integers("sequence terms", *n_list)
     if window is not None:
+        (window,) = _integers("window", window)
+        if window < 0:
+            raise ConfigError(f"window must be >= 0, got {window}")
         ns = ns[:window]
     counts: dict[int, int] = {}
     pairs: dict[int, set] = {}

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__ as _VERSION
 from .contfrac import RationalTruncation
 from .ergosum import ErgodicContext
-from .errors import CertificateError, ConfigError
+from .errors import CertificateError, ConfigError, _integers
 from .observables import (Observable, VectorObservable, gamma_array,
                           gamma_sq_array, series_weights)
 from .sequences import SubsequencePlan
@@ -90,7 +90,11 @@ class StratifiedSampler:
     den: int = 2 ** 64
 
     def __post_init__(self):
-        if not 1 <= self.size <= self.den:
+        seed, size, den = _integers("sampler seed, size and denominator",
+                                    self.seed, self.size, self.den)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        if not 1 <= size <= den:
             raise ConfigError(f"sample size must be >= 1 and at most "
                               f"den = {self.den}, got {self.size}")
 
@@ -209,6 +213,8 @@ def ks_statistic(samples, cdf) -> float:
     if f.shape != z.shape:
         raise ConfigError(
             f"cdf returned shape {f.shape} for {z.shape[0]} samples")
+    if not np.all(np.isfinite(f)):
+        raise ConfigError("cdf returned non-finite values")
     n = z.size
     lo = np.arange(0, n) / n
     hi = np.arange(1, n + 1) / n
@@ -503,6 +509,9 @@ def block_variance_ratio(fs: list, ns: list) -> float:
     """
     if len(fs) != len(ns):
         raise ConfigError("need one observable per frequency")
+    ns = _integers("frequencies", *ns)
+    if any(n < 1 for n in ns):
+        raise ConfigError(f"frequencies must be >= 1, got {ns}")
     diag = sum(float(f.norm_sq()) for f in fs)
     if diag == 0:
         raise ConfigError("need observables of nonzero total norm")

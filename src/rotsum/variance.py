@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .contfrac import RationalTruncation
-from .errors import CertificateError, ConfigError
+from .errors import CertificateError, ConfigError, _integers
 from .observables import (_INT64_SAFE, Observable, _require_rmax,
                           gamma_sq_array, reduce_phases, series_weights)
 from .ergosum import _PROFILE_CAP, orbit_sum_profile
@@ -48,11 +48,18 @@ __all__ = [
 ]
 
 
+def _finite(t) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise ConfigError(f"t must be finite, got {t}")
+    return t
+
+
 def gn_kernel(n: int, t: float) -> float:
     """G_n(t) = sin^2(n pi t)/sin^2(pi t); G_n(integer) = n^2 (removable)."""
     if n < 0:
         raise ConfigError("n must be >= 0")
-    tf = float(t) % 1.0
+    tf = _finite(t) % 1.0
     s = math.sin(math.pi * tf)
     if abs(s) < 1e-14:
         return float(n * n)
@@ -78,7 +85,7 @@ def gn_mean(n: int, t: float) -> float:
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    tf = float(t) % 1.0
+    tf = _finite(t) % 1.0
     tf = min(tf, 1.0 - tf)
     if tf == 0.0:
         return (n - 1) * (2 * n - 1) / 6.0
@@ -161,6 +168,7 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
     exact mode returns (Fraction, 0) by piecewise integration (needs
     n * #jumps under the enumeration cap).
     """
+    (n,) = _integers("n", n)
     if n < 0:
         raise ConfigError("n must be >= 0")
     if n == 0:

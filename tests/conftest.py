@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from rotsum import billiard as bil
 from rotsum import ergosum as es
+from rotsum import observables as obs
 from rotsum.errors import SingularOrbitError
 
 # every property test draws the same examples on every run
@@ -73,6 +74,26 @@ def _midpoint_profile_oracle(phi, n, trunc):
 @pytest.fixture(scope="session")
 def profile_oracle():
     return _midpoint_profile_oracle
+
+
+def _hat_enumeration(phi, ell):
+    """hat_phi_ell of a step function by enumeration: breakpoints {ell t}
+    for the breakpoints t of phi, and on each piece the value
+    sum_{j<ell} phi((y + j)/ell) at its midpoint y, equal neighbours merged.
+    The ell * #pieces evaluations that the jump transfer of hat_observable
+    replaced, kept as its oracle."""
+    bs = sorted({Fraction(0)} | {(ell * t) % 1 for t in phi.breakpoints})
+    mids = [(b + e) / 2 for b, e in zip(bs, bs[1:] + [Fraction(1)])]
+    vals = [sum(phi.evaluate((y + j) / ell) for j in range(ell)) for y in mids]
+    keep = [i for i, v in enumerate(vals) if i == 0 or v != vals[i - 1]]
+    return obs.StepFunction(tuple(bs[i] for i in keep),
+                            tuple(vals[i] for i in keep),
+                            label=f"hat({phi.label},{ell})")
+
+
+@pytest.fixture(scope="session")
+def hat_enumeration():
+    return _hat_enumeration
 
 
 def _fraction_first_hit(px, py, sx, sy, params, max_slabs=256):

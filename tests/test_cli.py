@@ -258,6 +258,29 @@ def test_unread_observable_parameter_is_refused(capsys):
     assert captured.err.startswith("error: ") and "gamma" in captured.err
 
 
+# the designed alpha specs take only their builders' keys c and beta; each
+# other key used to be ignored, yet hashed into the config
+@pytest.mark.parametrize("alpha, key", [
+    ("clt:c=30,zzz=1", "zzz"),
+    ("clt:max_index=3", "max_index"),
+    ("parity:c=30,gamma=1", "gamma"),
+])
+def test_unread_alpha_key_is_refused(alpha, key, capsys):
+    assert cli.main(["cf", "--alpha", alpha, "--terms", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and key in captured.err
+
+
+def test_designed_alpha_defaults_come_from_the_builders(capsys):
+    assert cli.main(["cf", "--alpha", "clt:c=30", "--terms", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("n,a_n,p_n,q_n\r\n1,1,1,1\r\n2,30,30,31\r\n"
+                            "3,120,3601,3721\r\n")
+    assert "[config 476f836f45a6d0ab," in captured.err
+    assert cli.parse_alpha("parity", 3).spec.params == {"c": 30, "beta": 2}
+
+
 _CLI_TREE = ast.parse(inspect.getsource(cli))
 _FUNCTIONS = {node.name: node for node in _CLI_TREE.body
               if isinstance(node, ast.FunctionDef)}

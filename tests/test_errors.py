@@ -158,6 +158,12 @@ _X = Fraction(1, 9)
     pytest.param(lambda: bil.cell_after(3, 0.3, _SHAPE), id="cell_after-x"),
     pytest.param(lambda: bil.cell_after_direct(3, 0.3, _SHAPE),
                  id="cell_after_direct-x"),
+    # the ray tracer's route too: each used to read 0.3 as its binary
+    # expansion
+    pytest.param(lambda: bil.ray_trace(0.3, _SHAPE), id="ray_trace-x"),
+    pytest.param(lambda: bil.hitting_time(0.3, _SHAPE), id="hitting_time-x"),
+    pytest.param(lambda: bil.section_start(0.3, _SHAPE), id="section_start-x"),
+    pytest.param(lambda: bil.ObstacleParams(0.4, 0.4), id="ObstacleParams"),
 ])
 def test_billiard_rejects_inexact_arguments(call):
     # not a TypeError, an AttributeError or a silently truncated count
@@ -167,6 +173,7 @@ def test_billiard_rejects_inexact_arguments(call):
 
 _GOLDEN = cf.truncation(cf.golden(15), 10)
 _NAN = float("nan")
+_INF = float("inf")
 
 
 @pytest.mark.parametrize("call", [
@@ -201,6 +208,64 @@ _NAN = float("nan")
                  id="norm_sq-rmax0"),
     pytest.param(lambda: var.mean_variance(obs.half(), 3, _GOLDEN, rmax=0),
                  id="mean_variance-rmax0"),
+    pytest.param(lambda: es.approx_error_sq(obs.half(), 2, _GOLDEN,
+                                            mode="series", rmax=0),
+                 id="approx_error_sq-rmax0"),
+    # integer arguments are integers: each used to truncate the float, read
+    # a negative count from the end, or escape as a bare TypeError or an
+    # AttributeError
+    pytest.param(lambda: _GOLDEN.distance(2.7), id="distance-k"),
+    pytest.param(lambda: cf.ostrowski_digits(2.5, _GOLDEN),
+                 id="ostrowski_digits-N"),
+    pytest.param(lambda: cf.from_list([1, 2.5, 3]), id="from_list"),
+    pytest.param(lambda: seq.check_lacunarity([1.5, 3]),
+                 id="check_lacunarity"),
+    pytest.param(lambda: es.orbit_sum_profile(obs.half(), 2.5, _GOLDEN.value),
+                 id="orbit_sum_profile-n"),
+    pytest.param(lambda: var.norm_sq(obs.half(), 2.5, _GOLDEN, mode="exact"),
+                 id="norm_sq-n"),
+    pytest.param(lambda: obs.hat_norm_sq(obs.half(), 2.5), id="hat_norm_sq-ell"),
+    pytest.param(lambda: obs.hat_observable(obs.half(), 2.5),
+                 id="hat_observable-ell"),
+    pytest.param(lambda: seq.check_Dm([1, 3, 9], 2, window=-1),
+                 id="check_Dm-window"),
+    pytest.param(lambda: cf.design_alpha(cf.golden(15), -3),
+                 id="design_alpha-levels"),
+    pytest.param(lambda: cf.beta_from_ostrowski([0.5], _GOLDEN),
+                 id="beta_from_ostrowski"),
+    pytest.param(lambda: seq.plan_growth(_GOLDEN, 2, 2.5), id="plan-count"),
+    pytest.param(lambda: obs.gamma_array(obs.half(), 1, 2.5),
+                 id="gamma_array-rmax"),
+    pytest.param(lambda: st.StratifiedSampler(0, 2.5), id="sampler-size"),
+    pytest.param(lambda: st.StratifiedSampler(-1, 5), id="sampler-seed-1"),
+    pytest.param(lambda: cf.truncation(cf.golden(15), 2.5),
+                 id="truncation-level"),
+    # exact rationals in the exact engines, as in the cocycle
+    pytest.param(lambda: es.count_visits(0.1, (0, Fraction(1, 2)), 5, _GOLDEN),
+                 id="count_visits-x"),
+    pytest.param(lambda: es.ergodic_sum(obs.half(), 0.1, 5, _GOLDEN),
+                 id="ergodic_sum-x"),
+    pytest.param(lambda: es.orbit_sum_profile(obs.half(), 5, 0.3),
+                 id="orbit_sum_profile-rot"),
+    pytest.param(lambda: obs.half().shifted(0.1), id="shifted-delta"),
+    # no silent NaN: each used to return NaN or escape as numpy's or the
+    # interpreter's ValueError or OverflowError
+    pytest.param(lambda: st.block_variance_ratio([obs.half(), obs.half()],
+                                                 [0, 3]),
+                 id="block_variance_ratio-n0"),
+    pytest.param(lambda: var.gn_kernel(3, _NAN), id="gn_kernel-nan"),
+    pytest.param(lambda: var.gn_mean(3, _INF), id="gn_mean-inf"),
+    pytest.param(lambda: st.ks_statistic([0.1, 0.2],
+                                         lambda z: z * _NAN),
+                 id="ks_statistic-cdf-nan"),
+    pytest.param(lambda: bil.mild_hypothesis_values(cf.golden(10), [_NAN]),
+                 id="mild_hypothesis-nan"),
+    pytest.param(lambda: bil.mild_hypothesis_values(cf.golden(10), [_INF]),
+                 id="mild_hypothesis-inf"),
+    pytest.param(lambda: bil.params_for_plan(_GOLDEN, scale=_NAN),
+                 id="params_for_plan-scale-nan"),
+    pytest.param(lambda: bil.estimate_c(_SHAPE, 3, seed=-1),
+                 id="estimate_c-seed-1"),
 ])
 def test_edge_inputs_raise_config_error(call):
     with pytest.raises(ConfigError):

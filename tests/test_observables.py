@@ -11,6 +11,7 @@ from rotsum import billiard as bil
 from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import observables as obs
+from rotsum import sequences as seq
 from rotsum.errors import ConfigError
 
 TWO_PI = 2 * math.pi
@@ -163,12 +164,6 @@ def test_hat_fourier_coefficients():
             # gamma_r(hat) = gamma_{r ell}(phi): check against the oracle
             oracle = r * c_r_oracle(hat, r)
             assert abs(oracle - phi.fourier_gamma(r * ell)) < 1e-10
-
-
-def test_hat_cap():
-    phi = obs.indicator(Fraction(1, 3))
-    with pytest.raises(ConfigError):
-        obs.hat_observable(phi, 10 ** 9)
 
 
 def test_hat_norm_sq_phi0_is_one_twelfth_not_pi2_over_6():
@@ -468,3 +463,45 @@ def test_gamma_array_wide_denominators_both_regimes(shift_den, rmax):
 def test_gamma_sq_array_sawtooth_constant():
     gsq = obs.gamma_sq_array(obs.Sawtooth(), 12345, 10)
     assert np.all(gsq == 1.0 / (4.0 * math.pi ** 2))
+
+
+@pytest.mark.parametrize("stride", [1, 7, 3 ** 200, Fraction(5, 3)],
+                         ids=["1", "7", "3**200", "5/3"])
+@pytest.mark.parametrize("rmax", [1, 2, 17, 5000])
+def test_gamma_array_sawtooth_from_its_jump(stride, rmax):
+    # the sawtooth's one jump, -1 at 0, gives gamma_r = i/(2 pi) bit for bit
+    g = obs.gamma_array(obs.Sawtooth(), stride, rmax)
+    assert same_bits(g, np.full(rmax, 1j / TWO_PI, dtype=complex))
+
+
+# not centred, so that the transfer must scale the mean
+UNCENTRED = obs.StepFunction((Fraction(0), Fraction(1, 3), Fraction(3, 4)),
+                             (Fraction(2), Fraction(-1), Fraction(1, 2)))
+
+
+@settings(max_examples=80)
+@given(phi=hst.sampled_from(STEP_CATALOG + [UNCENTRED]),
+       shift=hst.integers(0, 96), ell=hst.integers(2, 60))
+def test_hat_observable_matches_enumeration(phi, shift, ell, hat_enumeration):
+    phi = phi.shifted(Fraction(shift, 97))
+    hat, oracle = obs.hat_observable(phi, ell), hat_enumeration(phi, ell)
+    assert (hat.breakpoints, hat.values, hat.label) == (
+        oracle.breakpoints, oracle.values, oracle.label)
+    assert ([type(v) for v in hat.breakpoints + hat.values]
+            == [type(v) for v in oracle.breakpoints + oracle.values])
+
+
+def test_hat_transfer_at_the_plan_denominators():
+    # the transfer moves jumps, so it reaches every q_(t_k) of the plan (up
+    # to 500 bits) exactly; the truncated Fourier norm stays below the exact
+    # one by at most its tail bound
+    plan = seq.plan_growth(cli.parse_alpha("clt:c=30", 48), 2, 40)
+    qs = plan.denominators()
+    assert len(qs) == 40 and qs[-1].bit_length() == 500
+    third = obs.indicator(Fraction(1, 3))
+    for q in qs:
+        assert obs.hat_observable(third, q).norm_sq() == Fraction(2, 9)
+        for phi in STEP_CATALOG:
+            value, tail = obs.hat_norm_sq(phi, q)
+            assert 0 <= float(obs.hat_observable(phi, q).norm_sq()) - value <= tail
+    assert obs.hat_observable(third, 3 ** 300 + 1).norm_sq() == Fraction(2, 9)
