@@ -45,8 +45,9 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        # "threads" is a constant: every run is single-process, and the field
-        # stays only because the recorded config hashes include it
+        # "threads" is a constant: no result depends on how many processes
+        # draw the samples, and the field stays only because the recorded
+        # config hashes include it
         return json.dumps({**asdict(self), "threads": "1"}, sort_keys=True)
 
     @staticmethod
@@ -79,7 +80,8 @@ def parse_alpha(text: str, levels: int):
     elif text == "sqrt2m1":
         spec = cf.sqrt2m1(max_index)
     elif text.startswith("list:"):
-        spec = cf.from_list([int(v) for v in text[5:].split(",") if v])
+        spec = cf.from_list([_int("partial quotient", v)
+                             for v in text[5:].split(",") if v])
         levels = min(levels, spec.max_index - cf.GUARD)
         if levels < 1:
             raise ConfigError("explicit list too short for the guard")
@@ -90,10 +92,17 @@ def parse_alpha(text: str, levels: int):
             raise ConfigError(f"alpha {name!r} takes only c and beta, got "
                               f"{', '.join(unknown)}")
         spec = _DESIGNS[name](max_index=max_index,
-                              **{k: int(v) for k, v in kw.items()})
+                              **{k: _int(k, v) for k, v in kw.items()})
     else:
         raise ConfigError(f"cannot parse alpha spec {text!r}")
     return cf.design_alpha(spec, levels)
+
+
+def _int(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _parse_kw(text: str) -> dict:

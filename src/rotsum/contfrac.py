@@ -65,12 +65,21 @@ def _rule_sqrt2m1(k: int, params: dict) -> int:
     return 2
 
 
+def _design_params(params: dict) -> tuple:
+    # the builders record both keys; a spec read back without them would
+    # otherwise be built from a second, hidden copy of their defaults
+    try:
+        return params["c"], params["beta"]
+    except KeyError as exc:
+        raise ConfigError(f"design rule needs params c and beta, missing "
+                          f"{exc.args[0]!r}") from None
+
+
 def _rule_clt_design(k: int, params: dict) -> int:
     # a_1 = 1; a_m = ceil(c * (m-1)^beta) for m >= 2.  Every index m >= 2 is a
     # usable growth slot: a_{t+1} >= c * t^beta >= t^beta for c >= 1, so a
     # greedy plan certifies the growth exponent beta with t_k = k.
-    c = params.get("c", 30)
-    beta = params.get("beta", 2)
+    c, beta = _design_params(params)
     if k == 1:
         return 1
     v = c * (k - 1) ** beta
@@ -84,8 +93,7 @@ def _rule_parity_design(k: int, params: dict) -> int:
     #   n = 2 mod 3 -> (odd, even).
     # Plan slots alternate t = 3j+1 (p odd) and t = 3j+3 (p even); the boosted
     # quotients sit at slot indices t+1, i.e. at k = 3j+2 and 3j+4.
-    c = params.get("c", 30)
-    beta = params.get("beta", 2)
+    c, beta = _design_params(params)
     if k == 1 or k % 3 == 0:
         return 1
     if k % 3 == 2:
@@ -126,6 +134,7 @@ class PartialQuotientSpec:
         if self.quotients is None:
             if self.name not in _RULES:
                 raise ConfigError(f"unknown rule name {self.name!r}")
+            _RULES[self.name](1, self.params)   # checks the rule's params
         else:
             if len(self.quotients) < self.max_index:
                 raise ConfigError("explicit quotient list shorter than max_index")

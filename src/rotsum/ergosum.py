@@ -28,7 +28,12 @@ Two engines:
   the few carries e that occur, so a walk level adds one stored number and
   reduces by compare-and-subtract; it divides only at levels with partial
   quotient k > 1, and then with a quotient of at most k.  Its cost is
-  linear, not quadratic, in the operand size.
+  linear, not quadratic, in the operand size.  ``ErgodicContext.sums_at``
+  draws a whole sample set at one N on this split: it checks the operands
+  and the window once, fetches the chain once and walks each offset per
+  point, and it rounds each exact integer numerator over its denominator
+  once to float64 with int / int, so no Fraction or gcd is made per
+  sample.
 
 The same module holds the one exact profile of x -> S_n phi(x), used for
 exact sup norms, exact L2 integrals and the periodic-approximation error.
@@ -192,10 +197,13 @@ class ErgodicContext:
         S_N phi(x) = a N + s (A N + P N(N-1)/2) + sum_C J(C) F(C),
 
     where J(C) is the jump phi(C) - phi(C-) at C from ``phi.jumps()``,
-    a = phi(0-) - slope and s = slope / L.  ``sum_at`` makes one floor sum
-    per distinct jump point of the union, shared by every observable, and
-    returns each value as one exact Fraction: a single value for one
-    observable, a tuple for a tuple.
+    a = phi(0-) - slope and s = slope / L.  Each row holds these times
+    its denominator d, so a sample costs one floor sum per distinct jump
+    point of the union, shared by every observable, and one integer
+    numerator per observable.  ``sum_at`` returns each value at one point
+    as one exact Fraction: a single value for one observable, a tuple for a
+    tuple.  ``sums_at`` draws a whole sample set at one N, each value
+    rounded once to float64.
     """
 
     def __init__(self, phi: Observable | tuple[Observable, ...],
@@ -227,7 +235,8 @@ class ErgodicContext:
         self.P = alpha.numerator * (L // alpha.denominator)
         self.x_scale = L // self.x_den
         columns = {}            # jump point C * L -> index of F(C)
-        self._rows = []         # (a d, s d, [(index, J d)], d)
+        self._rows = []         # (a d, s d, [(index, J d)])
+        self._dens = []         # d
         for f, js in zip(phis, jumps):
             # a = phi(0-) - slope with phi(0-) = phi(0) - J(0)
             a = f.evaluate(0) - js.get(0, 0) - f.slope
@@ -237,25 +246,51 @@ class ErgodicContext:
             terms = [(columns.setdefault(t.numerator * (L // t.denominator),
                                          len(columns)), int(v * d))
                      for t, v in js.items()]
-            self._rows.append((int(a * d), int(s * d), terms, d))
+            self._rows.append((int(a * d), int(s * d), terms))
+            self._dens.append(d)
         self.offsets = tuple(columns)
         self._ramp = any(row[1] for row in self._rows)
 
     def sum_at(self, x_num: int, N: int):
         """S_N phi(x) for x = x_num/x_den reduced mod 1, for each observable."""
         x_num, N = _integers("sample numerator and N", x_num, N)
+        chain, PT = self._horizon(N)
+        vals = tuple(Fraction(v, d) for v, d in zip(
+            self._numerators(x_num, N, chain, PT), self._dens))
+        return vals[0] if self._single else vals
+
+    def sums_at(self, x_nums, N: int) -> np.ndarray:
+        """S_N phi(x) at x = m/x_den for every numerator m of ``x_nums``,
+        each rounded once to float64: one row per point, one column per
+        observable.  The operands and the window are checked once, the chain
+        and P T(N) are built once, and each integer numerator is divided by
+        its denominator with int / int, which rounds correctly, so every
+        value equals float(sum_at(m, N)) bit for bit."""
+        x_nums = _integers("sample numerators", *x_nums)
+        (N,) = _integers("N", N)
+        chain, PT = self._horizon(N)
+        dens = self._dens
+        vals = [v / d for m in x_nums
+                for v, d in zip(self._numerators(m, N, chain, PT), dens)]
+        return np.array(vals, dtype=np.float64).reshape(len(x_nums), len(dens))
+
+    def _horizon(self, N: int):
+        """Checks N against the window; returns the Euclid chain of
+        (N, P, L) and the ramp's term P T(N)."""
         if N < 0:
             raise ConfigError(f"N must be >= 0, got {N}")
         if N > 1 and isinstance(self.rot, RationalTruncation):
             self.rot.require_window(N - 1, "orbit length")
+        return _chain(N, self.P, self.L), (self.P * _tri(N) if self._ramp else 0)
+
+    def _numerators(self, x_num: int, N: int, chain, PT: int) -> list[int]:
+        """Each row's S_N phi(x) times its denominator d: one walk per
+        offset C gives F(C), then a N + s (A N + P T(N)) + sum_C J(C) F(C)."""
         A = (x_num * self.x_scale) % self.L
-        L, P = self.L, self.P
-        F = [floor_sum(N, P, A - C, L) if N else 0 for C in self.offsets]
-        ramp = A * N + P * (N * (N - 1) // 2) if self._ramp else 0
-        vals = tuple(
-            Fraction(a * N + s * ramp + sum(c * F[i] for i, c in terms), d)
-            for a, s, terms, d in self._rows)
-        return vals[0] if self._single else vals
+        F = [_walk(chain, A - C) for C in self.offsets]
+        ramp = A * N + PT if self._ramp else 0
+        return [a * N + s * ramp + sum(c * F[i] for i, c in terms)
+                for a, s, terms in self._rows]
 
 
 def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__ as _VERSION
 from .contfrac import RationalTruncation
 from .ergosum import ErgodicContext
-from .errors import CertificateError, ConfigError, _integers
+from .errors import CertificateError, ConfigError, RotsumError, _integers
 from .observables import (Observable, VectorObservable, gamma_array,
                           gamma_sq_array, series_weights)
 from .sequences import SubsequencePlan
@@ -40,7 +41,6 @@ __all__ = [
     "StratifiedSampler",
     "GridSampler",
     "DOUBLING_DEN",
-    "normal_cdf",
     "mixture_cdf",
     "ks_statistic",
     "two_sample_ks",
@@ -75,6 +75,9 @@ _DIR_TOL = 0.10                     # relative, per directional variance
 # Series lengths of the Fourier instruments.
 _TAIL_JMAX = 20_000                 # fourier_tail_norm
 _RESONANCE_MMAX = 2000              # resonance sums
+# Fewest points a forked sampling process is given: a fork and its pipe
+# cost 2-3 ms on a 2-core Xeon, the time of a few 500-bit samples.
+_MIN_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +170,6 @@ class ExperimentReport:
 # Reference distributions
 # ---------------------------------------------------------------------------
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the stdlib complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
     # imported on first use: scipy.special adds about 20 MB to the process,
     # and neither the exact sums nor the billiard's two routes need it
@@ -244,16 +242,72 @@ def two_sample_ks(a, b) -> float:
 # Subsequence CLT sampling
 # ---------------------------------------------------------------------------
 
+def _cores() -> int:
+    """The cores this process may run on; 1 without os.fork or without an
+    affinity mask to read."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def draw_sums(phi: Observable | tuple[Observable, ...],
               trunc: RationalTruncation,
               sampler: StratifiedSampler | GridSampler, N: int) -> np.ndarray:
     """S_N phi(x) at every point x of the sampler, exact engine, rounded once
     to float64: one row per point and one column per observable (``phi`` is
     one observable or a tuple sampled together).  Every sample set of the
-    package is drawn here."""
+    package is drawn here.
+
+    The points are cut into contiguous chunks in sampler order, one per
+    available core, with at least ``_MIN_CHUNK`` points in each.  This
+    process draws the first chunk through ``ErgodicContext.sums_at``; each
+    other chunk is drawn in a forked child, which sends its float64 rows
+    back through a pipe.  Every value is an exact sum rounded once, so the
+    rows are the same bit for bit at any number of processes.  A child that
+    fails sends a short result, which raises RotsumError; every child is
+    reaped before this returns or raises.
+    """
     ctx = ErgodicContext(phi, trunc, sampler.den)
-    sums = [ctx.sum_at(int(m), N) for m in sampler.numerators()]
-    return np.array(sums, dtype=np.float64).reshape(len(sums), -1)
+    nums = sampler.numerators()
+    parts = max(1, min(_cores(), len(nums) // _MIN_CHUNK))
+    cuts = [len(nums) * i // parts for i in range(parts + 1)]
+    children = []           # (pid, read end of its pipe)
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:    # the child never returns
+                status = 1
+                try:
+                    for fd in [r] + [fd for _, fd in children]:
+                        os.close(fd)
+                    with open(w, "wb") as out:
+                        out.write(ctx.sums_at(nums[lo:hi], N).tobytes())
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r))
+        chunks = [ctx.sums_at(nums[:cuts[1]], N)]
+        width = chunks[0].shape[1]
+        for (pid, r), lo, hi in zip(children, cuts[1:], cuts[2:]):
+            with open(r, "rb", closefd=False) as src:
+                rows = np.frombuffer(src.read(), dtype=np.float64)
+            if rows.size != (hi - lo) * width:
+                raise RotsumError(
+                    f"sampling process {pid} returned {rows.size} of "
+                    f"{(hi - lo) * width} values for points {lo}..{hi - 1}")
+            chunks.append(rows.reshape(hi - lo, width))
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+    return np.concatenate(chunks)
 
 
 def sample_sums(plan: SubsequencePlan, phi: Observable,

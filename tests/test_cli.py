@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 
 from rotsum import cli
 from rotsum import stats as st
+from rotsum.errors import ConfigError
 
 
 def run_cli(args, tmp_path, name):
@@ -270,6 +271,19 @@ def test_unread_alpha_key_is_refused(alpha, key, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and key in captured.err
+
+
+@pytest.mark.parametrize("alpha, levels, what", [
+    ("clt:c=abc", 3, "c"),
+    ("parity:beta=2.5", 3, "beta"),
+    ("list:1,2.5,3,4,5,6,7", 1, "partial quotient"),
+])
+def test_non_integer_alpha_values_raise_config_error(alpha, levels, what,
+                                                      capsys):
+    with pytest.raises(ConfigError, match=f"{what} must be an integer"):
+        cli.parse_alpha(alpha, levels)
+    assert cli.main(["cf", "--alpha", alpha, "--terms", "3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {what} must be")
 
 
 def test_designed_alpha_defaults_come_from_the_builders(capsys):

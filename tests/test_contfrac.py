@@ -188,6 +188,20 @@ SPECS = hst.one_of(
 )
 
 
+@pytest.mark.parametrize("name", ["clt_design", "parity_design"])
+@pytest.mark.parametrize("params", [{}, {"c": 30}, {"beta": 2}])
+def test_design_spec_without_its_params_is_refused(name, params):
+    # the builders record c and beta; a rule spec read back without them
+    # has no defaults to fall back on
+    doc = {"kind": "rule", "name": name, "max_index": 5, "params": params}
+    with pytest.raises(ConfigError, match="needs params c and beta"):
+        cf.PartialQuotientSpec.from_json(json.dumps(doc))
+    if not params:
+        del doc["params"]
+        with pytest.raises(ConfigError, match="needs params c and beta"):
+            cf.PartialQuotientSpec.from_json(json.dumps(doc))
+
+
 @settings(max_examples=80)
 @given(spec=SPECS, data=hst.data())
 def test_spec_and_truncation_json_round_trip(spec, data):

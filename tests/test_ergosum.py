@@ -527,6 +527,58 @@ def test_context_matches_direct_per_observable(case):
     assert len(ctx.offsets) == len(points)
 
 
+@hst.composite
+def batch_cases(draw):
+    """A context case with several numerators (of any sign and size) and a
+    truncation, or an exact rational rotation summed far past any window."""
+    phis, trunc, x_den, _, n = draw(context_cases())
+    nums = draw(hst.lists(hst.integers(-10 ** 30, 10 ** 30), min_size=1,
+                          max_size=6))
+    if draw(hst.booleans()):
+        return phis, trunc, x_den, nums, n
+    rot = Fraction(draw(hst.integers(-10 ** 9, 10 ** 9)),
+                   draw(hst.integers(1, 10 ** 9)))
+    return phis, rot, x_den, nums, draw(hst.integers(0, 10 ** 40))
+
+
+@settings(max_examples=80)
+@given(batch_cases())
+@example(((obs.Sawtooth(),), PROFILE_TRUNCS["golden"], 7, [3, -2], 0))
+@example((tuple(CONTEXT_PHIS), PROFILE_TRUNCS["deep"], 2 ** 64, [1, 5], 1))
+@example((tuple(CONTEXT_PHIS), Fraction(2, 7), 97, [5, 96, 10 ** 25], 0))
+@example((tuple(CONTEXT_PHIS), Fraction(-3, 11), 97, [0, 5], 1))
+# numerators past 2**53 over the sawtooth's denominator L: rounding each
+# one to float before dividing would move the last bit of about a third
+@example(((obs.Sawtooth(),), Fraction(-123456789, 987654321), 97,
+          list(range(20)), 10 ** 40 + 12345))
+def test_sums_at_rows_round_sum_at_once(case):
+    # each batch value is the exact sum rounded once: float(Fraction) bit
+    # for bit, for one observable and for a tuple
+    phis, rot, x_den, nums, n = case
+    for phi in (phis, phis[0]):
+        ctx = es.ErgodicContext(phi, rot, x_den)
+        rows = ctx.sums_at(nums, n)
+        exact = [ctx.sum_at(m, n) for m in nums]
+        if phi is phis[0]:
+            exact = [(v,) for v in exact]
+        want = np.array([[float(v) for v in row] for row in exact])
+        assert rows.dtype == np.float64 and rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+
+
+def test_sums_at_checks_operands_and_window():
+    tr = cf.truncation(cf.golden(20), 12)
+    ctx = es.ErgodicContext(obs.half(), tr, 97)
+    for nums, n in (([1, 2.5], 3), ([1, 2], 3.0), ([Fraction(1, 2)], 3)):
+        with pytest.raises(ConfigError, match="must be integers"):
+            ctx.sums_at(nums, n)
+    with pytest.raises(ConfigError, match="N must be >= 0"):
+        ctx.sums_at([1], -1)
+    with pytest.raises(PrecisionError):
+        ctx.sums_at([1], tr.validity_bound + 1)
+    assert ctx.sums_at(np.arange(3, dtype=object), 5).shape == (3, 1)
+
+
 def _fraction_loop_sum(phi, x, N, trunc):
     """The direct engine as first written, one Fraction added per term: the
     oracle of the integer direct engine."""

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from rotsum import billiard as bil
+from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
 from rotsum import sequences as seq
 from rotsum import stats as st
-from rotsum.errors import ConfigError
+from rotsum.errors import ConfigError, RotsumError
 
 
 # ---------------------------------------------------------------------------
@@ -34,20 +36,26 @@ def test_scipy_special_loads_on_first_gaussian_cdf():
     assert proc.returncode == 0, proc.stderr
 
 
+def normal_cdf(x: float) -> float:
+    """The oracle: the standard normal CDF from the stdlib erfc."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def test_normal_cdf_values():
-    assert st.normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert st.normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
+    assert st._normal_cdf_array(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert st._normal_cdf_array(1.0) == pytest.approx(0.8413447460685429,
+                                                      abs=1e-12)
     xs = np.linspace(-6, 6, 101)
     arr = st._normal_cdf_array(xs)
     for x, v in zip(xs, arr):
-        assert abs(v - st.normal_cdf(x)) < 1e-13
+        assert abs(v - normal_cdf(x)) < 1e-13
 
 
 def test_mixture_cdf_symmetry_and_quadrature():
     assert st.mixture_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
     for t in (-2.0, -0.5, 0.7, 1.9):
         direct, _ = integrate.quad(
-            lambda y: st.normal_cdf(t / (math.sqrt(2) * abs(math.cos(math.pi * y))))
+            lambda y: normal_cdf(t / (math.sqrt(2) * abs(math.cos(math.pi * y))))
             if abs(math.cos(math.pi * y)) > 1e-14 else (1.0 if t > 0 else
                                                         0.5 if t == 0 else 0.0),
             0, 1, limit=400, points=[0.5])
@@ -68,7 +76,7 @@ def test_ks_two_point_oracle():
     k = 10000
     samples = np.concatenate([-np.ones(k // 2), np.ones(k // 2)])
     ks = st.ks_statistic(samples, st._normal_cdf_array)
-    assert ks == pytest.approx(st.normal_cdf(1.0) - 0.5, abs=1e-9)
+    assert ks == pytest.approx(normal_cdf(1.0) - 0.5, abs=1e-9)
 
 
 def test_ks_self_consistency_seeded():
@@ -217,11 +225,13 @@ def test_sample_sums_rejects_vector_observable(plan40):
 
 
 def test_floor_sums_per_sample(monkeypatch, plan40):
-    # one floor sum per distinct jump point, shared by psi1 and psi2
+    # one walk of the Euclid chain per distinct jump point per sample,
+    # shared by psi1 and psi2, counted in one process
     calls = []
-    real = es.floor_sum
-    monkeypatch.setattr(es, "floor_sum",
+    real = es._walk
+    monkeypatch.setattr(es, "_walk",
                         lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(st, "_cores", lambda: 1)
     k = 40
     sampler = st.StratifiedSampler(seed=0, size=k)
     for phi, per_sample in ((obs.Sawtooth(), 1),
@@ -238,14 +248,93 @@ def test_floor_sums_per_sample(monkeypatch, plan40):
 
 def test_draw_sums_builds_one_chain(plan40):
     # every floor sum of a sample set at one N shares (N, P, L), so the set
-    # runs one Euclid chain and a walk per floor sum
+    # fetches one Euclid chain and walks it once per floor sum
     k = 40
     sampler = st.StratifiedSampler(seed=0, size=k)
     es._chain.cache_clear()
     st.draw_sums((obs.indicator(Fraction(1, 3)), obs.Sawtooth()),
                  plan40.trunc, sampler, plan40.L[10])
     info = es._chain.cache_info()
-    assert (info.misses, info.hits) == (1, 2 * k - 1)
+    assert (info.misses, info.hits) == (1, 0)
+
+
+@pytest.fixture(scope="module")
+def split_sets():
+    """(phi, truncation, sampler, N) of sample sets that split evenly,
+    unevenly or not at all: the clt:c=30 indicator set at the 500-bit L_40,
+    the billiard's psi pair on a parity plan and a grid."""
+    plan = seq.plan_growth(cli.parse_alpha("clt:c=30", 48), 2.0, 40)
+    tr = cf.truncation(cf.parity_design_rule(c=12, beta=2, max_index=30), 26)
+    pplan = seq.plan_parity(tr, 2, 6)
+    psi = bil.psi_components(bil.params_for_plan(pplan.trunc)).components
+    ind = obs.indicator(Fraction(1, 3))
+    return {
+        "clt_indicator_1001": (ind, plan.trunc,
+                               st.StratifiedSampler(seed=3, size=1001),
+                               plan.L[40]),
+        "psi_pair_800": (psi, pplan.trunc,
+                         st.StratifiedSampler(seed=5, size=800), pplan.L[6]),
+        "below_threshold_511": (ind, plan.trunc,
+                                st.StratifiedSampler(seed=1, size=511),
+                                plan.L[40]),
+        "grid_600": (obs.half(), plan.trunc, st.GridSampler(600), 10 ** 30),
+    }
+
+
+@pytest.mark.parametrize("name", ["clt_indicator_1001", "psi_pair_800",
+                                  "below_threshold_511", "grid_600"])
+def test_draw_sums_identical_at_any_process_count(monkeypatch, split_sets,
+                                                  name):
+    phi, trunc, sampler, N = split_sets[name]
+    draws = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(st, "_cores", lambda: cores)
+        draws.append(st.draw_sums(phi, trunc, sampler, N))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    width = len(phi) if isinstance(phi, tuple) else 1
+    assert draws[0].shape == (sampler.size, width)
+    assert draws[0].dtype == np.float64
+    assert draws[1].tobytes() == draws[0].tobytes()
+    assert draws[2].tobytes() == draws[0].tobytes()
+
+
+def test_draw_sums_forks_only_for_large_sets(monkeypatch, split_sets):
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    monkeypatch.setattr(st, "_cores", lambda: 3)
+    for name, children in (("below_threshold_511", 0), ("grid_600", 1),
+                           ("clt_indicator_1001", 2)):
+        forks.clear()
+        st.draw_sums(*split_sets[name])
+        assert len(forks) == children, name
+
+
+def test_failed_child_raises_and_is_reaped(monkeypatch, split_sets):
+    # the kernel fails in the children only: the parent raises a typed
+    # error and leaves no child behind
+    parent = os.getpid()
+    real = es.ErgodicContext.sums_at
+
+    def failing(self, nums, N):
+        if os.getpid() != parent:
+            raise MemoryError("no room in the child")
+        return real(self, nums, N)
+
+    monkeypatch.setattr(es.ErgodicContext, "sums_at", failing)
+    monkeypatch.setattr(st, "_cores", lambda: 3)
+    with pytest.raises(RotsumError, match="returned 0 of"):
+        st.draw_sums(*split_sets["grid_600"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # a failure in this process reaps the children too
+    monkeypatch.setattr(es.ErgodicContext, "sums_at",
+                        lambda self, nums, N: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        st.draw_sums(*split_sets["clt_indicator_1001"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_clt_experiment_report(plan40):
