@@ -105,6 +105,14 @@ def _int(what: str, text: str) -> int:
         raise ConfigError(f"{what} must be an integer, got {text!r}") from None
 
 
+def _fraction(what: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(
+            f"{what} must be a rational number, got {text!r}") from None
+
+
 def _parse_kw(text: str) -> dict:
     out = {}
     for part in text.split(","):
@@ -118,7 +126,7 @@ def _parse_kw(text: str) -> dict:
 def parse_observable(text: str):
     """'phi0' | 'indicator:beta=1/3' | 'half' | 'double_interval:beta=..,gamma=..' ..."""
     name, _, rest = text.partition(":")
-    kw = {k: Fraction(v) for k, v in _parse_kw(rest).items()}
+    kw = {k: _fraction(k, v) for k, v in _parse_kw(rest).items()}
     return obs.catalog(name, **kw)
 
 
@@ -164,7 +172,7 @@ def _cmd_cf(cfg: RunConfig) -> str:
 
 
 def _cmd_ostrowski(cfg: RunConfig) -> str:
-    N = int(cfg.options.get("N", 10))
+    N = _int("N", cfg.options.get("N", "10"))
     tr = parse_alpha(cfg.alpha, max(cfg.terms, 40))
     digits = cf.ostrowski_digits(N, tr)
     rows = [{"k": k, "b_k": b, "q_k": tr.qs[k], "N_k": digits.partial_sums[k]}
@@ -174,8 +182,8 @@ def _cmd_ostrowski(cfg: RunConfig) -> str:
 
 
 def _cmd_sum(cfg: RunConfig) -> str:
-    N = int(cfg.options.get("N", 1000))
-    grid = int(cfg.options.get("grid", 64))
+    N = _int("N", cfg.options.get("N", "1000"))
+    grid = _int("grid", cfg.options.get("grid", "64"))
     tr = parse_alpha(cfg.alpha, max(cfg.terms, 48))
     phi = parse_observable(cfg.observable)
     sums = st.draw_sums(phi, tr, st.GridSampler(grid), N)[:, 0]
@@ -185,7 +193,7 @@ def _cmd_sum(cfg: RunConfig) -> str:
 
 
 def _cmd_variance(cfg: RunConfig) -> str:
-    nmax = int(cfg.options.get("nmax", 200))
+    nmax = _int("nmax", cfg.options.get("nmax", "200"))
     if nmax < 1:
         raise ConfigError(f"nmax must be >= 1, got {nmax}")
     tr = parse_alpha(cfg.alpha, 48)
@@ -211,7 +219,7 @@ def _plan_for(cfg: RunConfig, parity: bool):
 
 
 def _cmd_plan(cfg: RunConfig) -> str:
-    parity = bool(int(cfg.options.get("parity", 0)))
+    parity = bool(_int("parity", cfg.options.get("parity", "0")))
     plan = _plan_for(cfg, parity)
     _write(plan.to_json() + "\n", cfg)
     return f"plan: {plan.count} terms, certified={plan.certified}"
@@ -234,7 +242,7 @@ def _cmd_clt(cfg: RunConfig) -> str:
 
 
 def _cmd_erdos_fortet(cfg: RunConfig) -> str:
-    n = int(cfg.options.get("n", 500))
+    n = _int("n", cfg.options.get("n", "500"))
     rep = st.erdos_fortet_experiment(n, cfg.samples, cfg.seed)
     _write_report(rep, cfg)
     return (f"erdos-fortet: KS(mix)={rep.empirical['ks_mixture']:.4f} "
@@ -242,8 +250,8 @@ def _cmd_erdos_fortet(cfg: RunConfig) -> str:
 
 
 def _cmd_gaposhkin(cfg: RunConfig) -> str:
-    n = int(cfg.options.get("n", 500))
-    a = int(cfg.options.get("a", 5))
+    n = _int("n", cfg.options.get("n", "500"))
+    a = _int("a", cfg.options.get("a", "5"))
     rep = st.gaposhkin_demo(a, n, cfg.samples, cfg.seed)
     _write_report(rep, cfg)
     return (f"gaposhkin: KS={rep.empirical['ks_two_sample']:.4f} "
@@ -251,11 +259,11 @@ def _cmd_gaposhkin(cfg: RunConfig) -> str:
 
 
 def _cmd_billiard(cfg: RunConfig) -> str:
-    a = Fraction(cfg.options.get("a", "2/5"))
-    b = Fraction(cfg.options.get("b", "2/5"))
-    collisions = int(cfg.options.get("collisions", 50))
+    a = _fraction("a", cfg.options.get("a", "2/5"))
+    b = _fraction("b", cfg.options.get("b", "2/5"))
+    collisions = _int("collisions", cfg.options.get("collisions", "50"))
     if "x" in cfg.options:
-        x = Fraction(cfg.options["x"])
+        x = _fraction("x", cfg.options["x"])
     else:
         # seeded random section start
         import numpy as np
@@ -275,7 +283,7 @@ def _cmd_billiard(cfg: RunConfig) -> str:
 
 def _cmd_billiard_clt(cfg: RunConfig) -> str:
     plan = _plan_for(cfg, parity=True)
-    scale = Fraction(cfg.options.get("scale", "1"))
+    scale = _fraction("scale", cfg.options.get("scale", "1"))
     params = bil.params_for_plan(plan.trunc, scale=scale)
     rep = bil.clt_experiment(params, plan, cfg.terms, cfg.samples, cfg.seed)
     _write_report(rep, cfg)

@@ -75,7 +75,7 @@ _DIR_TOL = 0.10                     # relative, per directional variance
 # Series lengths of the Fourier instruments.
 _TAIL_JMAX = 20_000                 # fourier_tail_norm
 _RESONANCE_MMAX = 2000              # resonance sums
-# Fewest points a forked sampling process is given: a fork and its pipe
+# Fewest points a forked process is given: a fork and its pipe
 # cost 2-3 ms on a 2-core Xeon, the time of a few 500-bit samples.
 _MIN_CHUNK = 256
 
@@ -250,25 +250,20 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def draw_sums(phi: Observable | tuple[Observable, ...],
-              trunc: RationalTruncation,
-              sampler: StratifiedSampler | GridSampler, N: int) -> np.ndarray:
-    """S_N phi(x) at every point x of the sampler, exact engine, rounded once
-    to float64: one row per point and one column per observable (``phi`` is
-    one observable or a tuple sampled together).  Every sample set of the
-    package is drawn here.
+def _split_rows(kernel, nums: np.ndarray) -> np.ndarray:
+    """kernel(nums) as one float64 array of rows, one row per point, with
+    the points split across the available cores.
 
-    The points are cut into contiguous chunks in sampler order, one per
-    available core, with at least ``_MIN_CHUNK`` points in each.  This
-    process draws the first chunk through ``ErgodicContext.sums_at``; each
-    other chunk is drawn in a forked child, which sends its float64 rows
-    back through a pipe.  Every value is an exact sum rounded once, so the
-    rows are the same bit for bit at any number of processes.  A child that
-    fails sends a short result, which raises RotsumError; every child is
-    reaped before this returns or raises.
+    ``kernel`` maps a slice of ``nums`` to a 2-D float64 array with one row
+    per point, each row a function of its own point alone.  The points are
+    cut into contiguous chunks in order, one per available core, with at
+    least ``_MIN_CHUNK`` points in each.  This process runs the kernel on
+    the first chunk; each other chunk runs in a forked child, which sends
+    its rows back through a pipe.  So the rows are the same bit for bit at
+    any number of processes.  A child that fails sends a short result,
+    which raises RotsumError; every child is reaped before this returns or
+    raises.
     """
-    ctx = ErgodicContext(phi, trunc, sampler.den)
-    nums = sampler.numerators()
     parts = max(1, min(_cores(), len(nums) // _MIN_CHUNK))
     cuts = [len(nums) * i // parts for i in range(parts + 1)]
     children = []           # (pid, read end of its pipe)
@@ -287,13 +282,13 @@ def draw_sums(phi: Observable | tuple[Observable, ...],
                     for fd in [r] + [fd for _, fd in children]:
                         os.close(fd)
                     with open(w, "wb") as out:
-                        out.write(ctx.sums_at(nums[lo:hi], N).tobytes())
+                        out.write(kernel(nums[lo:hi]).tobytes())
                     status = 0
                 finally:
                     os._exit(status)
             os.close(w)
             children.append((pid, r))
-        chunks = [ctx.sums_at(nums[:cuts[1]], N)]
+        chunks = [kernel(nums[:cuts[1]])]
         width = chunks[0].shape[1]
         for (pid, r), lo, hi in zip(children, cuts[1:], cuts[2:]):
             with open(r, "rb", closefd=False) as src:
@@ -308,6 +303,23 @@ def draw_sums(phi: Observable | tuple[Observable, ...],
             os.close(r)
             os.waitpid(pid, 0)
     return np.concatenate(chunks)
+
+
+def draw_sums(phi: Observable | tuple[Observable, ...],
+              trunc: RationalTruncation,
+              sampler: StratifiedSampler | GridSampler, N: int) -> np.ndarray:
+    """S_N phi(x) at every point x of the sampler, exact engine, rounded once
+    to float64: one row per point and one column per observable (``phi`` is
+    one observable or a tuple sampled together).  Every sample set of the
+    package is drawn here.
+
+    ``_split_rows`` splits the points across the cores, and each process
+    draws its chunk through ``ErgodicContext.sums_at``.  Every value is an
+    exact sum rounded once, so the rows are the same bit for bit at any
+    number of processes.
+    """
+    ctx = ErgodicContext(phi, trunc, sampler.den)
+    return _split_rows(lambda nums: ctx.sums_at(nums, N), sampler.numerators())
 
 
 def sample_sums(plan: SubsequencePlan, phi: Observable,
@@ -372,7 +384,10 @@ def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
     Exact residues: r_k = 2^k num mod D by int64 doubling, and the shifted
     frequency uses (2^k - 1) num = r_k - num mod D.  All sums share one
     pass: each k computes the term of each e_k in use once and adds it to
-    every sum in k order, so each sum equals its own separate pass.
+    every sum in k order, so each sum equals its own separate pass.  Every
+    step is elementwise in the points, so a sum at a point does not depend
+    on which other points share the call, and ``_f0_columns`` may split
+    the points across processes.
     """
     D = DOUBLING_DEN
     r = nums.copy()
@@ -395,6 +410,18 @@ def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
     return outs
 
 
+def _f0_columns(n: int, samples: int, seed: int, *shifted_sets) -> np.ndarray:
+    """The ``_f0_sum`` sums at the stratified doubling-map sample, one row
+    per point and one column per shifted set, split across the cores by
+    ``_split_rows``.  A column of the result is strided: divide or copy it
+    before a reduction, so the reduction sums a contiguous array in the
+    order it always has."""
+    sampler = StratifiedSampler(seed, samples, DOUBLING_DEN)
+    return _split_rows(
+        lambda nums: np.column_stack(_f0_sum(nums, n, *shifted_sets)),
+        sampler.numerators().astype(np.int64))
+
+
 def erdos_fortet_experiment(n: int, samples: int, seed: int) -> ExperimentReport:
     """Distribution of (1/sqrt n) sum f0((2^k - 1) x): converges to the
     sqrt(2)|cos(pi Y)| Gaussian mixture, detectably non-Gaussian.
@@ -404,9 +431,7 @@ def erdos_fortet_experiment(n: int, samples: int, seed: int) -> ExperimentReport
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    sampler = StratifiedSampler(seed, samples, DOUBLING_DEN)
-    nums = sampler.numerators().astype(np.int64)
-    z = _f0_sum(nums, n, None)[0] / math.sqrt(n)
+    z = _f0_columns(n, samples, seed, None)[:, 0] / math.sqrt(n)
     ks_mix = ks_statistic(z, mixture_cdf)
     sd = math.sqrt(float(np.mean(z ** 2)))
     ks_norm = ks_statistic(z, lambda v: _normal_cdf_array(np.asarray(v) / sd))
@@ -471,10 +496,9 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int) -> ExperimentReport:
         raise ConfigError("exponent a must be >= 5")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    sampler = StratifiedSampler(seed, samples, DOUBLING_DEN)
-    nums = sampler.numerators().astype(np.int64)
     mism = gaposhkin_index_set(a, n)
-    s_plain, s_mod = (s / math.sqrt(n) for s in _f0_sum(nums, n, (), mism))
+    s_plain, s_mod = (s / math.sqrt(n)
+                      for s in _f0_columns(n, samples, seed, (), mism).T)
     ks = two_sample_ks(s_plain, s_mod)
     count = gaposhkin_count(a, n)
     sup_diff = float(np.max(np.abs(s_plain - s_mod)))

@@ -286,6 +286,37 @@ def test_non_integer_alpha_values_raise_config_error(alpha, levels, what,
     assert capsys.readouterr().err.startswith(f"error: {what} must be")
 
 
+# a zero denominator used to escape as a ZeroDivisionError traceback, and
+# a malformed integer reached run() as a bare ValueError
+@pytest.mark.parametrize("argv, what", [
+    (["billiard", "--opt", "x=1/0"], "x must be a rational"),
+    (["billiard", "--opt", "a=1/0"], "a must be a rational"),
+    (["billiard", "--opt", "b=abc"], "b must be a rational"),
+    (["billiard", "--opt", "collisions=5.5"], "collisions must be an integer"),
+    (["billiard-clt", "--alpha", "parity:c=30", "--terms", "6",
+      "--samples", "10", "--opt", "scale=0/0"], "scale must be a rational"),
+    (["clt", "--alpha", "clt:c=30", "--terms", "6", "--samples", "10",
+      "--observable", "indicator:beta=1/0"], "beta must be a rational"),
+    (["clt", "--alpha", "clt:c=30", "--terms", "6", "--samples", "10",
+      "--observable", "indicator:beta=abc"], "beta must be a rational"),
+    (["ostrowski", "--opt", "N=1e3"], "N must be an integer"),
+    (["sum", "--opt", "N=abc"], "N must be an integer"),
+    (["sum", "--opt", "grid=1/2"], "grid must be an integer"),
+    (["variance", "--opt", "nmax=x"], "nmax must be an integer"),
+    (["plan", "--opt", "parity=yes"], "parity must be an integer"),
+    (["erdos-fortet", "--opt", "n=1/0"], "n must be an integer"),
+    (["gaposhkin", "--opt", "a=1/0"], "a must be an integer"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_option_values_exit_with_config_error(argv, what, capsys):
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    with pytest.raises(ConfigError, match=what):
+        cli._HANDLERS[cfg.command][0](cfg)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {what}")
+
+
 def test_designed_alpha_defaults_come_from_the_builders(capsys):
     assert cli.main(["cf", "--alpha", "clt:c=30", "--terms", "3"]) == 0
     captured = capsys.readouterr()

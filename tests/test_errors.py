@@ -64,9 +64,10 @@ def test_library_reads_no_environment():
     assert not found, found
 
 
-def test_only_draw_sums_forks():
-    # draw_sums is the one sampling loop and the one place that starts a
-    # process: its children end in os._exit, and it reaps every one
+def test_only_split_rows_forks():
+    # stats._split_rows is the one place that starts a process (draw_sums
+    # and the doubling-map experiments split their points through it): its
+    # children end in os._exit, and it reaps every one
     def forks(node):
         return ((isinstance(node, ast.Attribute) and node.attr == "fork"
                  and ast.unparse(node.value) == "os")
@@ -74,11 +75,11 @@ def test_only_draw_sums_forks():
                     and "fork" in {alias.name for alias in node.names}))
 
     tree = ast.parse((SRC / "stats.py").read_text())
-    (draw,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-               and node.name == "draw_sums"]
-    inside = [node for node in ast.walk(draw) if forks(node)]
+    (split,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "_split_rows"]
+    inside = [node for node in ast.walk(split) if forks(node)]
     found = [where for where, node in _library_nodes() if forks(node)]
-    # draw_sums's nodes are among the library's, so equal counts leave no
+    # _split_rows's nodes are among the library's, so equal counts leave no
     # fork outside it
     assert inside and len(found) == len(inside), found
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 
 from rotsum import billiard as bil
@@ -379,6 +381,81 @@ def test_f0_sums_share_one_pass():
     sets = ((), st.gaposhkin_index_set(5, 60), None)
     for fused, shifted_set in zip(st._f0_sum(nums, 60, *sets), sets):
         assert np.array_equal(fused, st._f0_sum(nums, 60, shifted_set)[0])
+
+
+@settings(max_examples=60)
+@given(nums=hst.lists(hst.integers(0, st.DOUBLING_DEN - 1), min_size=1,
+                      max_size=6),
+       n=hst.integers(1, 80), data=hst.data())
+@example(nums=[0, 1, st.DOUBLING_DEN - 1], n=80, data=None)
+def test_f0_sum_matches_exact_residues(nums, n, data):
+    # oracle: the residues 2^k x mod D from Python's exact pow, shifted by
+    # -x mod D where e_k = 2^k - 1, and the cosines from the math module
+    D = st.DOUBLING_DEN
+    picked = (set() if data is None
+              else data.draw(hst.sets(hst.integers(1, n))))
+    sets = (None, (), picked)
+    fused = st._f0_sum(np.array(nums, dtype=np.int64), n, *sets)
+    for got, shifted_set in zip(fused, sets):
+        for x, value in zip(nums, got):
+            want = 0.0
+            for k in range(1, n + 1):
+                t = pow(2, k, D) * x % D
+                if shifted_set is None or k in shifted_set:
+                    t = (t - x) % D
+                want += (math.cos(2 * math.pi * t / D)
+                         + math.cos(4 * math.pi * t / D))
+            assert abs(value - want) <= 1e-12 * n
+
+
+# the doubling-map experiments at a size and seed
+DOUBLING_RUNS = {
+    "erdos_fortet": lambda size, seed: st.erdos_fortet_experiment(80, size,
+                                                                  seed),
+    "gaposhkin": lambda size, seed: st.gaposhkin_demo(5, 300, size, seed),
+}
+
+
+# 1001 points split unevenly, 511 stay under the fork threshold
+@pytest.mark.parametrize("size", [1001, 511])
+@pytest.mark.parametrize("name", sorted(DOUBLING_RUNS))
+def test_doubling_experiments_identical_at_any_process_count(monkeypatch,
+                                                             name, size):
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    reports, columns = [], []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(st, "_cores", lambda: cores)
+        forks.clear()
+        reports.append(DOUBLING_RUNS[name](size, 3).to_json())
+        assert len(forks) == max(1, min(cores, size // st._MIN_CHUNK)) - 1
+        # the reports' statistics barely see the order of the points, the
+        # columns do
+        columns.append(st._f0_columns(
+            80, size, 3, None, (), st.gaposhkin_index_set(5, 80)).tobytes())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert reports[1] == reports[0] and columns[1] == columns[0]
+    assert reports[2] == reports[0] and columns[2] == columns[0]
+
+
+def test_failed_doubling_child_raises_and_is_reaped(monkeypatch):
+    parent = os.getpid()
+    real = st._f0_sum
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise MemoryError("no room in the child")
+        return real(*args)
+
+    monkeypatch.setattr(st, "_f0_sum", failing)
+    monkeypatch.setattr(st, "_cores", lambda: 3)
+    for run in DOUBLING_RUNS.values():
+        with pytest.raises(RotsumError, match="returned 0 of"):
+            run(1001, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_gaposhkin_demo_small():
