@@ -38,8 +38,7 @@ def main():
     ptr = cf.truncation(cf.parity_design_rule(c=30, beta=2, max_index=140), 136)
     plan = seq.plan_parity(ptr, 2, 40)
     big = bil.params_for_plan(ptr)
-    rep = bil.clt_experiment(big, plan, 40, 4000, seed=7,
-                             drift_ns=(10, 20, 40), rmax_drift=8000)
+    rep = bil.clt_experiment(big, plan, 40, 4000, seed=7)
     e = rep.empirical
     print(f"  covariance of n^(-1/2) S(L_n): "
           f"[[{e['c11']:.3f}, {e['c12']:.3f}], [{e['c12']:.3f}, {e['c22']:.3f}]]"

@@ -14,4 +14,5 @@ Subpackages:
 
 __version__ = "0.1.0"
 
-from . import contfrac, observables  # noqa: F401  (lightweight, no cycles)
+# the two base layers: no import cycles, and observables brings in numpy
+from . import contfrac, observables  # noqa: F401

@@ -46,6 +46,7 @@ from .observables import (TWO_PI, VectorObservable, _phase_table,
 from .ergosum import ErgodicContext
 from .sequences import SubsequencePlan
 from .stats import ExperimentReport, covariance_2d
+from .variance import AlphaFourierTable
 
 __all__ = [
     "ObstacleParams",
@@ -515,29 +516,33 @@ def mild_hypothesis_values(spec, ns) -> list[float]:
     return out
 
 
-def clt_experiment(params: ObstacleParams, plan: SubsequencePlan, n: int,
-                   samples: int, seed: int,
-                   drift_ns=(10, 20, 40), rmax_drift: int = 20_000) -> ExperimentReport:
-    """Vector CLT of the displacement cocycle along the plan, plus the
-    hitting-time drift check ||psi0_{L_m}||_2^2 / m over drift positions.
+# Plan positions m of the hitting-time drift check, and its series length.
+_DRIFT_NS = (10, 20, 40)
+_DRIFT_RMAX = 20_000
 
-    The drift norms use the truncated Fourier series of the centered
-    piecewise-linear hitting time (truncation reported, not bounded: the
-    astronomical L_m rules out exact integration)."""
+
+def clt_experiment(params: ObstacleParams, plan: SubsequencePlan, n: int,
+                   samples: int, seed: int) -> ExperimentReport:
+    """Vector CLT of the displacement cocycle along the plan, plus the
+    hitting-time drift check ||psi0_{L_m}||_2^2 / m at the plan positions
+    _DRIFT_NS that the plan reaches.
+
+    The drift norms use the Fourier series of the centered piecewise-linear
+    hitting time, truncated at _DRIFT_RMAX (truncation reported, not
+    bounded: the astronomical L_m rules out exact integration)."""
     if plan.trunc.value != params.alpha:
         raise ConfigError("plan truncation does not drive this obstacle shape")
     vec = psi_components(params)
     report = covariance_2d(plan, vec, n, samples, seed)
     prof = hitting_time_profile(params)
     mean = prof.mean()
-    from .variance import AlphaFourierTable
-    table = AlphaFourierTable(plan.trunc, rmax_drift)
-    g = prof.gamma_array(rmax_drift)
+    table = AlphaFourierTable(plan.trunc, _DRIFT_RMAX)
+    g = prof.gamma_array(_DRIFT_RMAX)
     # |gamma|^2 rounded as scalar abs(g) ** 2 rounds it (hypot, then pow);
     # np.abs(g) ** 2 differs in the last bit on about a quarter of the terms
     w = series_weights(np.float_power(np.hypot(g.real, g.imag), 2.0))
     drift = {}
-    for m in drift_ns:
+    for m in _DRIFT_NS:
         if m > plan.count:
             continue
         val = float(np.sum(w * table.gn(plan.L[m])))
@@ -546,7 +551,7 @@ def clt_experiment(params: ObstacleParams, plan: SubsequencePlan, n: int,
     report.extra.update({
         "psi_mean_time": float(mean) * SQRT2,
         "psi0_norm_sq_over_n": drift,
-        "drift_rmax": rmax_drift,
+        "drift_rmax": _DRIFT_RMAX,
         "params": {"a": str(params.a), "b": str(params.b)},
     })
     report.extra["drift_bounded"] = (

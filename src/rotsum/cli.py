@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from . import billiard as bil
 from . import contfrac as cf
@@ -266,7 +268,6 @@ def _cmd_billiard(cfg: RunConfig) -> str:
         x = _fraction("x", cfg.options["x"])
     else:
         # seeded random section start
-        import numpy as np
         rng = np.random.default_rng(cfg.seed)
         x = Fraction(int(rng.integers(1, 2 ** 40)), 2 ** 40)
     params = bil.ObstacleParams(a=a, b=b)

@@ -1,39 +1,37 @@
 """Ergodic sums S_N phi(x) = sum_{j<N} phi(x + j alpha) over a rational
 truncation of alpha, computed exactly.
 
-Two engines:
+One engine, the visit-count kernel ``ErgodicContext``: O(#jumps * log N)
+big-integer work.  This is what makes sums at N with hundreds of digits
+feasible: with everything written over a common denominator L,
 
-* ``direct`` -- literal summation, O(N); the oracle for small N.
-* ``floorsum`` -- the visit-count kernel ``ErgodicContext``, O(#jumps *
-  log N) big-integer work.  This is what makes sums at N with hundreds of
-  digits feasible: with everything written over a common denominator L,
+    #{j < N : (A + j P) mod L < C}
+        = sum_{j<N} ( floor((A + jP)/L) - floor((A - C + jP)/L) ),
 
-      #{j < N : (A + j P) mod L < C}
-          = sum_{j<N} ( floor((A + jP)/L) - floor((A - C + jP)/L) ),
+and each floor sum collapses by the Euclid recursion.  The kernel makes
+one floor sum per distinct offset C, over the union of the jump points of
+all the observables it is given (C = 0 included wherever one jumps
+there), and applies each observable's jumps to those counts.  It reads
+only the observable's exact form, its jumps plus a constant slope, whose
+affine term is closed-form: the sawtooth {x}-1/2 is one jump -1 at 0
+plus slope 1.  The billiard's psi1 and psi2 share their four jump
+points, so a sample of both costs four floor sums.  ``count_visits`` is
+the same kernel applied to an interval's indicator.  The literal O(N)
+summation, ``_direct_sum``, stays private as the tests' oracle.
 
-  and each floor sum collapses by the Euclid recursion.  The kernel makes
-  one floor sum per distinct offset C, over the union of the jump points of
-  all the observables it is given (C = 0 included wherever one jumps
-  there), and applies each observable's jumps to those counts.  It reads
-  only the observable's exact form, its jumps plus a constant slope, whose
-  affine term is closed-form: the sawtooth {x}-1/2 is one jump -1 at 0
-  plus slope 1.  The billiard's psi1 and psi2 share their four jump
-  points, so a sample of both costs four floor sums.  ``count_visits`` is
-  the same kernel applied to an interval's indicator.
-
-  The floor sums of one sample set differ only in their offset A - C, so
-  ``floor_sum`` splits the Euclid recursion into a chain that depends on
-  (N, P, L) alone, built once per (N, rotation, denominator) and cached,
-  and a walk per offset.  The chain keeps, per level, the sums R + e a for
-  the few carries e that occur, so a walk level adds one stored number and
-  reduces by compare-and-subtract; it divides only at levels with partial
-  quotient k > 1, and then with a quotient of at most k.  Its cost is
-  linear, not quadratic, in the operand size.  ``ErgodicContext.sums_at``
-  draws a whole sample set at one N on this split: it checks the operands
-  and the window once, fetches the chain once and walks each offset per
-  point, and it rounds each exact integer numerator over its denominator
-  once to float64 with int / int, so no Fraction or gcd is made per
-  sample.
+The floor sums of one sample set differ only in their offset A - C, so
+``floor_sum`` splits the Euclid recursion into a chain that depends on
+(N, P, L) alone, built once per (N, rotation, denominator) and cached,
+and a walk per offset.  The chain keeps, per level, the sums R + e a for
+the few carries e that occur, so a walk level adds one stored number and
+reduces by compare-and-subtract; it divides only at levels with partial
+quotient k > 1, and then with a quotient of at most k.  Its cost is
+linear, not quadratic, in the operand size.  ``ErgodicContext.sums_at``
+draws a whole sample set at one N on this split: it checks the operands
+and the window once, fetches the chain once and walks each offset per
+point, and it rounds each exact integer numerator over its denominator
+once to float64 with int / int, so no Fraction or gcd is made per
+sample.
 
 The same module holds the one exact profile of x -> S_n phi(x), used for
 exact sup norms, exact L2 integrals and the periodic-approximation error.
@@ -293,20 +291,17 @@ class ErgodicContext:
                 for a, s, terms in self._rows]
 
 
-def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation,
-                engine: str = "floorsum") -> Fraction:
-    """S_N phi(x) as an exact Fraction; the floorsum engine is exact at any N
-    in the window, the direct engine sums term by term."""
+def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation) -> Fraction:
+    """S_N phi(x) as an exact Fraction, exact at any N in the window."""
     x = _rational("x", x)
-    x -= x.numerator // x.denominator
-    if engine == "direct":
-        return _direct_sum(phi, x, *_integers("N", N), trunc)
-    if engine != "floorsum":
-        raise ConfigError(f"unknown engine {engine!r}")
     return ErgodicContext(phi, trunc, x.denominator).sum_at(x.numerator, N)
 
 
-def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation):
+def _direct_sum(phi: Observable, x, N: int, trunc: RationalTruncation) -> Fraction:
+    """S_N phi(x) summed term by term in O(N) integer steps: the oracle that
+    the tests hold ``ergodic_sum`` to.  It takes the same arguments."""
+    x = _rational("x", x)
+    (N,) = _integers("N", N)
     if N < 0:
         raise ConfigError("N must be >= 0")
     if N > 1:
@@ -459,6 +454,7 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
     series mode: the Fourier expansion of the difference, truncated at
     |r| <= rmax; returns (value, tail_bound).
     """
+    (n,) = _integers("n", n)
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
     if n >= trunc.level:

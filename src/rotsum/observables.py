@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .errors import ConfigError, _integers, _rational
 
 __all__ = [
@@ -409,8 +411,6 @@ def _certified_phases(num: int, den: int, rmax: int):
     """{r * num/den} for r = 1..rmax in double-double arithmetic, each entry
     equal to ((r * num) % den) / den: those the error bound cannot round are
     recomputed from the exact residue."""
-    import numpy as np
-
     fracs = np.empty(rmax, dtype=np.float64)
     theta_hi = num / den
     theta_lo = float(Fraction(num, den) - Fraction(theta_hi))
@@ -477,8 +477,6 @@ def reduce_phases(num: int, den: int, rmax: int):
       recomputed from its exact Python-int residue, so each value equals
       ``((r * num) % den) / den`` bit for bit at any width of den.
     """
-    import numpy as np
-
     num %= den
     if den < _INT64_SAFE // max(rmax, 1):
         r = np.arange(1, rmax + 1, dtype=np.int64)
@@ -510,8 +508,6 @@ def _phase_table(theta: Fraction, rmax: int, fn):
     and with den <= rmax both phase tables are small int64 ones whose
     entries are the same exact quotients residue / den.
     """
-    import numpy as np
-
     period = min(theta.denominator, rmax)
     table = fn(phase_fracs(theta, period))
     if period == rmax:
@@ -527,8 +523,6 @@ def gamma_array(phi: Observable, stride, rmax: int):
     term J e^{-2 pi i r theta} is built on one period of r (den(theta)
     entries at most) and tiled to rmax.
     """
-    import numpy as np
-
     _require_rmax(rmax)
     acc = np.zeros(rmax, dtype=complex)
     for t, j in phi.jumps().items():
@@ -540,8 +534,6 @@ def gamma_array(phi: Observable, stride, rmax: int):
 
 def gamma_sq_array(phi: Observable, stride, rmax: int):
     """|gamma_{stride * r}|^2 for r = 1..rmax; the sawtooth's is 1/(4 pi^2)."""
-    import numpy as np
-
     _require_rmax(rmax)
     if isinstance(phi, Sawtooth):
         return np.full(rmax, 1.0 / (4.0 * math.pi ** 2))
@@ -556,25 +548,24 @@ def series_weights(gam_sq):
     the periodized norm (kernel 1), ||S_n phi||^2 (G_n), its Cesaro mean,
     the billiard drift and the periodic-approximation error.
     """
-    import numpy as np
-
     r = np.arange(1, len(gam_sq) + 1, dtype=np.float64)
     return 2.0 * gam_sq / (r * r)
 
 
-def hat_norm_sq(phi: Observable, ell: int, rmax: int = 4000) -> tuple[float, float]:
+# Series length of hat_norm_sq.
+_HAT_RMAX = 4000
+
+
+def hat_norm_sq(phi: Observable, ell: int) -> tuple[float, float]:
     """(value, tail_bound) for ||hat_phi_ell||_2^2 = sum_{r != 0} |gamma_{r ell}|^2 / r^2.
 
     The sawtooth is exact (1/12, tail 0).  Otherwise the series is truncated
-    at |r| <= rmax with tail <= 2 K^2 / rmax.  Phases of gamma_{r ell} are
-    reduced exactly even when ell has hundreds of digits.
+    at |r| <= _HAT_RMAX with tail <= 2 K^2 / _HAT_RMAX.  Phases of
+    gamma_{r ell} are reduced exactly even when ell has hundreds of digits.
     """
-    import numpy as np
-
     ell = _require_ell(ell)
-    _require_rmax(rmax)
     if isinstance(phi, Sawtooth):
         return PHI0_HAT_NORM_SQ, 0.0
     k = phi.kbound()
-    total = float(np.sum(series_weights(gamma_sq_array(phi, ell, rmax))))
-    return total, 2.0 * k * k / rmax
+    total = float(np.sum(series_weights(gamma_sq_array(phi, ell, _HAT_RMAX))))
+    return total, 2.0 * k * k / _HAT_RMAX

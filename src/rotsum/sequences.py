@@ -60,12 +60,13 @@ class SubsequencePlan:
     def denominators(self) -> list[int]:
         return [self.trunc.qs[tk] for tk in self.t]
 
-    def hat_variance(self, phi: Observable, n: int, rmax: int = 4000) -> float:
+    def hat_variance(self, phi: Observable, n: int) -> float:
         """sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2, summed left to right: the
         Fourier variance prediction for S_{L_n} phi."""
+        (n,) = _integers("n", n)
         total = 0.0
         for k in range(1, n + 1):
-            total += hat_norm_sq(phi, self.q(k), rmax=rmax)[0]
+            total += hat_norm_sq(phi, self.q(k))[0]
         return total
 
     def plan_hash(self) -> str:
@@ -254,9 +255,9 @@ def check_lacunarity(n_list) -> LacunaryCertificate:
     return LacunaryCertificate(rho=rho, superlacunary=super_flag)
 
 
-def check_Dm(n_list, m: int, window: int | None = None) -> dict:
+def check_Dm(n_list, m: int) -> dict:
     """Exact representation counts for nu = t n_k +/- s n_l (k > l,
-    1 <= t, s <= m) over the scanned window.
+    1 <= t, s <= m) over the scanned window, the terms of ``n_list``.
 
     Two multiplicity notions are reported per worst nu: ``max_count`` counts
     full solution tuples (k, l, t, s, sign) and ``max_pairs`` counts distinct
@@ -267,11 +268,6 @@ def check_Dm(n_list, m: int, window: int | None = None) -> dict:
     if m < 1:
         raise ConfigError("m must be >= 1")
     ns = _integers("sequence terms", *n_list)
-    if window is not None:
-        (window,) = _integers("window", window)
-        if window < 0:
-            raise ConfigError(f"window must be >= 0, got {window}")
-        ns = ns[:window]
     counts: dict[int, int] = {}
     pairs: dict[int, set] = {}
     scanned = 0
@@ -294,10 +290,11 @@ def check_Dm(n_list, m: int, window: int | None = None) -> dict:
             "worst_nu": worst, "pairs_scanned": scanned}
 
 
-def nondegeneracy_average(plan: SubsequencePlan, phi: Observable, n: int,
-                          rmax: int = 4000) -> float:
+def nondegeneracy_average(plan: SubsequencePlan, phi: Observable,
+                          n: int) -> float:
     """(1/n) sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2 -- the variance floor that
     the Gaussian limit requires to stay above a positive constant."""
+    (n,) = _integers("n", n)
     if not 1 <= n <= plan.count:
         raise ConfigError("n outside plan range")
-    return plan.hat_variance(phi, n, rmax) / n
+    return plan.hat_variance(phi, n) / n

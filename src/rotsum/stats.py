@@ -329,6 +329,7 @@ def sample_sums(plan: SubsequencePlan, phi: Observable,
     ``normalization`` is the empirical L2 norm; ``prediction`` the Fourier
     variance sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2.
     """
+    (n,) = _integers("n", n)
     if not 0 <= n <= plan.count:
         raise ConfigError("n outside plan range")
     vals = draw_sums(phi, plan.trunc, sampler, plan.L[n])[:, 0]
@@ -342,6 +343,7 @@ def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
                seed: int) -> ExperimentReport:
     """Normalized-sum Gaussianity check of the samples ``ss`` of
     S_{L_n} phi, drawn by ``sample_sums`` at plan position n."""
+    (n,) = _integers("n", n)
     if not 1 <= n <= plan.count:
         raise ConfigError("n outside plan range [1, plan.count]")
     emp_var = ss.normalization ** 2
@@ -429,6 +431,7 @@ def erdos_fortet_experiment(n: int, samples: int, seed: int) -> ExperimentReport
     Passes when KS(mixture) <= _EF_KS_MIX_TOL and the best-fit single normal
     is worse by at least _EF_GAP_TOL.
     """
+    (n,) = _integers("n", n)
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     z = _f0_columns(n, samples, seed, None)[:, 0] / math.sqrt(n)
@@ -472,6 +475,7 @@ def erdos_fortet_identity_error(n: int, xs) -> float:
 
 def gaposhkin_index_set(a: int, nmax: int) -> set[int]:
     """I_a = union over m of {k : m^a <= k <= m^a + m}, restricted to <= nmax."""
+    a, nmax = _integers("a and nmax", a, nmax)
     if a < 1:
         raise ConfigError(f"exponent a must be >= 1, got {a}")
     out: set[int] = set()
@@ -485,13 +489,14 @@ def gaposhkin_index_set(a: int, nmax: int) -> set[int]:
 
 def gaposhkin_count(a: int, nmax: int) -> int:
     """#({1..nmax} intersect I_a), exact."""
-    return len([k for k in gaposhkin_index_set(a, nmax) if 1 <= k <= nmax])
+    return len(gaposhkin_index_set(a, nmax))
 
 
 def gaposhkin_demo(a: int, n: int, samples: int, seed: int) -> ExperimentReport:
     """Compares the normalized sums over 2^k against the sequence modified to
     2^k - 1 on the sparse index set I_a: the modification is invisible at
     scale sqrt(n)."""
+    a, n = _integers("a and n", a, n)
     if a < 5:
         raise ConfigError("exponent a must be >= 5")
     if n < 1:
@@ -521,31 +526,31 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int) -> ExperimentReport:
 # Quasi-orthogonality and block variance
 # ---------------------------------------------------------------------------
 
-def _resonance_sum(f: Observable, ka: int, g: Observable, kb: int,
-                   mmax: int) -> float:
-    """sum over m != 0 of c_{ka m}(f) conj(c_{kb m}(g)); real by conjugate
-    symmetry of real observables."""
-    gf = gamma_array(f, ka, mmax)
-    gg = gamma_array(g, kb, mmax)
-    m = np.arange(1, mmax + 1, dtype=np.float64)
+def _resonance_sum(f: Observable, ka: int, g: Observable, kb: int) -> float:
+    """sum over 0 < |m| <= _RESONANCE_MMAX of c_{ka m}(f) conj(c_{kb m}(g));
+    real by conjugate symmetry of real observables."""
+    gf = gamma_array(f, ka, _RESONANCE_MMAX)
+    gg = gamma_array(g, kb, _RESONANCE_MMAX)
+    m = np.arange(1, _RESONANCE_MMAX + 1, dtype=np.float64)
     series = (gf * gg.conjugate()) / (ka * kb * m * m)
     return float(2.0 * np.sum(series.real))
 
 
-def resonance_integral(f: Observable, l1: int, g: Observable, l2: int,
-                       mmax: int = _RESONANCE_MMAX) -> tuple[float, float]:
+def resonance_integral(f: Observable, l1: int, g: Observable,
+                       l2: int) -> tuple[float, float]:
     """(|value|, tail_bound) for int_0^1 f(l1 x) conj(g(l2 x)) dx.
 
     Only frequencies with l1 k = l2 m resonate: k = (l2/d) m', m = (l1/d) m'
-    with d = gcd(l1, l2); the series over m' is truncated at mmax.
+    with d = gcd(l1, l2); the series over m' is truncated at _RESONANCE_MMAX.
     """
+    l1, l2 = _integers("multipliers", l1, l2)
     if l1 < 1 or l2 < 1:
         raise ConfigError("multipliers must be positive integers")
     d = math.gcd(l1, l2)
     ka, kb = l2 // d, l1 // d
-    val = _resonance_sum(f, ka, g, kb, mmax)
+    val = _resonance_sum(f, ka, g, kb)
     kf, kg = f.kbound(), g.kbound()
-    tail = 2.0 * kf * kg / (ka * kb) / mmax
+    tail = 2.0 * kf * kg / (ka * kb) / _RESONANCE_MMAX
     return abs(val), tail
 
 
@@ -598,7 +603,7 @@ def block_variance_ratio(fs: list, ns: list) -> float:
         for j in range(i + 1, len(fs)):
             d = math.gcd(ns[i], ns[j])
             ka, kb = ns[j] // d, ns[i] // d
-            cross += 2.0 * _resonance_sum(fs[i], ka, fs[j], kb, _RESONANCE_MMAX)
+            cross += 2.0 * _resonance_sum(fs[i], ka, fs[j], kb)
     return (diag + cross) / diag
 
 
@@ -613,6 +618,7 @@ def covariance_2d(plan: SubsequencePlan, psi: VectorObservable,
     (u,v) in {(1,0), (0,1), (1,1)}.  Requires a parity-certified plan."""
     if not plan.certified.get("parity"):
         raise ConfigError("covariance_2d requires a parity-certified plan")
+    (n,) = _integers("n", n)
     if not 1 <= n <= plan.count:
         raise ConfigError("n outside plan range")
     sums = draw_sums(psi.components, plan.trunc,

@@ -31,8 +31,8 @@ import numpy as np
 
 from .contfrac import RationalTruncation
 from .errors import CertificateError, ConfigError, _integers
-from .observables import (_INT64_SAFE, Observable, _require_rmax,
-                          gamma_sq_array, reduce_phases, series_weights)
+from .observables import (_INT64_SAFE, Observable, gamma_sq_array,
+                          reduce_phases, series_weights)
 from .ergosum import _PROFILE_CAP, orbit_sum_profile
 
 __all__ = [
@@ -57,6 +57,7 @@ def _finite(t) -> float:
 
 def gn_kernel(n: int, t: float) -> float:
     """G_n(t) = sin^2(n pi t)/sin^2(pi t); G_n(integer) = n^2 (removable)."""
+    (n,) = _integers("n", n)
     if n < 0:
         raise ConfigError("n must be >= 0")
     tf = _finite(t) % 1.0
@@ -83,6 +84,7 @@ def gn_mean(n: int, t: float) -> float:
     Near t = 0 the closed form cancels catastrophically; below n*t ~ 1e-2
     the O(n) direct sum is used instead (exact limit (n-1)(2n-1)/6 at 0).
     """
+    (n,) = _integers("n", n)
     if n < 1:
         raise ConfigError("n must be >= 1")
     tf = _finite(t) % 1.0
@@ -148,23 +150,20 @@ class AlphaFourierTable:
         return vals
 
 
-def _series(phi: Observable, trunc: RationalTruncation, n: int,
-            rmax: int | None):
-    """The kernel table and series weights of the Fourier norms at horizon
-    n, truncated at rmax (default max(20000, 100 n))."""
-    if rmax is None:
-        rmax = max(20_000, 100 * n)
-    _require_rmax(rmax)
+def _series(phi: Observable, trunc: RationalTruncation, n: int):
+    """The kernel table and series weights of the Fourier norms up to
+    horizon n, truncated at rmax = max(20000, 100 n)."""
+    rmax = max(20_000, 100 * n)
     table = AlphaFourierTable(trunc, rmax)
     return table, series_weights(gamma_sq_array(phi, 1, rmax))
 
 
 def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
-            mode: str = "fourier", rmax: int | None = None):
+            mode: str = "fourier"):
     """||S_n phi||_2^2.
 
     fourier mode returns (value, tail_bound) with the series truncated at
-    rmax (default max(20000, 100 n)); tail <= 2 K^2 n^2 / rmax.
+    rmax = max(20000, 100 n); tail <= 2 K^2 n^2 / rmax.
     exact mode returns (Fraction, 0) by piecewise integration (needs
     n * #jumps under the enumeration cap).
     """
@@ -180,20 +179,21 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
         return prof.integral_sq(), 0
     if mode != "fourier":
         raise ConfigError(f"unknown mode {mode!r}")
-    table, w = _series(phi, trunc, n, rmax)
+    table, w = _series(phi, trunc, n)
     value = float(np.sum(w * table.gn(n)))
     k = phi.kbound()
     tail = 2.0 * k * k * float(n) ** 2 / table.rmax
     return value, tail
 
 
-def mean_variance(phi: Observable, n: int, trunc: RationalTruncation,
-                  rmax: int | None = None) -> float:
+def mean_variance(phi: Observable, n: int, trunc: RationalTruncation) -> float:
     """<D phi>_n = (1/n) sum_{k<n} ||S_k phi||_2^2 via the closed-form kernel
-    mean (avoids the O(n) sum of kernels per frequency)."""
+    mean (avoids the O(n) sum of kernels per frequency); the series is
+    truncated as in ``norm_sq``."""
+    (n,) = _integers("n", n)
     if n < 1:
         raise ConfigError("n must be >= 1")
-    table, w = _series(phi, trunc, n, rmax)
+    table, w = _series(phi, trunc, n)
     return float(np.sum(w * table.gn_mean(n)))
 
 
@@ -203,6 +203,7 @@ def bound_series(phi: Observable, ell: int, trunc: RationalTruncation):
         lower = sum_{j<ell} |gamma_{q_j}|^2 a_{j+1}^2
         upper = K^2 * sum_{j<=ell} a_{j+1}^2
     """
+    (ell,) = _integers("ell", ell)
     if not 0 <= ell < trunc.level:
         raise ConfigError(f"ell must be in [0, {trunc.level}), got {ell}")
     lower = 0.0
@@ -216,6 +217,7 @@ def bound_series(phi: Observable, ell: int, trunc: RationalTruncation):
 
 def level_of(n: int, trunc: RationalTruncation) -> int:
     """ell with q_ell <= n < q_{ell+1}."""
+    (n,) = _integers("n", n)
     ell = 0
     while ell + 1 < len(trunc.qs) and trunc.qs[ell + 1] <= n:
         ell += 1
@@ -245,6 +247,7 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     truncation tails (1/kscan and m^2/kscan) are added to the left-hand sides
     before checking; a violated inequality raises CertificateError.
     """
+    n, m = _integers("n and m", n, m)
     if m < 3:
         raise ConfigError("m must be >= 3")
     if not 0 <= n < trunc.level:
@@ -310,11 +313,13 @@ class VarianceProfile:
 
 
 def variance_profile(phi: Observable, trunc: RationalTruncation,
-                     ns, rmax: int | None = None) -> VarianceProfile:
-    ns = tuple(int(v) for v in ns)
+                     ns) -> VarianceProfile:
+    """The norms, Cesaro means and variance scales at each n of ``ns``, the
+    Fourier series truncated as in ``norm_sq`` at the largest n."""
+    ns = tuple(_integers("profile indices", *ns))
     if not ns or min(ns) < 1:
         raise ConfigError("a profile needs indices, each >= 1")
-    table, w = _series(phi, trunc, max(ns), rmax)
+    table, w = _series(phi, trunc, max(ns))
     norms, means, lows, ups, lvls = [], [], [], [], []
     for n in ns:
         norms.append(float(np.sum(w * table.gn(n))))

@@ -406,16 +406,19 @@ def test_mild_hypothesis_designed():
     assert gvals[-1] < 0.02
 
 
-def test_billiard_clt_smoke():
+def test_billiard_clt_smoke(monkeypatch):
+    # a 12-term plan reaches none of the drift positions 20 and 40: check
+    # three positions it does reach, on a shorter series
+    monkeypatch.setattr(bil, "_DRIFT_NS", (4, 8, 12))
+    monkeypatch.setattr(bil, "_DRIFT_RMAX", 4000)
     tr = cf.truncation(cf.parity_design_rule(c=12, beta=2, max_index=70), 66)
     plan = seq.plan_parity(tr, 2, 12)
     params = bil.params_for_plan(tr)
-    rep = bil.clt_experiment(params, plan, 12, 800, seed=2,
-                             drift_ns=(4, 8, 12), rmax_drift=4000)
+    rep = bil.clt_experiment(params, plan, 12, 800, seed=2)
     assert abs(rep.empirical["c11"] - 0.5) < 0.2
     assert abs(rep.empirical["c22"] - 0.5) < 0.2
     drift = rep.extra["psi0_norm_sq_over_n"]
-    assert len(drift) == 3
+    assert len(drift) == 3 and rep.extra["drift_rmax"] == 4000
     assert max(drift.values()) < 20 * min(drift.values()) + 1.0
 
 

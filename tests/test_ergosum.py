@@ -113,7 +113,7 @@ def test_sum_at_and_count_visits_edges():
     ctx = es.ErgodicContext(phis, tr, 97)
     x, (u, w) = Fraction(5, 97), (Fraction(1, 4), Fraction(2, 3))
     assert ctx.sum_at(5, edge) == tuple(
-        es.ergodic_sum(phi, x, edge, tr, engine="direct") for phi in phis)
+        es._direct_sum(phi, x, edge, tr) for phi in phis)
     assert es.count_visits(x, (u, w), edge, tr) == sum(
         u <= (x + j * tr.value) % 1 < w for j in range(edge))
     with pytest.raises(PrecisionError):
@@ -338,8 +338,8 @@ def test_integer_operands_of_any_kind(golden_trunc):
     ctx = es.ErgodicContext(obs.Sawtooth(), golden_trunc, np.int64(64))
     assert ctx.x_den == 64 and type(ctx.x_den) is int
     assert ctx.sum_at(np.uint64(3), np.int64(10)) == ctx.sum_at(3, 10)
-    assert es.ergodic_sum(obs.half(), Fraction(1, 3), np.int16(40),
-                          golden_trunc, engine="direct") == \
+    assert es._direct_sum(obs.half(), Fraction(1, 3), np.int16(40),
+                          golden_trunc) == \
         es.ergodic_sum(obs.half(), Fraction(1, 3), 40, golden_trunc)
 
 
@@ -348,8 +348,7 @@ def test_integer_operands_of_any_kind(golden_trunc):
     lambda ctx, tr: ctx.sum_at(3.5, 10),
     lambda ctx, tr: ctx.sum_at(Fraction(7, 2), 10),
     lambda ctx, tr: es.ErgodicContext(obs.Sawtooth(), tr, 64.5),
-    lambda ctx, tr: es.ergodic_sum(obs.half(), Fraction(1, 3), 40.5, tr,
-                                   engine="direct"),
+    lambda ctx, tr: es._direct_sum(obs.half(), Fraction(1, 3), 40.5, tr),
     lambda ctx, tr: es.ergodic_sum(obs.half(), Fraction(1, 3), 40.5, tr),
 ], ids=["N", "x_num", "x_num_fraction", "x_den", "direct_N", "floorsum_N"])
 def test_sum_rejects_non_integers(call, golden_trunc):
@@ -369,7 +368,7 @@ def test_context_reused_across_horizons(golden_trunc):
         for m in range(0, den, 17):
             x = Fraction(m, den)
             assert ctx.sum_at(m, N) == tuple(
-                es.ergodic_sum(phi, x, N, golden_trunc, engine="direct")
+                es._direct_sum(phi, x, N, golden_trunc)
                 for phi in phis)
 
 
@@ -389,7 +388,7 @@ def test_engines_agree(phi, golden_trunc):
         x = Fraction(rng.randrange(0, 2 ** 30), 2 ** 30)
         n = rng.randrange(0, 3000)
         fast = es.ergodic_sum(phi, x, n, golden_trunc)
-        slow = es.ergodic_sum(phi, x, n, golden_trunc, engine="direct")
+        slow = es._direct_sum(phi, x, n, golden_trunc)
         assert type(fast) is Fraction and type(slow) is Fraction
         assert fast == slow
 
@@ -487,7 +486,7 @@ def profile_cases(draw):
 def test_profile_against_brute_force(profile_oracle, case):
     phi, n, trunc, x = case
     prof = es.orbit_sum_profile(phi, n, trunc.value)
-    direct = es.ergodic_sum(phi, x, n, trunc, engine="direct")
+    direct = es._direct_sum(phi, x, n, trunc)
     assert prof.evaluate(x) == direct
     assert (prof.sup_abs(), prof.integral_sq()) == profile_oracle(phi, n, trunc)
 
@@ -518,7 +517,7 @@ def test_context_matches_direct_per_observable(case):
     phis, trunc, x_den, x_num, n = case
     ctx = es.ErgodicContext(phis, trunc, x_den)
     x = Fraction(x_num, x_den)
-    direct = tuple(es.ergodic_sum(phi, x, n, trunc, engine="direct")
+    direct = tuple(es._direct_sum(phi, x, n, trunc)
                    for phi in phis)
     assert ctx.sum_at(x_num, n) == direct
     assert es.ErgodicContext(phis[0], trunc, x_den).sum_at(x_num, n) == direct[0]

@@ -4,9 +4,11 @@ library resolves, and the library reads no environment variable."""
 
 import ast
 import importlib
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rotsum import billiard as bil
@@ -139,20 +141,19 @@ def test_fourier_tables_reject_rmax_below_one(phi, rmax):
         obs.gamma_sq_array(phi, 1, rmax)
 
 
-@pytest.mark.parametrize("phi", [obs.Sawtooth(), obs.half()],
-                         ids=lambda p: p.label)
-def test_hat_norm_sq_rejects_rmax_zero(phi):
-    # not a ZeroDivisionError in the tail bound
-    with pytest.raises(ConfigError, match="rmax"):
-        obs.hat_norm_sq(phi, 3, rmax=0)
+# Arguments that would pick an engine or a truncation length: no caller
+# needs more than one value, so the library holds each as a constant
+_UNSET_SETTINGS = {"engine", "rmax", "mmax", "drift_ns", "rmax_drift", "window"}
 
 
-def test_variance_profile_rejects_rmax_zero():
-    # rmax=0 is refused, not read as the default
-    tr = cf.truncation(cf.golden(30), 20)
-    with pytest.raises(ConfigError, match="rmax"):
-        var.variance_profile(obs.half(), tr, [1, 5], rmax=0)
-    assert var.variance_profile(obs.half(), tr, [1, 5], rmax=1).ns == (1, 5)
+@pytest.mark.parametrize("fn", [
+    es.ergodic_sum, obs.hat_norm_sq, seq.SubsequencePlan.hat_variance,
+    seq.nondegeneracy_average, seq.check_Dm, var.norm_sq, var.mean_variance,
+    var.variance_profile, st.resonance_integral, bil.clt_experiment,
+], ids=lambda fn: fn.__qualname__)
+def test_no_engine_or_truncation_arguments(fn):
+    params = set(inspect.signature(fn).parameters)
+    assert not params & _UNSET_SETTINGS, sorted(params & _UNSET_SETTINGS)
 
 
 def test_spec_with_unknown_rule_name_is_refused():
@@ -192,6 +193,12 @@ def test_billiard_rejects_inexact_arguments(call):
 
 
 _GOLDEN = cf.truncation(cf.golden(15), 10)
+# deep enough for the 20000-term Fourier tables of variance
+_DEEP_GOLDEN = cf.truncation(cf.golden(30), 26)
+_PLAN = seq.plan_growth(
+    cf.truncation(cf.clt_design_rule(c=30, beta=2, max_index=12), 10), 2, 2)
+_PARITY_PLAN = seq.plan_parity(
+    cf.truncation(cf.parity_design_rule(c=12, beta=2, max_index=30), 26), 2, 2)
 _NAN = float("nan")
 _INF = float("inf")
 
@@ -223,11 +230,6 @@ _INF = float("inf")
     pytest.param(lambda: st.fourier_tail_norm(obs.half(), _NAN),
                  id="fourier_tail_norm-nan"),
     pytest.param(lambda: seq.plan_growth(_GOLDEN, _NAN, 3), id="plan-beta-nan"),
-    # one Fourier setup: rmax=0 used to be a PrecisionError here
-    pytest.param(lambda: var.norm_sq(obs.half(), 3, _GOLDEN, rmax=0),
-                 id="norm_sq-rmax0"),
-    pytest.param(lambda: var.mean_variance(obs.half(), 3, _GOLDEN, rmax=0),
-                 id="mean_variance-rmax0"),
     pytest.param(lambda: es.approx_error_sq(obs.half(), 2, _GOLDEN,
                                             mode="series", rmax=0),
                  id="approx_error_sq-rmax0"),
@@ -247,8 +249,6 @@ _INF = float("inf")
     pytest.param(lambda: obs.hat_norm_sq(obs.half(), 2.5), id="hat_norm_sq-ell"),
     pytest.param(lambda: obs.hat_observable(obs.half(), 2.5),
                  id="hat_observable-ell"),
-    pytest.param(lambda: seq.check_Dm([1, 3, 9], 2, window=-1),
-                 id="check_Dm-window"),
     pytest.param(lambda: cf.design_alpha(cf.golden(15), -3),
                  id="design_alpha-levels"),
     pytest.param(lambda: cf.beta_from_ostrowski([0.5], _GOLDEN),
@@ -260,6 +260,43 @@ _INF = float("inf")
     pytest.param(lambda: st.StratifiedSampler(-1, 5), id="sampler-seed-1"),
     pytest.param(lambda: cf.truncation(cf.golden(15), 2.5),
                  id="truncation-level"),
+    # each used to escape as a bare TypeError
+    pytest.param(lambda: var.diagnostic_inequalities(_GOLDEN, 4.0, 10),
+                 id="diagnostics-n"),
+    pytest.param(lambda: var.bound_series(obs.half(), 2.0, _GOLDEN),
+                 id="bound_series-ell"),
+    pytest.param(lambda: es.approx_error_sq(obs.half(), 2.0, _GOLDEN),
+                 id="approx_error_sq-n"),
+    pytest.param(lambda: var.mean_variance(obs.half(), 3.0, _DEEP_GOLDEN),
+                 id="mean_variance-n"),
+    pytest.param(lambda: st.resonance_integral(obs.half(), 1.5, obs.half(), 2),
+                 id="resonance_integral-l1"),
+    pytest.param(lambda: st.gaposhkin_index_set(5.5, 100), id="index_set-a"),
+    pytest.param(lambda: st.erdos_fortet_experiment(2.5, 10, 0),
+                 id="erdos_fortet-n"),
+    pytest.param(lambda: st.gaposhkin_demo(5, 50.5, 10, 0), id="gaposhkin-n"),
+    pytest.param(lambda: _PLAN.hat_variance(obs.half(), 2.0),
+                 id="hat_variance-n"),
+    pytest.param(lambda: seq.nondegeneracy_average(_PLAN, obs.half(), 2.0),
+                 id="nondegeneracy_average-n"),
+    pytest.param(lambda: st.sample_sums(_PLAN, obs.half(),
+                                        st.StratifiedSampler(0, 4), 1.0),
+                 id="sample_sums-n"),
+    pytest.param(lambda: st.covariance_2d(
+        _PARITY_PLAN, obs.billiard_displacement(_PARITY_PLAN.trunc.value), 1.0,
+        4, 0), id="covariance_2d-n"),
+    # each used to truncate the float or compute at it
+    pytest.param(lambda: var.variance_profile(obs.half(), _DEEP_GOLDEN, [2.5]),
+                 id="variance_profile-ns"),
+    pytest.param(lambda: var.level_of(3.5, _GOLDEN), id="level_of-n"),
+    pytest.param(lambda: var.gn_kernel(2.5, 0.1), id="gn_kernel-n"),
+    pytest.param(lambda: var.gn_mean(2.5, 0.1), id="gn_mean-n"),
+    pytest.param(lambda: var.diagnostic_inequalities(_GOLDEN, 4, 3.5),
+                 id="diagnostics-m"),
+    pytest.param(lambda: st.clt_report(_PLAN, obs.half(), 1.0,
+                                       st.SampleSet(np.array([-1.0, 1.0]), 1.0,
+                                                    prediction=1.0), 0),
+                 id="clt_report-n"),
     # exact rationals in the exact engines, as in the cocycle
     pytest.param(lambda: es.count_visits(0.1, (0, Fraction(1, 2)), 5, _GOLDEN),
                  id="count_visits-x"),

@@ -199,7 +199,7 @@ def test_hat_norm_sq_indicator_lower_bound():
 def test_hat_norm_sq_half_odd_modulus():
     phi = obs.half()
     for ell in (3, 7, 987):
-        val, tail = obs.hat_norm_sq(phi, ell, rmax=40000)
+        val, tail = obs.hat_norm_sq(phi, ell)
         # odd multiples of odd ell: gamma = 2/(i pi): series -> (4/pi^2) * (pi^2/4)
         assert abs(val - 1.0) < 2e-3
 
@@ -213,8 +213,8 @@ def test_billiard_pair_hat_norms_follow_parity():
     for n in (1, 3, 4, 6):
         q, p = tr.qs[n], tr.ps[n]
         assert q % 2 == 1
-        v1, _ = obs.hat_norm_sq(pair.phi1, q, rmax=8000)
-        v2, _ = obs.hat_norm_sq(pair.phi2, q, rmax=8000)
+        v1, _ = obs.hat_norm_sq(pair.phi1, q)
+        v2, _ = obs.hat_norm_sq(pair.phi2, q)
         active, idle = (v1, v2) if p % 2 == 1 else (v2, v1)
         slack = 5.0 / tr.qs[n + 1] + 1e-3
         assert abs(active - 1.0) < slack

@@ -126,13 +126,13 @@ def test_check_dm_powers_of_two():
     # (boundedness is the point; contrast the linear sequence below)
     assert rep["max_count"] == 9
     assert rep["max_pairs"] == 6
-    assert seq.check_Dm(ns, 3, window=20)["max_count"] == 9
-    assert seq.check_Dm(ns, 3, window=20)["max_pairs"] == 6
+    assert seq.check_Dm(ns[:20], 3)["max_count"] == 9
+    assert seq.check_Dm(ns[:20], 3)["max_pairs"] == 6
     rep1 = seq.check_Dm(ns, 1)
     # binary expansions make each of 2^k + 2^l and 2^k - 2^l unique per sign;
     # a nu like 6 = 2^2 + 2^1 = 2^3 - 2^1 is reachable by both signs
     assert rep1["max_count"] == 2
-    assert seq.check_Dm(ns, 1, window=18)["max_count"] == 2
+    assert seq.check_Dm(ns[:18], 1)["max_count"] == 2
 
 
 def test_check_dm_linear_sequence_grows():
@@ -153,8 +153,7 @@ def test_nondegeneracy_indicator_near_one_sixth(parity_trunc):
     vals = []
     for _ in range(4):
         beta = Fraction(int(rng.integers(1, 2 ** 40)) | 1, 2 ** 40)
-        vals.append(seq.nondegeneracy_average(plan, obs.indicator(beta), 40,
-                                              rmax=1500))
+        vals.append(seq.nondegeneracy_average(plan, obs.indicator(beta), 40))
     assert np.mean(vals) == pytest.approx(1 / 6, rel=0.1)
 
 

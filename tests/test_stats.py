@@ -492,7 +492,7 @@ def test_resonance_integral_vs_exact():
     g = obs.half_shifted(Fraction(2, 7))
     for l1, l2 in ((1, 1), (1, 4), (2, 6), (3, 5)):
         exact = float(exact_product_integral(f, l1, g, l2))
-        val, tail = st.resonance_integral(f, l1, g, l2, mmax=6000)
+        val, tail = st.resonance_integral(f, l1, g, l2)
         assert abs(val - abs(exact)) <= tail + 1e-6
 
 

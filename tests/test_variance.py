@@ -67,7 +67,7 @@ def test_gn_mean_lower_bounds():
 
 @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
 def test_norm_sq_n1_is_plain_norm(phi, golden_trunc):
-    val, tail = var.norm_sq(phi, 1, golden_trunc, mode="fourier", rmax=200000)
+    val, tail = var.norm_sq(phi, 1, golden_trunc, mode="fourier")
     assert val == pytest.approx(float(phi.norm_sq()), rel=2e-3)
     exact, _ = var.norm_sq(phi, 1, golden_trunc, mode="exact")
     assert exact == phi.norm_sq()
@@ -241,7 +241,7 @@ def test_variance_profile_shape(golden_trunc):
 @pytest.mark.parametrize("phi", CATALOG, ids=lambda p: p.label)
 def test_variance_profile_matches_pointwise(phi, golden_trunc):
     ns = (1, 5, 21, 100)
-    prof = var.variance_profile(phi, golden_trunc, ns, rmax=5000)
+    prof = var.variance_profile(phi, golden_trunc, ns)
     for n, norm, mean in zip(ns, prof.norm_sq, prof.mean_variance):
-        assert norm == var.norm_sq(phi, n, golden_trunc, rmax=5000)[0]
-        assert mean == var.mean_variance(phi, n, golden_trunc, rmax=5000)
+        assert norm == var.norm_sq(phi, n, golden_trunc)[0]
+        assert mean == var.mean_variance(phi, n, golden_trunc)
