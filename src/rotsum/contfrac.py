@@ -9,7 +9,8 @@ is combinatorially indistinguishable from the rotation by alpha, so counting
 arguments are exact; outside that window the API raises ``PrecisionError``
 rather than silently degrading.
 
-Convergents satisfy
+The convergents p_0/q_0 .. p_M/q_M are kept in ``RationalTruncation.ps``
+and ``qs``; they satisfy
 
     q_{n+1} = a_{n+1} q_n + q_{n-1},   p_{n+1} = a_{n+1} p_n + p_{n-1},
     p_{n-1} q_n - p_n q_{n-1} = (-1)^n,
@@ -31,10 +32,8 @@ from .errors import (CertificateError, ConfigError, PrecisionError,
 
 __all__ = [
     "PartialQuotientSpec",
-    "Convergent",
     "RationalTruncation",
     "OstrowskiDigits",
-    "convergents",
     "ostrowski_digits",
     "GUARD",
     "design_alpha",
@@ -212,35 +211,6 @@ def parity_design_rule(c: int = 30, beta: int = 2, max_index: int = 160) -> Part
 
 
 # ---------------------------------------------------------------------------
-# Convergents
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Convergent:
-    """Exact convergent p_n/q_n (index -1 is the seed (1, 0))."""
-    n: int
-    p: int
-    q: int
-
-
-def convergents(spec: PartialQuotientSpec, n: int) -> list[Convergent]:
-    """Convergents 0..n of the spec, big-integer exact."""
-    if n > spec.max_index:
-        raise SpecExhaustedError(
-            f"spec exhausted: convergent {n} needs a_{n}, max_index={spec.max_index}"
-        )
-    p_prev, p_cur = 1, 0  # p_{-1}, p_0
-    q_prev, q_cur = 0, 1
-    out = [Convergent(0, 0, 1)]
-    for k in range(1, n + 1):
-        a = spec.a(k)
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        out.append(Convergent(k, p_cur, q_cur))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Rational truncation: alpha frozen as p_M/q_M
 # ---------------------------------------------------------------------------
 
@@ -325,13 +295,16 @@ def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
     (level,) = _integers("truncation level", level)
     if level < 2:
         raise ConfigError("truncation level must be >= 2 for a nonempty window")
-    cs = convergents(spec, level)
-    return RationalTruncation(
-        spec=spec,
-        level=level,
-        ps=tuple(c.p for c in cs),
-        qs=tuple(c.q for c in cs),
-    )
+    if level > spec.max_index:
+        raise SpecExhaustedError(f"spec exhausted: convergent {level} needs "
+                                 f"a_{level}, max_index={spec.max_index}")
+    ps, qs = [1, 0], [0, 1]
+    for k in range(1, level + 1):
+        a = spec.a(k)
+        ps.append(a * ps[-1] + ps[-2])
+        qs.append(a * qs[-1] + qs[-2])
+    return RationalTruncation(spec=spec, level=level, ps=tuple(ps[1:]),
+                              qs=tuple(qs[1:]))
 
 
 # Levels a designed truncation reaches beyond the deepest index an experiment

@@ -57,9 +57,7 @@ import numpy as np
 from .contfrac import RationalTruncation, ostrowski_digits
 from .errors import (CertificateError, ConfigError, PrecisionError, _integers,
                      _rational)
-from .observables import (_INT64_SAFE, Observable, Sawtooth, _require_rmax,
-                          _step_from_jumps, gamma_sq_array, reduce_phases,
-                          series_weights)
+from .observables import _INT64_SAFE, Observable, Sawtooth, _step_from_jumps
 
 __all__ = [
     "floor_sum",
@@ -333,8 +331,8 @@ def _direct_sum(phi: Observable, x, N: int, trunc: RationalTruncation) -> Fracti
 # Exact piecewise profile of x -> S_n phi(x), on integers
 # ---------------------------------------------------------------------------
 
-# Largest n * #jumps an exact profile enumerates; beyond it the Fourier
-# (series) modes apply.
+# Largest n * #jumps an exact profile enumerates; beyond it only the Fourier
+# mode of variance.norm_sq applies.
 _PROFILE_CAP = 400_000
 
 
@@ -442,62 +440,27 @@ def orbit_sum_profile(phi: Observable, n: int, rot: Fraction) -> OrbitProfile:
 # Periodic-approximation error
 # ---------------------------------------------------------------------------
 
-def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation,
-                    mode: str = "exact", rmax: int = 2000):
-    """|| S_{q_n} phi - periodized transfer ||_2^2.
+def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation) -> Fraction:
+    """|| S_{q_n} phi - periodized transfer ||_2^2 as an exact Fraction.
 
-    exact mode: one signed integer profile holds the jumps of
-    x -> S_{q_n}phi(x) and, negated, those of x -> sum_j phi(x + j/q_n), and
-    its square is integrated exactly (for the sawtooth the slopes cancel,
-    leaving a pure step profile).
-
-    series mode: the Fourier expansion of the difference, truncated at
-    |r| <= rmax; returns (value, tail_bound).
+    One signed integer profile holds the jumps of x -> S_{q_n}phi(x) and,
+    negated, those of x -> sum_j phi(x + j/q_n), and its square is
+    integrated exactly (for the sawtooth the slopes cancel, leaving a pure
+    step profile).
     """
     (n,) = _integers("n", n)
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
     if n >= trunc.level:
         # S_{q_n} reaches the multiple q_n - 1, inside the window [1, q_(M-1))
-        # only for n < M (and series mode reaches q_n^2 rmax)
+        # only for n < M
         raise PrecisionError(f"orbit length q_{n} needs level > {n}",
                              required_level=n + 1)
     qn = trunc.qs[n]
-    if mode == "exact":
-        if qn * 8 > _PROFILE_CAP:
-            raise ConfigError(
-                f"profile cap exceeded at q_n={qn}; use series mode")
-        return _signed_profile(phi, qn, ((trunc.value, 1),
-                                         (Fraction(1, qn), -1))).integral_sq()
-    if mode != "series":
-        raise ConfigError(f"unknown mode {mode!r}")
-    return _approx_error_series(phi, n, trunc, rmax)
-
-
-def _approx_error_series(phi, n, trunc, rmax):
-    _require_rmax(rmax)
-    qn = trunc.qs[n]
-    # largest multiple of alpha used below is qn^2 * rmax
-    trunc.require_window(qn * qn * rmax, "Fourier multiple")
-    k = phi.kbound()
-
-    def angle(mult):    # pi * r * mult * alpha for r = 1..rmax, exact mod 2 pi
-        return 2.0 * np.pi * reduce_phases(mult * trunc.p, 2 * trunc.q, rmax)[1]
-
-    # frequency r qn: |e^{i pi (qn-1) x} sin(pi qn x)/(qn sin(pi x)) - 1|^2
-    # at x = qn r alpha
-    s_qn = np.sin(angle(qn))
-    dirichlet = np.sin(angle(qn * qn)) / (float(qn) * s_qn)
-    z = np.exp(1j * angle((qn - 1) * qn)) * dirichlet - 1.0
-    total = np.sum(series_weights(gamma_sq_array(phi, qn, rmax)) * np.abs(z) ** 2)
-    # frequency r, not a multiple of qn: (sin(pi qn r alpha)/sin(pi r alpha))^2
-    ratio = s_qn / np.sin(angle(1))
-    ratio[qn - 1::qn] = 0.0
-    total += np.sum(series_weights(gamma_sq_array(phi, 1, rmax)) * ratio ** 2)
-    # |z|^2 <= 4 and the non-multiple ratio is bounded by qn^2; both tails
-    # decay like 1/r^2.
-    tail = 2.0 * k * k * (4.0 + float(qn) ** 2) / rmax
-    return float(total), tail
+    if qn * 8 > _PROFILE_CAP:
+        raise ConfigError(f"profile cap exceeded at q_n={qn}")
+    return _signed_profile(phi, qn, ((trunc.value, 1),
+                                     (Fraction(1, qn), -1))).integral_sq()
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "Sawtooth",
     "Observable",
     "VectorObservable",
-    "SmoothnessBudget",
     "catalog",
     "hat_observable",
     "reduce_phases",
@@ -213,32 +212,6 @@ class VectorObservable:
     @property
     def components(self) -> tuple[Observable, Observable]:
         return (self.phi1, self.phi2)
-
-
-@dataclass(frozen=True)
-class SmoothnessBudget:
-    """Uniform regularity data: sup-norm and L2-norm bounds plus the Fourier
-    tail envelope R(f, t) <= C_R t^{-gamma} (gamma = 1/2, C_R = 2K for BV)."""
-
-    m_inf: float
-    phi2: float
-    c_r: float
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        if not (self.m_inf > 0 and self.phi2 > 0 and self.c_r > 0 and self.gamma > 0):
-            raise ConfigError("all budget entries must be finite and positive")
-
-    @staticmethod
-    def from_observable(phi: Observable) -> "SmoothnessBudget":
-        return SmoothnessBudget(
-            m_inf=float(phi.sup_abs()),
-            phi2=math.sqrt(float(phi.norm_sq())),
-            c_r=2.0 * phi.kbound(),
-        )
-
-    def tail_envelope(self, t: float) -> float:
-        return self.c_r * t ** (-self.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +518,8 @@ def series_weights(gam_sq):
     """2 |gamma_r|^2 / r^2 for r = 1..len(gam_sq), from |gamma_r|^2.
 
     Every Fourier norm in the package is sum_r weights[r-1] * kernel(r):
-    the periodized norm (kernel 1), ||S_n phi||^2 (G_n), its Cesaro mean,
-    the billiard drift and the periodic-approximation error.
+    the periodized norm (kernel 1), ||S_n phi||^2 (G_n), its Cesaro mean
+    and the billiard drift.
     """
     r = np.arange(1, len(gam_sq) + 1, dtype=np.float64)
     return 2.0 * gam_sq / (r * r)

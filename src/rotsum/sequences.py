@@ -33,7 +33,6 @@ __all__ = [
     "check_lacunarity",
     "check_Dm",
     "nondegeneracy_average",
-    "pairs_mod2",
     "admissible_parity_triples",
 ]
 
@@ -55,6 +54,9 @@ class SubsequencePlan:
 
     def q(self, k: int) -> int:
         """q_{t_k}, 1-based plan position."""
+        (k,) = _integers("plan position", k)
+        if not 1 <= k <= self.count:
+            raise ConfigError(f"plan position {k} outside [1, {self.count}]")
         return self.trunc.qs[self.t[k - 1]]
 
     def denominators(self) -> list[int]:
@@ -64,6 +66,8 @@ class SubsequencePlan:
         """sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2, summed left to right: the
         Fourier variance prediction for S_{L_n} phi."""
         (n,) = _integers("n", n)
+        if not 0 <= n <= self.count:
+            raise ConfigError(f"n = {n} outside plan range [0, {self.count}]")
         total = 0.0
         for k in range(1, n + 1):
             total += hat_norm_sq(phi, self.q(k))[0]
@@ -164,7 +168,7 @@ def plan_growth(trunc: RationalTruncation, beta: float, count: int) -> Subsequen
 def plan_parity(trunc: RationalTruncation, beta: float, count: int) -> SubsequencePlan:
     """Greedy plan with q_{t_k} odd, p_{t_k} even at even plan positions and
     odd at odd positions, plus the growth condition."""
-    pairs = pairs_mod2(trunc.spec, min(trunc.spec.max_index, trunc.level))
+    pairs = [(p % 2, q % 2) for p, q in zip(trunc.ps[1:], trunc.qs[1:])]
     t = _greedy(trunc, beta, count, lambda k, n: pairs[n - 1] == (k % 2, 1),
                 lambda k, need: ParityPatternError(
                     f"parity pattern unavailable: position {k} wants "
@@ -197,22 +201,6 @@ def _certify(trunc: RationalTruncation, t: list[int], beta: float,
                                                   trunc.qs[tk] % 2) for tk in t])
     return SubsequencePlan(t=tuple(t), L=L, beta=beta, trunc=trunc,
                            certified=cert, rho=rho)
-
-
-def pairs_mod2(spec: PartialQuotientSpec, nmax: int) -> list[tuple[int, int]]:
-    """(p_n, q_n) mod 2 for n = 1..nmax via the convergent recurrence.
-
-    The pair (0, 0) never occurs: consecutive convergents are unimodular.
-    """
-    pp, pc = 1, 0   # p_{-1}, p_0 mod 2
-    qp, qc = 0, 1
-    out = []
-    for k in range(1, nmax + 1):
-        a = spec.a(k) % 2
-        pp, pc = pc, (a * pc + pp) % 2
-        qp, qc = qc, (a * qc + qp) % 2
-        out.append((pc, qc))
-    return out
 
 
 def admissible_parity_triples(a_parity: int) -> set[tuple]:

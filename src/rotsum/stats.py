@@ -459,6 +459,7 @@ def erdos_fortet_identity_error(n: int, xs) -> float:
             + 2 cos(pi x) sum_{k=2..n} cos(2 pi (2^k - 3/2) x)
 
     over the given points (floats)."""
+    (n,) = _integers("n", n)
     worst = 0.0
     for x in xs:
         lhs = sum(math.cos(2 * math.pi * (2 ** k - 1) * x)

@@ -142,7 +142,7 @@ def test_acceptance_3_periodic_approximation():
         errs = []
         for a_big in (10, 100, 1000):
             tr = design(a_big)
-            err = float(es.approx_error_sq(phi, 2, tr, mode="exact"))
+            err = float(es.approx_error_sq(phi, 2, tr))
             bound = (4 * math.pi * phi.kbound()) ** 2 / a_big
             if isinstance(phi, obs.Sawtooth):
                 ok = ok and err <= 4.0 / a_big

@@ -3,8 +3,10 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from hypothesis import strategies as hst
 from rotsum import cli
 from rotsum import stats as st
 from rotsum.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args, tmp_path, name):
@@ -422,8 +426,10 @@ def test_run_config_json_round_trip(cfg):
 
 
 def test_console_entry_point():
+    # the subprocess does not inherit pytest's pythonpath setting
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "rotsum.cli", "cf", "--terms", "3"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "q_n" in proc.stdout

@@ -12,8 +12,9 @@ from rotsum.errors import ConfigError, PrecisionError, SpecExhaustedError
 
 
 def test_golden_first_denominators():
-    cs = cf.convergents(cf.golden(10), 6)
-    assert [c.q for c in cs] == [1, 1, 2, 3, 5, 8, 13]
+    tr = cf.truncation(cf.golden(10), 6)
+    assert list(tr.qs) == [1, 1, 2, 3, 5, 8, 13]
+    assert list(tr.ps) == [0, 1, 1, 2, 3, 5, 8]
 
 
 def sqrt2_bounds(digits: int):
@@ -28,14 +29,14 @@ def sqrt2_bounds(digits: int):
 
 def test_sqrt2m1_convergent_quality():
     # all partial quotients 2: alpha = sqrt(2) - 1
-    cs = cf.convergents(cf.sqrt2m1(10), 4)
-    assert (cs[4].p, cs[4].q) == (12, 29)
+    tr = cf.truncation(cf.sqrt2m1(10), 4)
+    assert (tr.ps[4], tr.qs[4]) == (12, 29)
     lo, hi = sqrt2_bounds(40)
-    for c in cs[1:]:
-        approx = Fraction(c.p, c.q)
+    for p, q in zip(tr.ps[1:], tr.qs[1:]):
+        approx = Fraction(p, q)
         # |alpha - p/q| < 1/q^2 certified on the enclosing interval
         err_hi = max(abs((hi - 1) - approx), abs((lo - 1) - approx))
-        assert err_hi < Fraction(1, c.q * c.q)
+        assert err_hi < Fraction(1, q * q)
 
 
 @pytest.mark.parametrize("spec", [cf.golden(25), cf.sqrt2m1(25),
@@ -54,8 +55,8 @@ def test_determinant_identity(spec):
 
 def test_spec_exhaustion():
     spec = cf.from_list([1, 2, 3])
-    with pytest.raises(SpecExhaustedError):
-        cf.convergents(spec, 4)
+    with pytest.raises(SpecExhaustedError, match="convergent 4 needs a_4"):
+        cf.truncation(spec, 4)
     with pytest.raises(SpecExhaustedError):
         spec.a(4)
 

@@ -730,11 +730,11 @@ def approx_design(a_big: int, guard: int = 8):
 def test_approx_error_phi0_bound():
     for a_big in (10, 100, 1000):
         tr = approx_design(a_big)
-        err = es.approx_error_sq(obs.Sawtooth(), 2, tr, mode="exact")
+        err = es.approx_error_sq(obs.Sawtooth(), 2, tr)
         assert 0 < float(err) <= 4.0 / a_big
     # degenerate golden case: a_{n+1} = 1 still satisfies the bound <= 4
     tr = cf.truncation(cf.golden(20), 15)
-    err = es.approx_error_sq(obs.Sawtooth(), 6, tr, mode="exact")
+    err = es.approx_error_sq(obs.Sawtooth(), 6, tr)
     assert float(err) <= 4.0
 
 
@@ -743,20 +743,38 @@ def test_approx_error_catalog_bound_and_monotone(phi):
     errs = []
     for a_big in (10, 100, 1000):
         tr = approx_design(a_big)
-        err = float(es.approx_error_sq(phi, 2, tr, mode="exact"))
+        err = float(es.approx_error_sq(phi, 2, tr))
         bound = (4 * math.pi * phi.kbound()) ** 2 / a_big
         assert err <= bound
         errs.append(err)
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_approx_error_series_mode_agrees():
-    # deep guard: the series touches frequencies up to q_n^2 * rmax; the
-    # truncation error is about 40/rmax relative, so rmax = 8000 keeps every
-    # catalog observable inside 1%
-    tr = approx_design(100, guard=24)
+def _approx_error_oracle(phi, n, trunc):
+    """|| S_{q_n} phi - sum_j phi(. + j/q_n) ||_2^2 by brute force.
+
+    The circle is cut at {t - j alpha} and {t - j/q_n} for the jump points t
+    and j < q_n, and the difference D is evaluated at the midpoint of every
+    piece: S_{q_n} phi by the floor-sum engine, the periodized sum term by
+    term.  D is constant on a piece, the sawtooth's slopes cancelling, so
+    each piece contributes D^2 len.
+    """
+    qn = trunc.qs[n]
+    cuts = sorted({Fraction(0)} | {(t - j * rot) % 1 for t in phi.jumps()
+                                   for rot in (trunc.value, Fraction(1, qn))
+                                   for j in range(qn)})
+    total = Fraction(0)
+    for lo, hi in zip(cuts, cuts[1:] + [Fraction(1)]):
+        x = (lo + hi) / 2
+        d = (es.ergodic_sum(phi, x, qn, trunc)
+             - sum(phi.evaluate(x + Fraction(j, qn)) for j in range(qn)))
+        total += d * d * (hi - lo)
+    return total
+
+
+@pytest.mark.parametrize("a_big", [10, 100])
+def test_approx_error_matches_brute_force(a_big):
+    tr = approx_design(a_big)
     pair = obs.billiard_displacement(Fraction(2, 5))
     for phi in CATALOG + [pair.phi1, pair.phi2]:
-        exact = float(es.approx_error_sq(phi, 2, tr, mode="exact"))
-        series, tail = es.approx_error_sq(phi, 2, tr, mode="series", rmax=8000)
-        assert abs(series - exact) <= max(0.01 * exact, 1e-4)
+        assert es.approx_error_sq(phi, 2, tr) == _approx_error_oracle(phi, 2, tr)

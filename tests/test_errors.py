@@ -147,13 +147,17 @@ _UNSET_SETTINGS = {"engine", "rmax", "mmax", "drift_ns", "rmax_drift", "window"}
 
 
 @pytest.mark.parametrize("fn", [
-    es.ergodic_sum, obs.hat_norm_sq, seq.SubsequencePlan.hat_variance,
-    seq.nondegeneracy_average, seq.check_Dm, var.norm_sq, var.mean_variance,
-    var.variance_profile, st.resonance_integral, bil.clt_experiment,
+    es.ergodic_sum, es.approx_error_sq, obs.hat_norm_sq,
+    seq.SubsequencePlan.hat_variance, seq.nondegeneracy_average, seq.check_Dm,
+    var.norm_sq, var.mean_variance, var.variance_profile,
+    st.resonance_integral, bil.clt_experiment,
 ], ids=lambda fn: fn.__qualname__)
 def test_no_engine_or_truncation_arguments(fn):
     params = set(inspect.signature(fn).parameters)
     assert not params & _UNSET_SETTINGS, sorted(params & _UNSET_SETTINGS)
+    if fn is es.approx_error_sq:
+        # one exact path, no backend switch
+        assert "mode" not in params
 
 
 def test_spec_with_unknown_rule_name_is_refused():
@@ -230,9 +234,6 @@ _INF = float("inf")
     pytest.param(lambda: st.fourier_tail_norm(obs.half(), _NAN),
                  id="fourier_tail_norm-nan"),
     pytest.param(lambda: seq.plan_growth(_GOLDEN, _NAN, 3), id="plan-beta-nan"),
-    pytest.param(lambda: es.approx_error_sq(obs.half(), 2, _GOLDEN,
-                                            mode="series", rmax=0),
-                 id="approx_error_sq-rmax0"),
     # integer arguments are integers: each used to truncate the float, read
     # a negative count from the end, or escape as a bare TypeError or an
     # AttributeError
@@ -323,6 +324,17 @@ _INF = float("inf")
                  id="params_for_plan-scale-nan"),
     pytest.param(lambda: bil.estimate_c(_SHAPE, 3, seed=-1),
                  id="estimate_c-seed-1"),
+    # plan positions outside the plan: q(0) used to read the last term's
+    # denominator, hat_variance to escape as a bare IndexError past the plan
+    # or to return 0.0 below it
+    pytest.param(lambda: _PLAN.q(0), id="plan_q-k0"),
+    pytest.param(lambda: _PLAN.hat_variance(obs.half(), 5),
+                 id="hat_variance-n5"),
+    pytest.param(lambda: _PLAN.hat_variance(obs.half(), -1),
+                 id="hat_variance-n-1"),
+    # used to escape as a bare TypeError
+    pytest.param(lambda: st.erdos_fortet_identity_error(2.5, [0.1]),
+                 id="erdos_fortet_identity_error-n"),
 ])
 def test_edge_inputs_raise_config_error(call):
     with pytest.raises(ConfigError):

@@ -12,6 +12,7 @@ from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import observables as obs
 from rotsum import sequences as seq
+from rotsum import stats as st
 from rotsum.errors import ConfigError
 
 TWO_PI = 2 * math.pi
@@ -222,16 +223,13 @@ def test_billiard_pair_hat_norms_follow_parity():
 
 
 def test_smoothness_budget():
+    # the bounded-variation budget: sup |phi| and the Fourier tail envelope
+    # R(f, t) <= 2 K t^{-1/2}
     phi = obs.indicator(Fraction(1, 3))
-    budget = obs.SmoothnessBudget.from_observable(phi)
-    assert budget.gamma == 0.5
-    assert budget.c_r == pytest.approx(2 * phi.kbound())
-    assert budget.m_inf == pytest.approx(2 / 3)
-    # R(f, t) <= 2 K t^{-1/2}: compare the computed tail with the envelope
+    assert phi.sup_abs() == Fraction(2, 3)
     for t in (4, 16, 64):
-        tail = math.sqrt(sum(2 * abs(phi.fourier_gamma(j) / j) ** 2
-                             for j in range(t, 20000)))
-        assert tail <= budget.tail_envelope(t) + 1e-9
+        envelope = 2 * phi.kbound() * t ** -0.5
+        assert st.fourier_tail_norm(phi, t) <= envelope + 1e-9
 
 
 def test_vector_observable():

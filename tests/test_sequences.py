@@ -88,8 +88,9 @@ def test_plan_parity_unavailable_for_alternating_spec():
 def test_pairs_mod2_never_both_even():
     for spec in (cf.golden(40), cf.sqrt2m1(40),
                  cf.from_list([2, 4, 6, 8] * 10)):
-        for pair in seq.pairs_mod2(spec, 40):
-            assert pair != (0, 0)
+        tr = cf.truncation(spec, 40)
+        for p, q in zip(tr.ps, tr.qs):
+            assert (p % 2, q % 2) != (0, 0)
 
 
 def test_admissible_parity_triples():
