@@ -40,7 +40,7 @@ import numpy as np
 
 from .contfrac import RationalTruncation
 from .errors import (BoundaryError, CertificateError, ConfigError,
-                     SingularOrbitError, _integers, _rational)
+                     SingularOrbitError, _at_least, _integers, _rational)
 from .observables import (TWO_PI, VectorObservable, _phase_table,
                           billiard_displacement, series_weights)
 from .ergosum import ErgodicContext
@@ -209,9 +209,7 @@ def step(state: LatticeState, params: ObstacleParams) -> LatticeState:
 
 def cell_after_direct(n: int, x, params: ObstacleParams) -> tuple[int, int]:
     """S(n, Psi)(x) by literal skew-product iteration (exact, O(n))."""
-    (n,) = _integers("n", n)
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    n = _at_least("n", n, 0)
     u, v = _residue(x)
     p, q = params.alpha.numerator, params.alpha.denominator
     # x_j = u_j / (vq) with u_j = (u q + j p v) mod vq
@@ -227,9 +225,7 @@ def cell_after_direct(n: int, x, params: ObstacleParams) -> tuple[int, int]:
 
 def cell_after(n: int, x, params: ObstacleParams) -> tuple[int, int]:
     """S(n, Psi)(x) via one exact floor-sum context for both components."""
-    (n,) = _integers("n", n)
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    n = _at_least("n", n, 0)
     u, v = _residue(x)
     v1, v2 = _cell_context(params, v).sum_at(u, n)
     z1, z2 = int(v1), int(v2)
@@ -332,9 +328,7 @@ def ray_trace(chi, params: ObstacleParams, collisions: int = 2) -> BilliardOrbit
     Returns the orbit with ``collisions`` obstacle hits; reflection flips the
     velocity component normal to the struck side.
     """
-    (collisions,) = _integers("collisions", collisions)
-    if collisions < 1:
-        raise ConfigError("need at least one collision")
+    collisions = _at_least("collisions", collisions, 1)
     pos, direction = section_start(chi, params)
     exact = (*pos, params.a / 2, params.b / 2)
     D = math.lcm(*(v.denominator for v in exact))

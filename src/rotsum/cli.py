@@ -36,7 +36,7 @@ from .errors import ConfigError, PrecisionError, RotsumError
 @dataclass
 class RunConfig:
     command: str
-    alpha: str = "golden"
+    alpha: str | None = None    # None: the command's default
     observable: str = "phi0"
     beta: float = 2.0
     terms: int = 40
@@ -45,6 +45,14 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a plan needs larger partial quotients than golden's; resolved here,
+        # so that a left-out --alpha hashes as its default passed explicitly
+        if self.alpha is None:
+            plan_alpha = {"plan": "clt:c=30", "clt": "clt:c=30",
+                          "billiard-clt": "parity:c=30"}
+            self.alpha = plan_alpha.get(self.command, "golden")
 
     def to_json(self) -> str:
         # "threads" is a constant: no result depends on how many processes

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (CertificateError, ConfigError, PrecisionError,
-                     SpecExhaustedError, _integers)
+                     SpecExhaustedError, _at_least, _integers)
 
 __all__ = [
     "PartialQuotientSpec",
@@ -315,9 +315,7 @@ GUARD = 5
 def design_alpha(spec: PartialQuotientSpec, levels: int) -> RationalTruncation:
     """Freeze ``spec`` ``GUARD`` levels beyond every index the experiment
     will query (1..levels)."""
-    (levels,) = _integers("levels", levels)
-    if levels < 1:
-        raise ConfigError(f"levels must be >= 1, got {levels}")
+    levels = _at_least("levels", levels, 1)
     level = levels + GUARD
     if level > spec.max_index:
         raise SpecExhaustedError(
@@ -351,9 +349,7 @@ class OstrowskiDigits:
 
 def ostrowski_digits(N: int, trunc: RationalTruncation) -> OstrowskiDigits:
     """Most-significant-first greedy expansion of N >= 1 in the basis (q_k)."""
-    (N,) = _integers("N", N)
-    if N < 1:
-        raise ConfigError(f"N must be >= 1, got {N}")
+    N = _at_least("N", N, 1)
     qs = trunc.qs
     # need q_{m+1} > N realizable
     if N >= qs[trunc.level]:

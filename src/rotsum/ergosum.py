@@ -55,9 +55,10 @@ from functools import lru_cache
 import numpy as np
 
 from .contfrac import RationalTruncation, ostrowski_digits
-from .errors import (CertificateError, ConfigError, PrecisionError, _integers,
-                     _rational)
-from .observables import _INT64_SAFE, Observable, Sawtooth, _step_from_jumps
+from .errors import (CertificateError, ConfigError, PrecisionError, _at_least,
+                     _integers, _rational)
+from .observables import (_INT64_SAFE, Observable, Sawtooth, _scalar,
+                          _step_from_jumps)
 
 __all__ = [
     "floor_sum",
@@ -204,9 +205,7 @@ class ErgodicContext:
 
     def __init__(self, phi: Observable | tuple[Observable, ...],
                  rot: RationalTruncation | int | Fraction, x_den: int):
-        (x_den,) = _integers("sample denominator", x_den)
-        if x_den < 1:
-            raise ConfigError("sample denominator must be >= 1")
+        x_den = _at_least("sample denominator", x_den, 1)
         if isinstance(rot, RationalTruncation):
             alpha = rot.value
         elif isinstance(rot, numbers.Rational):
@@ -216,12 +215,7 @@ class ErgodicContext:
                 "rotation must be a RationalTruncation or an exact rational "
                 f"(int or Fraction), got {type(rot).__name__} {rot!r}")
         self._single = not isinstance(phi, (tuple, list))
-        phis = (phi,) if self._single else tuple(phi)
-        for f in phis:
-            if not hasattr(f, "jumps"):
-                raise ConfigError(
-                    f"{type(f).__name__} {getattr(f, 'label', '')!r} is not a "
-                    "scalar observable; sum its components separately")
+        phis = tuple(map(_scalar, (phi,) if self._single else phi))
         self.rot = rot
         self.x_den = x_den
         jumps = [{t: Fraction(v) for t, v in f.jumps().items()} for f in phis]
@@ -299,9 +293,7 @@ def _direct_sum(phi: Observable, x, N: int, trunc: RationalTruncation) -> Fracti
     """S_N phi(x) summed term by term in O(N) integer steps: the oracle that
     the tests hold ``ergodic_sum`` to.  It takes the same arguments."""
     x = _rational("x", x)
-    (N,) = _integers("N", N)
-    if N < 0:
-        raise ConfigError("N must be >= 0")
+    N = _at_least("N", N, 0)
     if N > 1:
         trunc.require_window(N - 1, "orbit length")
     L = math.lcm(trunc.q, x.denominator)
@@ -390,7 +382,7 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
     """Profile of sum over (rot, sign) in ``terms`` of sign * S_n phi under
     rot: jump positions (t - j*rot) mod 1 over a common denominator L sorted
     once, levels the running sums of the jumps times their denominator."""
-    points, values = list(phi.jumps()), list(phi.jumps().values())
+    points, values = list(_scalar(phi).jumps()), list(phi.jumps().values())
     scale = math.lcm(*(Fraction(v).denominator for v in values))
     jumps = [int(v * scale) for v in values]
     rots = [Fraction(rot) % 1 for rot, _ in terms]
@@ -430,9 +422,7 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
 def orbit_sum_profile(phi: Observable, n: int, rot: Fraction) -> OrbitProfile:
     """Exact profile of x -> sum_{j<n} phi(x + j*rot) for an exact rational
     rotation step ``rot``; one sort of the n * #jumps jump positions."""
-    (n,) = _integers("n", n)
-    if n < 0:
-        raise ConfigError("n must be >= 0")
+    n = _at_least("n", n, 0)
     return _signed_profile(phi, n, ((_rational("rotation", rot), 1),))
 
 
@@ -448,9 +438,7 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation) -> Fract
     integrated exactly (for the sawtooth the slopes cancel, leaving a pure
     step profile).
     """
-    (n,) = _integers("n", n)
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    n = _at_least("n", n, 0)
     if n >= trunc.level:
         # S_{q_n} reaches the multiple q_n - 1, inside the window [1, q_(M-1))
         # only for n < M

@@ -74,6 +74,15 @@ def _integers(what: str, *values) -> list[int]:
         raise ConfigError(f"{what} must be integers, got {values!r}") from None
 
 
+def _at_least(what: str, value, low: int) -> int:
+    """``value`` as a Python int, read as ``_integers`` reads it; below
+    ``low`` it raises ConfigError."""
+    (value,) = _integers(what, value)
+    if value < low:
+        raise ConfigError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
 def _rational(what: str, x) -> Fraction:
     """``x`` as a Fraction, accepting an int, a Fraction or any
     numbers.Rational; a float would stand for its binary expansion, not for

@@ -43,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, _integers, _rational
+from .errors import ConfigError, _at_least, _rational
 
 __all__ = [
     "StepFunction",
@@ -201,6 +201,16 @@ class Sawtooth:
 Observable = Union[StepFunction, Sawtooth]
 
 
+def _scalar(phi) -> Observable:
+    """``phi`` itself; ConfigError unless it is a scalar observable, one with
+    jumps.  Every reader of an observable's jumps calls it first."""
+    if not hasattr(phi, "jumps"):
+        raise ConfigError(
+            f"{type(phi).__name__} {getattr(phi, 'label', '')!r} is not a "
+            "scalar observable; use its components one at a time")
+    return phi
+
+
 @dataclass(frozen=True)
 class VectorObservable:
     """Pair of scalar observables sharing the same rotation."""
@@ -208,6 +218,10 @@ class VectorObservable:
     phi1: Observable
     phi2: Observable
     label: str = "vector"
+
+    def __post_init__(self):
+        _scalar(self.phi1)
+        _scalar(self.phi2)
 
     @property
     def components(self) -> tuple[Observable, Observable]:
@@ -337,21 +351,14 @@ def catalog(name: str, **params):
 # Periodization transfer
 # ---------------------------------------------------------------------------
 
-def _require_ell(ell) -> int:
-    (ell,) = _integers("ell", ell)
-    if ell < 1:
-        raise ConfigError(f"ell must be >= 1, got {ell}")
-    return ell
-
-
 def hat_observable(phi: Observable, ell: int) -> Observable:
     """hat_phi_ell with hat_phi_ell(ell x) = sum_{j<ell} phi(x + j/ell).
 
     For a step function each jump J at t becomes a jump J at {ell t}, and
     the mean is ell * mean(phi): O(#jumps) exact work at any ell.
     """
-    ell = _require_ell(ell)
-    if isinstance(phi, Sawtooth):
+    ell = _at_least("ell", ell, 1)
+    if isinstance(_scalar(phi), Sawtooth):
         return phi  # gamma_{r ell} = gamma_r: the transfer fixes the sawtooth
     if ell == 1:
         return phi
@@ -465,12 +472,6 @@ def phase_fracs(theta: Fraction, rmax: int):
     return reduce_phases(theta.numerator, theta.denominator, rmax)[1]
 
 
-def _require_rmax(rmax: int) -> None:
-    (rmax,) = _integers("rmax", rmax)
-    if rmax < 1:
-        raise ConfigError(f"rmax must be >= 1, got {rmax}")
-
-
 def _phase_table(theta: Fraction, rmax: int, fn):
     """fn(phase_fracs(theta, rmax)) for an elementwise ``fn``, built on one
     period and tiled along the last axis.
@@ -496,9 +497,9 @@ def gamma_array(phi: Observable, stride, rmax: int):
     term J e^{-2 pi i r theta} is built on one period of r (den(theta)
     entries at most) and tiled to rmax.
     """
-    _require_rmax(rmax)
+    _at_least("rmax", rmax, 1)
     acc = np.zeros(rmax, dtype=complex)
-    for t, j in phi.jumps().items():
+    for t, j in _scalar(phi).jumps().items():
         jump = float(j)
         acc += _phase_table(_frac(stride * t), rmax,
                             lambda f: jump * np.exp(-2j * math.pi * f))
@@ -507,7 +508,7 @@ def gamma_array(phi: Observable, stride, rmax: int):
 
 def gamma_sq_array(phi: Observable, stride, rmax: int):
     """|gamma_{stride * r}|^2 for r = 1..rmax; the sawtooth's is 1/(4 pi^2)."""
-    _require_rmax(rmax)
+    _at_least("rmax", rmax, 1)
     if isinstance(phi, Sawtooth):
         return np.full(rmax, 1.0 / (4.0 * math.pi ** 2))
     g = gamma_array(phi, stride, rmax)
@@ -536,8 +537,8 @@ def hat_norm_sq(phi: Observable, ell: int) -> tuple[float, float]:
     at |r| <= _HAT_RMAX with tail <= 2 K^2 / _HAT_RMAX.  Phases of
     gamma_{r ell} are reduced exactly even when ell has hundreds of digits.
     """
-    ell = _require_ell(ell)
-    if isinstance(phi, Sawtooth):
+    ell = _at_least("ell", ell, 1)
+    if isinstance(_scalar(phi), Sawtooth):
         return PHI0_HAT_NORM_SQ, 0.0
     k = phi.kbound()
     total = float(np.sum(series_weights(gamma_sq_array(phi, ell, _HAT_RMAX))))

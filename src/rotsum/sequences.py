@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .contfrac import PartialQuotientSpec, RationalTruncation, truncation
 from .errors import (ConfigError, InsufficientPartialQuotientsError,
-                     ParityPatternError, PrecisionError, _integers)
-from .observables import Observable, hat_norm_sq
+                     ParityPatternError, PrecisionError, _at_least, _integers)
+from .observables import Observable, _scalar, hat_norm_sq
 
 __all__ = [
     "SubsequencePlan",
@@ -65,6 +65,7 @@ class SubsequencePlan:
     def hat_variance(self, phi: Observable, n: int) -> float:
         """sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2, summed left to right: the
         Fourier variance prediction for S_{L_n} phi."""
+        _scalar(phi)
         (n,) = _integers("n", n)
         if not 0 <= n <= self.count:
             raise ConfigError(f"n = {n} outside plan range [0, {self.count}]")
@@ -134,9 +135,7 @@ def _greedy(trunc: RationalTruncation, beta: float, count: int,
     spec/truncation runs out first."""
     if not beta > 1:
         raise ConfigError(f"growth exponent beta must be > 1, got {beta}")
-    (count,) = _integers("count", count)
-    if count < 1:
-        raise ConfigError("count must be >= 1")
+    count = _at_least("count", count, 1)
     spec = trunc.spec
     last = min(spec.max_index, trunc.level)
     t: list[int] = []
@@ -252,9 +251,7 @@ def check_Dm(n_list, m: int) -> dict:
     index pairs (k, l).  The arithmetic condition asks for a uniform bound
     over all nu, which a finite scan can only certify on its window.
     """
-    (m,) = _integers("m", m)
-    if m < 1:
-        raise ConfigError("m must be >= 1")
+    m = _at_least("m", m, 1)
     ns = _integers("sequence terms", *n_list)
     counts: dict[int, int] = {}
     pairs: dict[int, set] = {}

@@ -24,14 +24,16 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import __version__ as _VERSION
 from .contfrac import RationalTruncation
 from .ergosum import ErgodicContext
-from .errors import CertificateError, ConfigError, RotsumError, _integers
-from .observables import (Observable, VectorObservable, gamma_array,
+from .errors import (CertificateError, ConfigError, RotsumError, _at_least,
+                     _integers)
+from .observables import (Observable, VectorObservable, _scalar,
                           gamma_sq_array, series_weights)
 from .sequences import SubsequencePlan
 
@@ -72,9 +74,8 @@ _EF_GAP_TOL = 0.02                  # how much worse the best single normal is
 _GAPOSHKIN_KS_TOL = 0.02            # two-sample KS, plain against modified
 _COV_TOL = 0.1                      # absolute, per covariance entry
 _DIR_TOL = 0.10                     # relative, per directional variance
-# Series lengths of the Fourier instruments.
-_TAIL_JMAX = 20_000                 # fourier_tail_norm
-_RESONANCE_MMAX = 2000              # resonance sums
+# Partial-sum length of fourier_tail_norm.
+_TAIL_JMAX = 20_000
 # Fewest points a forked process is given: a fork and its pipe
 # cost 2-3 ms on a 2-core Xeon, the time of a few 500-bit samples.
 _MIN_CHUNK = 256
@@ -362,7 +363,7 @@ def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
         seed=seed,
         plan_hash=plan.plan_hash(),
         extra={"n": n, "samples": len(ss.values),
-               "observable": getattr(phi, "label", "?")},
+               "observable": _scalar(phi).label},
     )
 
 
@@ -431,9 +432,7 @@ def erdos_fortet_experiment(n: int, samples: int, seed: int) -> ExperimentReport
     Passes when KS(mixture) <= _EF_KS_MIX_TOL and the best-fit single normal
     is worse by at least _EF_GAP_TOL.
     """
-    (n,) = _integers("n", n)
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    n = _at_least("n", n, 1)
     z = _f0_columns(n, samples, seed, None)[:, 0] / math.sqrt(n)
     ks_mix = ks_statistic(z, mixture_cdf)
     sd = math.sqrt(float(np.mean(z ** 2)))
@@ -527,85 +526,77 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int) -> ExperimentReport:
 # Quasi-orthogonality and block variance
 # ---------------------------------------------------------------------------
 
-def _resonance_sum(f: Observable, ka: int, g: Observable, kb: int) -> float:
-    """sum over 0 < |m| <= _RESONANCE_MMAX of c_{ka m}(f) conj(c_{kb m}(g));
-    real by conjugate symmetry of real observables."""
-    gf = gamma_array(f, ka, _RESONANCE_MMAX)
-    gg = gamma_array(g, kb, _RESONANCE_MMAX)
-    m = np.arange(1, _RESONANCE_MMAX + 1, dtype=np.float64)
-    series = (gf * gg.conjugate()) / (ka * kb * m * m)
-    return float(2.0 * np.sum(series.real))
+def _resonance(f: Observable, l1: int, g: Observable, l2: int) -> Fraction:
+    """int_0^1 f(l1 x) conj(g(l2 x)) dx less its zero frequency, exactly.
+
+    Frequencies k of f and j of g meet where l1 k = l2 j, so k = ka m and
+    j = kb m (ka = l2/d, kb = l1/d, d = gcd(l1, l2)); then
+    sum_{m != 0} e^{2 pi i m u} / m^2 = 2 pi^2 B2({u}) with
+    B2(u) = u^2 - u + 1/6 sums them all: the series over m != 0 of
+    c_{ka m}(f) conj(c_{kb m}(g)) is
+    sum_{t,s} J_t(f) J_s(g) B2({kb s - ka t}) / (2 ka kb) over the jumps.
+    """
+    l1, l2 = (_at_least("multiplier", l, 1) for l in (l1, l2))
+    d = math.gcd(l1, l2)
+    ka, kb = l2 // d, l1 // d
+    g_jumps = _scalar(g).jumps().items()
+    total = Fraction(0)
+    for t, jt in _scalar(f).jumps().items():
+        for s, js in g_jumps:
+            u = (kb * s - ka * t) % 1
+            total += jt * js * (u * u - u + Fraction(1, 6))
+    return total / (2 * ka * kb)
 
 
 def resonance_integral(f: Observable, l1: int, g: Observable,
-                       l2: int) -> tuple[float, float]:
-    """(|value|, tail_bound) for int_0^1 f(l1 x) conj(g(l2 x)) dx.
-
-    Only frequencies with l1 k = l2 m resonate: k = (l2/d) m', m = (l1/d) m'
-    with d = gcd(l1, l2); the series over m' is truncated at _RESONANCE_MMAX.
-    """
-    l1, l2 = _integers("multipliers", l1, l2)
-    if l1 < 1 or l2 < 1:
-        raise ConfigError("multipliers must be positive integers")
-    d = math.gcd(l1, l2)
-    ka, kb = l2 // d, l1 // d
-    val = _resonance_sum(f, ka, g, kb)
-    kf, kg = f.kbound(), g.kbound()
-    tail = 2.0 * kf * kg / (ka * kb) / _RESONANCE_MMAX
-    return abs(val), tail
+                       l2: int) -> Fraction:
+    """|int_0^1 f(l1 x) conj(g(l2 x)) dx| less its zero frequency (the
+    product of the means), as an exact Fraction with no truncation."""
+    return abs(_resonance(f, l1, g, l2))
 
 
 def fourier_tail_norm(f: Observable, t: float) -> float:
-    """Partial sum of R(f, t) = (sum_{|j| >= t} |c_j|^2)^(1/2); an
-    underestimate of the true tail norm (no completion term added)."""
+    """An upper bound of R(f, t) = (sum_{|j| >= t} |c_j|^2)^(1/2): the
+    partial sum up to |j| = _TAIL_JMAX plus the completion bound
+    2 K^2 / max(_TAIL_JMAX, ceil(t) - 1) of the terms beyond, as
+    |gamma_j| <= K."""
     if not math.isfinite(t):
         raise ConfigError(f"tail index t must be finite, got {t}")
+    k = _scalar(f).kbound()
     j0 = max(1, math.ceil(t))
     w = series_weights(gamma_sq_array(f, 1, _TAIL_JMAX))
-    return math.sqrt(float(np.sum(w[j0 - 1:])))
+    completion = 2.0 * k * k / max(_TAIL_JMAX, j0 - 1)
+    return math.sqrt(float(np.sum(w[j0 - 1:])) + completion)
 
 
 def quasi_orthogonality_check(f: Observable, g: Observable,
-                              l1: int, l2: int) -> tuple[float, float]:
-    """Check |int f(l1 x) conj(g(l2 x))| <= R(f, l2/l1) ||g||_2.
-
-    Returns (lhs, rhs) as truncated evaluations; the check grants the
-    left side its truncation tail, so genuine violations fail while the
-    equality case (l1 = l2, f = g, both sides ||f||_2^2) passes.
-    """
+                              l1: int, l2: int) -> tuple[Fraction, float]:
+    """Check |int f(l1 x) conj(g(l2 x))| <= R(f, l2/l1) ||g||_2 and return
+    (lhs, rhs): the exact ``resonance_integral`` against the upper bound of
+    ``fourier_tail_norm``.  The equality case (l1 = l2, f = g, both sides
+    ||f||_2^2) passes with no allowance."""
+    val = resonance_integral(f, l1, g, l2)      # validates l1 and l2
     if l2 < l1:
         raise ConfigError("need l2 >= l1")
-    val, tail = resonance_integral(f, l1, g, l2)
     rhs = fourier_tail_norm(f, l2 / l1) * math.sqrt(float(g.norm_sq()))
-    if val > rhs + tail + 1e-12:
+    if val > rhs:
         raise CertificateError(
-            f"quasi-orthogonality violated: {val} > {rhs} + {tail}")
+            f"quasi-orthogonality violated: {float(val)} > {rhs}")
     return val, rhs
 
 
-def block_variance_ratio(fs: list, ns: list) -> float:
-    """int (sum_k f_k(n_k x))^2 dx / sum_k ||f_k||_2^2 via resonance sums.
-
-    The numerator expands into exact diagonal norms plus pairwise resonance
-    integrals (signed real parts, truncation tails included in neither side:
-    tails are O(K^2/(rho mmax)) with mmax = _RESONANCE_MMAX, and reported by
-    the caller's tolerance).
-    """
+def block_variance_ratio(fs: list[Observable], ns: list[int]) -> float:
+    """int (sum_k f_k(n_k x))^2 dx / sum_k ||f_k||_2^2: exact diagonal norms
+    plus the signed exact resonances of each pair, rounded once."""
     if len(fs) != len(ns):
         raise ConfigError("need one observable per frequency")
-    ns = _integers("frequencies", *ns)
-    if any(n < 1 for n in ns):
-        raise ConfigError(f"frequencies must be >= 1, got {ns}")
-    diag = sum(float(f.norm_sq()) for f in fs)
+    ns = [_at_least("frequency", n, 1) for n in ns]
+    diag = sum(_scalar(f).norm_sq() for f in fs)
     if diag == 0:
         raise ConfigError("need observables of nonzero total norm")
-    cross = 0.0
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            d = math.gcd(ns[i], ns[j])
-            ka, kb = ns[j] // d, ns[i] // d
-            cross += 2.0 * _resonance_sum(fs[i], ka, fs[j], kb)
-    return (diag + cross) / diag
+    cross = sum(2 * _resonance(fs[i], ns[i], fs[j], ns[j])
+                for i in range(len(fs)) for j in range(i + 1, len(fs)))
+    return float((diag + cross) / diag)
 
 
 # ---------------------------------------------------------------------------

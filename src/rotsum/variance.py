@@ -30,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .contfrac import RationalTruncation
-from .errors import CertificateError, ConfigError, _integers
-from .observables import (_INT64_SAFE, Observable, gamma_sq_array,
+from .errors import CertificateError, ConfigError, _at_least, _integers
+from .observables import (_INT64_SAFE, Observable, _scalar, gamma_sq_array,
                           reduce_phases, series_weights)
 from .ergosum import _PROFILE_CAP, orbit_sum_profile
 
@@ -57,9 +57,7 @@ def _finite(t) -> float:
 
 def gn_kernel(n: int, t: float) -> float:
     """G_n(t) = sin^2(n pi t)/sin^2(pi t); G_n(integer) = n^2 (removable)."""
-    (n,) = _integers("n", n)
-    if n < 0:
-        raise ConfigError("n must be >= 0")
+    n = _at_least("n", n, 0)
     tf = _finite(t) % 1.0
     s = math.sin(math.pi * tf)
     if abs(s) < 1e-14:
@@ -84,9 +82,7 @@ def gn_mean(n: int, t: float) -> float:
     Near t = 0 the closed form cancels catastrophically; below n*t ~ 1e-2
     the O(n) direct sum is used instead (exact limit (n-1)(2n-1)/6 at 0).
     """
-    (n,) = _integers("n", n)
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = _at_least("n", n, 1)
     tf = _finite(t) % 1.0
     tf = min(tf, 1.0 - tf)
     if tf == 0.0:
@@ -154,8 +150,8 @@ def _series(phi: Observable, trunc: RationalTruncation, n: int):
     """The kernel table and series weights of the Fourier norms up to
     horizon n, truncated at rmax = max(20000, 100 n)."""
     rmax = max(20_000, 100 * n)
-    table = AlphaFourierTable(trunc, rmax)
-    return table, series_weights(gamma_sq_array(phi, 1, rmax))
+    weights = series_weights(gamma_sq_array(phi, 1, rmax))
+    return AlphaFourierTable(trunc, rmax), weights
 
 
 def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
@@ -167,9 +163,8 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
     exact mode returns (Fraction, 0) by piecewise integration (needs
     n * #jumps under the enumeration cap).
     """
-    (n,) = _integers("n", n)
-    if n < 0:
-        raise ConfigError("n must be >= 0")
+    _scalar(phi)
+    n = _at_least("n", n, 0)
     if n == 0:
         return (Fraction(0), 0) if mode == "exact" else (0.0, 0.0)
     if mode == "exact":
@@ -190,9 +185,7 @@ def mean_variance(phi: Observable, n: int, trunc: RationalTruncation) -> float:
     """<D phi>_n = (1/n) sum_{k<n} ||S_k phi||_2^2 via the closed-form kernel
     mean (avoids the O(n) sum of kernels per frequency); the series is
     truncated as in ``norm_sq``."""
-    (n,) = _integers("n", n)
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = _at_least("n", n, 1)
     table, w = _series(phi, trunc, n)
     return float(np.sum(w * table.gn_mean(n)))
 
@@ -203,6 +196,7 @@ def bound_series(phi: Observable, ell: int, trunc: RationalTruncation):
         lower = sum_{j<ell} |gamma_{q_j}|^2 a_{j+1}^2
         upper = K^2 * sum_{j<=ell} a_{j+1}^2
     """
+    _scalar(phi)
     (ell,) = _integers("ell", ell)
     if not 0 <= ell < trunc.level:
         raise ConfigError(f"ell must be in [0, {trunc.level}), got {ell}")

@@ -330,6 +330,25 @@ def test_designed_alpha_defaults_come_from_the_builders(capsys):
     assert cli.parse_alpha("parity", 3).spec.params == {"c": 30, "beta": 2}
 
 
+@pytest.mark.parametrize("argv, alpha", [
+    (["plan"], "clt:c=30"),
+    (["plan", "--opt", "parity=1"], "clt:c=30"),
+    (["clt", "--samples", "5"], "clt:c=30"),
+    (["billiard-clt", "--samples", "5"], "parity:c=30"),
+], ids=" ".join)
+def test_plan_commands_default_to_a_plan_alpha(argv, alpha, capsys):
+    # the golden ratio's partial quotients cannot build a plan: each of these
+    # used to exit 2 on the default --alpha golden
+    assert cli.main(argv) == 0
+    default = capsys.readouterr()
+    assert cli.main(argv + ["--alpha", alpha]) == 0
+    explicit = capsys.readouterr()
+    assert default.out == explicit.out
+    assert default.err == explicit.err and "[config " in default.err
+    assert cli.RunConfig(command=argv[0]).alpha == alpha
+    assert cli.RunConfig(command="cf").alpha == "golden"
+
+
 _CLI_TREE = ast.parse(inspect.getsource(cli))
 _FUNCTIONS = {node.name: node for node in _CLI_TREE.body
               if isinstance(node, ast.FunctionDef)}

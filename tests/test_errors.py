@@ -5,6 +5,7 @@ library resolves, and the library reads no environment variable."""
 import ast
 import importlib
 import inspect
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -332,6 +333,10 @@ _INF = float("inf")
                  id="hat_variance-n5"),
     pytest.param(lambda: _PLAN.hat_variance(obs.half(), -1),
                  id="hat_variance-n-1"),
+    # used to return 0.0, reading no jump of the pair
+    pytest.param(lambda: _PLAN.hat_variance(obs.billiard_pair(Fraction(2, 5)),
+                                            0),
+                 id="hat_variance-vector-n0"),
     # used to escape as a bare TypeError
     pytest.param(lambda: st.erdos_fortet_identity_error(2.5, [0.1]),
                  id="erdos_fortet_identity_error-n"),
@@ -339,6 +344,82 @@ _INF = float("inf")
 def test_edge_inputs_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+_OBSERVABLE = re.compile(r"\b(Observable|StepFunction|Sawtooth)\b")
+# A valid argument for each parameter annotation (the first alternative of a
+# union), or for each unannotated parameter by its name
+_ARGUMENTS = {
+    "Observable": obs.half(), "list[Observable]": [obs.half()],
+    "int": 2, "float": 2.0, "Fraction": Fraction(1, 3), "list[int]": [2],
+    "RationalTruncation": _GOLDEN, "SubsequencePlan": _PLAN,
+    "StratifiedSampler": st.StratifiedSampler(0, 4),
+    "SampleSet": st.SampleSet(np.array([-1.0, 1.0]), 1.0, prediction=1.0),
+    "x": Fraction(1, 7), "stride": 1, "ns": [2],
+}
+# An instance for each class with a public method that takes an observable
+_INSTANCES = {seq.SubsequencePlan: _PLAN}
+
+
+def _takes_observable(fn):
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except ValueError:      # no signature, as for the exception classes
+        return False
+    return any(_OBSERVABLE.search(str(p.annotation)) for p in params)
+
+
+def _observable_readers():
+    """(name, callable) for every public function, class and method of the
+    library with a parameter annotated as a scalar observable; a method is
+    bound to its class's entry in ``_INSTANCES``."""
+    for path in sorted(SRC.glob("*.py")):
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"rotsum{stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    and _takes_observable(obj):
+                yield name, obj
+            if inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(fn) \
+                            and _takes_observable(fn):
+                        yield f"{name}.{attr}", getattr(_INSTANCES[obj], attr)
+
+
+_READERS = sorted(_observable_readers())
+
+
+def test_observable_readers_are_found():
+    names = {name for name, _ in _READERS}
+    assert {"ErgodicContext", "hat_observable", "resonance_integral",
+            "block_variance_ratio", "SubsequencePlan.hat_variance",
+            "norm_sq"} <= names
+    assert len(names) >= 24
+    assert "covariance_2d" not in names     # it takes a VectorObservable
+
+
+@pytest.mark.parametrize("name, fn", _READERS, ids=[n for n, _ in _READERS])
+def test_observable_readers_refuse_a_vector_observable(name, fn):
+    # each used to escape as a bare AttributeError, or to return as if the
+    # pair were one observable; every observable argument is tried in turn
+    vector = obs.billiard_pair(Fraction(2, 5))
+    required = [p for p in inspect.signature(fn).parameters.values()
+                if p.default is p.empty]
+    args = [_ARGUMENTS[str(p.annotation).split(" | ")[0]
+                       if p.annotation is not p.empty else p.name]
+            for p in required]
+    tried = 0
+    for i, param in enumerate(required):
+        if _OBSERVABLE.search(str(param.annotation)):
+            bad = [vector] if isinstance(args[i], list) else vector
+            with pytest.raises(ConfigError, match="not a scalar observable"):
+                fn(*args[:i], bad, *args[i + 1:])
+            tried += 1
+    assert tried
 
 
 @pytest.mark.parametrize("n", [10, 11])

@@ -472,18 +472,22 @@ def test_gaposhkin_demo_small():
 # ---------------------------------------------------------------------------
 
 def exact_product_integral(f, l1, g, l2):
-    """Exact integral of f(l1 x) g(l2 x) for step observables."""
-    breaks = set()
+    """Exact integral of f(l1 x) g(l2 x) for step observables and the
+    sawtooth: between the jump points of both factors the product is a
+    polynomial of degree at most 2, which Milne's open rule
+    h/3 (2 F(1/4) - F(1/2) + 2 F(3/4)) integrates exactly."""
+    breaks = {Fraction(0)}
     for phi, l in ((f, l1), (g, l2)):
-        for b in phi.breakpoints:
+        for t in phi.jumps():
             for j in range(l):
-                breaks.add((b + j) / l)
-    bs = sorted(breaks)
+                breaks.add((t + j) / l)
+    bs = sorted(breaks) + [Fraction(1)]
     total = Fraction(0)
-    for i, lo in enumerate(bs):
-        hi = bs[i + 1] if i + 1 < len(bs) else Fraction(1)
-        mid = (lo + hi) / 2
-        total += (f.evaluate(l1 * mid) * g.evaluate(l2 * mid)) * (hi - lo)
+    for lo, hi in zip(bs, bs[1:]):
+        h = hi - lo
+        F = [f.evaluate(l1 * x) * g.evaluate(l2 * x)
+             for x in (lo + h / 4, lo + h / 2, lo + 3 * h / 4)]
+        total += h / 3 * (2 * F[0] - F[1] + 2 * F[2])
     return total
 
 
@@ -491,23 +495,87 @@ def test_resonance_integral_vs_exact():
     f = obs.indicator(Fraction(1, 3))
     g = obs.half_shifted(Fraction(2, 7))
     for l1, l2 in ((1, 1), (1, 4), (2, 6), (3, 5)):
-        exact = float(exact_product_integral(f, l1, g, l2))
-        val, tail = st.resonance_integral(f, l1, g, l2)
-        assert abs(val - abs(exact)) <= tail + 1e-6
+        exact = exact_product_integral(f, l1, g, l2)
+        assert st.resonance_integral(f, l1, g, l2) == abs(exact)
+
+
+_RESONANCE_POOL = [obs.Sawtooth(), obs.indicator(Fraction(1, 3)), obs.half(),
+                   obs.double_interval(Fraction(1, 5), Fraction(3, 8)),
+                   obs.half_shifted(Fraction(2, 7))]
+
+
+@hst.composite
+def zero_mean_observables(draw):
+    """A catalog observable, each step function shifted by a drawn rational."""
+    phi = draw(hst.sampled_from(_RESONANCE_POOL))
+    if isinstance(phi, obs.StepFunction):
+        phi = phi.shifted(draw(hst.fractions(0, 1, max_denominator=9)))
+    return phi
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=zero_mean_observables(), g=zero_mean_observables(),
+       l1=hst.integers(1, 8), l2=hst.integers(1, 8))
+@example(f=obs.Sawtooth(), g=obs.Sawtooth(), l1=1, l2=8)
+def test_resonance_integral_equals_the_exact_integral(f, l1, g, l2):
+    # oracle: the product integrated piece by piece; every observable here
+    # has mean 0, so the zero frequency the resonance leaves out is 0
+    assert st.resonance_integral(f, l1, g, l2) == abs(
+        exact_product_integral(f, l1, g, l2))
+
+
+def test_resonance_at_consecutive_plan_denominators(plan40):
+    # gamma_r(f) depends on r only modulo the jump points' denominators, so
+    # ka kb I(ka, kb) depends only on ka and kb modulo them: a small coprime
+    # pair with the same residues is an enumerable oracle for the
+    # 200-500-bit multipliers
+    f, g = obs.indicator(Fraction(1, 3)), obs.double_interval(Fraction(1, 5),
+                                                             Fraction(3, 8))
+    M = 3 * 5 * 8
+    for k in (20, 39):
+        l1, l2 = plan40.q(k), plan40.q(k + 1)
+        assert l2.bit_length() > 200
+        d = math.gcd(l1, l2)
+        ka, kb = l2 // d, l1 // d
+        small_a, small_b = next(
+            (a, b) for a in range(ka % M or M, 10 * M, M)
+            for b in range(kb % M or M, 10 * M, M) if math.gcd(a, b) == 1)
+        value = st.resonance_integral(f, l1, g, l2)
+        assert isinstance(value, Fraction) and value > 0
+        assert value * ka * kb == abs(
+            exact_product_integral(f, small_b, g, small_a)) * small_a * small_b
+        lhs, rhs = st.quasi_orthogonality_check(f, g, l1, l2)
+        assert lhs == value <= rhs
 
 
 def test_quasi_orthogonality_self():
     f = obs.indicator(Fraction(1, 3))
     lhs, rhs = st.quasi_orthogonality_check(f, f, 1, 1)
-    assert lhs == pytest.approx(float(f.norm_sq()), rel=1e-2)
-    assert rhs >= lhs - 1e-9
+    assert lhs == f.norm_sq()
+    assert rhs >= lhs
+
+
+@pytest.mark.parametrize("f, g, l2", [
+    (obs.indicator(Fraction(1, 3)), obs.half(), 30001),
+    (obs.indicator(Fraction(1, 3)), obs.half(), 100000),
+    (obs.Sawtooth(), obs.Sawtooth(), 30001),
+], ids=["indicator-30001", "indicator-100000", "sawtooth-30001"])
+def test_quasi_orthogonality_past_the_tail_series(f, g, l2):
+    # past the partial sum's length R(f, l2) used to read 0, and the check
+    # raised CertificateError although the lemma holds
+    lhs, rhs = st.quasi_orthogonality_check(f, g, 1, l2)
+    assert 0 < lhs <= rhs
+    # R(f, t)^2 <= 2 K^2 / (ceil(t) - 1), so the bound cannot exceed that
+    k = f.kbound()
+    assert rhs <= math.sqrt(2 * k * k / (l2 - 1) * float(g.norm_sq())) * (
+        1 + 1e-12)
 
 
 def test_quasi_orthogonality_phi0_eight():
     st_phi = obs.Sawtooth()
     lhs, rhs = st.quasi_orthogonality_check(st_phi, st_phi, 1, 8)
     # resonance series: sum over m of c_{8m} conj(c_m) = (1/96) exactly
-    assert lhs == pytest.approx(1 / 96, rel=1e-2)
+    assert lhs == Fraction(1, 96)
     # R(phi0, 8) ||phi0||_2 with R^2 = (1/2 pi^2) sum_{j>=8} j^-2
     r_sq = sum(1 / (2 * math.pi ** 2 * j * j) for j in range(8, 200000))
     assert rhs == pytest.approx(math.sqrt(r_sq) / math.sqrt(12), rel=1e-3)
