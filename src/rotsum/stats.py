@@ -19,6 +19,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -171,14 +172,25 @@ class ExperimentReport:
 # Reference distributions
 # ---------------------------------------------------------------------------
 
-def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
+def _normal_cdf_array(x: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     # imported on first use: scipy.special adds about 20 MB to the process,
     # and neither the exact sums nor the billiard's two routes need it
     from scipy import special
-    return special.ndtr(x)
+    return special.ndtr(x, out=out)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(512)
+@functools.cache
+def _mixture_rule() -> tuple[np.ndarray, np.ndarray]:
+    """``mixture_cdf``'s 512-point Gauss-Legendre rule on [0, 1/2]: the
+    scales sqrt(2)|cos(pi y)| at its nodes and its weights, read-only.
+    Built on first use, since leggauss solves a 512 x 512 eigenproblem."""
+    nodes, weights = np.polynomial.legendre.leggauss(512)
+    y = 0.25 * (nodes + 1.0)
+    sig = math.sqrt(2.0) * np.abs(np.cos(np.pi * y))
+    w = 0.25 * weights
+    sig.flags.writeable = w.flags.writeable = False
+    return sig, w
 
 
 def mixture_cdf(t) -> np.ndarray:
@@ -186,14 +198,26 @@ def mixture_cdf(t) -> np.ndarray:
     normal:  F(t) = int_0^1 Phi(t / (sqrt(2) |cos(pi y)|)) dy.
 
     Gauss-Legendre on [0, 1/2] (doubled by symmetry); the y -> 1/2 endpoint
-    contributes Phi(+-inf) = step(t), which the saturating integrand handles.
+    contributes Phi(+-inf) = step(t), which the saturating integrand handles,
+    and F(+-inf) is exactly 1 or 0.  ``t`` is a real number or a 1-D array of
+    them; NaN, non-numbers and arrays of more dimensions raise ConfigError.
+    The integrand is one len(t) x 512 matrix, overwritten by Phi in place.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    y = 0.25 * (_GL_NODES + 1.0)          # [0, 1/2]
-    w = 0.25 * _GL_WEIGHTS
-    sig = math.sqrt(2.0) * np.abs(np.cos(np.pi * y))
-    vals = 2.0 * (_normal_cdf_array(t_arr[:, None] / sig[None, :]) @ w)
-    return vals if np.ndim(t) else float(vals[0])
+    try:
+        t_arr = np.asarray(t, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"mixture_cdf takes real numbers, got "
+                          f"{type(t).__name__}") from None
+    if t_arr.ndim > 1:
+        raise ConfigError(f"mixture_cdf takes a number or a 1-D array, "
+                          f"got shape {t_arr.shape}")
+    if np.isnan(t_arr).any():
+        raise ConfigError("mixture_cdf of NaN")
+    sig, w = _mixture_rule()
+    phi = t_arr.reshape(-1, 1) / sig
+    _normal_cdf_array(phi, out=phi)
+    vals = 2.0 * (phi @ w)
+    return vals if t_arr.ndim else float(vals[0])
 
 
 # ---------------------------------------------------------------------------

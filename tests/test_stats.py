@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import integrate
+from scipy import stats as sst
 
 from rotsum import billiard as bil
 from rotsum import cli
@@ -26,11 +28,15 @@ from rotsum.errors import ConfigError, RotsumError
 # ---------------------------------------------------------------------------
 
 def test_scipy_special_loads_on_first_gaussian_cdf():
-    # about 20 MB that the exact sums and the billiard never pay for
+    # about 20 MB that the exact sums and the billiard never pay for, and
+    # the mixture's Gauss-Legendre rule, an eigenproblem only it needs
     code = ("import sys; import rotsum.cli, rotsum.billiard; "
             "assert 'scipy.special' not in sys.modules; "
             "from rotsum import stats; stats._normal_cdf_array(0.0); "
-            "assert 'scipy.special' in sys.modules")
+            "assert 'scipy.special' in sys.modules; "
+            "assert stats._mixture_rule.cache_info().currsize == 0; "
+            "stats.mixture_cdf(0.0); "
+            "assert stats._mixture_rule.cache_info().currsize == 1")
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(src)),
@@ -65,6 +71,53 @@ def test_mixture_cdf_symmetry_and_quadrature():
         # symmetry F(-t) = 1 - F(t)
         assert st.mixture_cdf(-t) == pytest.approx(1 - st.mixture_cdf(t),
                                                    abs=1e-12)
+
+
+def two_matrix_mixture_cdf(t):
+    """The oracle: the mixture CDF as two n x 512 matrices, the integrand's
+    arguments and a new one for Phi of them."""
+    nodes, weights = np.polynomial.legendre.leggauss(512)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    y = 0.25 * (nodes + 1.0)
+    w = 0.25 * weights
+    sig = math.sqrt(2.0) * np.abs(np.cos(np.pi * y))
+    vals = 2.0 * (st._normal_cdf_array(t_arr[:, None] / sig[None, :]) @ w)
+    return vals if np.ndim(t) else float(vals[0])
+
+
+def test_mixture_cdf_in_place_is_bitwise_the_two_matrix_formula():
+    rng = np.random.default_rng(22)
+    for n in (1, 7, 10000):
+        t = np.sort(1.3 * rng.standard_normal(n))
+        assert np.array_equal(st.mixture_cdf(t), two_matrix_mixture_cdf(t))
+    for t in (0.0, -0.37, 2.5, math.inf, -math.inf):
+        got = st.mixture_cdf(t)
+        assert type(got) is float and got == two_matrix_mixture_cdf(t)
+    assert st.mixture_cdf(math.inf) == 1.0
+    assert st.mixture_cdf(-math.inf) == 0.0
+
+
+def test_mixture_cdf_holds_one_matrix():
+    n = 10000
+    t = np.sort(np.random.default_rng(3).standard_normal(n))
+    st.mixture_cdf(t[:1])                 # the rule is built outside
+    tracemalloc.start()
+    try:
+        st.mixture_cdf(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * 512 * 8
+
+
+@pytest.mark.parametrize("bad", [math.nan, [0.1, math.nan], "abc",
+                                 [0.1, "x"], object(), [[0.1, 0.2]],
+                                 np.zeros((2, 3))],
+                         ids=["nan", "nan-in-array", "str", "str-in-list",
+                              "object", "nested-list", "2-d"])
+def test_mixture_cdf_rejects_bad_input(bad):
+    with pytest.raises(ConfigError):
+        st.mixture_cdf(bad)
 
 
 def test_ks_constant_samples():
@@ -110,6 +163,30 @@ def test_ks_cdf_errors_propagate():
 
     with pytest.raises(ZeroDivisionError):
         st.ks_statistic([0.1, 0.2, 0.3], broken)
+
+
+# Draws from a coarse grid tie often; the free floats rarely do.
+ks_samples = hst.lists(hst.one_of(hst.integers(-8, 8).map(lambda k: k / 4),
+                                  hst.floats(-6, 6)),
+                       min_size=1, max_size=60)
+
+
+@settings(max_examples=100)
+@given(x=ks_samples)
+@example(x=[0.25, -1.0, 0.25, 0.25, 2.0])
+def test_ks_statistic_matches_scipy(x):
+    want = sst.kstest(x, sst.norm.cdf, method="asymp").statistic
+    assert st.ks_statistic(x, st._normal_cdf_array) == pytest.approx(
+        want, abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(a=ks_samples, b=ks_samples)
+@example(a=[0.0, 0.5, 0.0], b=[0.5, 1.0, 0.0, 0.5])
+def test_two_sample_ks_matches_scipy(a, b):
+    with np.errstate(divide="ignore"):   # scipy's p-value at one point
+        want = sst.ks_2samp(a, b, method="asymp").statistic
+    assert st.two_sample_ks(a, b) == pytest.approx(want, abs=1e-12)
 
 
 def test_stratified_sampler_sizes():
