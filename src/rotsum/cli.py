@@ -374,7 +374,7 @@ def run(cfg: RunConfig) -> int:
                 if exc.required_level else "")
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    except (RotsumError, ValueError) as exc:
+    except RotsumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{summary} [config {cfg.hash()}, v{__version__}]", file=sys.stderr)
@@ -382,6 +382,9 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    # exact big integers are the output format, so no digit limit applies to
+    # reading or printing them
+    sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     return run(config_from_args(args))
 

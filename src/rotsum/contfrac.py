@@ -22,6 +22,7 @@ denominators with hundreds of digits.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -148,8 +149,13 @@ class PartialQuotientSpec:
             raise SpecExhaustedError(
                 f"spec exhausted: a_{k} requested but max_index={self.max_index}"
             )
+        return self._read(k)
+
+    def _read(self, k: int) -> int | None:
+        """a_k for k >= 1 without the max_index check: a named rule at any
+        k, an explicit list up to its end and None beyond."""
         if self.quotients is not None:
-            return self.quotients[k - 1]
+            return self.quotients[k - 1] if k <= len(self.quotients) else None
         v = _RULES[self.name](k, self.params)
         if v < 1:
             raise ConfigError(f"rule produced a_{k}={v} < 1")
@@ -248,13 +254,43 @@ class RationalTruncation:
     def a(self, k: int) -> int:
         return self.spec.a(k)
 
+    def _index_above(self, k: int) -> int:
+        """The smallest j with q_j > k.  Past the level the recurrence
+        q_(j+1) = a_(j+1) q_j + q_(j-1) continues through the spec, a named
+        rule read past max_index (the CLI sets max_index to the level); an
+        explicit list that ends first gives the index just past its end,
+        which no truncation of it reaches."""
+        j = bisect.bisect_right(self.qs, k)
+        if j <= self.level:
+            return j
+        j, (prev, q) = self.level, self.qs[-2:]
+        while q <= k:
+            a = self.spec._read(j + 1)
+            if a is None:
+                return j + 1
+            prev, q, j = q, a * q + prev, j + 1
+        return j
+
+    def _raise(self, message: str, level: int | None) -> None:
+        # the level is reported only where the spec defines a_level
+        known = level is not None and self.spec._read(level) is not None
+        raise PrecisionError(f"precision exhausted: {message}",
+                             required_level=level if known else None)
+
     def require_window(self, k: int, what: str = "multiple") -> None:
+        """Raise PrecisionError unless 1 <= k < q_(M-1), with the smallest
+        level whose window holds k."""
         if not 1 <= k < self.validity_bound:
-            raise PrecisionError(
-                f"precision exhausted: {what} {k} outside window [1, q_(M-1)) "
-                f"= [1, {self.validity_bound}); rebuild with a deeper level",
-                required_level=self.level + 2,
-            )
+            self._raise(f"{what} {k} outside window [1, q_(M-1)) = "
+                        f"[1, {self.validity_bound}); rebuild with a deeper "
+                        "level", self._index_above(k) + 1 if k >= 1 else None)
+
+    def require_level(self, m: int, what: str) -> None:
+        """Raise PrecisionError unless the truncation reaches convergent m,
+        for the requests that name a convergent index."""
+        if self.level < m:
+            self._raise(f"{what} needs convergent {m}, truncation at level "
+                        f"{self.level}", m)
 
     def distance(self, k: int) -> Fraction:
         """||k * p_M/q_M|| as an exact rational, for 1 <= k < q_{M-1}."""
@@ -265,9 +301,8 @@ class RationalTruncation:
 
     def denominator_distance(self, n: int) -> Fraction:
         """||q_n alpha|| exactly; defined for 0 <= n <= M-1."""
-        if not 0 <= n < self.level:
-            raise PrecisionError(
-                f"||q_{n} alpha|| needs level > {n + 1}", required_level=n + 2)
+        n = _at_least("n", n, 0)
+        self.require_level(n + 1, f"||q_{n} alpha||")
         # |q_n p_M - p_n q_M| / q_M, exact by the continuant identity
         return Fraction(abs(self.qs[n] * self.p - self.ps[n] * self.q), self.q)
 
@@ -351,10 +386,9 @@ def ostrowski_digits(N: int, trunc: RationalTruncation) -> OstrowskiDigits:
     """Most-significant-first greedy expansion of N >= 1 in the basis (q_k)."""
     N = _at_least("N", N, 1)
     qs = trunc.qs
-    # need q_{m+1} > N realizable
-    if N >= qs[trunc.level]:
-        raise SpecExhaustedError(
-            f"N={N} needs denominators beyond level {trunc.level}")
+    # the digits run up to the m with q_m <= N < q_(m+1), so level m + 1
+    trunc.require_level(trunc._index_above(N),
+                        f"the Ostrowski expansion of N={N}")
     m = trunc.level - 1
     while m > 0 and qs[m] > N:
         m -= 1
@@ -374,20 +408,16 @@ def ostrowski_digits(N: int, trunc: RationalTruncation) -> OstrowskiDigits:
 def beta_from_ostrowski(b: Sequence[int] | dict[int, int],
                         trunc: RationalTruncation) -> Fraction:
     """beta = sum_n b_n q_n alpha mod 1, exactly, all indices inside the window."""
-    if isinstance(b, dict):
-        items = sorted(b.items())
-    else:
-        items = [(n, v) for n, v in enumerate(b)]
+    pairs = b.items() if isinstance(b, dict) else enumerate(b)
+    items = [(n, coeff) for n, coeff in
+             (_integers("Ostrowski indices and digits", *pair) for pair in pairs)
+             if coeff]
+    if items:
+        top = max(_at_least("Ostrowski index", n, 0) for n, _ in items)
+        # every q_n must lie inside the window [1, q_(M-1))
+        trunc.require_level(top + 2, f"Ostrowski index {top}")
     total = Fraction(0)
-    for item in items:
-        n, coeff = _integers("Ostrowski indices and digits", *item)
-        if coeff == 0:
-            continue
-        if not 0 <= n < trunc.level - 1:
-            raise PrecisionError(
-                f"Ostrowski index {n} outside validity window (level {trunc.level})",
-                required_level=n + 3,
-            )
+    for n, coeff in items:
         total += coeff * trunc.qs[n] * trunc.value
     frac = total - total.numerator // total.denominator
     return frac if frac >= 0 else frac + 1

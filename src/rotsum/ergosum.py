@@ -55,8 +55,8 @@ from functools import lru_cache
 import numpy as np
 
 from .contfrac import RationalTruncation, ostrowski_digits
-from .errors import (CertificateError, ConfigError, PrecisionError, _at_least,
-                     _integers, _rational)
+from .errors import (CertificateError, ConfigError, _at_least, _integers,
+                     _rational)
 from .observables import (_INT64_SAFE, Observable, Sawtooth, _scalar,
                           _step_from_jumps)
 
@@ -323,9 +323,9 @@ def _direct_sum(phi: Observable, x, N: int, trunc: RationalTruncation) -> Fracti
 # Exact piecewise profile of x -> S_n phi(x), on integers
 # ---------------------------------------------------------------------------
 
-# Largest n * #jumps an exact profile enumerates; beyond it only the Fourier
-# mode of variance.norm_sq applies.
-_PROFILE_CAP = 400_000
+# Largest number of jump positions (n * #jumps * #terms) one exact profile
+# sorts: about 0.5 GB of int64 keys.  A2's largest profile sorts 48,244,672.
+_PROFILE_CAP = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -383,6 +383,10 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
     rot: jump positions (t - j*rot) mod 1 over a common denominator L sorted
     once, levels the running sums of the jumps times their denominator."""
     points, values = list(_scalar(phi).jumps()), list(phi.jumps().values())
+    size = n * len(points) * len(terms)
+    if size > _PROFILE_CAP:
+        raise ConfigError(f"exact profile of {size} jump positions exceeds "
+                          f"the cap {_PROFILE_CAP}")
     scale = math.lcm(*(Fraction(v).denominator for v in values))
     jumps = [int(v * scale) for v in values]
     rots = [Fraction(rot) % 1 for rot, _ in terms]
@@ -439,14 +443,10 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation) -> Fract
     step profile).
     """
     n = _at_least("n", n, 0)
-    if n >= trunc.level:
-        # S_{q_n} reaches the multiple q_n - 1, inside the window [1, q_(M-1))
-        # only for n < M
-        raise PrecisionError(f"orbit length q_{n} needs level > {n}",
-                             required_level=n + 1)
+    # S_{q_n} reaches the multiple q_n - 1, inside the window [1, q_(M-1))
+    # only for n < M
+    trunc.require_level(n + 1, f"orbit length q_{n}")
     qn = trunc.qs[n]
-    if qn * 8 > _PROFILE_CAP:
-        raise ConfigError(f"profile cap exceeded at q_n={qn}")
     return _signed_profile(phi, qn, ((trunc.value, 1),
                                      (Fraction(1, qn), -1))).integral_sq()
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .contfrac import PartialQuotientSpec, RationalTruncation, truncation
 from .errors import (ConfigError, InsufficientPartialQuotientsError,
-                     ParityPatternError, PrecisionError, _at_least, _integers)
+                     ParityPatternError, _at_least, _integers)
 from .observables import Observable, _scalar, hat_norm_sq
 
 __all__ = [
@@ -180,10 +180,7 @@ def _certify(trunc: RationalTruncation, t: list[int], beta: float,
              parity: bool) -> SubsequencePlan:
     qs = [trunc.qs[tk] for tk in t]
     L = _prefix_sums(qs)
-    if L[-1] >= trunc.validity_bound:
-        raise PrecisionError(
-            f"plan length L_{len(t)} = {L[-1]} exceeds the validity window; "
-            "rebuild the truncation deeper", required_level=trunc.level + 2)
+    trunc.require_window(L[-1], f"plan length L_{len(t)} =")
     growth = all(trunc.a(tk + 1) >= (k + 1) ** beta for k, tk in enumerate(t))
     cert = {"growth": growth, "parity": parity}
     rho = None

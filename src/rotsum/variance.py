@@ -33,7 +33,7 @@ from .contfrac import RationalTruncation
 from .errors import CertificateError, ConfigError, _at_least, _integers
 from .observables import (_INT64_SAFE, Observable, _scalar, gamma_sq_array,
                           reduce_phases, series_weights)
-from .ergosum import _PROFILE_CAP, orbit_sum_profile
+from .ergosum import orbit_sum_profile
 
 __all__ = [
     "gn_kernel",
@@ -98,11 +98,19 @@ def gn_mean(n: int, t: float) -> float:
 # Frequency tables
 # ---------------------------------------------------------------------------
 
+# Largest frequency table (r = 1..rmax) any computation builds: the scan of
+# diagnostic_inequalities, and norm_sq up to n = 1000.
+_RMAX = 100_000
+
+
 class AlphaFourierTable:
     """Distances ||r alpha|| and exactly-reduced kernel angles, r = 1..rmax."""
 
     def __init__(self, trunc: RationalTruncation, rmax: int):
         trunc.require_window(rmax, "Fourier frequency")
+        if rmax > _RMAX:
+            raise ConfigError(f"a Fourier table of {rmax} frequencies exceeds "
+                              f"the cap {_RMAX}")
         self.trunc = trunc
         self.rmax = rmax
         q = trunc.q
@@ -148,10 +156,11 @@ class AlphaFourierTable:
 
 def _series(phi: Observable, trunc: RationalTruncation, n: int):
     """The kernel table and series weights of the Fourier norms up to
-    horizon n, truncated at rmax = max(20000, 100 n)."""
-    rmax = max(20_000, 100 * n)
-    weights = series_weights(gamma_sq_array(phi, 1, rmax))
-    return AlphaFourierTable(trunc, rmax), weights
+    horizon n, truncated at rmax = max(20000, 100 n).  The observable, the
+    window and the table size are checked before any table is built."""
+    _scalar(phi)
+    table = AlphaFourierTable(trunc, max(20_000, 100 * n))
+    return table, series_weights(gamma_sq_array(phi, 1, table.rmax))
 
 
 def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
@@ -161,15 +170,15 @@ def norm_sq(phi: Observable, n: int, trunc: RationalTruncation,
     fourier mode returns (value, tail_bound) with the series truncated at
     rmax = max(20000, 100 n); tail <= 2 K^2 n^2 / rmax.
     exact mode returns (Fraction, 0) by piecewise integration (needs
-    n * #jumps under the enumeration cap).
+    n * #jumps under the exact profile's cap).
     """
     _scalar(phi)
     n = _at_least("n", n, 0)
     if n == 0:
         return (Fraction(0), 0) if mode == "exact" else (0.0, 0.0)
     if mode == "exact":
-        if n * len(phi.jumps()) > _PROFILE_CAP:
-            raise ConfigError(f"profile cap exceeded (n={n}); use fourier mode")
+        if n > 1:
+            trunc.require_window(n - 1, "orbit length")
         prof = orbit_sum_profile(phi, n, trunc.value)
         return prof.integral_sq(), 0
     if mode != "fourier":
@@ -197,9 +206,8 @@ def bound_series(phi: Observable, ell: int, trunc: RationalTruncation):
         upper = K^2 * sum_{j<=ell} a_{j+1}^2
     """
     _scalar(phi)
-    (ell,) = _integers("ell", ell)
-    if not 0 <= ell < trunc.level:
-        raise ConfigError(f"ell must be in [0, {trunc.level}), got {ell}")
+    ell = _at_least("ell", ell, 0)
+    trunc.require_level(ell + 1, f"the variance series at ell = {ell}")
     lower = 0.0
     for j in range(ell):
         g = phi.fourier_gamma(trunc.qs[j])
@@ -222,10 +230,6 @@ def level_of(n: int, trunc: RationalTruncation) -> int:
 # Lemma-level inequality diagnostics
 # ---------------------------------------------------------------------------
 
-# Frequency scan length of diagnostic_inequalities (ii) and (iii).
-_DIAG_KMAX = 100_000
-
-
 def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     """Checks three repartition inequalities for the orbit of 0.
 
@@ -237,19 +241,20 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
 
     The constants in (ii)/(iii) come from the Denjoy-Koksma block argument
     applied to the window indicator and to x^-2 on [1/m, 1/2].  The infinite
-    sums are truncated at kscan = min(_DIAG_KMAX, q_(M-1) - 1) and the
+    sums are truncated at kscan = min(_RMAX, q_(M-1) - 1) and the
     truncation tails (1/kscan and m^2/kscan) are added to the left-hand sides
     before checking; a violated inequality raises CertificateError.
     """
     n, m = _integers("n and m", n, m)
     if m < 3:
         raise ConfigError("m must be >= 3")
-    if not 0 <= n < trunc.level:
-        raise ConfigError(f"n must be in [0, {trunc.level}), got {n}")
+    _at_least("n", n, 0)
+    # the scan from q_n needs q_n inside the window [1, q_(M-1))
+    trunc.require_level(n + 2, f"the frequency scan from q_{n}")
     qn = trunc.qs[n]
     # the scan cannot leave the exact window; a shorter scan only enlarges
     # the (still valid) truncation tails added below
-    kscan = min(_DIAG_KMAX, trunc.validity_bound - 1)
+    kscan = min(_RMAX, trunc.validity_bound - 1)
     if qn > kscan:
         raise ConfigError("q_n beyond the scan range")
     # (i) exact: 1/(k^2 ||k a||^2) = q^2 / (k m_k)^2 with m_k = ||k a|| q,

@@ -1,7 +1,9 @@
 import ast
+import csv
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -134,6 +136,63 @@ def test_billiard_clt_smoke(tmp_path):
     doc = json.loads(data)
     assert doc["kind"] == "billiard_clt"
     assert "psi0_norm_sq_over_n" in doc["extra"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--alpha", "golden", "--terms", "12"],
+    ["ostrowski", "--alpha", "golden", "--opt", "N=1000"],
+    ["sum", "--alpha", "sqrt2m1", "--observable", "indicator:beta=1/3",
+     "--opt", "N=1000,grid=8"],
+    ["variance", "--alpha", "golden", "--observable", "half",
+     "--opt", "nmax=30"],
+    ["billiard", "--opt", "a=2/5,b=3/5,collisions=12,x=1/9"],
+], ids=lambda argv: argv[0])
+def test_json_rows_carry_the_csv_values(argv, capsys):
+    assert cli.main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert cli.main(argv + ["--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert rows and len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert {k: str(v) for k, v in json.loads(line).items()} == row
+
+
+def test_billiard_seeded_start(capsys):
+    # without --opt x the start is drawn from the seed
+    argv = ["billiard", "--opt", "collisions=10"]
+    outs = []
+    for seed in ("5", "5", "6"):
+        assert cli.main(argv + ["--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]
+    assert outs[0].count("\r\n") == 11
+
+
+def test_sum_past_the_window_names_the_level_that_holds_it(capsys):
+    # the default golden truncation is at level 53, whose window ends near
+    # 5.3e10; 10**29 - 1 needs q_140 > 10**29 - 1, so level 141
+    assert cli.main(["sum", "--opt", f"N={10 ** 29}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: precision exhausted: orbit length")
+    assert captured.err.endswith(" (rebuild at level >= 141)\n")
+
+
+def test_big_integers_are_read_and_printed_in_full(capsys):
+    # past Python's 4300-digit limit on int <-> str conversion
+    a1 = "9" * 5000
+    assert cli.main(["cf", "--alpha", f"list:{a1},1,1,1,1,1,1,1",
+                     "--terms", "2"]) == 0
+    rows = capsys.readouterr().out.split("\r\n")
+    assert rows[1] == f"1,{a1},1,{a1}"
+
+
+def test_variance_refuses_tables_above_the_cap(capsys):
+    # refused before any table is built; nothing used to bound the tables,
+    # and nmax=10000000 asked for 10**9 frequencies
+    assert cli.main(["variance", "--opt", "nmax=1001"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a Fourier table of 100100 frequencies exceeds the cap 100000\n")
 
 
 def test_invalid_config_exit_code(capsys):

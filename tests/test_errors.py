@@ -3,9 +3,11 @@ certificate checks raise CertificateError.  Also every exported name of the
 library resolves, and the library reads no environment variable."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from rotsum import billiard as bil
+from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
@@ -20,7 +23,7 @@ from rotsum import sequences as seq
 from rotsum import stats as st
 from rotsum import variance as var
 from rotsum.errors import (CertificateError, ConfigError, PrecisionError,
-                           RotsumError)
+                           RotsumError, SpecExhaustedError)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rotsum"
 
@@ -340,6 +343,65 @@ _INF = float("inf")
     # used to escape as a bare TypeError
     pytest.param(lambda: st.erdos_fortet_identity_error(2.5, [0.1]),
                  id="erdos_fortet_identity_error-n"),
+    # input checks that no other test reached
+    pytest.param(lambda: bil.ObstacleParams(Fraction(0), Fraction(1, 2)),
+                 id="ObstacleParams-side-0"),
+    pytest.param(lambda: bil.ObstacleParams(Fraction(1, 2), Fraction(1)),
+                 id="ObstacleParams-side-1"),
+    pytest.param(lambda: bil.params_for_plan(_GOLDEN, scale=Fraction(3, 2)),
+                 id="params_for_plan-scale"),
+    pytest.param(lambda: obs.StepFunction((0, 0.5), (1, -1)),
+                 id="StepFunction-float"),
+    pytest.param(lambda: obs.StepFunction((Fraction(1, 4),), (1,)),
+                 id="StepFunction-start"),
+    pytest.param(lambda: obs.StepFunction((0, Fraction(3, 2)), (1, -1)),
+                 id="StepFunction-range"),
+    pytest.param(lambda: obs.StepFunction((0, Fraction(1, 2), Fraction(1, 4)),
+                                          (1, -1, 0)),
+                 id="StepFunction-order"),
+    pytest.param(lambda: obs.StepFunction((0, Fraction(1, 2)), (1,)),
+                 id="StepFunction-values"),
+    pytest.param(lambda: obs.half().fourier_gamma(0),
+                 id="StepFunction-gamma0"),
+    pytest.param(lambda: obs.double_interval(Fraction(1, 5), Fraction(1)),
+                 id="double_interval-gamma"),
+    pytest.param(lambda: obs.half_shifted(Fraction(1, 2)),
+                 id="half_shifted-beta"),
+    pytest.param(lambda: obs.billiard_pair(Fraction(1)), id="billiard_pair"),
+    pytest.param(lambda: obs.billiard_displacement(Fraction(0)),
+                 id="billiard_displacement"),
+    pytest.param(lambda: cf.PartialQuotientSpec(name="golden", max_index=0),
+                 id="spec-max_index"),
+    pytest.param(lambda: cf.PartialQuotientSpec(name="list", max_index=3,
+                                                quotients=(1, 2)),
+                 id="spec-short-list"),
+    pytest.param(lambda: cf.PartialQuotientSpec(name="list", max_index=2,
+                                                quotients=(1, 0)),
+                 id="spec-quotient-0"),
+    pytest.param(lambda: cf.clt_design_rule(c=0), id="clt_design_rule-c"),
+    pytest.param(lambda: cf.parity_design_rule(c=0),
+                 id="parity_design_rule-c"),
+    pytest.param(lambda: cf.truncation(cf.golden(15), 1), id="truncation-1"),
+    pytest.param(lambda: cli.parse_alpha("list:1,2,3,4,5", 3),
+                 id="parse_alpha-short-list"),
+    pytest.param(lambda: seq.check_lacunarity([5]), id="check_lacunarity-one"),
+    pytest.param(lambda: seq.nondegeneracy_average(_PLAN, obs.half(), 3),
+                 id="nondegeneracy_average-n3"),
+    pytest.param(lambda: st.quasi_orthogonality_check(obs.half(), obs.half(),
+                                                      3, 2),
+                 id="quasi_orthogonality-l2<l1"),
+    pytest.param(lambda: st.block_variance_ratio([obs.half()], [1, 2]),
+                 id="block_variance_ratio-lengths"),
+    pytest.param(lambda: st.covariance_2d(
+        _PLAN, obs.billiard_displacement(_PLAN.trunc.value), 1, 4, 0),
+        id="covariance_2d-growth-plan"),
+    pytest.param(lambda: st.covariance_2d(
+        _PARITY_PLAN, obs.billiard_displacement(_PARITY_PLAN.trunc.value), 3,
+        4, 0), id="covariance_2d-n3"),
+    pytest.param(lambda: var.norm_sq(obs.half(), 3, _GOLDEN, mode="bogus"),
+                 id="norm_sq-mode"),
+    pytest.param(lambda: var.diagnostic_inequalities(_GOLDEN, 4, 2),
+                 id="diagnostics-m2"),
 ])
 def test_edge_inputs_raise_config_error(call):
     with pytest.raises(ConfigError):
@@ -440,3 +502,171 @@ def test_approx_error_beyond_the_window_is_a_precision_error(n):
 def test_catalog_takes_exactly_its_builders_parameters(name, params):
     with pytest.raises(ConfigError, match=name):
         obs.catalog(name, **params)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: cf.design_alpha(cf.golden(15), 11),
+                 id="design_alpha-past-max_index"),
+])
+def test_edge_inputs_raise_spec_exhausted_error(call):
+    with pytest.raises(SpecExhaustedError):
+        call()
+
+
+def _deeper(trunc, level):
+    """``trunc``'s spec frozen at ``level``; a named rule's max_index is
+    extended to reach it, as the CLI sets max_index to the level."""
+    spec = trunc.spec
+    if spec.quotients is None and spec.max_index < level:
+        spec = dataclasses.replace(spec, max_index=level)
+    return cf.truncation(spec, level)
+
+
+_HALF = obs.half()
+_CLT10 = cf.truncation(cf.clt_design_rule(max_index=10), 10)
+_PARITY13 = cf.truncation(cf.parity_design_rule(max_index=13), 13)
+
+
+# (truncation, request, the smallest level that holds it): every entry point
+# that a truncation's depth limits
+@pytest.mark.parametrize("trunc, call, level", [
+    pytest.param(_GOLDEN, lambda tr: es.ErgodicContext(_HALF, tr, 7).sum_at(
+        3, 200), 13, id="sum_at"),
+    pytest.param(_GOLDEN, lambda tr: es.ErgodicContext(_HALF, tr, 7).sums_at(
+        [1, 3], 10 ** 6), 31, id="sums_at"),
+    # the truncation rotsum sum uses: level 55 used to be asked for
+    pytest.param(cf.truncation(cf.golden(53), 53),
+                 lambda tr: es.ergodic_sum(_HALF, 0, 10 ** 29, tr),
+                 141, id="ergodic_sum-golden-1e29"),
+    pytest.param(_GOLDEN, lambda tr: tr.distance(10 ** 4), 21, id="distance"),
+    pytest.param(_GOLDEN, lambda tr: var.norm_sq(_HALF, 5, tr),
+                 23, id="norm_sq-fourier-table"),
+    pytest.param(_GOLDEN, lambda tr: var.norm_sq(_HALF, 300, tr, mode="exact"),
+                 14, id="norm_sq-exact"),
+    pytest.param(_CLT10, lambda tr: seq.plan_growth(tr, 2, 9),
+                 11, id="plan_growth"),
+    pytest.param(_PARITY13, lambda tr: seq.plan_parity(tr, 2, 8),
+                 14, id="plan_parity"),
+    pytest.param(_GOLDEN, lambda tr: tr.denominator_distance(12),
+                 13, id="denominator_distance"),
+    pytest.param(_GOLDEN, lambda tr: cf.beta_from_ostrowski({9: 1, 11: 2}, tr),
+                 13, id="beta_from_ostrowski"),
+    pytest.param(_GOLDEN, lambda tr: cf.ostrowski_digits(10 ** 4, tr),
+                 20, id="ostrowski_digits"),
+    pytest.param(cf.truncation(cf.from_list([3, 1, 4, 1, 5, 9, 2, 6]), 4),
+                 lambda tr: cf.ostrowski_digits(500, tr),
+                 6, id="ostrowski_digits-list"),
+    pytest.param(_GOLDEN, lambda tr: es.approx_error_sq(_HALF, 13, tr),
+                 14, id="approx_error_sq"),
+    pytest.param(_GOLDEN, lambda tr: var.bound_series(_HALF, 12, tr),
+                 13, id="bound_series"),
+    pytest.param(_GOLDEN, lambda tr: var.diagnostic_inequalities(tr, 9, 3),
+                 11, id="diagnostic_inequalities"),
+])
+def test_required_level_is_the_smallest_that_holds_the_request(trunc, call,
+                                                               level):
+    with pytest.raises(PrecisionError) as exc:
+        call(trunc)
+    assert exc.value.required_level == level > trunc.level
+    call(_deeper(trunc, level))
+    with pytest.raises(PrecisionError) as shallow:
+        call(_deeper(trunc, level - 1))
+    assert shallow.value.required_level == level
+
+
+@pytest.mark.parametrize("trunc, call", [
+    # the list ends before any of its windows holds the request
+    pytest.param(cf.truncation(cf.from_list([1, 2, 3, 4, 5, 6]), 4),
+                 lambda tr: tr.distance(300), id="distance"),
+    pytest.param(cf.truncation(cf.from_list([1, 2, 3, 4, 5, 6]), 4),
+                 lambda tr: cf.ostrowski_digits(10 ** 6, tr),
+                 id="ostrowski_digits"),
+    pytest.param(cf.truncation(cf.from_list([1, 2, 3, 4, 5, 6]), 4),
+                 lambda tr: tr.denominator_distance(6), id="index-past-list"),
+])
+def test_explicit_list_past_its_end_names_no_level(trunc, call):
+    with pytest.raises(PrecisionError) as exc:
+        call(trunc)
+    assert exc.value.required_level is None
+
+
+def test_precision_error_is_raised_only_by_the_truncation():
+    # one rule decides truncation depth: RationalTruncation's window and
+    # level checks; every other module calls them
+    found = [where for where, node in _library_nodes()
+             if _raises(node, "PrecisionError")]
+    assert found and all(w.startswith("contfrac.py:") for w in found), found
+
+
+@pytest.mark.parametrize("cap, owner", [
+    ("_PROFILE_CAP", ("ergosum.py", "_signed_profile")),
+    # AlphaFourierTable's
+    ("_RMAX", ("variance.py", "__init__")),
+])
+def test_each_size_cap_is_compared_in_one_place(cap, owner):
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Compare) and cap in ast.unparse(node):
+                        owners.append((path.name, fn.name))
+    assert set(owners) == {owner}, owners
+
+
+def _small_peak(call, error):
+    """Raises ``error`` from ``call`` and returns the tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, exc.value
+
+
+_GOLDEN40 = cf.truncation(cf.golden(40), 40)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: es.orbit_sum_profile(_HALF, 2 ** 40, Fraction(1, 3)),
+                 id="orbit_sum_profile"),
+    # 2 jumps * (2**25 + 1) positions, just above the cap
+    pytest.param(lambda: var.norm_sq(_HALF, 2 ** 25 + 1, _GOLDEN40,
+                                     mode="exact"), id="norm_sq-exact"),
+    # 2 jumps * 2 terms * q_36 = 96,631,268 positions; q_35 gives 59,721,408
+    pytest.param(lambda: es.approx_error_sq(_HALF, 36, _GOLDEN40),
+                 id="approx_error_sq"),
+])
+def test_exact_profile_cap_refuses_before_allocating(call):
+    assert 4 * _GOLDEN40.qs[35] <= es._PROFILE_CAP < 4 * _GOLDEN40.qs[36]
+    peak, exc = _small_peak(call, ConfigError)
+    assert "exceeds the cap" in str(exc)
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("call, error", [
+    # 10**6 frequencies past the window q_29 = 832040: the weights used to be
+    # built first (14.9 GiB of them at n = 10**7)
+    pytest.param(lambda: var.norm_sq(_HALF, 10 ** 4,
+                                     cf.truncation(cf.golden(40), 30)),
+                 PrecisionError, id="norm_sq-window"),
+    pytest.param(lambda: var.mean_variance(_HALF, 10 ** 4,
+                                           cf.truncation(cf.golden(40), 30)),
+                 PrecisionError, id="mean_variance-window"),
+    # inside the window: 100,100 frequencies, just above the one table cap
+    pytest.param(lambda: var.norm_sq(_HALF, 1001, _GOLDEN40),
+                 ConfigError, id="norm_sq-cap"),
+    pytest.param(lambda: var.variance_profile(_HALF, _GOLDEN40, [5, 1001]),
+                 ConfigError, id="variance_profile-cap"),
+    # a bad observable is refused before either
+    pytest.param(lambda: var.mean_variance(obs.billiard_pair(Fraction(2, 5)),
+                                           10 ** 4,
+                                           cf.truncation(cf.golden(40), 30)),
+                 ConfigError, id="mean_variance-vector"),
+])
+def test_fourier_tables_refuse_before_allocating(call, error):
+    peak, _ = _small_peak(call, error)
+    assert peak < 2 ** 20
