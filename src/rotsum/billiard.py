@@ -40,7 +40,7 @@ import numpy as np
 
 from .contfrac import RationalTruncation
 from .errors import (BoundaryError, CertificateError, ConfigError,
-                     SingularOrbitError, _at_least, _integers, _rational)
+                     SingularOrbitError, _at_least, _point, _rational)
 from .observables import (TWO_PI, VectorObservable, _phase_table,
                           billiard_displacement, series_weights)
 from .ergosum import ErgodicContext
@@ -168,13 +168,6 @@ class BilliardOrbit:
 # Displacement cocycle and the arithmetic engine
 # ---------------------------------------------------------------------------
 
-def _residue(x) -> tuple[int, int]:
-    """(u, v) with {x} = u/v in lowest terms, for an exact rational x."""
-    x = _rational("x", x)
-    v = int(x.denominator)
-    return int(x.numerator) % v, v
-
-
 def _psi(u: int, v: int, p: int, q: int) -> tuple[int, int]:
     """Psi(u/v) for 0 <= u < v and alpha = p/q, by integer cross-multiplying."""
     # 2qu against 2qv times the breakpoints (1-alpha)/2, 1/2, 1-alpha/2
@@ -186,10 +179,10 @@ def _psi(u: int, v: int, p: int, q: int) -> tuple[int, int]:
     return (0, -1) if u2q < c3 else (-1, 0)
 
 
-def displacement(x, params: ObstacleParams) -> tuple[int, int]:
+def displacement(x: Fraction, params: ObstacleParams) -> tuple[int, int]:
     """Psi(x): the four-valued cell step of one double collision."""
     alpha = params.alpha
-    return _psi(*_residue(x), alpha.numerator, alpha.denominator)
+    return _psi(*_point("x", x), alpha.numerator, alpha.denominator)
 
 
 def psi_components(params: ObstacleParams) -> VectorObservable:
@@ -199,7 +192,7 @@ def psi_components(params: ObstacleParams) -> VectorObservable:
 
 def step(state: LatticeState, params: ObstacleParams) -> LatticeState:
     """One skew-product move (x, z) -> (x + alpha, z + Psi(x))."""
-    u, v = _residue(state.x)
+    u, v = _point("x", state.x)
     p, q = params.alpha.numerator, params.alpha.denominator
     dz1, dz2 = _psi(u, v, p, q)
     z1, z2 = state.z
@@ -207,10 +200,10 @@ def step(state: LatticeState, params: ObstacleParams) -> LatticeState:
     return LatticeState(Fraction((u * q + p * v) % vq, vq), (z1 + dz1, z2 + dz2))
 
 
-def cell_after_direct(n: int, x, params: ObstacleParams) -> tuple[int, int]:
+def cell_after_direct(n: int, x: Fraction, params: ObstacleParams) -> tuple[int, int]:
     """S(n, Psi)(x) by literal skew-product iteration (exact, O(n))."""
     n = _at_least("n", n, 0)
-    u, v = _residue(x)
+    u, v = _point("x", x)
     p, q = params.alpha.numerator, params.alpha.denominator
     # x_j = u_j / (vq) with u_j = (u q + j p v) mod vq
     w, u, dp = v * q, u * q, p * v
@@ -223,10 +216,10 @@ def cell_after_direct(n: int, x, params: ObstacleParams) -> tuple[int, int]:
     return (z1, z2)
 
 
-def cell_after(n: int, x, params: ObstacleParams) -> tuple[int, int]:
+def cell_after(n: int, x: Fraction, params: ObstacleParams) -> tuple[int, int]:
     """S(n, Psi)(x) via one exact floor-sum context for both components."""
     n = _at_least("n", n, 0)
-    u, v = _residue(x)
+    u, v = _point("x", x)
     v1, v2 = _cell_context(params, v).sum_at(u, n)
     z1, z2 = int(v1), int(v2)
     if z1 != v1 or z2 != v2:
@@ -247,11 +240,10 @@ def _cell_context(params: ObstacleParams, x_den: int) -> ErgodicContext:
 # Geometry: section chart and the exact ray tracer
 # ---------------------------------------------------------------------------
 
-def section_start(chi, params: ObstacleParams):
+def section_start(chi: Fraction, params: ObstacleParams):
     """(position on the boundary of obstacle (0,0), direction) for the
     outgoing slope +1 section coordinate chi in (0,1) \\ {1/2}."""
-    chi = _rational("chi", chi)
-    chi -= chi.numerator // chi.denominator
+    chi = Fraction(*_point("chi", chi))
     if chi == 0 or chi == Fraction(1, 2):
         raise BoundaryError("chi on the copy boundary")
     a, b, s = params.a, params.b, params.s
@@ -322,7 +314,7 @@ def _first_hit(px: int, py: int, sx: int, sy: int, ha: int, hb: int, D: int):
     raise SingularOrbitError("no obstacle found within the slab horizon")
 
 
-def ray_trace(chi, params: ObstacleParams, collisions: int = 2) -> BilliardOrbit:
+def ray_trace(chi: Fraction, params: ObstacleParams, collisions: int = 2) -> BilliardOrbit:
     """Event-driven diagonal billiard flow from the section coordinate chi.
 
     Returns the orbit with ``collisions`` obstacle hits; reflection flips the
@@ -346,11 +338,11 @@ def ray_trace(chi, params: ObstacleParams, collisions: int = 2) -> BilliardOrbit
             sx = -sx
         else:
             sy = -sy
-    return BilliardOrbit(chi=Fraction(chi), start=pos, direction0=direction,
+    return BilliardOrbit(chi=_rational("chi", chi), start=pos, direction0=direction,
                          D=D, hits=tuple(hits))
 
 
-def hitting_time(chi, params: ObstacleParams) -> float:
+def hitting_time(chi: Fraction, params: ObstacleParams) -> float:
     """psi(chi): path length from the section point to the second collision."""
     return ray_trace(chi, params, collisions=2).hitting_time()
 
@@ -368,9 +360,8 @@ class PiecewiseLinear:
     slopes: tuple[Fraction, ...]
     intercepts: tuple[Fraction, ...]
 
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        x -= x.numerator // x.denominator
+    def evaluate(self, x: Fraction) -> Fraction:
+        x = Fraction(*_point("x", x))
         i = bisect.bisect_right(self.breaks, x) - 1
         return self.slopes[i] * x + self.intercepts[i]
 
@@ -463,11 +454,8 @@ def hitting_time_profile(params: ObstacleParams) -> PiecewiseLinear:
 def estimate_c(params: ObstacleParams, n_starts: int = 2000, seed: int = 0):
     """(monte_carlo, quadrature): mean hitting time by seeded random starts
     and by exact integration of the piecewise-linear chart."""
-    n_starts, seed = _integers("n_starts and seed", n_starts, seed)
-    if n_starts < 1:
-        raise ConfigError(f"n_starts must be >= 1, got {n_starts}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    n_starts = _at_least("n_starts", n_starts, 1)
+    seed = _at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     prof = hitting_time_profile(params)
     exact = float(prof.mean()) * SQRT2

@@ -26,7 +26,7 @@ from . import observables as obs
 from . import sequences as seq
 from . import stats as st
 from . import variance as var
-from .errors import ConfigError, PrecisionError, RotsumError
+from .errors import ConfigError, PrecisionError, RotsumError, _at_least
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +170,7 @@ def _write_report(rep: st.ExperimentReport, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_cf(cfg: RunConfig) -> str:
-    n = cfg.terms
-    if n < 1:
-        raise ConfigError(f"terms must be >= 1, got {n}")
+    n = _at_least("terms", cfg.terms, 1)
     tr = parse_alpha(cfg.alpha, n)
     rows = []
     for k in range(1, min(n, tr.level) + 1):
@@ -203,9 +201,7 @@ def _cmd_sum(cfg: RunConfig) -> str:
 
 
 def _cmd_variance(cfg: RunConfig) -> str:
-    nmax = _int("nmax", cfg.options.get("nmax", "200"))
-    if nmax < 1:
-        raise ConfigError(f"nmax must be >= 1, got {nmax}")
+    nmax = _at_least("nmax", _int("nmax", cfg.options.get("nmax", "200")), 1)
     tr = parse_alpha(cfg.alpha, 48)
     phi = parse_observable(cfg.observable)
     ns = sorted({max(1, round(nmax ** (i / 39))) for i in range(40)})
@@ -276,7 +272,7 @@ def _cmd_billiard(cfg: RunConfig) -> str:
         x = _fraction("x", cfg.options["x"])
     else:
         # seeded random section start
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(_at_least("seed", cfg.seed, 0))
         x = Fraction(int(rng.integers(1, 2 ** 40)), 2 ** 40)
     params = bil.ObstacleParams(a=a, b=b)
     orbit = bil.ray_trace(x, params, collisions=collisions)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (CertificateError, ConfigError, PrecisionError,
-                     SpecExhaustedError, _at_least, _integers)
+                     SpecExhaustedError, _at_least, _integers, _point)
 
 __all__ = [
     "PartialQuotientSpec",
@@ -326,10 +326,10 @@ class RationalTruncation:
 
 
 def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
-    """Freeze the spec at p_level/q_level."""
+    """Freeze the spec at p_level/q_level.  The validity window
+    [1, q_(level-1)) must hold a multiple: level 2 does only when a_1 >= 2
+    (q_1 = a_1), and every level from 3 on does (q_2 = a_1 a_2 + 1)."""
     (level,) = _integers("truncation level", level)
-    if level < 2:
-        raise ConfigError("truncation level must be >= 2 for a nonempty window")
     if level > spec.max_index:
         raise SpecExhaustedError(f"spec exhausted: convergent {level} needs "
                                  f"a_{level}, max_index={spec.max_index}")
@@ -338,12 +338,18 @@ def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
         a = spec.a(k)
         ps.append(a * ps[-1] + ps[-2])
         qs.append(a * qs[-1] + qs[-2])
+    if level < 2 or qs[level] < 2:      # qs[level] is q_(level-1)
+        least = 2 if spec.a(1) >= 2 else 3
+        raise ConfigError(f"truncation level {level} leaves the validity "
+                          "window [1, q_(level-1)) empty; the smallest level "
+                          f"with a nonempty window is {least}")
     return RationalTruncation(spec=spec, level=level, ps=tuple(ps[1:]),
                               qs=tuple(qs[1:]))
 
 
 # Levels a designed truncation reaches beyond the deepest index an experiment
-# queries; >= 2 keeps the validity window [1, q_(M-1)) nonempty.
+# queries; with levels >= 1, GUARD >= 2 freezes at level 3 or deeper, whose
+# validity window [1, q_(M-1)) is nonempty whatever a_1 is.
 GUARD = 5
 
 
@@ -419,5 +425,4 @@ def beta_from_ostrowski(b: Sequence[int] | dict[int, int],
     total = Fraction(0)
     for n, coeff in items:
         total += coeff * trunc.qs[n] * trunc.value
-    frac = total - total.numerator // total.denominator
-    return frac if frac >= 0 else frac + 1
+    return Fraction(*_point("beta", total))

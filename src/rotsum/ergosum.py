@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,7 +55,7 @@ import numpy as np
 
 from .contfrac import RationalTruncation, ostrowski_digits
 from .errors import (CertificateError, ConfigError, _at_least, _integers,
-                     _rational)
+                     _point, _rational)
 from .observables import (_INT64_SAFE, Observable, Sawtooth, _scalar,
                           _step_from_jumps)
 
@@ -81,10 +80,8 @@ def floor_sum(n: int, a: int, b: int, c: int) -> int:
     with the same (n, a, c) and another b cost one linear-size walk each.
     """
     n, a, b, c = _integers("floor_sum operands", n, a, b, c)
-    if c <= 0:
-        raise ConfigError(f"modulus c must be >= 1, got {c}")
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    _at_least("modulus c", c, 1)
+    _at_least("n", n, 0)
     if n == 0:
         return 0
     return _walk(_chain(n, a, c), b)
@@ -160,7 +157,7 @@ def _walk(chain, b: int) -> int:
     return base + n0 * B + acc
 
 
-def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
+def count_visits(x: Fraction, interval: tuple, N: int, trunc: RationalTruncation) -> int:
     """#{0 <= j < N : {x + j alpha} in [u, w)} exactly (alpha = p_M/q_M).
 
     ``interval`` is (u, w) with exact rational endpoints in [0, 1]; u > w is
@@ -171,10 +168,10 @@ def count_visits(x, interval: tuple, N: int, trunc: RationalTruncation) -> int:
     if not (0 <= u <= 1 and 0 <= w <= 1):
         raise ConfigError(f"interval endpoints must lie in [0, 1], got {interval}")
     length = w - u if u <= w else 1 - u + w
-    x = _rational("x", x)
+    x_num, x_den = _point("x", x)
     indicator = _step_from_jumps(((u, 1), (w, -1)), length, "indicator")
-    ctx = ErgodicContext(indicator, trunc, x.denominator)
-    return int(ctx.sum_at(x.numerator, N))
+    ctx = ErgodicContext(indicator, trunc, x_den)
+    return int(ctx.sum_at(x_num, N))
 
 
 class ErgodicContext:
@@ -206,14 +203,8 @@ class ErgodicContext:
     def __init__(self, phi: Observable | tuple[Observable, ...],
                  rot: RationalTruncation | int | Fraction, x_den: int):
         x_den = _at_least("sample denominator", x_den, 1)
-        if isinstance(rot, RationalTruncation):
-            alpha = rot.value
-        elif isinstance(rot, numbers.Rational):
-            alpha = Fraction(rot)
-        else:
-            raise ConfigError(
-                "rotation must be a RationalTruncation or an exact rational "
-                f"(int or Fraction), got {type(rot).__name__} {rot!r}")
+        alpha = (rot.value if isinstance(rot, RationalTruncation)
+                 else _rational("rotation", rot))
         self._single = not isinstance(phi, (tuple, list))
         phis = tuple(map(_scalar, (phi,) if self._single else phi))
         self.rot = rot
@@ -267,8 +258,7 @@ class ErgodicContext:
     def _horizon(self, N: int):
         """Checks N against the window; returns the Euclid chain of
         (N, P, L) and the ramp's term P T(N)."""
-        if N < 0:
-            raise ConfigError(f"N must be >= 0, got {N}")
+        _at_least("N", N, 0)
         if N > 1 and isinstance(self.rot, RationalTruncation):
             self.rot.require_window(N - 1, "orbit length")
         return _chain(N, self.P, self.L), (self.P * _tri(N) if self._ramp else 0)
@@ -283,22 +273,22 @@ class ErgodicContext:
                 for a, s, terms in self._rows]
 
 
-def ergodic_sum(phi: Observable, x, N: int, trunc: RationalTruncation) -> Fraction:
+def ergodic_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation) -> Fraction:
     """S_N phi(x) as an exact Fraction, exact at any N in the window."""
-    x = _rational("x", x)
-    return ErgodicContext(phi, trunc, x.denominator).sum_at(x.numerator, N)
+    x_num, x_den = _point("x", x)
+    return ErgodicContext(phi, trunc, x_den).sum_at(x_num, N)
 
 
-def _direct_sum(phi: Observable, x, N: int, trunc: RationalTruncation) -> Fraction:
+def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation) -> Fraction:
     """S_N phi(x) summed term by term in O(N) integer steps: the oracle that
     the tests hold ``ergodic_sum`` to.  It takes the same arguments."""
-    x = _rational("x", x)
+    x_num, x_den = _point("x", x)
     N = _at_least("N", N, 0)
     if N > 1:
         trunc.require_window(N - 1, "orbit length")
-    L = math.lcm(trunc.q, x.denominator)
+    L = math.lcm(trunc.q, x_den)
     P = trunc.p * (L // trunc.q) % L
-    r = (x.numerator * (L // x.denominator)) % L
+    r = x_num * (L // x_den)
     # integer residues r = {x + j alpha} L: the sawtooth sums them, a step
     # function counts its visits per piece; one Fraction at the end
     if isinstance(phi, Sawtooth):
@@ -342,11 +332,10 @@ class OrbitProfile:
     slope: int
     const: Fraction
 
-    def evaluate(self, x):
-        x = Fraction(x) % 1
-        i = int(np.searchsorted(self.starts, x.numerator * self.L // x.denominator,
-                                side="right")) - 1
-        return (self.slope * x + self.const
+    def evaluate(self, x: Fraction):
+        u, v = _point("x", x)
+        i = int(np.searchsorted(self.starts, u * self.L // v, side="right")) - 1
+        return (self.slope * Fraction(u, v) + self.const
                 + Fraction(int(self.levels[i]), self.scale))
 
     def sup_abs(self):
@@ -389,8 +378,8 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
                           f"the cap {_PROFILE_CAP}")
     scale = math.lcm(*(Fraction(v).denominator for v in values))
     jumps = [int(v * scale) for v in values]
-    rots = [Fraction(rot) % 1 for rot, _ in terms]
-    L = math.lcm(*(r.denominator for r in rots), *(t.denominator for t in points))
+    rots = [_point("rotation", rot) for rot, _ in terms]
+    L = math.lcm(*(v for _, v in rots), *(t.denominator for t in points))
     # sort keys are position * K + jump index; index 0 is a zero jump at 0,
     # so that the first piece starts at 0
     K = 1 + len(terms) * len(points)
@@ -398,8 +387,8 @@ def _signed_profile(phi: Observable, n: int, terms) -> OrbitProfile:
     dtype = np.int64 if bound < _INT64_SAFE else object
     j = np.arange(n, dtype=np.int64).astype(dtype, copy=False)
     keys, gvals = [np.zeros(1, dtype)], [0]
-    for rot, (_, sign) in zip(rots, terms):
-        base = j * (rot.numerator * (L // rot.denominator)) % L
+    for (u, v), (_, sign) in zip(rots, terms):
+        base = j * (u * (L // v)) % L
         for t, g in zip(points, jumps):
             keys.append((t.numerator * (L // t.denominator) - base) % L * K
                         + len(gvals))
@@ -455,7 +444,7 @@ def approx_error_sq(phi: Observable, n: int, trunc: RationalTruncation) -> Fract
 # Ostrowski bound certificate
 # ---------------------------------------------------------------------------
 
-def ostrowski_bound_check(phi: Observable, x, N: int,
+def ostrowski_bound_check(phi: Observable, x: Fraction, N: int,
                           trunc: RationalTruncation):
     """(|S_N phi(x)|, V(phi) * sum_k b_k) with the digits of N; raises
     CertificateError unless LHS <= RHS (sums over denominators are bounded

@@ -2,8 +2,12 @@
 
 The exact engines refuse to return silently degraded answers: any request
 that falls outside the window where rational-truncation arithmetic is
-faithful raises ``PrecisionError`` instead of returning a number.  The
-two argument checks below keep a float from standing in for an exact
+faithful raises ``PrecisionError`` instead of returning a number.
+
+The checks below are the one rule for each exact input: an integer (a
+count, a seed, a plan position) is read by ``_integers`` and ``_at_least``,
+a rational by ``_rational`` and a point of the circle by ``_point``, a
+rational reduced mod 1.  A float or a string never stands in for an exact
 number: an int() or a Fraction() of it would silently truncate it, or read
 its binary expansion, where an exact engine needs the number written.
 """
@@ -94,3 +98,11 @@ def _rational(what: str, x) -> Fraction:
         raise ConfigError(f"{what} must be an exact rational (int or "
                           f"Fraction), got {type(x).__name__} {x!r}")
     return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _point(what: str, x) -> tuple[int, int]:
+    """(u, v) with {x} = u/v in lowest terms: the point ``x`` of the circle,
+    read by ``_rational`` and reduced mod 1 in integers."""
+    x = _rational(what, x)
+    v = x.denominator
+    return x.numerator % v, v

@@ -43,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, _at_least, _rational
+from .errors import ConfigError, _at_least, _integers, _point, _rational
 
 __all__ = [
     "StepFunction",
@@ -66,11 +66,6 @@ TWO_PI = 2.0 * math.pi
 # Per-term hat norm of the centered fractional part: sum_{r!=0} (1/4pi^2)/r^2
 # = (1/4pi^2) * (pi^2/3) = 1/12, independent of the modulus.
 PHI0_HAT_NORM_SQ = 1.0 / 12.0
-
-
-def _frac(x) -> Fraction:
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,10 @@ class StepFunction:
 
     # -- basic structure ----------------------------------------------------
 
-    def piece_index(self, x) -> int:
-        return bisect.bisect_right(self.breakpoints, _frac(x)) - 1
+    def piece_index(self, x: Fraction) -> int:
+        return bisect.bisect_right(self.breakpoints, Fraction(*_point("x", x))) - 1
 
-    def evaluate(self, x):
+    def evaluate(self, x: Fraction):
         return self.values[self.piece_index(x)]
 
     def lengths(self) -> tuple[Fraction, ...]:
@@ -146,12 +141,14 @@ class StepFunction:
 
     def fourier_gamma(self, r: int) -> complex:
         """gamma_r = r c_r via the jump closed form; |gamma_r| <= K."""
+        (r,) = _integers("r", r)
         if r == 0:
             raise ConfigError("gamma_r is defined for r != 0")
         acc = 0j
         for t, j in self.jumps().items():
             # exact reduction of r*t mod 1 keeps the phase accurate for huge r
-            acc += float(j) * cmath.exp(-2j * math.pi * float(_frac(r * t)))
+            u, v = _point("phase", r * t)
+            acc += float(j) * cmath.exp(-2j * math.pi * (u / v))
         return acc / (2j * math.pi)
 
     def shifted(self, delta: Fraction) -> "StepFunction":
@@ -169,8 +166,8 @@ class Sawtooth:
     label: str = "phi0"
     slope = 1       # not a dataclass field
 
-    def evaluate(self, x):
-        return _frac(x) - Fraction(1, 2)
+    def evaluate(self, x: Fraction):
+        return Fraction(*_point("x", x)) - Fraction(1, 2)
 
     def jumps(self) -> dict[Fraction, Fraction]:
         """The wrap jump at 0, the only one; the slope carries the rest."""
@@ -242,7 +239,7 @@ def _step_from_jumps(pairs, mean, label: str) -> StepFunction:
     """
     jumps = {}
     for t, j in pairs:
-        t = Fraction(t) % 1
+        t = Fraction(*_point("jump point", t))
         jumps[t] = jumps.get(t, 0) + j
     bs = sorted({Fraction(0)} | {t for t, j in jumps.items() if j})
     vals = list(itertools.accumulate(jumps.get(b, 0) for b in bs))
@@ -260,7 +257,7 @@ def _step_from_intervals(intervals, label: str) -> StepFunction:
 
 def indicator(beta: Fraction) -> StepFunction:
     """1_{[0,beta)} - beta."""
-    beta = Fraction(beta)
+    beta = _rational("beta", beta)
     if not 0 < beta < 1:
         raise ConfigError("beta must be in (0,1)")
     return _step_from_intervals([(Fraction(0), beta, 1)], f"indicator(beta={beta})")
@@ -276,7 +273,7 @@ def half() -> StepFunction:
 
 def double_interval(beta: Fraction, gamma: Fraction) -> StepFunction:
     """1_{[0,beta)} - 1_{[gamma, gamma+beta)} (second interval mod 1)."""
-    beta, gamma = Fraction(beta), Fraction(gamma)
+    beta, gamma = _rational("beta", beta), _rational("gamma", gamma)
     if not (0 < beta < 1 and 0 < gamma < 1):
         raise ConfigError("beta, gamma must be in (0,1)")
     return _step_from_intervals([(Fraction(0), beta, 1),
@@ -286,7 +283,7 @@ def double_interval(beta: Fraction, gamma: Fraction) -> StepFunction:
 
 def half_shifted(beta: Fraction) -> StepFunction:
     """1_{[0,beta)} - 1_{[1/2, 1/2+beta)}: only odd frequencies survive."""
-    beta = Fraction(beta)
+    beta = _rational("beta", beta)
     if not 0 < beta < Fraction(1, 2):
         raise ConfigError("beta must be in (0,1/2)")
     return double_interval(beta, Fraction(1, 2))
@@ -294,7 +291,7 @@ def half_shifted(beta: Fraction) -> StepFunction:
 
 def billiard_pair(alpha: Fraction) -> VectorObservable:
     """The odd-frequency pair with widths alpha/2 and 1/2 - alpha/2."""
-    alpha = Fraction(alpha)
+    alpha = _rational("alpha", alpha)
     if not 0 < alpha < 1:
         raise ConfigError("alpha must be in (0,1)")
     phi1 = half_shifted(alpha / 2)
@@ -306,7 +303,7 @@ def billiard_displacement(alpha: Fraction) -> VectorObservable:
     """Cell-displacement components of the diagonal billiard:
     psi1 = 1_{[1/2-a/2, 1/2)} - 1_{[1-a/2, 1)},
     psi2 = 1_{[0, 1/2-a/2)} - 1_{[1/2, 1-a/2)}   (a = alpha)."""
-    alpha = Fraction(alpha)
+    alpha = _rational("alpha", alpha)
     if not 0 < alpha < 1:
         raise ConfigError("alpha must be in (0,1)")
     h = alpha / 2
@@ -469,7 +466,7 @@ def reduce_phases(num: int, den: int, rmax: int):
 
 def phase_fracs(theta: Fraction, rmax: int):
     """{r * theta} for r = 1..rmax as float64, exactly reduced."""
-    return reduce_phases(theta.numerator, theta.denominator, rmax)[1]
+    return reduce_phases(*_point("theta", theta), rmax)[1]
 
 
 def _phase_table(theta: Fraction, rmax: int, fn):
@@ -482,8 +479,9 @@ def _phase_table(theta: Fraction, rmax: int, fn):
     and with den <= rmax both phase tables are small int64 ones whose
     entries are the same exact quotients residue / den.
     """
-    period = min(theta.denominator, rmax)
-    table = fn(phase_fracs(theta, period))
+    num, den = _point("theta", theta)
+    period = min(den, rmax)
+    table = fn(reduce_phases(num, den, period)[1])
     if period == rmax:
         return table
     return np.tile(table, -(-rmax // period))[..., :rmax]
@@ -492,16 +490,17 @@ def _phase_table(theta: Fraction, rmax: int, fn):
 def gamma_array(phi: Observable, stride, rmax: int):
     """gamma_{stride * r} for r = 1..rmax as a complex vector.
 
-    ``stride`` may be an arbitrarily large integer (or Fraction-compatible):
-    each jump phase is reduced exactly once to theta = {stride * t}, and its
-    term J e^{-2 pi i r theta} is built on one period of r (den(theta)
-    entries at most) and tiled to rmax.
+    ``stride`` may be an arbitrarily large integer: each jump phase is
+    reduced exactly once to theta = {stride * t}, and its term
+    J e^{-2 pi i r theta} is built on one period of r (den(theta) entries
+    at most) and tiled to rmax.
     """
     _at_least("rmax", rmax, 1)
+    (stride,) = _integers("stride", stride)
     acc = np.zeros(rmax, dtype=complex)
     for t, j in _scalar(phi).jumps().items():
         jump = float(j)
-        acc += _phase_table(_frac(stride * t), rmax,
+        acc += _phase_table(stride * t, rmax,
                             lambda f: jump * np.exp(-2j * math.pi * f))
     return acc / (2j * math.pi)
 

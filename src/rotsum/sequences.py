@@ -52,12 +52,18 @@ class SubsequencePlan:
     def count(self) -> int:
         return len(self.t)
 
+    def _position(self, n, low: int) -> int:
+        """``n`` as a plan position in [low, count], low 0 or 1, read as
+        ``_integers`` reads it; outside that range it raises ConfigError."""
+        (n,) = _integers("plan position", n)
+        if not low <= n <= self.count:
+            raise ConfigError(f"plan position {n} outside plan range "
+                              f"[{low}, {self.count}]")
+        return n
+
     def q(self, k: int) -> int:
         """q_{t_k}, 1-based plan position."""
-        (k,) = _integers("plan position", k)
-        if not 1 <= k <= self.count:
-            raise ConfigError(f"plan position {k} outside [1, {self.count}]")
-        return self.trunc.qs[self.t[k - 1]]
+        return self.trunc.qs[self.t[self._position(k, 1) - 1]]
 
     def denominators(self) -> list[int]:
         return [self.trunc.qs[tk] for tk in self.t]
@@ -66,9 +72,7 @@ class SubsequencePlan:
         """sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2, summed left to right: the
         Fourier variance prediction for S_{L_n} phi."""
         _scalar(phi)
-        (n,) = _integers("n", n)
-        if not 0 <= n <= self.count:
-            raise ConfigError(f"n = {n} outside plan range [0, {self.count}]")
+        n = self._position(n, 0)
         total = 0.0
         for k in range(1, n + 1):
             total += hat_norm_sq(phi, self.q(k))[0]
@@ -276,7 +280,5 @@ def nondegeneracy_average(plan: SubsequencePlan, phi: Observable,
                           n: int) -> float:
     """(1/n) sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2 -- the variance floor that
     the Gaussian limit requires to stay above a positive constant."""
-    (n,) = _integers("n", n)
-    if not 1 <= n <= plan.count:
-        raise ConfigError("n outside plan range")
+    n = plan._position(n, 1)
     return plan.hat_variance(phi, n) / n

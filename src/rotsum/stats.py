@@ -95,10 +95,9 @@ class StratifiedSampler:
     den: int = 2 ** 64
 
     def __post_init__(self):
-        seed, size, den = _integers("sampler seed, size and denominator",
-                                    self.seed, self.size, self.den)
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        _at_least("seed", self.seed, 0)
+        size, den = _integers("sample size and denominator", self.size,
+                              self.den)
         if not 1 <= size <= den:
             raise ConfigError(f"sample size must be >= 1 and at most "
                               f"den = {self.den}, got {self.size}")
@@ -354,9 +353,7 @@ def sample_sums(plan: SubsequencePlan, phi: Observable,
     ``normalization`` is the empirical L2 norm; ``prediction`` the Fourier
     variance sum_{k<=n} ||hat_phi_{q_{t_k}}||_2^2.
     """
-    (n,) = _integers("n", n)
-    if not 0 <= n <= plan.count:
-        raise ConfigError("n outside plan range")
+    n = plan._position(n, 0)
     vals = draw_sums(phi, plan.trunc, sampler, plan.L[n])[:, 0]
     if n == 0:
         return SampleSet(vals, 1.0, prediction=0.0)
@@ -368,9 +365,8 @@ def clt_report(plan: SubsequencePlan, phi: Observable, n: int, ss: SampleSet,
                seed: int) -> ExperimentReport:
     """Normalized-sum Gaussianity check of the samples ``ss`` of
     S_{L_n} phi, drawn by ``sample_sums`` at plan position n."""
-    (n,) = _integers("n", n)
-    if not 1 <= n <= plan.count:
-        raise ConfigError("n outside plan range [1, plan.count]")
+    n = plan._position(n, 1)
+    seed = _at_least("seed", seed, 0)
     emp_var = ss.normalization ** 2
     ratio = emp_var / ss.prediction
     ks = ks_statistic(ss.values / ss.normalization, _normal_cdf_array)
@@ -499,9 +495,8 @@ def erdos_fortet_identity_error(n: int, xs) -> float:
 
 def gaposhkin_index_set(a: int, nmax: int) -> set[int]:
     """I_a = union over m of {k : m^a <= k <= m^a + m}, restricted to <= nmax."""
-    a, nmax = _integers("a and nmax", a, nmax)
-    if a < 1:
-        raise ConfigError(f"exponent a must be >= 1, got {a}")
+    a = _at_least("exponent a", a, 1)
+    (nmax,) = _integers("nmax", nmax)
     out: set[int] = set()
     m = 1
     while m ** a <= nmax:
@@ -520,11 +515,8 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int) -> ExperimentReport:
     """Compares the normalized sums over 2^k against the sequence modified to
     2^k - 1 on the sparse index set I_a: the modification is invisible at
     scale sqrt(n)."""
-    a, n = _integers("a and n", a, n)
-    if a < 5:
-        raise ConfigError("exponent a must be >= 5")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    a = _at_least("exponent a", a, 5)
+    n = _at_least("n", n, 1)
     mism = gaposhkin_index_set(a, n)
     s_plain, s_mod = (s / math.sqrt(n)
                       for s in _f0_columns(n, samples, seed, (), mism).T)
@@ -634,9 +626,7 @@ def covariance_2d(plan: SubsequencePlan, psi: VectorObservable,
     (u,v) in {(1,0), (0,1), (1,1)}.  Requires a parity-certified plan."""
     if not plan.certified.get("parity"):
         raise ConfigError("covariance_2d requires a parity-certified plan")
-    (n,) = _integers("n", n)
-    if not 1 <= n <= plan.count:
-        raise ConfigError("n outside plan range")
+    n = plan._position(n, 1)
     sums = draw_sums(psi.components, plan.trunc,
                      StratifiedSampler(seed=seed, size=samples), plan.L[n])
     v1 = sums[:, 0] / math.sqrt(n)

@@ -23,6 +23,7 @@ tail bound.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,12 +219,8 @@ def bound_series(phi: Observable, ell: int, trunc: RationalTruncation):
 
 
 def level_of(n: int, trunc: RationalTruncation) -> int:
-    """ell with q_ell <= n < q_{ell+1}."""
-    (n,) = _integers("n", n)
-    ell = 0
-    while ell + 1 < len(trunc.qs) and trunc.qs[ell + 1] <= n:
-        ell += 1
-    return ell
+    """ell with q_ell <= n < q_{ell+1} for 1 <= n < q_M, and M above."""
+    return bisect.bisect_right(trunc.qs, _at_least("n", n, 1)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +240,15 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     applied to the window indicator and to x^-2 on [1/m, 1/2].  The infinite
     sums are truncated at kscan = min(_RMAX, q_(M-1) - 1) and the
     truncation tails (1/kscan and m^2/kscan) are added to the left-hand sides
-    before checking; a violated inequality raises CertificateError.
+    before checking.  A partial sum that alone reaches its right-hand side
+    violates the inequality and raises CertificateError.  When only a tail
+    allowance tips a check, the scan was too short to decide it.  Where the
+    window cut the scan, PrecisionError names the smallest level whose window
+    holds a scan with allowances that fit; that scan adds terms, so it may be
+    short again.  Where the cap cut it, ConfigError says so.
     """
-    n, m = _integers("n and m", n, m)
-    if m < 3:
-        raise ConfigError("m must be >= 3")
-    _at_least("n", n, 0)
+    m = _at_least("m", m, 3)
+    n = _at_least("n", n, 0)
     # the scan from q_n needs q_n inside the window [1, q_(M-1))
     trunc.require_level(n + 2, f"the frequency scan from q_{n}")
     qn = trunc.qs[n]
@@ -280,11 +280,13 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     sel = slice(qn - 1, kscan)
     close = dist[sel] <= 1.0 / m
     inv_k2 = 1.0 / k[sel] ** 2
-    lhs2 = float(np.sum(inv_k2[close])) + 1.0 / kscan
+    part2 = float(np.sum(inv_k2[close]))
+    lhs2 = part2 + 1.0 / kscan
     rhs2 = 4.0 * (1.0 / (m * qn) + 1.0 / qn ** 2)
     ok2 = lhs2 <= rhs2
     far = ~close
-    lhs3 = float(np.sum(inv_k2[far] / dist[sel][far] ** 2)) + m * m / kscan
+    part3 = float(np.sum(inv_k2[far] / dist[sel][far] ** 2))
+    lhs3 = part3 + m * m / kscan
     rhs3 = 4.0 * m / qn + 8.0 * m * m / qn ** 2
     ok3 = lhs3 <= rhs3
     report = {
@@ -292,8 +294,19 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
         "close_frequencies": (lhs2, rhs2, ok2),
         "far_frequencies": (lhs3, rhs3, ok3),
     }
-    if not (ok1 and ok2 and ok3):
+    # the terms past the scan are positive, so a partial sum that reaches
+    # its right side is a violation whatever the scan length
+    if not (ok1 and part2 < rhs2 and part3 < rhs3):
         raise CertificateError(f"repartition inequality violated: {report}")
+    if not (ok2 and ok3):
+        need = max(kscan + 1, math.ceil(1.0 / (rhs2 - part2)),
+                   math.ceil(m * m / (rhs3 - part3)))
+        if kscan < trunc.validity_bound - 1:
+            raise ConfigError(f"a frequency scan of {need} terms, the length "
+                              "that fits the tail allowances, exceeds the cap "
+                              f"{_RMAX}")
+        # the window cut the scan, so need >= q_(M-1) and this raises
+        trunc.require_window(need, "frequency scan length")
     return report
 
 

@@ -168,6 +168,21 @@ def test_billiard_seeded_start(capsys):
     assert outs[0].count("\r\n") == 11
 
 
+@pytest.mark.parametrize("argv", [
+    ["clt", "--terms", "4", "--samples", "10"],
+    ["erdos-fortet", "--samples", "10"],
+    ["gaposhkin", "--samples", "10"],
+    # the seeded start used to escape as numpy's ValueError
+    ["billiard"],
+    ["billiard-clt", "--terms", "4", "--samples", "10"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_with_config_error(argv, capsys):
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
 def test_sum_past_the_window_names_the_level_that_holds_it(capsys):
     # the default golden truncation is at level 53, whose window ends near
     # 5.3e10; 10**29 - 1 needs q_140 > 10**29 - 1, so level 141

@@ -61,6 +61,21 @@ def test_spec_exhaustion():
         spec.a(4)
 
 
+@pytest.mark.parametrize("spec, least", [
+    (cf.golden(15), 3), (cf.from_list([1, 4, 2]), 3),
+    (cf.sqrt2m1(15), 2), (cf.from_list([5, 1, 1]), 2),
+], ids=["golden", "list-1", "sqrt2m1", "list-5"])
+def test_truncation_refuses_an_empty_window(spec, least):
+    # golden's level 2 used to build with the window [1, q_1) = [1, 1), so
+    # distance(1) raised and diagnostic_inequalities hit its scan check
+    for level in range(-1, least):
+        with pytest.raises(ConfigError, match=f"nonempty window is {least}$"):
+            cf.truncation(spec, level)
+    tr = cf.truncation(spec, least)
+    assert tr.validity_bound >= 2
+    assert tr.distance(1) == Fraction(min(tr.p, tr.q - tr.p), tr.q)
+
+
 def test_quotients_must_be_positive():
     with pytest.raises(ConfigError):
         cf.from_list([1, 0, 2])
@@ -189,6 +204,17 @@ SPECS = hst.one_of(
 )
 
 
+def _draw_truncation(spec, data):
+    """``spec`` frozen at a drawn level >= 2; None at level 2 with a_1 = 1,
+    whose empty window [1, q_1) = [1, 1) the truncation refuses."""
+    level = data.draw(hst.integers(2, spec.max_index), label="level")
+    if level == 2 and spec.a(1) == 1:
+        with pytest.raises(ConfigError, match="nonempty window is 3"):
+            cf.truncation(spec, level)
+        return None
+    return cf.truncation(spec, level)
+
+
 @pytest.mark.parametrize("name", ["clt_design", "parity_design"])
 @pytest.mark.parametrize("params", [{}, {"c": 30}, {"beta": 2}])
 def test_design_spec_without_its_params_is_refused(name, params):
@@ -209,8 +235,9 @@ def test_spec_and_truncation_json_round_trip(spec, data):
     spec2 = cf.PartialQuotientSpec.from_json(spec.to_json())
     assert spec2 == spec
     assert spec2.to_json() == spec.to_json()
-    tr = cf.truncation(spec, data.draw(hst.integers(2, spec.max_index),
-                                       label="level"))
+    tr = _draw_truncation(spec, data)
+    if tr is None:
+        return
     tr2 = cf.RationalTruncation.from_json(tr.to_json())
     assert tr2 == tr and tr2.to_json() == tr.to_json()
 
@@ -218,8 +245,9 @@ def test_spec_and_truncation_json_round_trip(spec, data):
 @settings(max_examples=80)
 @given(spec=SPECS, data=hst.data())
 def test_ostrowski_digits_sum_back_to_n(spec, data):
-    tr = cf.truncation(spec, data.draw(hst.integers(2, spec.max_index),
-                                       label="level"))
+    tr = _draw_truncation(spec, data)
+    if tr is None:
+        return
     n = data.draw(hst.one_of(hst.integers(1, tr.qs[tr.level] - 1),
                              hst.sampled_from(tr.qs[1:tr.level])), label="n")
     d = cf.ostrowski_digits(n, tr)

@@ -413,14 +413,30 @@ _OBSERVABLE = re.compile(r"\b(Observable|StepFunction|Sawtooth)\b")
 # union), or for each unannotated parameter by its name
 _ARGUMENTS = {
     "Observable": obs.half(), "list[Observable]": [obs.half()],
+    "VectorObservable": obs.billiard_pair(Fraction(2, 5)),
     "int": 2, "float": 2.0, "Fraction": Fraction(1, 3), "list[int]": [2],
-    "RationalTruncation": _GOLDEN, "SubsequencePlan": _PLAN,
+    "tuple": (Fraction(0), Fraction(1, 2)),
+    "RationalTruncation": _GOLDEN, "SubsequencePlan": _PARITY_PLAN,
+    "ObstacleParams": bil.params_for_plan(_PARITY_PLAN.trunc),
     "StratifiedSampler": st.StratifiedSampler(0, 4),
     "SampleSet": st.SampleSet(np.array([-1.0, 1.0]), 1.0, prediction=1.0),
-    "x": Fraction(1, 7), "stride": 1, "ns": [2],
+    "stride": 1, "ns": [2],
 }
 # An instance for each class with a public method that takes an observable
-_INSTANCES = {seq.SubsequencePlan: _PLAN}
+# or an exact input
+_INSTANCES = {
+    seq.SubsequencePlan: _PARITY_PLAN, obs.StepFunction: obs.half(),
+    obs.Sawtooth: obs.Sawtooth(),
+    es.OrbitProfile: es.orbit_sum_profile(obs.half(), 3, Fraction(1, 3)),
+    bil.PiecewiseLinear: bil.hitting_time_profile(_SHAPE),
+}
+
+
+def _key(param) -> str:
+    """The ``_ARGUMENTS`` key of a parameter: the first alternative of its
+    annotation, or its name where it has none."""
+    return (str(param.annotation).split(" | ")[0]
+            if param.annotation is not param.empty else param.name)
 
 
 def _takes_observable(fn):
@@ -471,9 +487,7 @@ def test_observable_readers_refuse_a_vector_observable(name, fn):
     vector = obs.billiard_pair(Fraction(2, 5))
     required = [p for p in inspect.signature(fn).parameters.values()
                 if p.default is p.empty]
-    args = [_ARGUMENTS[str(p.annotation).split(" | ")[0]
-                       if p.annotation is not p.empty else p.name]
-            for p in required]
+    args = [_ARGUMENTS[_key(p)] for p in required]
     tried = 0
     for i, param in enumerate(required):
         if _OBSERVABLE.search(str(param.annotation)):
@@ -482,6 +496,79 @@ def test_observable_readers_refuse_a_vector_observable(name, fn):
                 fn(*args[:i], bad, *args[i + 1:])
             tried += 1
     assert tried
+
+
+def _is_exact_input(param, in_plan: bool) -> bool:
+    """A point of the circle or a rational (annotated as a Fraction), a
+    seed, a stride, or a plan position (``n`` or ``k`` beside a plan)."""
+    return ("Fraction" in str(param.annotation).split(" | ")
+            or param.name in ("seed", "stride")
+            or in_plan and param.name in ("n", "k"))
+
+
+def _exact_inputs():
+    """(name, callable, parameter) for each exact input of the library's
+    public functions, methods and the classes that check their own
+    arguments, a method bound to its class's entry in ``_INSTANCES``;
+    the CLI's inputs have their own tests."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        module = importlib.import_module(f"rotsum.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            entries = []        # (name, function, its class or None)
+            if inspect.isfunction(obj):
+                entries.append((name, obj, None))
+            if inspect.isclass(obj):
+                checks = ("__post_init__" if dataclasses.is_dataclass(obj)
+                          else "__init__")
+                if checks in vars(obj):
+                    entries.append((name, obj, None))
+                entries += [(f"{name}.{attr}", fn, obj)
+                            for attr, fn in vars(obj).items()
+                            if not attr.startswith("_")
+                            and inspect.isfunction(fn)]
+            for qualname, fn, owner in entries:
+                params = inspect.signature(fn).parameters
+                in_plan = owner is seq.SubsequencePlan or "plan" in params
+                for param in params.values():
+                    if _is_exact_input(param, in_plan):
+                        yield qualname, (fn if owner is None else getattr(
+                            _INSTANCES[owner], fn.__name__)), param.name
+
+
+_EXACT_INPUTS = sorted(_exact_inputs(), key=lambda e: (e[0], e[2]))
+
+
+def test_exact_inputs_are_found():
+    found = {(name, param) for name, _, param in _EXACT_INPUTS}
+    assert {("indicator", "beta"), ("StepFunction.evaluate", "x"),
+            ("OrbitProfile.evaluate", "x"), ("PiecewiseLinear.evaluate", "x"),
+            ("section_start", "chi"), ("gamma_array", "stride"),
+            ("ErgodicContext", "rot"), ("SubsequencePlan.q", "k"),
+            ("covariance_2d", "n"), ("StratifiedSampler", "seed"),
+            ("estimate_c", "seed")} <= found
+    assert len(found) >= 43
+
+
+@pytest.mark.parametrize("bad", [0.3, "1/3"], ids=["float", "string"])
+@pytest.mark.parametrize("name, fn, param", _EXACT_INPUTS,
+                         ids=[f"{n}-{p}" for n, _, p in _EXACT_INPUTS])
+def test_exact_inputs_refuse_floats_and_strings(name, fn, param, bad):
+    # one rule per input: a point, a rational, a seed or a plan position is
+    # read by the helpers of rotsum.errors, so 0.3 is never read as its
+    # binary expansion and "1/3" never escapes as a TypeError
+    kwargs = {p.name: _ARGUMENTS[_key(p)]
+              for p in inspect.signature(fn).parameters.values()
+              if p.default is p.empty}
+    if fn is st.gaposhkin_demo:
+        kwargs["a"] = 5         # its smallest exponent
+    kwargs[param] = bad
+    with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+        fn(**kwargs)
 
 
 @pytest.mark.parametrize("n", [10, 11])

@@ -463,8 +463,7 @@ def test_gamma_sq_array_sawtooth_constant():
     assert np.all(gsq == 1.0 / (4.0 * math.pi ** 2))
 
 
-@pytest.mark.parametrize("stride", [1, 7, 3 ** 200, Fraction(5, 3)],
-                         ids=["1", "7", "3**200", "5/3"])
+@pytest.mark.parametrize("stride", [1, 7, 3 ** 200], ids=["1", "7", "3**200"])
 @pytest.mark.parametrize("rmax", [1, 2, 17, 5000])
 def test_gamma_array_sawtooth_from_its_jump(stride, rmax):
     # the sawtooth's one jump, -1 at 0, gives gamma_r = i/(2 pi) bit for bit

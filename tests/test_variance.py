@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 
 from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import observables as obs
 from rotsum import variance as var
+from rotsum.errors import CertificateError, ConfigError, PrecisionError
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +227,59 @@ def test_diagnostic_orbit_sum_matches_fraction_loop(name):
                   for j in range(n))
     report = var.diagnostic_inequalities(trunc, n, 10)
     assert report["orbit_sum"] == (float(lhs), float(rhs), lhs <= rhs)
+
+
+def test_diagnostics_short_scan_is_not_a_violation():
+    # the tail allowances 1/kscan and m^2/kscan, not the partial sums, used
+    # to tip (ii) and (iii) into a CertificateError here
+    spec = cf.golden(40)
+    for level in (11, 12):      # the longer scan adds terms, so 12 is short
+        with pytest.raises(PrecisionError) as exc:
+            var.diagnostic_inequalities(cf.truncation(spec, level), 9, 10)
+        assert exc.value.required_level == level + 1
+    rep = var.diagnostic_inequalities(cf.truncation(spec, 13), 9, 10)
+    assert all(ok for (_, _, ok) in rep.values())
+    # here the cap, not the window, cut the scan
+    with pytest.raises(ConfigError, match="exceeds the cap 100000"):
+        var.diagnostic_inequalities(cf.truncation(spec, 30), 20, 100)
+
+
+def test_diagnostics_violation_is_a_certificate_error(monkeypatch,
+                                                      golden_trunc):
+    # a partial sum past its right side fails at any scan length
+    class Shrunk(var.AlphaFourierTable):
+        def __init__(self, trunc, rmax):
+            super().__init__(trunc, rmax)
+            self.dist = self.dist / 100
+
+    monkeypatch.setattr(var, "AlphaFourierTable", Shrunk)
+    with pytest.raises(CertificateError, match="violated"):
+        var.diagnostic_inequalities(golden_trunc, 8, 10)
+
+
+def _level_of_loop(n, trunc):
+    """The walk up trunc.qs that level_of made before it bisected."""
+    ell = 0
+    while ell + 1 < len(trunc.qs) and trunc.qs[ell + 1] <= n:
+        ell += 1
+    return ell
+
+
+@pytest.mark.parametrize("name", sorted(A4_TRUNCATIONS))
+def test_level_of_matches_the_loop(name):
+    # both are step functions of n that change only at some q_j, so equal
+    # values at 1 and at each q_j - 1 and q_j cover every n < q_M
+    trunc = A4_TRUNCATIONS[name][0]
+    ns = {1} | {q + d for q in trunc.qs for d in (-1, 0)}
+    for n in sorted(n for n in ns if 1 <= n < trunc.q):
+        assert var.level_of(n, trunc) == _level_of_loop(n, trunc)
+
+    @settings(max_examples=200)
+    @given(n=hst.integers(1, trunc.q - 1))
+    def check(n):
+        assert var.level_of(n, trunc) == _level_of_loop(n, trunc)
+
+    check()
 
 
 def test_variance_profile_shape(golden_trunc):
