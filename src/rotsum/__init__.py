@@ -1,9 +1,10 @@
-"""rotsum: exact ergodic sums of step observables over circle rotations.
+"""rotsum: exact ergodic sums of BV observables over circle rotations.
 
 Subpackages:
 
 * ``contfrac``    -- exact continued fractions, convergents, Ostrowski digits
-* ``observables`` -- zero-mean BV step observables and their Fourier data
+* ``observables`` -- zero-mean BV observables (jumps plus a slope) and
+                     their Fourier data
 * ``ergosum``     -- exact O(log N) ergodic-sum engines and piecewise profiles
 * ``variance``    -- Fourier-side variance kernels, bounds and diagnostics
 * ``sequences``   -- certified subsequence plans (growth, parity, lacunarity)

@@ -69,10 +69,11 @@ def _design_params(params: dict) -> tuple:
     # the builders record both keys; a spec read back without them would
     # otherwise be built from a second, hidden copy of their defaults
     try:
-        return params["c"], params["beta"]
+        c, beta = params["c"], params["beta"]
     except KeyError as exc:
         raise ConfigError(f"design rule needs params c and beta, missing "
                           f"{exc.args[0]!r}") from None
+    return _at_least("boost factor c", c, 1), *_integers("exponent beta", beta)
 
 
 def _rule_clt_design(k: int, params: dict) -> int:
@@ -129,13 +130,15 @@ class PartialQuotientSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.max_index < 1:
-            raise ConfigError("max_index must be >= 1")
+        object.__setattr__(self, "max_index",
+                           _at_least("max_index", self.max_index, 1))
         if self.quotients is None:
             if self.name not in _RULES:
                 raise ConfigError(f"unknown rule name {self.name!r}")
             _RULES[self.name](1, self.params)   # checks the rule's params
         else:
+            object.__setattr__(self, "quotients", tuple(
+                _integers("partial quotients", *self.quotients)))
             if len(self.quotients) < self.max_index:
                 raise ConfigError("explicit quotient list shorter than max_index")
             if any(a < 1 for a in self.quotients):
@@ -194,14 +197,12 @@ def sqrt2m1(max_index: int = 48) -> PartialQuotientSpec:
 
 
 def from_list(quotients: Sequence[int]) -> PartialQuotientSpec:
-    qs = tuple(_integers("partial quotients", *quotients))
+    qs = tuple(quotients)
     return PartialQuotientSpec(name="list", max_index=len(qs), quotients=qs)
 
 
 def clt_design_rule(c: int = 30, beta: int = 2, max_index: int = 64) -> PartialQuotientSpec:
     """Rotation number with a_{k} ~ c*(k-1)^beta: every slot is a growth slot."""
-    if c < 1:
-        raise ConfigError("boost factor c must be >= 1")
     return PartialQuotientSpec(name="clt_design", max_index=max_index,
                                params={"c": c, "beta": beta})
 
@@ -210,8 +211,6 @@ def parity_design_rule(c: int = 30, beta: int = 2, max_index: int = 160) -> Part
     """All-odd quotients with boosted slots arranged so that q_{t_k} is odd,
     p_{t_k} alternates even/odd along the plan positions, and the growth
     condition a_{t_k+1} >= k^beta holds."""
-    if c < 1:
-        raise ConfigError("boost factor c must be >= 1")
     return PartialQuotientSpec(name="parity_design", max_index=max_index,
                                params={"c": c, "beta": beta})
 

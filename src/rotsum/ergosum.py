@@ -56,7 +56,7 @@ import numpy as np
 from .contfrac import RationalTruncation, ostrowski_digits
 from .errors import (CertificateError, ConfigError, _at_least, _integers,
                      _point, _rational)
-from .observables import (_INT64_SAFE, Observable, Sawtooth, _scalar,
+from .observables import (_INT64_SAFE, Observable, _scalar,
                           _step_from_jumps)
 
 __all__ = [
@@ -286,27 +286,25 @@ def _direct_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation)
     N = _at_least("N", N, 0)
     if N > 1:
         trunc.require_window(N - 1, "orbit length")
-    L = math.lcm(trunc.q, x_den)
+    bs = _scalar(phi).breakpoints
+    L = math.lcm(trunc.q, x_den, *(b.denominator for b in bs))
     P = trunc.p * (L // trunc.q) % L
     r = x_num * (L // x_den)
-    # integer residues r = {x + j alpha} L: the sawtooth sums them, a step
-    # function counts its visits per piece; one Fraction at the end
-    if isinstance(phi, Sawtooth):
-        total = 0
-        for _ in range(N):
-            total += r
-            r += P
-            if r >= L:
-                r -= L
-        return Fraction(2 * total - N * L, 2 * L)
-    bounds = [int(b * L) for b in phi.breakpoints]
+    # integer residues r = {x + j alpha} L: count the visits to each piece
+    # and sum the offsets r - b L into it for the slope; one Fraction at the
+    # end
+    bounds = [int(b * L) for b in bs]
     visits = [0] * len(bounds)
+    offsets = 0
     for _ in range(N):
-        visits[bisect.bisect_right(bounds, r) - 1] += 1
+        i = bisect.bisect_right(bounds, r) - 1
+        visits[i] += 1
+        offsets += r - bounds[i]
         r += P
         if r >= L:
             r -= L
-    return Fraction(sum(c * v for c, v in zip(visits, phi.values)))
+    return (Fraction(sum(c * v for c, v in zip(visits, phi.values)))
+            + Fraction(phi.slope * offsets, L))
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,33 @@
 """Zero-mean bounded-variation observables on the circle.
 
-Two concrete kinds, with one exact form that the exact engines read:
-``jumps()``, the jump phi(t) - phi(t-) at each point t where phi jumps
-(the wrap at 0 included), plus a constant ``slope`` between the jumps.
+One concrete kind, ``StepFunction``: exact rational breakpoints, the value
+at each (closed-left / open-right pieces; the value at a breakpoint
+follows the piece to its right) and one integer ``slope`` by which every
+piece rises.  The exact engines read its one exact form: ``jumps()``, the
+jump phi(t) - phi(t-) at each point t where phi jumps (the wrap at 0
+included), plus the slope.  The variation is the cyclic sum of absolute
+jumps plus |slope|.  The slope adds nothing to the Fourier coefficients at
+r != 0, which have the closed form
 
-* ``StepFunction`` -- piecewise constant with exact rational breakpoints
-  (closed-left / open-right pieces; the value at a breakpoint follows the
-  piece to its right), so its slope is 0.  The variation is the cyclic sum
-  of absolute jumps, wrap at 0 included, and the Fourier coefficients have
-  the closed form
+    c_r = gamma_r / r,   gamma_r = (1 / 2 pi i) * sum_jumps J * e^{-2 pi i r t},
 
-      c_r = gamma_r / r,   gamma_r = (1 / 2 pi i) * sum_jumps J * e^{-2 pi i r t},
+so sup_r |gamma_r| <= sum |J| / (2 pi) =: K.
 
-  so sup_r |gamma_r| <= V/(2 pi) =: K.
-
-* ``Sawtooth`` -- the centered fractional part {x} - 1/2: slope 1 and one
-  jump -1 at 0.  Its gamma_r is the constant i/(2 pi).  It is the
-  normalizing observable for the variance machinery and is exactly
-  invariant under the periodization transfer.
+The paper's examples are the step functions of the catalog (slope 0) and
+the centered fractional part {x} - 1/2, built by ``Sawtooth``: slope 1 and
+one jump -1 at 0, so its gamma_r is the constant i/(2 pi).  It is the
+normalizing observable for the variance machinery and is exactly
+invariant under the periodization transfer.
 
 The periodization transfer ("hat") of an observable at modulus l is
 
     hat_phi_l(x) = sum_{r != 0} (gamma_{r l} / r) e^{2 pi i r x},
     hat_phi_l(l x) = sum_{j < l} phi(x + j/l),
 
-which for a step function is again a step function: each jump J at t
-becomes a jump J at {l t}, and the mean is multiplied by l.  Step functions
-are built, shifted and transferred from their jumps alone, so the transfer
-costs O(#jumps) at any l.
+which is again such an observable: each jump J at t becomes a jump J at
+{l t}, the slope stays and the mean is multiplied by l.  Observables are
+built, shifted and transferred from their jumps and slope alone, so the
+transfer costs O(#jumps) at any l.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -70,8 +69,9 @@ PHI0_HAT_NORM_SQ = 1.0 / 12.0
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Piecewise-constant observable; ``values[i]`` holds on
-    [breakpoints[i], breakpoints[i+1]) with the last piece wrapping to 1.
+    """Piecewise-linear observable with one integer ``slope``: ``values[i]``
+    is the value at breakpoints[i], and on [breakpoints[i], breakpoints[i+1])
+    it rises by ``slope`` per unit, the last piece wrapping to 1.
 
     Breakpoints and values are exact (int or Fraction); breakpoints lie in
     [0,1) with breakpoints[0] == 0.
@@ -80,9 +80,10 @@ class StepFunction:
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     label: str = "step"
-    slope = 0       # constant between breakpoints (not a dataclass field)
+    slope: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "slope", *_integers("slope", self.slope))
         if any(not isinstance(v, (int, Fraction))
                for v in self.breakpoints + self.values):
             raise ConfigError("breakpoints and values must be int or Fraction")
@@ -101,7 +102,11 @@ class StepFunction:
         return bisect.bisect_right(self.breakpoints, Fraction(*_point("x", x))) - 1
 
     def evaluate(self, x: Fraction):
-        return self.values[self.piece_index(x)]
+        i = self.piece_index(x)
+        if not self.slope:
+            return self.values[i]
+        x = Fraction(*_point("x", x))
+        return self.values[i] + self.slope * (x - self.breakpoints[i])
 
     def lengths(self) -> tuple[Fraction, ...]:
         bs = self.breakpoints
@@ -110,32 +115,44 @@ class StepFunction:
         return tuple(out)
 
     def mean(self):
-        return sum(v * l for v, l in zip(self.values, self.lengths()))
+        half = Fraction(self.slope, 2)
+        return sum((v + half * l) * l
+                   for v, l in zip(self.values, self.lengths()))
 
     def jumps(self) -> dict[Fraction, object]:
-        """Jump (value_right - value_left) at each breakpoint, wrap included."""
+        """Jump phi(t) - phi(t-) at each breakpoint t, wrap at 0 included:
+        the value at t less the end value of the piece before it."""
+        s, bs, vs = self.slope, self.breakpoints, self.values
         out = {}
-        k = len(self.values)
-        for i, b in enumerate(self.breakpoints):
-            j = self.values[i] - self.values[(i - 1) % k]
+        for i, b in enumerate(bs):
+            j = vs[i] - vs[i - 1]
+            if s:   # the piece before rises over b - bs[i-1], or 1 - bs[-1]
+                j -= s * ((b or 1) - bs[i - 1])
             if j != 0:
                 out[b] = j
         return out
 
     def variation(self):
-        """Cyclic total variation: sum of |jumps| including the wrap at 0."""
-        return sum(abs(j) for j in self.jumps().values())
+        """Cyclic total variation: sum of |jumps| (the wrap at 0 included)
+        plus |slope|, the rise over the circle."""
+        return sum(abs(j) for j in self.jumps().values()) + abs(self.slope)
 
     def kbound(self) -> float:
-        """K with |r c_r| <= K for all r != 0; from jumps, K = V/(2 pi)."""
-        return float(self.variation()) / TWO_PI
+        """K with |r c_r| <= K for all r != 0: the slope adds nothing to
+        gamma_r, so K = sum |jumps| / (2 pi)."""
+        return float(self.variation() - abs(self.slope)) / TWO_PI
 
     def norm_sq(self):
-        """Exact squared L2 norm."""
-        return sum(v * v * l for v, l in zip(self.values, self.lengths()))
+        """Exact squared L2 norm: a piece of length l starting at v adds
+        l (v^2 + s v l + s^2 l^2 / 3) for the slope s."""
+        s = self.slope
+        return sum(l * (v * v + s * v * l + Fraction(s * s, 3) * l * l)
+                   for v, l in zip(self.values, self.lengths()))
 
     def sup_abs(self):
-        return max(abs(v) for v in self.values)
+        """sup |phi|: the largest |value| at either end of a piece."""
+        return max(abs(e) for v, l in zip(self.values, self.lengths())
+                   for e in (v, v + self.slope * l))
 
     # -- Fourier ------------------------------------------------------------
 
@@ -156,46 +173,18 @@ class StepFunction:
         delta = _rational("shift", delta)
         return _step_from_jumps(
             ((t - delta, j) for t, j in self.jumps().items()), self.mean(),
-            f"{self.label}+shift")
+            f"{self.label}+shift", self.slope)
 
 
-@dataclass(frozen=True)
-class Sawtooth:
-    """The centered fractional part {x} - 1/2: slope 1 and one jump -1 at 0."""
+class Sawtooth(StepFunction):
+    """The centered fractional part {x} - 1/2: -1/2 at 0, slope 1 and one
+    jump -1 at 0."""
 
-    label: str = "phi0"
-    slope = 1       # not a dataclass field
-
-    def evaluate(self, x: Fraction):
-        return Fraction(*_point("x", x)) - Fraction(1, 2)
-
-    def jumps(self) -> dict[Fraction, Fraction]:
-        """The wrap jump at 0, the only one; the slope carries the rest."""
-        return {Fraction(0): Fraction(-1)}
-
-    def mean(self):
-        return Fraction(0)
-
-    def variation(self):
-        # cyclic convention: continuous rise 1 plus the wrap jump of 1
-        return Fraction(2)
-
-    def kbound(self) -> float:
-        return 1.0 / TWO_PI
-
-    def norm_sq(self):
-        return Fraction(1, 12)
-
-    def sup_abs(self):
-        return Fraction(1, 2)
-
-    def fourier_gamma(self, r: int) -> complex:
-        if r == 0:
-            raise ConfigError("gamma_r is defined for r != 0")
-        return 1j / TWO_PI  # -1/(2 pi i)
+    def __init__(self, label: str = "phi0"):
+        super().__init__((Fraction(0),), (Fraction(-1, 2),), label, 1)
 
 
-Observable = Union[StepFunction, Sawtooth]
+Observable = StepFunction
 
 
 def _scalar(phi) -> Observable:
@@ -229,23 +218,24 @@ class VectorObservable:
 # Module-level conveniences
 # ---------------------------------------------------------------------------
 
-def _step_from_jumps(pairs, mean, label: str) -> StepFunction:
-    """The step function with a jump J at each (t, J) of ``pairs`` and the
-    given ``mean``; the jumps of a periodic function sum to 0.
+def _step_from_jumps(pairs, mean, label: str, slope: int = 0) -> StepFunction:
+    """The observable with a jump J at each (t, J) of ``pairs``, the given
+    ``mean`` and ``slope``; the jumps of a periodic function sum to -slope.
 
     Each point is read mod 1, jumps at one point are summed and zero jumps
-    dropped.  Breakpoint 0 stays even without a jump; the values are the
-    running sums of the jumps plus the constant that fixes the mean.
+    dropped.  Breakpoint 0 stays even without a jump; the value at each
+    breakpoint b is the running sum of the jumps plus slope * b, plus the
+    constant that fixes the mean.
     """
     jumps = {}
     for t, j in pairs:
         t = Fraction(*_point("jump point", t))
         jumps[t] = jumps.get(t, 0) + j
-    bs = sorted({Fraction(0)} | {t for t, j in jumps.items() if j})
-    vals = list(itertools.accumulate(jumps.get(b, 0) for b in bs))
-    lengths = [e - b for b, e in zip(bs, bs[1:] + [1])]
-    c = mean - sum(v * l for v, l in zip(vals, lengths))
-    return StepFunction(tuple(bs), tuple(v + c for v in vals), label=label)
+    bs = tuple(sorted({Fraction(0)} | {t for t, j in jumps.items() if j}))
+    vals = [v + slope * b for v, b in
+            zip(itertools.accumulate(jumps.get(b, 0) for b in bs), bs)]
+    c = mean - StepFunction(bs, tuple(vals), label, slope).mean()
+    return StepFunction(bs, tuple(v + c for v in vals), label, slope)
 
 
 def _step_from_intervals(intervals, label: str) -> StepFunction:
@@ -351,16 +341,16 @@ def catalog(name: str, **params):
 def hat_observable(phi: Observable, ell: int) -> Observable:
     """hat_phi_ell with hat_phi_ell(ell x) = sum_{j<ell} phi(x + j/ell).
 
-    For a step function each jump J at t becomes a jump J at {ell t}, and
-    the mean is ell * mean(phi): O(#jumps) exact work at any ell.
+    Each jump J at t becomes a jump J at {ell t}, the slope stays (ell
+    terms of slope s read at y / ell) and the mean is ell * mean(phi):
+    O(#jumps) exact work at any ell.  The sawtooth is its own transfer.
     """
     ell = _at_least("ell", ell, 1)
-    if isinstance(_scalar(phi), Sawtooth):
-        return phi  # gamma_{r ell} = gamma_r: the transfer fixes the sawtooth
     if ell == 1:
-        return phi
-    return _step_from_jumps(((ell * t, j) for t, j in phi.jumps().items()),
-                            ell * phi.mean(), f"hat({phi.label},{ell})")
+        return _scalar(phi)
+    return _step_from_jumps(
+        ((ell * t, j) for t, j in _scalar(phi).jumps().items()),
+        ell * phi.mean(), f"hat({phi.label},{ell})", phi.slope)
 
 
 # Largest bound on r * den for which residue tables stay in int64.
@@ -508,6 +498,7 @@ def gamma_array(phi: Observable, stride, rmax: int):
 def gamma_sq_array(phi: Observable, stride, rmax: int):
     """|gamma_{stride * r}|^2 for r = 1..rmax; the sawtooth's is 1/(4 pi^2)."""
     _at_least("rmax", rmax, 1)
+    _integers("stride", stride)
     if isinstance(phi, Sawtooth):
         return np.full(rmax, 1.0 / (4.0 * math.pi ** 2))
     g = gamma_array(phi, stride, rmax)

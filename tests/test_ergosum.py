@@ -579,20 +579,14 @@ def test_sums_at_checks_operands_and_window():
 
 
 def _fraction_loop_sum(phi, x, N, trunc):
-    """The direct engine as first written, one Fraction added per term: the
-    oracle of the integer direct engine."""
+    """S_N phi(x) as one ``evaluate`` Fraction added per term: the oracle of
+    the integer direct engine."""
     L = math.lcm(trunc.q, x.denominator)
     P = trunc.p * (L // trunc.q)
     r = (x.numerator * (L // x.denominator)) % L
     total = Fraction(0)
-    if isinstance(phi, obs.Sawtooth):
-        for _ in range(N):
-            total += Fraction(r, L) - Fraction(1, 2)
-            r = (r + P) % L
-        return total
-    bounds = [int(b * L) for b in phi.breakpoints]
     for _ in range(N):
-        total += phi.values[bisect.bisect_right(bounds, r) - 1]
+        total += phi.evaluate(Fraction(r, L))
         r = (r + P) % L
     return total
 
@@ -605,6 +599,36 @@ def test_direct_sum_equals_fraction_loop(case):
     direct = es._direct_sum(phi, x, n, trunc)
     assert type(direct) is Fraction
     assert direct == _fraction_loop_sum(phi, x, n, trunc)
+
+
+def test_direct_sum_places_a_point_just_below_a_breakpoint():
+    # x lies 1/q below the breakpoint 2/7, whose denominator does not
+    # divide q: read over q alone, the breakpoint used to round down onto
+    # x and count it in the piece to its right
+    tr = PROFILE_TRUNCS["golden"]
+    phi = obs.indicator(Fraction(2, 7))
+    x = Fraction(2 * tr.q // 7, tr.q)
+    assert x < Fraction(2, 7) and phi.evaluate(x) == Fraction(5, 7)
+    assert es._direct_sum(phi, x, 1, tr) == Fraction(5, 7)
+
+
+@settings(max_examples=60)
+@given(shift=hst.fractions(0, 1, max_denominator=300), ell=hst.integers(1, 40),
+       trunc=hst.sampled_from(sorted(PROFILE_TRUNCS)),
+       x=hst.fractions(0, 1, max_denominator=10 ** 6), n=hst.integers(0, 300))
+@example(shift=Fraction(1, 3), ell=7, trunc="deep", x=Fraction(0), n=300)
+def test_moved_sawtooth_sums_match_the_direct_sum(shift, ell, trunc, x, n):
+    # the sawtooth shifted and transferred is a slope-1 step function with
+    # its one jump moved: {y + ell shift} - 1/2; the kernel reads its jump
+    # and slope, the direct sum its pieces, the loop its values
+    tr = PROFILE_TRUNCS[trunc]
+    phi = obs.hat_observable(obs.Sawtooth().shifted(shift), ell)
+    moved = obs.Sawtooth().shifted(ell * shift)
+    assert (phi.breakpoints, phi.values, phi.slope) == (
+        moved.breakpoints, moved.values, moved.slope)
+    direct = es._direct_sum(phi, x, n, tr)
+    assert es.ergodic_sum(phi, x, n, tr) == direct == _fraction_loop_sum(
+        phi, x, n, tr)
 
 
 def test_context_rotation_is_a_truncation_or_an_exact_rational():

@@ -381,6 +381,20 @@ _INF = float("inf")
     pytest.param(lambda: cf.clt_design_rule(c=0), id="clt_design_rule-c"),
     pytest.param(lambda: cf.parity_design_rule(c=0),
                  id="parity_design_rule-c"),
+    # each used to build a spec from a float, or to escape as a bare
+    # TypeError
+    pytest.param(lambda: cf.golden(2.5), id="golden-max_index-float"),
+    pytest.param(lambda: cf.clt_design_rule(c=2.5),
+                 id="clt_design_rule-c-float"),
+    pytest.param(lambda: cf.parity_design_rule(beta=1.5),
+                 id="parity_design_rule-beta-float"),
+    pytest.param(lambda: cf.clt_design_rule(c="3"),
+                 id="clt_design_rule-c-string"),
+    pytest.param(lambda: cf.PartialQuotientSpec(name="golden", max_index="5"),
+                 id="spec-max_index-string"),
+    # used to return the sawtooth's constant for a float stride
+    pytest.param(lambda: obs.gamma_sq_array(obs.Sawtooth(), 0.3, 3),
+                 id="gamma_sq_array-sawtooth-stride"),
     pytest.param(lambda: cf.truncation(cf.golden(15), 1), id="truncation-1"),
     pytest.param(lambda: cli.parse_alpha("list:1,2,3,4,5", 3),
                  id="parse_alpha-short-list"),
@@ -416,6 +430,7 @@ _ARGUMENTS = {
     "VectorObservable": obs.billiard_pair(Fraction(2, 5)),
     "int": 2, "float": 2.0, "Fraction": Fraction(1, 3), "list[int]": [2],
     "tuple": (Fraction(0), Fraction(1, 2)),
+    "tuple[Fraction, ...]": (Fraction(0), Fraction(1, 2)),
     "RationalTruncation": _GOLDEN, "SubsequencePlan": _PARITY_PLAN,
     "ObstacleParams": bil.params_for_plan(_PARITY_PLAN.trunc),
     "StratifiedSampler": st.StratifiedSampler(0, 4),
@@ -426,7 +441,6 @@ _ARGUMENTS = {
 # or an exact input
 _INSTANCES = {
     seq.SubsequencePlan: _PARITY_PLAN, obs.StepFunction: obs.half(),
-    obs.Sawtooth: obs.Sawtooth(),
     es.OrbitProfile: es.orbit_sum_profile(obs.half(), 3, Fraction(1, 3)),
     bil.PiecewiseLinear: bil.hitting_time_profile(_SHAPE),
 }
@@ -500,9 +514,10 @@ def test_observable_readers_refuse_a_vector_observable(name, fn):
 
 def _is_exact_input(param, in_plan: bool) -> bool:
     """A point of the circle or a rational (annotated as a Fraction), a
-    seed, a stride, or a plan position (``n`` or ``k`` beside a plan)."""
+    seed, a stride, an observable's slope, or a plan position (``n`` or
+    ``k`` beside a plan)."""
     return ("Fraction" in str(param.annotation).split(" | ")
-            or param.name in ("seed", "stride")
+            or param.name in ("seed", "stride", "slope")
             or in_plan and param.name in ("n", "k"))
 
 
@@ -517,7 +532,8 @@ def _exact_inputs():
         module = importlib.import_module(f"rotsum.{path.stem}")
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) \
-                    != module.__name__:
+                    != module.__name__ or getattr(obj, "__name__", name) \
+                    != name:    # an alias, as Observable is of StepFunction
                 continue
             entries = []        # (name, function, its class or None)
             if inspect.isfunction(obj):
@@ -549,6 +565,7 @@ def test_exact_inputs_are_found():
             ("OrbitProfile.evaluate", "x"), ("PiecewiseLinear.evaluate", "x"),
             ("section_start", "chi"), ("gamma_array", "stride"),
             ("ErgodicContext", "rot"), ("SubsequencePlan.q", "k"),
+            ("StepFunction", "slope"),
             ("covariance_2d", "n"), ("StratifiedSampler", "seed"),
             ("estimate_c", "seed")} <= found
     assert len(found) >= 43
@@ -675,6 +692,30 @@ def test_explicit_list_past_its_end_names_no_level(trunc, call):
     with pytest.raises(PrecisionError) as exc:
         call(trunc)
     assert exc.value.required_level is None
+
+
+def test_sawtooth_is_tested_for_only_by_its_two_constants():
+    # one observable type: Sawtooth only builds the one-jump, slope-1 step
+    # function, and only the constant |gamma_r|^2 and the exact norm 1/12
+    # still test for it
+    tree = ast.parse((SRC / "observables.py").read_text())
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "Sawtooth"]
+    assert [node.name for node in cls.body
+            if not isinstance(node, ast.Expr)] == ["__init__"]
+
+    def tests_for_sawtooth(node):
+        return (isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "isinstance"
+                and "Sawtooth" in ast.unparse(node.args[1]))
+
+    found = [where for where, node in _library_nodes()
+             if tests_for_sawtooth(node)]
+    owners = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and any(map(tests_for_sawtooth, ast.walk(node)))]
+    assert len(found) == 2 and sorted(owners) == [
+        "gamma_sq_array", "hat_norm_sq"], (found, owners)
 
 
 def test_precision_error_is_raised_only_by_the_truncation():

@@ -55,6 +55,28 @@ def test_evaluate_basics():
     assert ind.evaluate(Fraction(1, 3)) == Fraction(-1, 3)
 
 
+def test_sawtooth_keeps_the_values_and_types_of_its_own_class():
+    # the values the dedicated sawtooth class returned, pinned as literals:
+    # the one-jump, slope-1 step function must return each of them, of the
+    # same type
+    st = obs.Sawtooth()
+    got = [st.evaluate(0), st.evaluate(Fraction(3, 4)),
+           st.evaluate(Fraction(-7, 3)), st.mean(), st.variation(),
+           st.norm_sq(), st.sup_abs()]
+    want = [Fraction(-1, 2), Fraction(1, 4), Fraction(1, 6), Fraction(0),
+            Fraction(2), Fraction(1, 12), Fraction(1, 2)]
+    assert got == want and all(type(v) is Fraction for v in got)
+    assert [(type(t), t, type(j), j) for t, j in st.jumps().items()] == [
+        (Fraction, 0, Fraction, -1)]
+    assert st.kbound().hex() == (1.0 / TWO_PI).hex()
+    for r in (1, 7, 10 ** 30 + 3, -5):
+        g = st.fourier_gamma(r)
+        assert (g.real.hex(), g.imag.hex()) == ((1j / TWO_PI).real.hex(),
+                                                (1j / TWO_PI).imag.hex())
+    assert (st.label, st.slope, isinstance(st, obs.StepFunction)) == (
+        "phi0", 1, True)
+
+
 def test_fourier_gamma_rejects_zero():
     with pytest.raises(ValueError):
         obs.Sawtooth().fourier_gamma(0)
@@ -140,7 +162,11 @@ def test_hat_identity_and_fixed_point():
     phi = obs.indicator(Fraction(1, 3))
     assert obs.hat_observable(phi, 1) is phi
     st = obs.Sawtooth()
-    assert obs.hat_observable(st, 7) is st  # gamma_{r l} = gamma_r
+    for ell in (7, 10 ** 30 + 3):   # gamma_{r l} = gamma_r
+        hat = obs.hat_observable(st, ell)
+        assert (hat.jumps(), hat.mean(), hat.slope) == (
+            st.jumps(), st.mean(), st.slope)
+        assert (hat.breakpoints, hat.values) == (st.breakpoints, st.values)
 
 
 @pytest.mark.parametrize("phi", CATALOG[1:], ids=lambda p: p.label)
@@ -345,7 +371,7 @@ def test_reduce_phases_deep_drift_table():
 
 
 LEVEL40 = cf.truncation(cf.clt_design_rule(c=30, beta=2, max_index=45), 40)
-STEP_CATALOG = [phi for phi in CATALOG if isinstance(phi, obs.StepFunction)] \
+STEP_CATALOG = [phi for phi in CATALOG if phi.slope == 0] \
     + [obs.billiard_displacement(Fraction(2, 5)).phi1]
 
 

@@ -583,9 +583,9 @@ _RESONANCE_POOL = [obs.Sawtooth(), obs.indicator(Fraction(1, 3)), obs.half(),
 
 @hst.composite
 def zero_mean_observables(draw):
-    """A catalog observable, each step function shifted by a drawn rational."""
+    """A catalog observable, each one of slope 0 shifted by a drawn rational."""
     phi = draw(hst.sampled_from(_RESONANCE_POOL))
-    if isinstance(phi, obs.StepFunction):
+    if phi.slope == 0:
         phi = phi.shifted(draw(hst.fractions(0, 1, max_denominator=9)))
     return phi
 
