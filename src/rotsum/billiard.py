@@ -41,8 +41,8 @@ import numpy as np
 from .contfrac import RationalTruncation
 from .errors import (BoundaryError, CertificateError, ConfigError,
                      SingularOrbitError, _at_least, _point, _rational)
-from .observables import (TWO_PI, VectorObservable, _phase_table,
-                          billiard_displacement, series_weights)
+from .observables import (TWO_PI, VectorObservable, _table_length,
+                          billiard_displacement, reduce_phases, series_weights)
 from .ergosum import ErgodicContext
 from .sequences import SubsequencePlan
 from .stats import ExperimentReport, covariance_2d
@@ -376,17 +376,15 @@ class PiecewiseLinear:
     def gamma_array(self, rmax: int) -> np.ndarray:
         """gamma_r = r c_r of the centered function for r = 1..rmax, from
         the jump at each piece's right edge and the piece's slope, with
-        exactly reduced phases; each break's (cos, sin) table is built on
-        one period of r and tiled.  Real and imaginary parts are summed piece
+        exactly reduced phases.  Real and imaginary parts are summed piece
         by piece in the order and rounding of scalar complex arithmetic,
         so the table equals the one-r-at-a-time closed form bit for bit.
         """
-        def cos_sin(fracs):
-            angle = -TWO_PI * fracs
-            return np.stack((np.cos(angle), np.sin(angle)))
+        rmax = _table_length(rmax)
 
         def unit(t):  # e^{-2 pi i r t} as (cos, sin) float64 rows
-            return _phase_table(t, rmax, cos_sin)
+            angle = -TWO_PI * reduce_phases(*_point("break", t), rmax)[1]
+            return np.cos(angle), np.sin(angle)
 
         k = len(self.breaks)
         w = TWO_PI * np.arange(1, rmax + 1, dtype=np.float64)

@@ -370,7 +370,7 @@ def run(cfg: RunConfig) -> int:
                 if exc.required_level else "")
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    except RotsumError as exc:
+    except (RotsumError, OSError) as exc:   # OSError: an output not written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{summary} [config {cfg.hash()}, v{__version__}]", file=sys.stderr)

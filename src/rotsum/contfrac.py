@@ -203,6 +203,7 @@ def from_list(quotients: Sequence[int]) -> PartialQuotientSpec:
 
 def clt_design_rule(c: int = 30, beta: int = 2, max_index: int = 64) -> PartialQuotientSpec:
     """Rotation number with a_{k} ~ c*(k-1)^beta: every slot is a growth slot."""
+    c, beta = _design_params({"c": c, "beta": beta})   # stored as Python ints
     return PartialQuotientSpec(name="clt_design", max_index=max_index,
                                params={"c": c, "beta": beta})
 
@@ -211,6 +212,7 @@ def parity_design_rule(c: int = 30, beta: int = 2, max_index: int = 160) -> Part
     """All-odd quotients with boosted slots arranged so that q_{t_k} is odd,
     p_{t_k} alternates even/odd along the plan positions, and the growth
     condition a_{t_k+1} >= k^beta holds."""
+    c, beta = _design_params({"c": c, "beta": beta})   # stored as Python ints
     return PartialQuotientSpec(name="parity_design", max_index=max_index,
                                params={"c": c, "beta": beta})
 

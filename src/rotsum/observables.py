@@ -11,7 +11,8 @@ r != 0, which have the closed form
 
     c_r = gamma_r / r,   gamma_r = (1 / 2 pi i) * sum_jumps J * e^{-2 pi i r t},
 
-so sup_r |gamma_r| <= sum |J| / (2 pi) =: K.
+so sup_r |gamma_r| <= sum |J| / (2 pi) =: K.  gamma_r has the period D in
+r, the lcm of the jump denominators; every table of it is at most _RMAX long.
 
 The paper's examples are the step functions of the catalog (slope 0) and
 the centered fractional part {x} - 1/2, built by ``Sawtooth``: slope 1 and
@@ -355,10 +356,22 @@ def hat_observable(phi: Observable, ell: int) -> Observable:
 
 # Largest bound on r * den for which residue tables stay in int64.
 _INT64_SAFE = 2 ** 62
-# r below this times a 27-bit part of theta is exact in float64.
-_SPLIT_RMAX = 2 ** 26
 # r values per vectorized pass, so that temporaries stay small.
 _PHASE_CHUNK = 4096
+# Largest Fourier table (r = 1..rmax) any computation builds, below the
+# 2**26 that _certified_phases needs: the scan of diagnostic_inequalities,
+# and norm_sq up to n = 1000.
+_RMAX = 100_000
+
+
+def _table_length(rmax) -> int:
+    """``rmax`` as a Fourier table's length, 1 to _RMAX; every table entry
+    point reads its length here before it allocates."""
+    rmax = _at_least("rmax", rmax, 1)
+    if rmax > _RMAX:
+        raise ConfigError(f"a Fourier table of {rmax} frequencies exceeds "
+                          f"the cap {_RMAX}")
+    return rmax
 
 
 def _two_sum(a, b):
@@ -366,12 +379,6 @@ def _two_sum(a, b):
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
-
-
-def _exact_phases(fracs, num: int, den: int, rs) -> None:
-    """fracs[r - 1] = ((r * num) % den) / den, one rounding from the residue."""
-    for r in rs:
-        fracs[r - 1] = (r * num % den) / den
 
 
 def _certified_phases(num: int, den: int, rmax: int):
@@ -402,9 +409,8 @@ def _certified_phases(num: int, den: int, rmax: int):
     # and f is the correctly rounded {r theta}.  Every other entry is
     # recomputed from the exact residue.
     mantissa = np.int64(2 ** 52 - 1)
-    nvec = min(rmax, _SPLIT_RMAX - 1)
-    for start in range(0, nvec, _PHASE_CHUNK):
-        stop = min(start + _PHASE_CHUNK, nvec)
+    for start in range(0, rmax, _PHASE_CHUNK):
+        stop = min(start + _PHASE_CHUNK, rmax)
         r = np.arange(start + 1, stop + 1, dtype=np.float64)
         p1 = r * a1
         p1 -= np.floor(p1)
@@ -421,9 +427,8 @@ def _certified_phases(num: int, den: int, rmax: int):
                      | (half_ulp <= 4 * bound)
                      | ((f.view(np.int64) & mantissa) == 0))
         fracs[start:stop] = f
-        _exact_phases(fracs, num, den,
-                      (start + 1 + int(i) for i in np.flatnonzero(undecided)))
-    _exact_phases(fracs, num, den, range(nvec + 1, rmax + 1))
+        for k in (start + 1 + np.flatnonzero(undecided)).tolist():
+            fracs[k - 1] = (k * num % den) / den
     return fracs
 
 
@@ -440,12 +445,13 @@ def reduce_phases(num: int, den: int, rmax: int):
       vectorized double-double arithmetic (theta = num/den split exactly
       into a correctly rounded head and a rounded tail, the head's mantissa
       into its top 26 and low 27 bits) with a certified error bound.  Every
-      entry the bound cannot round correctly, and every r >= 2**26, is
-      recomputed from its exact Python-int residue, so each value equals
-      ``((r * num) % den) / den`` bit for bit at any width of den.
+      entry the bound cannot round correctly is recomputed from its exact
+      Python-int residue, so each value equals ``((r * num) % den) / den``
+      bit for bit at any width of den.
     """
+    rmax = _table_length(rmax)
     num %= den
-    if den < _INT64_SAFE // max(rmax, 1):
+    if den < _INT64_SAFE // rmax:
         r = np.arange(1, rmax + 1, dtype=np.int64)
         res = (r * np.int64(num)) % np.int64(den)
         if den >= 2 ** 53:
@@ -459,45 +465,30 @@ def phase_fracs(theta: Fraction, rmax: int):
     return reduce_phases(*_point("theta", theta), rmax)[1]
 
 
-def _phase_table(theta: Fraction, rmax: int, fn):
-    """fn(phase_fracs(theta, rmax)) for an elementwise ``fn``, built on one
-    period and tiled along the last axis.
-
-    {r theta} depends only on r mod den(theta), so fn is evaluated on the
-    first min(den, rmax) phases only.  The tiled table equals the
-    full-length one bit for bit: with den > rmax the two calls coincide,
-    and with den <= rmax both phase tables are small int64 ones whose
-    entries are the same exact quotients residue / den.
-    """
-    num, den = _point("theta", theta)
-    period = min(den, rmax)
-    table = fn(reduce_phases(num, den, period)[1])
-    if period == rmax:
-        return table
-    return np.tile(table, -(-rmax // period))[..., :rmax]
-
-
 def gamma_array(phi: Observable, stride, rmax: int):
     """gamma_{stride * r} for r = 1..rmax as a complex vector.
 
     ``stride`` may be an arbitrarily large integer: each jump phase is
-    reduced exactly once to theta = {stride * t}, and its term
-    J e^{-2 pi i r theta} is built on one period of r (den(theta) entries
-    at most) and tiled to rmax.
+    reduced exactly once to theta = {stride * t}.  gamma_{stride * r}
+    depends only on r mod D, D the lcm of the theta denominators, so the
+    table is built on one period of min(D, rmax) entries and tiled to rmax,
+    bit for bit equal to the full-length table.
     """
-    _at_least("rmax", rmax, 1)
+    rmax = _table_length(rmax)
     (stride,) = _integers("stride", stride)
-    acc = np.zeros(rmax, dtype=complex)
-    for t, j in _scalar(phi).jumps().items():
-        jump = float(j)
-        acc += _phase_table(stride * t, rmax,
-                            lambda f: jump * np.exp(-2j * math.pi * f))
-    return acc / (2j * math.pi)
+    thetas = [(*_point("theta", stride * t), float(j))
+              for t, j in _scalar(phi).jumps().items()]
+    period = min(math.lcm(*(v for _, v, _ in thetas)), rmax)
+    acc = np.zeros(period, dtype=complex)
+    for u, v, jump in thetas:
+        acc += jump * np.exp(-2j * math.pi * reduce_phases(u, v, period)[1])
+    acc /= 2j * math.pi
+    return acc if period == rmax else np.tile(acc, -(-rmax // period))[:rmax]
 
 
 def gamma_sq_array(phi: Observable, stride, rmax: int):
     """|gamma_{stride * r}|^2 for r = 1..rmax; the sawtooth's is 1/(4 pi^2)."""
-    _at_least("rmax", rmax, 1)
+    rmax = _table_length(rmax)
     _integers("stride", stride)
     if isinstance(phi, Sawtooth):
         return np.full(rmax, 1.0 / (4.0 * math.pi ** 2))

@@ -80,11 +80,21 @@ _TAIL_JMAX = 20_000
 # Fewest points a forked process is given: a fork and its pipe
 # cost 2-3 ms on a 2-core Xeon, the time of a few 500-bit samples.
 _MIN_CHUNK = 256
+# Most points one sampler draws: about 0.4 GB of Python-int numerators.
+# Every workload and README run draws at most 20,000.
+_SAMPLE_CAP = 2 ** 23
 
 
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
+
+def _capped(size) -> None:
+    """ConfigError above _SAMPLE_CAP points, before numerators() allocates."""
+    if _integers("sample size", size)[0] > _SAMPLE_CAP:
+        raise ConfigError(f"a sample of {size} points exceeds the cap "
+                          f"{_SAMPLE_CAP}")
+
 
 @dataclass(frozen=True)
 class StratifiedSampler:
@@ -101,6 +111,7 @@ class StratifiedSampler:
         if not 1 <= size <= den:
             raise ConfigError(f"sample size must be >= 1 and at most "
                               f"den = {self.den}, got {self.size}")
+        _capped(size)
 
     def numerators(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -117,6 +128,9 @@ class GridSampler:
     """x_i = i/K: deterministic grid (rational points, exact engine ready)."""
 
     size: int
+
+    def __post_init__(self):
+        _capped(self.size)
 
     def numerators(self) -> np.ndarray:
         return np.arange(self.size, dtype=object)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .contfrac import RationalTruncation
 from .errors import CertificateError, ConfigError, _at_least, _integers
-from .observables import (_INT64_SAFE, Observable, _scalar, gamma_sq_array,
-                          reduce_phases, series_weights)
+from .observables import (_INT64_SAFE, _RMAX, Observable, _scalar,
+                          gamma_sq_array, reduce_phases, series_weights)
 from .ergosum import orbit_sum_profile
 
 __all__ = [
@@ -99,19 +99,12 @@ def gn_mean(n: int, t: float) -> float:
 # Frequency tables
 # ---------------------------------------------------------------------------
 
-# Largest frequency table (r = 1..rmax) any computation builds: the scan of
-# diagnostic_inequalities, and norm_sq up to n = 1000.
-_RMAX = 100_000
-
-
 class AlphaFourierTable:
     """Distances ||r alpha|| and exactly-reduced kernel angles, r = 1..rmax."""
 
     def __init__(self, trunc: RationalTruncation, rmax: int):
+        rmax = _at_least("rmax", rmax, 1)
         trunc.require_window(rmax, "Fourier frequency")
-        if rmax > _RMAX:
-            raise ConfigError(f"a Fourier table of {rmax} frequencies exceeds "
-                              f"the cap {_RMAX}")
         self.trunc = trunc
         self.rmax = rmax
         q = trunc.q

@@ -380,8 +380,8 @@ def gamma_array_full_length(prof, rmax):
 
 @pytest.mark.parametrize("shape", ["params25", "level133"])
 def test_hitting_time_gamma_tiles_exactly(shape, params25):
-    # params25's breaks have denominators up to 10, so their tables are
-    # tiled; the level-133 drift shape's breaks are 1325-bit wide
+    # every break's table is built at full length; params25's breaks have
+    # denominators up to 10, the level-133 drift shape's are 1325-bit wide
     if shape == "params25":
         params, sizes = params25, (1, 7, 10, 64, 101, 2000)
     else:

@@ -384,6 +384,11 @@ def test_non_integer_alpha_values_raise_config_error(alpha, levels, what,
     (["plan", "--opt", "parity=yes"], "parity must be an integer"),
     (["erdos-fortet", "--opt", "n=1/0"], "n must be an integer"),
     (["gaposhkin", "--opt", "a=1/0"], "a must be an integer"),
+    # each used to reach numpy's allocation of every numerator
+    (["clt", "--terms", "4", "--samples", "1000000000000"],
+     "a sample of 1000000000000 points exceeds the cap"),
+    (["sum", "--opt", "grid=1000000000000"],
+     "a sample of 1000000000000 points exceeds the cap"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_option_values_exit_with_config_error(argv, what, capsys):
     cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
@@ -393,6 +398,20 @@ def test_bad_option_values_exit_with_config_error(argv, what, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {what}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--alpha", "golden", "--terms", "3", "--out", "{path}"],
+    ["clt", "--terms", "4", "--samples", "10", "--opt", "samples_csv={path}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_with_an_error_line(argv, tmp_path, capsys):
+    # used to end in a FileNotFoundError traceback with exit 1
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno 2] No such file or directory: '{path}'\n")
 
 
 def test_designed_alpha_defaults_come_from_the_builders(capsys):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -227,6 +228,19 @@ def test_design_spec_without_its_params_is_refused(name, params):
         del doc["params"]
         with pytest.raises(ConfigError, match="needs params c and beta"):
             cf.PartialQuotientSpec.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("build, kw", [
+    (cf.clt_design_rule, {"c": np.int64(30)}),
+    (cf.parity_design_rule, {"beta": np.int64(2)}),
+], ids=["clt_design-c", "parity_design-beta"])
+def test_design_builders_store_python_ints(build, kw):
+    # a numpy integer used to be stored as given, and to_json raised a bare
+    # TypeError
+    spec = build(**kw)
+    assert spec.params == {"c": 30, "beta": 2}
+    assert {type(v) for v in spec.params.values()} == {int}
+    assert cf.PartialQuotientSpec.from_json(spec.to_json()) == spec == build()
 
 
 @settings(max_examples=80)

@@ -138,11 +138,18 @@ def test_certificate_failure_is_typed(monkeypatch):
                          ids=lambda p: p.label)
 @pytest.mark.parametrize("rmax", [-3, 0])
 def test_fourier_tables_reject_rmax_below_one(phi, rmax):
-    # not numpy's ValueError for a negative length
+    # not numpy's ValueError for a negative length; the phase tables and the
+    # hitting time's table used to return empty arrays
     with pytest.raises(ConfigError, match="rmax"):
         obs.gamma_array(phi, 1, rmax)
     with pytest.raises(ConfigError, match="rmax"):
         obs.gamma_sq_array(phi, 1, rmax)
+    with pytest.raises(ConfigError, match="rmax"):
+        obs.reduce_phases(1, 3, rmax)
+    with pytest.raises(ConfigError, match="rmax"):
+        obs.phase_fracs(Fraction(1, 3), rmax)
+    with pytest.raises(ConfigError, match="rmax"):
+        _INSTANCES[bil.PiecewiseLinear].gamma_array(rmax)
 
 
 # Arguments that would pick an engine or a truncation length: no caller
@@ -728,8 +735,8 @@ def test_precision_error_is_raised_only_by_the_truncation():
 
 @pytest.mark.parametrize("cap, owner", [
     ("_PROFILE_CAP", ("ergosum.py", "_signed_profile")),
-    # AlphaFourierTable's
-    ("_RMAX", ("variance.py", "__init__")),
+    ("_RMAX", ("observables.py", "_table_length")),
+    ("_SAMPLE_CAP", ("stats.py", "_capped")),
 ])
 def test_each_size_cap_is_compared_in_one_place(cap, owner):
     owners = []
@@ -794,7 +801,81 @@ def test_exact_profile_cap_refuses_before_allocating(call):
                                            10 ** 4,
                                            cf.truncation(cf.golden(40), 30)),
                  ConfigError, id="mean_variance-vector"),
+    # the one cap holds at every table entry point; each of these used to
+    # build its 100,001 entries
+    pytest.param(lambda: obs.reduce_phases(1, 3, 100_001), ConfigError,
+                 id="reduce_phases-cap"),
+    pytest.param(lambda: obs.phase_fracs(Fraction(1, 3), 100_001),
+                 ConfigError, id="phase_fracs-cap"),
+    pytest.param(lambda: obs.gamma_array(_HALF, 1, 100_001), ConfigError,
+                 id="gamma_array-cap"),
+    pytest.param(lambda: obs.gamma_sq_array(_HALF, 1, 100_001), ConfigError,
+                 id="gamma_sq_array-cap"),
+    pytest.param(lambda: _INSTANCES[bil.PiecewiseLinear].gamma_array(100_001),
+                 ConfigError, id="PiecewiseLinear.gamma_array-cap"),
 ])
 def test_fourier_tables_refuse_before_allocating(call, error):
     peak, _ = _small_peak(call, error)
+    assert peak < 2 ** 20
+
+
+def _rmax_readers():
+    """(name, callable) for every public function, class and method of the
+    library with a parameter named ``rmax``; a method is bound to its
+    class's entry in ``_INSTANCES``."""
+    for path in sorted(SRC.glob("*.py")):
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"rotsum{stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                try:
+                    if "rmax" in inspect.signature(obj).parameters:
+                        yield name, obj
+                except ValueError:   # no signature: the exception classes
+                    pass
+            if inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(fn) \
+                            and "rmax" in inspect.signature(fn).parameters:
+                        yield f"{name}.{attr}", getattr(_INSTANCES[obj], attr)
+
+
+_RMAX_READERS = sorted(_rmax_readers(), key=lambda e: e[0])
+
+
+def test_rmax_readers_are_found():
+    assert {"reduce_phases", "phase_fracs", "gamma_array", "gamma_sq_array",
+            "PiecewiseLinear.gamma_array", "AlphaFourierTable"} <= \
+        {name for name, _ in _RMAX_READERS}
+
+
+@pytest.mark.parametrize("rmax", [0, obs._RMAX + 1])
+@pytest.mark.parametrize("name, fn", _RMAX_READERS,
+                         ids=[n for n, _ in _RMAX_READERS])
+def test_every_table_length_is_read_by_the_one_rule(name, fn, rmax):
+    # a table entry point added later cannot skip the length rule; the
+    # truncation's window holds the cap, so only the rule can refuse it
+    assert _GOLDEN40.validity_bound > obs._RMAX + 1
+    arguments = {**_ARGUMENTS, "RationalTruncation": _GOLDEN40}
+    kwargs = {p.name: arguments[_key(p)]
+              for p in inspect.signature(fn).parameters.values()
+              if p.default is p.empty}
+    kwargs["rmax"] = rmax
+    peak, _ = _small_peak(lambda: fn(**kwargs), ConfigError)
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: st.StratifiedSampler(0, 10 ** 12),
+                 id="StratifiedSampler"),
+    pytest.param(lambda: st.GridSampler(st._SAMPLE_CAP + 1), id="GridSampler"),
+])
+def test_sample_cap_refuses_before_allocating(call):
+    # numerators() used to allocate first: 7.28 TiB at 10**12 points
+    assert st.GridSampler(st._SAMPLE_CAP).size == st._SAMPLE_CAP
+    peak, exc = _small_peak(call, ConfigError)
+    assert "exceeds the cap" in str(exc)
     assert peak < 2 ** 20

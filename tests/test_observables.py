@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from rotsum import billiard as bil
@@ -412,8 +412,9 @@ def assert_tiled_tables_exact(phi, stride, rmax):
                      (oracle * oracle.conjugate()).real)
 
 
-def max_phase_den(phi, stride):
-    return max(((stride * t) % 1).denominator for t in phi.jumps())
+def phase_period(phi, stride):
+    """D, the lcm of the denominators of {stride t} over the jumps t."""
+    return math.lcm(*(((stride * t) % 1).denominator for t in phi.jumps()))
 
 
 CASES = ["den < rmax", "den == rmax", "den > rmax"]
@@ -421,8 +422,8 @@ WIDE_DENS = [2 ** 61 - 1, LEVEL40.q, PARITY_Q]
 
 
 def rmax_for(case, den, periods, extra):
-    """An rmax on the given side of the largest phase denominator den;
-    den < rmax leaves a part period of 1 <= extra < den when den > 1."""
+    """An rmax on the given side of the phase period den; den < rmax leaves
+    a part period of 1 <= extra < den when den > 1."""
     if case == "den > rmax":
         return min(den - 1, extra)
     if case == "den == rmax":
@@ -430,22 +431,30 @@ def rmax_for(case, den, periods, extra):
     return den * periods + (extra % (den - 1) + 1 if den > 1 else 0)
 
 
+# jumps +1 at 1/97 and -1 at 1/89: its period 8633 is no jump's denominator
+COPRIME = obs.indicator(Fraction(8, 8633)).shifted(Fraction(-1, 97))
+
+
+@example(phi=COPRIME, shift_den=97, stride=1, case="den < rmax", periods=2,
+         extra=1234, shift=0)
+@example(phi=COPRIME, shift_den=97, stride=1, case="den > rmax", periods=1,
+         extra=3000, shift=0)
 @settings(max_examples=60)
-@given(phi=hst.sampled_from(STEP_CATALOG),
+@given(phi=hst.sampled_from(STEP_CATALOG + [COPRIME]),
        shift_den=hst.sampled_from([97] + WIDE_DENS),
        stride=hst.one_of(hst.sampled_from(LEVEL40.qs[:41] + (PARITY_Q,)),
                          hst.integers(1, LEVEL40.qs[40])),
        case=hst.sampled_from(CASES), periods=hst.integers(1, 4),
-       extra=hst.integers(1, 3000), data=hst.data())
+       extra=hst.integers(1, 3000), shift=hst.integers(0, 2 ** 64))
 def test_gamma_array_tiles_one_period_exactly(phi, shift_den, stride, case,
-                                              periods, extra, data):
-    # a k/97 shift keeps den({stride t}) small, so its period is tiled; a
-    # wide shift puts den beyond any rmax, in either reduce_phases regime
-    # (2**61 - 1 is an int64 table only for rmax <= 2)
-    phi = phi.shifted(Fraction(data.draw(hst.integers(1, shift_den - 1),
-                                         label="shift"), shift_den))
-    den = max_phase_den(phi, stride)
-    if den > 4000:
+                                              periods, extra, shift):
+    # a k/97 shift (k = 0 leaves phi as it is) keeps the period of
+    # {stride t} small, so it is tiled; a wide shift puts it beyond any
+    # rmax, in either reduce_phases regime (2**61 - 1 is an int64 table only
+    # for rmax <= 2)
+    phi = phi.shifted(Fraction(shift % shift_den, shift_den))
+    den = phase_period(phi, stride)
+    if den > 10_000:
         case = "den > rmax"
     rmax = max(rmax_for(case, den, periods, extra), 1)
     assert_tiled_tables_exact(phi, stride, rmax)
@@ -457,7 +466,7 @@ def test_gamma_array_tiles_one_period_exactly(phi, shift_den, stride, case,
 def test_gamma_array_tiles_small_denominators(case, stride):
     for phi in STEP_CATALOG:
         phi = phi.shifted(Fraction(5, 97))
-        den = max_phase_den(phi, stride)
+        den = phase_period(phi, stride)
         assert 1 < den <= 4000
         rmax = rmax_for(case, den, 2, 1234)
         assert (den < rmax and rmax % den) or case != "den < rmax"
