@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -163,6 +165,24 @@ def _write(text: str, cfg: RunConfig) -> None:
 def _write_report(rep: st.ExperimentReport, cfg: RunConfig) -> None:
     rep.extra["config_hash"] = cfg.hash()
     _write(rep.to_json() + "\n", cfg)
+
+
+def _require_writable(cfg: RunConfig) -> None:
+    """ConfigError before any work when the directory of --out or of
+    samples_csv does not exist or cannot be written, with the message that
+    open() would give after the run."""
+    paths = [cfg.out] if cfg.out else []
+    if "samples_csv" in cfg.options:
+        paths.append(cfg.options["samples_csv"])
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not path or not os.path.isdir(folder):
+            code = errno.ENOENT
+        elif not os.access(folder, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ConfigError(str(OSError(code, os.strerror(code), path)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +384,7 @@ def run(cfg: RunConfig) -> int:
         if unknown:
             raise ConfigError(f"{cfg.command} reads no --opt {', '.join(unknown)}"
                               f" (it reads: {', '.join(keys) or 'none'})")
+        _require_writable(cfg)
         summary = handler(cfg)
     except PrecisionError as exc:
         hint = (f" (rebuild at level >= {exc.required_level})"

@@ -14,7 +14,7 @@ multiplicative order of 2 is astronomically larger than any horizon used
 here.
 
 Every sampler is deterministic in (seed, K) and reports are reproducible
-bit for bit.
+bit for bit, at any number of processes and at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ _EF_GAP_TOL = 0.02                  # how much worse the best single normal is
 _GAPOSHKIN_KS_TOL = 0.02            # two-sample KS, plain against modified
 _COV_TOL = 0.1                      # absolute, per covariance entry
 _DIR_TOL = 0.10                     # relative, per directional variance
+# Rows of t per block of mixture_cdf's integrand: a 17 x 512 block is
+# 70 KB, and BLAS computes its product in one thread.
+_MIX_ROWS = 16
 # Partial-sum length of fourier_tail_norm.
 _TAIL_JMAX = 20_000
 # Fewest points a forked process is given: a fork and its pipe
@@ -206,6 +209,22 @@ def _mixture_rule() -> tuple[np.ndarray, np.ndarray]:
     return sig, w
 
 
+def _real_array(what: str, x) -> np.ndarray:
+    """``x`` as a float64 array of at most one dimension; non-numbers, NaN
+    and arrays of more dimensions raise ConfigError naming ``what``."""
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what}: real numbers expected, got "
+                          f"{type(x).__name__}") from None
+    if arr.ndim > 1:
+        raise ConfigError(f"{what}: a number or a 1-D array expected, "
+                          f"got shape {arr.shape}")
+    if np.isnan(arr).any():
+        raise ConfigError(f"{what}: NaN")
+    return arr
+
+
 def mixture_cdf(t) -> np.ndarray:
     """CDF of sqrt(2) |cos(pi Y)| * Z with Y uniform on [0,1], Z standard
     normal:  F(t) = int_0^1 Phi(t / (sqrt(2) |cos(pi y)|)) dy.
@@ -214,22 +233,29 @@ def mixture_cdf(t) -> np.ndarray:
     contributes Phi(+-inf) = step(t), which the saturating integrand handles,
     and F(+-inf) is exactly 1 or 0.  ``t`` is a real number or a 1-D array of
     them; NaN, non-numbers and arrays of more dimensions raise ConfigError.
-    The integrand is one len(t) x 512 matrix, overwritten by Phi in place.
+
+    The integrand is computed in blocks of _MIX_ROWS rows of t, starting at
+    multiples of _MIX_ROWS, in one reused buffer (Phi in place), and each
+    block's product with the weights is written into the result.  A final
+    block of one row joins the one before it: one-threaded BLAS gives a
+    one-row product other bits, while a block of 2 or more rows gives each
+    row the bits of the one-shot len(t) x 512 product.  A block is too
+    small for BLAS to split between threads, so the values are the same
+    at any BLAS thread count.
     """
-    try:
-        t_arr = np.asarray(t, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"mixture_cdf takes real numbers, got "
-                          f"{type(t).__name__}") from None
-    if t_arr.ndim > 1:
-        raise ConfigError(f"mixture_cdf takes a number or a 1-D array, "
-                          f"got shape {t_arr.shape}")
-    if np.isnan(t_arr).any():
-        raise ConfigError("mixture_cdf of NaN")
+    t_arr = _real_array("mixture_cdf", t)
     sig, w = _mixture_rule()
-    phi = t_arr.reshape(-1, 1) / sig
-    _normal_cdf_array(phi, out=phi)
-    vals = 2.0 * (phi @ w)
+    t_col = t_arr.reshape(-1)
+    n = t_col.size
+    vals = np.empty(n)
+    buf = np.empty((min(n, _MIX_ROWS + 1), sig.size))
+    # no block starts at the last row, unless that row is the only one
+    for lo in range(0, max(n - 1, 1), _MIX_ROWS):
+        hi = lo + _MIX_ROWS if n - lo - _MIX_ROWS > 1 else n
+        block = np.divide(t_col[lo:hi, None], sig, out=buf[:hi - lo])
+        _normal_cdf_array(block, out=block)
+        np.matmul(block, w, out=vals[lo:hi])
+    vals *= 2.0
     return vals if t_arr.ndim else float(vals[0])
 
 
@@ -258,14 +284,16 @@ def ks_statistic(samples, cdf) -> float:
 
 
 def _sorted_sample(samples) -> np.ndarray:
-    """The sample as a sorted float64 array; empty or non-finite samples
-    raise ConfigError."""
-    z = np.sort(np.asarray(samples, dtype=np.float64))
+    """The sample as a sorted float64 array; a sample that is not a
+    nonempty 1-D array of finite real numbers raises ConfigError."""
+    z = _real_array("sample", samples)
+    if z.ndim != 1:
+        raise ConfigError("sample: a 1-D array expected, got a number")
     if z.size == 0:
         raise ConfigError("empty sample")
     if not np.all(np.isfinite(z)):
         raise ConfigError("samples must be finite")
-    return z
+    return np.sort(z)
 
 
 def two_sample_ks(a, b) -> float:

@@ -414,6 +414,36 @@ def test_unwritable_output_exits_with_an_error_line(argv, tmp_path, capsys):
         f"error: [Errno 2] No such file or directory: '{path}'\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["clt", "--alpha", "clt:c=30", "--terms", "40", "--samples", "5000",
+     "--seed", "3", "--opt", "samples_csv={path}"],
+    ["erdos-fortet", "--samples", "10000", "--seed", "3", "--opt", "n=500",
+     "--out", "{path}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_fails_before_the_experiment(argv, tmp_path, capsys,
+                                                       monkeypatch):
+    # each used to run its experiment for most of a second before failing
+    def never(*args):
+        raise AssertionError("the experiment ran")
+    monkeypatch.setattr(st, "sample_sums", never)
+    monkeypatch.setattr(st, "_f0_columns", never)
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+
+def test_output_failing_during_the_write_exits_with_an_error_line(tmp_path,
+                                                                  capsys):
+    # the directory exists, so only the write finds that the path is one
+    assert cli.main(["cf", "--terms", "3", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_designed_alpha_defaults_come_from_the_builders(capsys):
     assert cli.main(["cf", "--alpha", "clt:c=30", "--terms", "3"]) == 0
     captured = capsys.readouterr()

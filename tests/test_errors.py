@@ -216,6 +216,11 @@ _PARITY_PLAN = seq.plan_parity(
     cf.truncation(cf.parity_design_rule(c=12, beta=2, max_index=30), 26), 2, 2)
 _NAN = float("nan")
 _INF = float("inf")
+# Samples that are not a 1-D array of real numbers: each used to escape from
+# the KS readers as numpy's broadcast ValueError, an AxisError, a
+# ValueError or a TypeError.
+_BAD_SAMPLES = {"2-d": np.zeros((3, 4)), "scalar": 0.5, "str": ["a", "b"],
+                "object": object()}
 
 
 @pytest.mark.parametrize("call", [
@@ -232,6 +237,15 @@ _INF = float("inf")
     # each used to return NaN or 1.0, or escape as a ZeroDivisionError, a
     # math domain error or a bare ValueError
     pytest.param(lambda: st.two_sample_ks([], [1.0]), id="two_sample_ks-empty"),
+    *[pytest.param(lambda bad=bad: st.ks_statistic(bad, st._normal_cdf_array),
+                   id=f"ks_statistic-{key}")
+      for key, bad in _BAD_SAMPLES.items()],
+    *[pytest.param(lambda bad=bad: st.two_sample_ks(bad, [1.0]),
+                   id=f"two_sample_ks-a-{key}")
+      for key, bad in _BAD_SAMPLES.items()],
+    *[pytest.param(lambda bad=bad: st.two_sample_ks([1.0], bad),
+                   id=f"two_sample_ks-b-{key}")
+      for key, bad in _BAD_SAMPLES.items()],
     pytest.param(lambda: st.two_sample_ks([_NAN], [1.0]),
                  id="two_sample_ks-nan"),
     pytest.param(lambda: st.block_variance_ratio([], []),

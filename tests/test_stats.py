@@ -85,21 +85,61 @@ def two_matrix_mixture_cdf(t):
     return vals if np.ndim(t) else float(vals[0])
 
 
-def test_mixture_cdf_in_place_is_bitwise_the_two_matrix_formula():
+# one-row, block-sized, one-row-tail and thread-split sizes: the last block
+# has 17 rows at 17, 33 and 4097, and two BLAS threads split a one-shot
+# product of 10001 rows unevenly
+_MIX_SIZES = (1, 2, 15, 16, 17, 18, 33, 4097, 10000, 10001)
+
+
+def mixture_lines(cdf) -> str:
+    """``cdf`` at the test sizes' sorted points and at five scalars, one
+    line per case: the result's type name and the hex of its bytes."""
     rng = np.random.default_rng(22)
-    for n in (1, 7, 10000):
-        t = np.sort(1.3 * rng.standard_normal(n))
-        assert np.array_equal(st.mixture_cdf(t), two_matrix_mixture_cdf(t))
-    for t in (0.0, -0.37, 2.5, math.inf, -math.inf):
-        got = st.mixture_cdf(t)
-        assert type(got) is float and got == two_matrix_mixture_cdf(t)
+    cases = [np.sort(1.3 * rng.standard_normal(n)) for n in _MIX_SIZES]
+    lines = []
+    for t in cases + [0.0, -0.37, 2.5, math.inf, -math.inf]:
+        got = cdf(t)
+        lines.append(f"{type(got).__name__} {np.float64(got).tobytes().hex()}")
+    return "\n".join(lines)
+
+
+def mixture_lines_at(threads: int, cdf: str) -> list[str]:
+    """mixture_lines of this module's ``cdf`` in a new process whose BLAS
+    runs ``threads`` threads, set before numpy loads."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    code = ("import sys, test_stats as t; "
+            f"sys.stdout.write(t.mixture_lines({cdf}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_mixture_cdf_in_place_is_bitwise_the_two_matrix_formula():
+    # at one BLAS thread, since the one-shot oracle's bits depend on how
+    # BLAS splits its product between threads
+    got = mixture_lines_at(1, "t.st.mixture_cdf")
+    assert got == mixture_lines_at(1, "t.two_matrix_mixture_cdf")
+    assert all(line.startswith("ndarray ") for line in got[:-5])
+    assert all(line.startswith("float ") for line in got[-5:])
     assert st.mixture_cdf(math.inf) == 1.0
     assert st.mixture_cdf(-math.inf) == 0.0
 
 
-def test_mixture_cdf_holds_one_matrix():
-    n = 10000
-    t = np.sort(np.random.default_rng(3).standard_normal(n))
+def test_mixture_cdf_is_the_same_at_any_blas_thread_count():
+    # a one-shot n x 512 product gives other bits at 10001 points under two
+    # BLAS threads
+    assert (mixture_lines_at(1, "t.st.mixture_cdf")
+            == mixture_lines_at(2, "t.st.mixture_cdf"))
+
+
+def test_mixture_cdf_holds_one_block():
+    # the one-shot n x 512 matrix read 39 MiB here
+    t = np.sort(np.random.default_rng(3).standard_normal(10000))
     st.mixture_cdf(t[:1])                 # the rule is built outside
     tracemalloc.start()
     try:
@@ -107,7 +147,7 @@ def test_mixture_cdf_holds_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n * 512 * 8
+    assert peak <= 2 ** 20
 
 
 @pytest.mark.parametrize("bad", [math.nan, [0.1, math.nan], "abc",
