@@ -22,16 +22,16 @@ summation, ``_direct_sum``, stays private as the tests' oracle.
 The floor sums of one sample set differ only in their offset A - C, so
 ``floor_sum`` splits the Euclid recursion into a chain that depends on
 (N, P, L) alone, built once per (N, rotation, denominator) and cached,
-and a walk per offset.  The chain keeps, per level, the sums R + e a for
-the few carries e that occur, so a walk level adds one stored number and
-reduces by compare-and-subtract; it divides only at levels with partial
-quotient k > 1, and then with a quotient of at most k.  Its cost is
-linear, not quadratic, in the operand size.  ``ErgodicContext.sums_at``
-draws a whole sample set at one N on this split: it checks the operands
-and the window once, fetches the chain once and walks each offset per
-point, and it rounds each exact integer numerator over its denominator
-once to float64 with int / int, so no Fraction or gcd is made per
-sample.
+and a walk per offset.  The chain runs the recursion at each level's
+nominal carry, so a walk level adds one stored number and tests a range;
+it divides by c only where the carry misses the nominal one, and by a
+only at levels with partial quotient k > 1, with a quotient of at most k.
+Its cost is linear, not quadratic, in the operand size.
+``ErgodicContext.sums_at`` draws a whole sample set at one N on this
+split: it checks the operands and the window once, fetches the chain once
+and walks each offset per point, and it rounds each exact integer
+numerator over its denominator once to float64 with int / int, so no
+Fraction or gcd is made per sample.
 
 The same module holds the one exact profile of x -> S_n phi(x), used for
 exact sup norms, exact L2 integrals and the periodic-approximation error.
@@ -93,67 +93,68 @@ def _tri(n: int) -> int:
 
 @lru_cache(maxsize=8)
 def _chain(n: int, a: int, c: int):
-    """The Euclid recursion of floor_sum(n, a, b, c) at the nominal b = 0.
+    """The Euclid recursion of floor_sum(n, a, b, c) at the nominal carries.
 
     Level i rewrites sum_{j<n} floor((a j + b)/c), 0 <= a, b < c, as
-    sum_{j<n'} floor((c j + b')/a) with n' = Q + e, where Q, R =
-    divmod(a n, c) does not depend on b and e = (R + a e_prev + b) // c is
-    the small carry.  The chain keeps each level's ((R, R + a, R + 2 a), a,
-    c, k, k Q, Q), k = c // a, and the part of the sum that b does not move,
-    so that every quadratic-size product and division happens here, once
-    per (n, a, c).  The CLI's widest sample sets carry e = 2 at about one
-    level in a thousand and never more; the walk computes R + a e for a
-    larger carry.
+    sum_{j<n'} floor((c j + b')/a) with n' = floor((a n + b)/c).  The chain
+    takes n' at its nominal value Q + e, where Q, D = divmod(a n, c) and the
+    carry e = round(D / c) is 0 or 1, one comparison; the level keeps
+    (D - e c, c, a, k, Q + e), k = c // a, and k T(Q + e) goes into the
+    part of the sum that b does not move, so that every quadratic-size
+    product and division happens here, once per (n, a, c).  The next level
+    recurses on the nominal n = Q + e.  On the CLI's widest sample sets the
+    walk misses the nominal carry at about 0.2% of levels.
     """
     ka, a = divmod(a, c)
     base = ka * _tri(n)
     n0, c0 = n, c
     levels = []
     while n and a:
-        Q, R = divmod(a * n, c)
+        Q, D = divmod(a * n, c)
+        if 2 * D >= c:
+            Q += 1
+            D -= c
         k, rest = divmod(c, a)
         base += k * _tri(Q)
-        levels.append(((R, R + a, R + 2 * a), a, c, k, k * Q, Q))
+        levels.append((D, c, a, k, Q))
         n, a, c = Q, rest, a
-    return n0, c0, base, tuple(levels), a, c
+    return n0, c0, base, tuple(levels)
 
 
 def _walk(chain, b: int) -> int:
-    """floor_sum at offset b along a chain.  A level adds its stored R + e a
-    to b and reduces mod c by subtraction, the new carry e counting the
-    subtractions; it reduces mod a by one subtraction where k = 1 and
-    divides only where k > 1 and b >= a, with a quotient s <= k.  The true
-    n of a level is Q + e; T(Q + e) = T(Q) + Q e + T(e) splits the
-    triangular term into the chain's part and the walk's, and the terms
-    that b moves (e k Q + k T(e) + (Q + e) s, about as wide as n) gather in
-    a narrow accumulator added to the wide total once."""
-    n0, c0, base, levels, a_end, c_end = chain
+    """floor_sum at offset b along a chain.  A level adds its stored D to
+    b, and the sum lies in [0, c) exactly when the level's carry is the
+    nominal one: then n' is the chain's Q + e, and b is reduced mod a by
+    one subtraction where k = 1, or by one divmod with a quotient s <= k
+    where k > 1 and b >= a, adding n' s.  Otherwise one divmod by c gives
+    the miss d, so n' = Q + e + d; the level adds k (T(n') - T(Q + e)) =
+    k (d (Q + e) + T(d)) and n' s, and carries the miss into the next
+    level's a n as d times that level's a.  Where the nominal n' is 0 the
+    chain has ended, and the d terms left are summed one by one.  The
+    terms that b moves, about as wide as n, gather in a narrow accumulator
+    added to the wide total once."""
+    n0, c0, base, levels = chain
     B, b = divmod(b, c0)
-    acc = e = 0
-    for Ra, a, c, k, kQ, Q in levels:
-        try:
-            b += Ra[e]
-        except IndexError:
-            b += Ra[0] + a * e
-        e = 0
-        while b >= c:
-            b -= c
-            e += 1
-        if e == 1:
-            acc += kQ
-        elif e:
-            acc += e * kQ + k * (e * (e - 1) // 2)
-        if b >= a:
+    acc = 0
+    for D, c, a, k, n in levels:
+        b += D
+        if b < 0 or b >= c:
+            d, b = divmod(b, c)
+            acc += k * (d * n + _tri(d))
+            s, b = divmod(b, a)
+            acc += (n + d) * s
+            rest = c - k * a            # the next level's a
+            if n:
+                b += d * rest
+            else:
+                acc += sum((rest * j + b) // a for j in range(d))
+        elif b >= a:
             if k == 1:
                 b -= a
-                acc += Q + e
+                acc += n
             else:
                 s, b = divmod(b, a)
-                acc += (Q + e) * s
-    if e:
-        # the nominal n ran out (or a did, when every term below is 0): the
-        # true n is the few carries e left over
-        acc += sum((a_end * j + b) // c_end for j in range(e))
+                acc += n * s
     return base + n0 * B + acc
 
 

@@ -78,11 +78,18 @@ _DIR_TOL = 0.10                     # relative, per directional variance
 # Rows of t per block of mixture_cdf's integrand: a 17 x 512 block is
 # 70 KB, and BLAS computes its product in one thread.
 _MIX_ROWS = 16
+# Buckets of [0, 1) that order the points of one _f0_sum term before its
+# cosines; at most 256, so that a bucket index is one uint8.
+_COS_BUCKETS = 128
 # Partial-sum length of fourier_tail_norm.
 _TAIL_JMAX = 20_000
 # Fewest points a forked process is given: a fork and its pipe
 # cost 2-3 ms on a 2-core Xeon, the time of a few 500-bit samples.
 _MIN_CHUNK = 256
+# Fewest points times steps of _f0_sum a forked process is given: two
+# processes beat one on 10,000 points from about 140,000 point-steps on
+# the same Xeon.
+_MIN_F0_CHUNK = 70_000
 # Most points one sampler draws: about 0.4 GB of Python-int numerators.
 # Every workload and README run draws at most 20,000.
 _SAMPLE_CAP = 2 ** 23
@@ -133,7 +140,7 @@ class GridSampler:
     size: int
 
     def __post_init__(self):
-        _capped(self.size)
+        _capped(_at_least("sample size", self.size, 1))
 
     def numerators(self) -> np.ndarray:
         return np.arange(self.size, dtype=object)
@@ -316,21 +323,21 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _split_rows(kernel, nums: np.ndarray) -> np.ndarray:
+def _split_rows(kernel, nums: np.ndarray, min_chunk: int) -> np.ndarray:
     """kernel(nums) as one float64 array of rows, one row per point, with
     the points split across the available cores.
 
     ``kernel`` maps a slice of ``nums`` to a 2-D float64 array with one row
     per point, each row a function of its own point alone.  The points are
     cut into contiguous chunks in order, one per available core, with at
-    least ``_MIN_CHUNK`` points in each.  This process runs the kernel on
+    least ``min_chunk`` points in each.  This process runs the kernel on
     the first chunk; each other chunk runs in a forked child, which sends
     its rows back through a pipe.  So the rows are the same bit for bit at
     any number of processes.  A child that fails sends a short result,
     which raises RotsumError; every child is reaped before this returns or
     raises.
     """
-    parts = max(1, min(_cores(), len(nums) // _MIN_CHUNK))
+    parts = max(1, min(_cores(), len(nums) // min_chunk))
     cuts = [len(nums) * i // parts for i in range(parts + 1)]
     children = []           # (pid, read end of its pipe)
     try:
@@ -385,7 +392,8 @@ def draw_sums(phi: Observable | tuple[Observable, ...],
     number of processes.
     """
     ctx = ErgodicContext(phi, trunc, sampler.den)
-    return _split_rows(lambda nums: ctx.sums_at(nums, N), sampler.numerators())
+    return _split_rows(lambda nums: ctx.sums_at(nums, N),
+                       sampler.numerators(), _MIN_CHUNK)
 
 
 def sample_sums(plan: SubsequencePlan, phi: Observable,
@@ -449,10 +457,14 @@ def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
     Exact residues: r_k = 2^k num mod D by int64 doubling, and the shifted
     frequency uses (2^k - 1) num = r_k - num mod D.  All sums share one
     pass: each k computes the term of each e_k in use once and adds it to
-    every sum in k order, so each sum equals its own separate pass.  Every
-    step is elementwise in the points, so a sum at a point does not depend
-    on which other points share the call, and ``_f0_columns`` may split
-    the points across processes.
+    every sum in k order, so each sum equals its own separate pass.  A term
+    takes its cosines with the points in bucket order of their fraction,
+    one of _COS_BUCKETS equal buckets of [0, 1), and is scattered back
+    before it is added: libm's cos branches on the range of its argument,
+    and in sample order those branches mispredict.  np.cos is elementwise,
+    so the order changes no bit.  Every step is elementwise in the points,
+    so a sum at a point does not depend on which other points share the
+    call, and ``_f0_columns`` may split the points across processes.
     """
     D = DOUBLING_DEN
     r = nums.copy()
@@ -469,8 +481,12 @@ def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
                     t = r - nums
                     t += D * (t < 0)
                 frac = t.astype(np.float64) / D
-                terms[shifted] = (np.cos(2 * np.pi * frac)
-                                  + np.cos(4 * np.pi * frac))
+                order = np.argsort((frac * _COS_BUCKETS).astype(np.uint8),
+                                   kind="stable")
+                g = frac[order]
+                term = np.empty_like(frac)
+                term[order] = np.cos(2 * np.pi * g) + np.cos(4 * np.pi * g)
+                terms[shifted] = term
             out += terms[shifted]
     return outs
 
@@ -478,13 +494,14 @@ def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
 def _f0_columns(n: int, samples: int, seed: int, *shifted_sets) -> np.ndarray:
     """The ``_f0_sum`` sums at the stratified doubling-map sample, one row
     per point and one column per shifted set, split across the cores by
-    ``_split_rows``.  A column of the result is strided: divide or copy it
-    before a reduction, so the reduction sums a contiguous array in the
-    order it always has."""
+    ``_split_rows`` with at least ``_MIN_F0_CHUNK`` point-steps in each
+    process.  A column of the result is strided: divide or copy it before
+    a reduction, so the reduction sums a contiguous array in the order it
+    always has."""
     sampler = StratifiedSampler(seed, samples, DOUBLING_DEN)
     return _split_rows(
         lambda nums: np.column_stack(_f0_sum(nums, n, *shifted_sets)),
-        sampler.numerators().astype(np.int64))
+        sampler.numerators().astype(np.int64), -(-_MIN_F0_CHUNK // n))
 
 
 def erdos_fortet_experiment(n: int, samples: int, seed: int) -> ExperimentReport:

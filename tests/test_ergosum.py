@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from rotsum import billiard as bil
@@ -175,28 +175,44 @@ def _fib(m):
     return a
 
 
+def _true_levels(n, a, b, c):
+    """Each level (D, c, a, k, nominal n') of the chain of
+    floor_sum(n, a, b, c), n > 0, with the true n' = floor((a n + b)/c)
+    and b' = (a n + b) mod c of the plain recursion at that level."""
+    b %= c
+    for level in es._chain(n, a, c)[3]:
+        _, c, a, _, _ = level
+        n, b = divmod(a * n + b, c)
+        yield level, n, b
+        b %= a
+
+
 def _walk_branches(n, a, b, c):
     """The names of the walk branches that floor_sum(n, a, b, c) takes,
-    recomputed level by level from its chain: the carry e fed into a level
-    is read from the chain's stored R + e a, or computed past them."""
+    recomputed level by level by the plain recursion: a level whose true
+    n' is the chain's nominal one reduces b' mod a; one that misses it by
+    d = n' - nominal divides, and carries d into the next level or, where
+    the nominal n' is 0, sums the d terms left."""
     names = {f"n = {n}"} if n < 2 else set()
     if not 0 <= b < c:
         names.add("b < 0" if b < 0 else "b >= c")
     if n == 0:
         return names
-    b, e = b % c, 0
-    for Ra, a, c, k, _, _ in es._chain(n, a, c)[3]:
-        if e == 2:
-            names.add("stored carry 2")
-        if e >= len(Ra):
-            names.add("carry past the table")
-        e, b = divmod(Ra[0] + a * e + b, c)
-        names.add(f"carry {min(e, 2)}")
-        names.add(("k = 1" if k == 1 else "k > 1")
-                  + (", b >= a" if b >= a else ", b < a"))
-        b %= a
-    if e:
-        names.add("carries left at the end")
+    levels = list(_true_levels(n, a, b, c))
+    for i, ((_, _, a, k, nominal), n, b) in enumerate(levels):
+        d = n - nominal
+        if not d:
+            names.add("carry at nominal")
+            names.add(("k = 1" if k == 1 else "k > 1")
+                      + (", b >= a" if b >= a else ", b < a"))
+            continue
+        names.add("carry below nominal" if d < 0 else "carry above nominal")
+        if abs(d) > 1:
+            names.add("two carries off nominal")
+        if nominal == 0:
+            names.add("carries left at the end")
+        elif i + 1 < len(levels):
+            names.add("miss carried into the next level")
     return names
 
 
@@ -206,16 +222,16 @@ _WALK_EXAMPLES = {
     "n = 1": (1, 3 ** 40, -(2 ** 70), 2 ** 64 + 13),
     "b < 0": (10 ** 30, 3 ** 90, -(7 ** 60), 2 ** 160 + 7),
     "b >= c": (10 ** 300, _fib(1500), 2 * _fib(1501) + 17, _fib(1501)),
-    "k = 1, b >= a": (1, 2, 0, 3),
+    "k = 1, b >= a": (2, 2, 1, 3),
     "k = 1, b < a": (1, 2, 1, 3),
-    "k > 1, b >= a": (1, 1, 0, 2),
+    "k > 1, b >= a": (2, 1, 1, 2),
     "k > 1, b < a": (1, 1, 1, 2),
-    "carry 0": (1, 1, 0, 2),
-    "carry 1": (1, 1, 1, 2),
-    "carry 2": (3, 3, 3, 5),
-    "stored carry 2": (8, 3, 3, 5),
-    "carry past the table": (29, 11, 15, 18),
-    "carries left at the end": (3, 2, 5, 7),
+    "carry at nominal": (1, 1, 1, 2),
+    "carry below nominal": (1, 1, 0, 2),
+    "carry above nominal": (1, 1, 2, 3),
+    "two carries off nominal": (10, 9, 13, 14),
+    "miss carried into the next level": (1, 2, 0, 3),
+    "carries left at the end": (1, 1, 2, 3),
 }
 
 
@@ -268,24 +284,60 @@ def test_floor_sum_matches_euclid_oracle(euclid_floor_sum, operands):
 
 @hst.composite
 def _carry_operands(draw):
-    """a n < c <= a n + b: the nominal n of the chain runs out at the first
-    level, and the whole sum comes from the walk's carry and the terms
-    after it."""
+    """2 a n < c <= a n + b: the nominal n' of the chain is 0 at the first
+    level, and the whole sum comes from the carries the walk sums after
+    it."""
     bits = draw(_WIDTHS.filter(lambda w: w > 1))
     c = draw(hst.integers(max(3, 2 ** (bits - 1)), 2 ** bits - 1))
-    a = draw(hst.integers(2, c - 1))
-    n = draw(hst.integers(1, (c - 1) // a))
+    a = draw(hst.integers(1, (c - 1) // 2))
+    n = draw(hst.integers(1, (c - 1) // (2 * a)))
     b = draw(hst.integers(c - a * n, c - 1))
     return n, a, b, c
 
 
 @settings(max_examples=150)
 @given(_carry_operands())
-@example((3, 2, 5, 7))
+@example((1, 1, 2, 3))
 def test_floor_sum_carries_past_nominal_end(euclid_floor_sum, operands):
     n, a, b, c = operands
     levels = es._chain(n, a, c)[3]
-    assert len(levels) == 1 and levels[0][-1] == 0      # nominal Q = 0
+    assert len(levels) == 1 and levels[0][-1] == 0      # nominal n' = 0
+    assert "carries left at the end" in _walk_branches(*operands)
+    assert es.floor_sum(*operands) == euclid_floor_sum(*operands)
+
+
+@hst.composite
+def _missing_operands(draw):
+    """(operands, i, side): an offset whose walk keeps the nominal carry
+    at every level before level i of the chain and misses it at level i,
+    below (side -1) or above (side 1).  The value b takes at level i is
+    drawn first, where the level's D moves it out of [0, c); each level
+    before it is then walked backwards, taking the smallest b + s a,
+    s >= 0, that the level's D keeps in [0, c)."""
+    n, a, _, c = draw(hst.one_of(_floor_sum_operands(),
+                                 _fibonacci_operands(), _small_operands()))
+    assume(n > 0)
+    levels = es._chain(n, a, c)[3]
+    side = draw(_SIGN)
+    picks = [i for i, level in enumerate(levels) if level[0] * side > 0]
+    assume(picks)
+    i = draw(hst.sampled_from(picks))
+    D, ci = levels[i][:2]
+    b = draw(hst.integers(0, -D - 1) if side < 0 else
+             hst.integers(ci - D, ci - 1))
+    for D, cj, aj, _, _ in reversed(levels[:i]):
+        x = b + max(0, -(-(D - b) // aj)) * aj
+        assume(x < cj + min(D, 0))
+        b = x - D
+    return (n, a, b + draw(hst.integers(-3, 3)) * c, c), i, side
+
+
+@settings(max_examples=300)
+@given(_missing_operands())
+def test_walk_misses_the_nominal_carry_on_both_sides(euclid_floor_sum, drawn):
+    operands, i, side = drawn
+    misses = [n - level[-1] for level, n, _ in _true_levels(*operands)]
+    assert not any(misses[:i]) and misses[i] * side > 0
     assert es.floor_sum(*operands) == euclid_floor_sum(*operands)
 
 
@@ -316,11 +368,16 @@ def test_sample_set_chains_match_euclid_oracle(euclid_floor_sum,
     ks = [level[3] for level in es._chain(N2, psi.P, psi.L)[3]]
     assert ks.count(1) >= len(ks) // 3
     for ctx, n in sample_set_contexts:
+        misses = []
         for m in st.StratifiedSampler(seed=4, size=20).numerators():
             A = int(m) * ctx.x_scale % ctx.L
             for C in ctx.offsets:
                 assert es.floor_sum(n, ctx.P, A - C, ctx.L) == \
                     euclid_floor_sum(n, ctx.P, A - C, ctx.L)
+                misses += [t != level[-1] for level, t, _ in
+                           _true_levels(n, ctx.P, A - C, ctx.L)]
+        # the walk keeps the chain's nominal carry at nearly every level
+        assert sum(misses) <= len(misses) // 100
 
 
 @pytest.mark.parametrize("operands", [

@@ -329,6 +329,19 @@ def test_grid_sampler_runs(plan40):
     assert len(ss.values) == 256
 
 
+@pytest.mark.parametrize("size", [0, -3])
+def test_grid_sampler_refuses_an_empty_grid(size, capsys):
+    # used to construct, and rotsum sum failed later, in ErgodicContext,
+    # on "sample denominator must be >= 1"
+    with pytest.raises(ConfigError, match=f"sample size must be >= 1, "
+                                          f"got {size}"):
+        st.GridSampler(size)
+    assert cli.main(["sum", "--opt", f"N=5,grid={size}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sample size must be >= 1, got {size}\n"
+
+
 def test_clt_experiment_rejects_positions_outside_plan(plan40):
     # n = 0 would divide by a zero prediction
     for n in (-1, 0, plan40.count + 1):
@@ -525,15 +538,69 @@ def test_f0_sum_matches_exact_residues(nums, n, data):
             assert abs(value - want) <= 1e-12 * n
 
 
+def _f0_sum_plain_order(nums, n, *shifted_sets):
+    """``st._f0_sum`` with each term's cosines taken in sample order: the
+    loop before the bucket order, kept as its bit-for-bit oracle."""
+    D = st.DOUBLING_DEN
+    r = nums.copy()
+    outs = [np.zeros(nums.size) for _ in shifted_sets]
+    for k in range(1, n + 1):
+        r = 2 * r
+        r -= D * (r >= D)
+        terms = {}
+        for out, shifted_set in zip(outs, shifted_sets):
+            shifted = shifted_set is None or k in shifted_set
+            if shifted not in terms:
+                t = r
+                if shifted:
+                    t = r - nums
+                    t += D * (t < 0)
+                frac = t.astype(np.float64) / D
+                terms[shifted] = (np.cos(2 * np.pi * frac)
+                                  + np.cos(4 * np.pi * frac))
+            out += terms[shifted]
+    return outs
+
+
+def _bucket_edge_numerators():
+    """Numerators whose fraction at k = 1 is exactly a bucket edge
+    j / _COS_BUCKETS, for the shifted term (t = x) and for the plain one
+    (t = 2 x mod D): 42 of the 128 edges are a float t / D."""
+    D = st.DOUBLING_DEN
+    nums = []
+    for j in range(st._COS_BUCKETS):
+        for t in range(j * D // st._COS_BUCKETS - 3,
+                       j * D // st._COS_BUCKETS + 4):
+            if 0 <= t < D and t / D * st._COS_BUCKETS == j:
+                nums += [t, t * (D + 1) // 2 % D]
+    return np.array(nums, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 60, 500])
+def test_f0_sum_bucket_order_keeps_every_bit(n):
+    D = st.DOUBLING_DEN
+    samples = [st.StratifiedSampler(7, size, D).numerators().astype(np.int64)
+               for size in (1, 7, 5000)]
+    samples.append(_bucket_edge_numerators())
+    assert len(samples[-1]) == 84
+    for nums in samples:
+        for sets in [(None,), ((),), ((), st.gaposhkin_index_set(5, n)),
+                     (None, (), {1, n // 2, n})]:
+            got = st._f0_sum(nums, n, *sets)
+            want = _f0_sum_plain_order(nums, n, *sets)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 # the doubling-map experiments at a size and seed
 DOUBLING_RUNS = {
-    "erdos_fortet": lambda size, seed: st.erdos_fortet_experiment(80, size,
+    "erdos_fortet": lambda size, seed: st.erdos_fortet_experiment(250, size,
                                                                   seed),
-    "gaposhkin": lambda size, seed: st.gaposhkin_demo(5, 300, size, seed),
+    "gaposhkin": lambda size, seed: st.gaposhkin_demo(5, 250, size, seed),
 }
 
 
-# 1001 points split unevenly, 511 stay under the fork threshold
+# at n = 250 a process takes at least 280 points: 1001 points split
+# unevenly, 511 stay under the fork threshold
 @pytest.mark.parametrize("size", [1001, 511])
 @pytest.mark.parametrize("name", sorted(DOUBLING_RUNS))
 def test_doubling_experiments_identical_at_any_process_count(monkeypatch,
@@ -542,19 +609,32 @@ def test_doubling_experiments_identical_at_any_process_count(monkeypatch,
     real = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
     reports, columns = [], []
+    chunk = -(-st._MIN_F0_CHUNK // 250)
     for cores in (1, 2, 3):
         monkeypatch.setattr(st, "_cores", lambda: cores)
         forks.clear()
         reports.append(DOUBLING_RUNS[name](size, 3).to_json())
-        assert len(forks) == max(1, min(cores, size // st._MIN_CHUNK)) - 1
+        assert len(forks) == max(1, min(cores, size // chunk)) - 1
         # the reports' statistics barely see the order of the points, the
         # columns do
         columns.append(st._f0_columns(
-            80, size, 3, None, (), st.gaposhkin_index_set(5, 80)).tobytes())
+            250, size, 3, None, (), st.gaposhkin_index_set(5, 250)).tobytes())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert reports[1] == reports[0] and columns[1] == columns[0]
     assert reports[2] == reports[0] and columns[2] == columns[0]
+
+
+# erdos-fortet --samples 10000 --opt n=5 used to fork at a loss; the
+# benchmark's n = 500 on 10000 points still splits
+@pytest.mark.parametrize("n, forks", [(5, 0), (500, 1)])
+def test_doubling_split_follows_the_work(monkeypatch, n, forks):
+    count = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: count.append(1) or real())
+    monkeypatch.setattr(st, "_cores", lambda: 2)
+    st._f0_columns(n, 10000, 0, None)
+    assert len(count) == forks
 
 
 def test_failed_doubling_child_raises_and_is_reaped(monkeypatch):
