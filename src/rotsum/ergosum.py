@@ -23,10 +23,10 @@ The floor sums of one sample set differ only in their offset A - C, so
 ``floor_sum`` splits the Euclid recursion into a chain that depends on
 (N, P, L) alone, built once per (N, rotation, denominator) and cached,
 and a walk per offset.  The chain runs the recursion at each level's
-nominal carry, so a walk level adds one stored number and tests a range;
-it divides by c only where the carry misses the nominal one, and by a
-only at levels with partial quotient k > 1, with a quotient of at most k.
-Its cost is linear, not quadratic, in the operand size.
+nominal carry, so a walk level adds one stored number and takes one
+divmod by a, whose quotient tells whether the carry is the nominal one;
+it divides by c only where the carry misses the nominal one.  Its cost is
+linear, not quadratic, in the operand size.
 ``ErgodicContext.sums_at`` draws a whole sample set at one N on this
 split: it checks the operands and the window once, fetches the chain once
 and walks each offset per point, and it rounds each exact integer
@@ -101,9 +101,10 @@ def _chain(n: int, a: int, c: int):
     carry e = round(D / c) is 0 or 1, one comparison; the level keeps
     (D - e c, c, a, k, Q + e), k = c // a, and k T(Q + e) goes into the
     part of the sum that b does not move, so that every quadratic-size
-    product and division happens here, once per (n, a, c).  The next level
-    recurses on the nominal n = Q + e.  On the CLI's widest sample sets the
-    walk misses the nominal carry at about 0.2% of levels.
+    product and division happens here, once per (n, a, c), and a walk
+    level is one divmod by a.  The next level recurses on the nominal
+    n = Q + e.  On the CLI's widest sample sets the walk misses the
+    nominal carry at about 0.2% of levels.
     """
     ka, a = divmod(a, c)
     base = ka * _tri(n)
@@ -123,38 +124,43 @@ def _chain(n: int, a: int, c: int):
 
 def _walk(chain, b: int) -> int:
     """floor_sum at offset b along a chain.  A level adds its stored D to
-    b, and the sum lies in [0, c) exactly when the level's carry is the
-    nominal one: then n' is the chain's Q + e, and b is reduced mod a by
-    one subtraction where k = 1, or by one divmod with a quotient s <= k
-    where k > 1 and b >= a, adding n' s.  Otherwise one divmod by c gives
-    the miss d, so n' = Q + e + d; the level adds k (T(n') - T(Q + e)) =
+    b, and the sum x = b + D lies in [0, c) exactly when the level's carry
+    is the nominal one: then n' is the chain's Q + e, b becomes x mod a and
+    the level adds n' s, s = x // a.  One divmod by a gives s and x mod a,
+    and every 0 <= s <= k takes that path: at s = k and x >= c the carry
+    misses by 1, but the miss adds the same k (Q + e) and leaves the same
+    b.  Any other x misses: one divmod by c gives the miss d, so
+    n' = Q + e + d; the level adds k (T(n') - T(Q + e)) =
     k (d (Q + e) + T(d)) and n' s, and carries the miss into the next
-    level's a n as d times that level's a.  Where the nominal n' is 0 the
-    chain has ended, and the d terms left are summed one by one.  The
-    terms that b moves, about as wide as n, gather in a narrow accumulator
-    added to the wide total once."""
+    level's a n as d times that level's a.  The terms that b moves, about
+    as wide as n, gather in a narrow accumulator added to the wide total
+    once.
+
+    Where the chain ends, at the level whose nominal n' is 0, a miss
+    leaves d terms of a next level, floor((a' j + b) / a) for j < d, and
+    the walk skips them: d <= 1 there, and the one term is 0 as b < a.
+    For the b a level starts from is below c + a (b < c0 at the first
+    level).  Then x < 3c/2 + a, since D < c/2, so d <= 2; d <= 1 leaves a
+    next b below a + d a', a' = c - k a the next level's a; and d = 2
+    needs a > c/2, so k = 1, x - 2c < (a - a')/2 and the next b is below
+    (a + 3a')/2 < a + a'.  At the last level Q = e = 0, and the chain
+    built it on a nominal n >= 1, so a <= a n = D < c/2, x < c + 2D < 2c
+    and d <= 1."""
     n0, c0, base, levels = chain
     B, b = divmod(b, c0)
     acc = 0
     for D, c, a, k, n in levels:
         b += D
-        if b < 0 or b >= c:
-            d, b = divmod(b, c)
-            acc += k * (d * n + _tri(d))
-            s, b = divmod(b, a)
-            acc += (n + d) * s
-            rest = c - k * a            # the next level's a
-            if n:
-                b += d * rest
-            else:
-                acc += sum((rest * j + b) // a for j in range(d))
-        elif b >= a:
-            if k == 1:
-                b -= a
-                acc += n
-            else:
-                s, b = divmod(b, a)
-                acc += n * s
+        s, r = divmod(b, a)
+        if 0 <= s <= k:
+            acc += n * s
+            b = r
+            continue
+        d, b = divmod(b, c)
+        acc += k * (d * n + _tri(d))
+        s, b = divmod(b, a)
+        acc += (n + d) * s
+        b += d * (c - k * a)            # the next level's a
     return base + n0 * B + acc
 
 
@@ -236,42 +242,47 @@ class ErgodicContext:
     def sum_at(self, x_num: int, N: int):
         """S_N phi(x) for x = x_num/x_den reduced mod 1, for each observable."""
         x_num, N = _integers("sample numerator and N", x_num, N)
-        chain, PT = self._horizon(N)
+        chain, rows = self._horizon(N)
         vals = tuple(Fraction(v, d) for v, d in zip(
-            self._numerators(x_num, N, chain, PT), self._dens))
+            self._numerators(x_num, N, chain, rows), self._dens))
         return vals[0] if self._single else vals
 
     def sums_at(self, x_nums, N: int) -> np.ndarray:
         """S_N phi(x) at x = m/x_den for every numerator m of ``x_nums``,
         each rounded once to float64: one row per point, one column per
         observable.  The operands and the window are checked once, the chain
-        and P T(N) are built once, and each integer numerator is divided by
-        its denominator with int / int, which rounds correctly, so every
-        value equals float(sum_at(m, N)) bit for bit."""
+        and each row's part that depends on N alone are built once, and
+        each integer numerator is divided by its denominator with int / int,
+        which rounds correctly, so every value equals float(sum_at(m, N))
+        bit for bit."""
         x_nums = _integers("sample numerators", *x_nums)
         (N,) = _integers("N", N)
-        chain, PT = self._horizon(N)
+        chain, rows = self._horizon(N)
         dens = self._dens
         vals = [v / d for m in x_nums
-                for v, d in zip(self._numerators(m, N, chain, PT), dens)]
+                for v, d in zip(self._numerators(m, N, chain, rows), dens)]
         return np.array(vals, dtype=np.float64).reshape(len(x_nums), len(dens))
 
     def _horizon(self, N: int):
         """Checks N against the window; returns the Euclid chain of
-        (N, P, L) and the ramp's term P T(N)."""
+        (N, P, L) and the rows with their part a N + s P T(N), which does
+        not depend on the point, folded into one constant."""
         _at_least("N", N, 0)
         if N > 1 and isinstance(self.rot, RationalTruncation):
             self.rot.require_window(N - 1, "orbit length")
-        return _chain(N, self.P, self.L), (self.P * _tri(N) if self._ramp else 0)
+        PT = self.P * _tri(N) if self._ramp else 0
+        rows = [(a * N + s * PT, s, terms) for a, s, terms in self._rows]
+        return _chain(N, self.P, self.L), rows
 
-    def _numerators(self, x_num: int, N: int, chain, PT: int) -> list[int]:
+    def _numerators(self, x_num: int, N: int, chain, rows) -> list[int]:
         """Each row's S_N phi(x) times its denominator d: one walk per
-        offset C gives F(C), then a N + s (A N + P T(N)) + sum_C J(C) F(C)."""
+        offset C gives F(C), then a N + s (A N + P T(N)) + sum_C J(C) F(C),
+        with a N + s P T(N) the row's constant from ``_horizon``."""
         A = (x_num * self.x_scale) % self.L
         F = [_walk(chain, A - C) for C in self.offsets]
-        ramp = A * N + PT if self._ramp else 0
-        return [a * N + s * ramp + sum(c * F[i] for i, c in terms)
-                for a, s, terms in self._rows]
+        AN = A * N if self._ramp else 0
+        return [const + s * AN + sum(c * F[i] for i, c in terms)
+                for const, s, terms in rows]
 
 
 def ergodic_sum(phi: Observable, x: Fraction, N: int, trunc: RationalTruncation) -> Fraction:

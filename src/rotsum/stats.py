@@ -15,6 +15,9 @@ here.
 
 Every sampler is deterministic in (seed, K) and reports are reproducible
 bit for bit, at any number of processes and at any BLAS thread count.
+``draw_sums``, the doubling-map sums and ``mixture_cdf`` split their
+points across the cores through ``_split_rows``, and no value depends on
+where the points are cut.
 """
 
 from __future__ import annotations
@@ -83,9 +86,13 @@ _MIX_ROWS = 16
 _COS_BUCKETS = 128
 # Partial-sum length of fourier_tail_norm.
 _TAIL_JMAX = 20_000
-# Fewest points a forked process is given: a fork and its pipe
-# cost 2-3 ms on a 2-core Xeon, the time of a few 500-bit samples.
+# Fewest points a forked process of draw_sums is given: a fork and its
+# pipe cost 2-3 ms on a 2-core Xeon, the time of a few 500-bit samples.
 _MIN_CHUNK = 256
+# Fewest points of t a forked process of mixture_cdf is given, at least 2
+# so that no chunk is one row: two processes beat one from about 1,500
+# points on the same Xeon, and won 19-20 of 25 interleaved calls at 2,000.
+_MIN_MIX_CHUNK = 1000
 # Fewest points times steps of _f0_sum a forked process is given: two
 # processes beat one on 10,000 points from about 140,000 point-steps on
 # the same Xeon.
@@ -207,7 +214,10 @@ def _normal_cdf_array(x: np.ndarray, out: np.ndarray | None = None
 def _mixture_rule() -> tuple[np.ndarray, np.ndarray]:
     """``mixture_cdf``'s 512-point Gauss-Legendre rule on [0, 1/2]: the
     scales sqrt(2)|cos(pi y)| at its nodes and its weights, read-only.
-    Built on first use, since leggauss solves a 512 x 512 eigenproblem."""
+    Built on first use, since leggauss solves a 512 x 512 eigenproblem,
+    and in the calling process, so that the children ``mixture_cdf``
+    forks neither solve it nor import scipy.special, imported here too."""
+    from scipy import special  # noqa: F401
     nodes, weights = np.polynomial.legendre.leggauss(512)
     y = 0.25 * (nodes + 1.0)
     sig = math.sqrt(2.0) * np.abs(np.cos(np.pi * y))
@@ -241,18 +251,33 @@ def mixture_cdf(t) -> np.ndarray:
     and F(+-inf) is exactly 1 or 0.  ``t`` is a real number or a 1-D array of
     them; NaN, non-numbers and arrays of more dimensions raise ConfigError.
 
-    The integrand is computed in blocks of _MIX_ROWS rows of t, starting at
+    ``_split_rows`` cuts the points into contiguous chunks of about
+    _MIN_MIX_CHUNK or more, one per available core, at multiples of
+    _MIX_ROWS, and ``_mixture_rows`` evaluates each.  So every process
+    computes the blocks that one process would, and the values are the
+    same at any number of processes, as at any BLAS thread count.
+    """
+    t_arr = _real_array("mixture_cdf", t)
+    rule = _mixture_rule()
+    vals = _split_rows(lambda rows: _mixture_rows(rows, *rule),
+                       t_arr.reshape(-1), _MIN_MIX_CHUNK, _MIX_ROWS)[:, 0]
+    return vals if t_arr.ndim else float(vals[0])
+
+
+def _mixture_rows(t_col: np.ndarray, sig: np.ndarray,
+                  w: np.ndarray) -> np.ndarray:
+    """``mixture_cdf`` at the points of ``t_col``, as one column.
+
+    The integrand is computed in blocks of _MIX_ROWS rows, starting at
     multiples of _MIX_ROWS, in one reused buffer (Phi in place), and each
     block's product with the weights is written into the result.  A final
     block of one row joins the one before it: one-threaded BLAS gives a
-    one-row product other bits, while a block of 2 or more rows gives each
-    row the bits of the one-shot len(t) x 512 product.  A block is too
-    small for BLAS to split between threads, so the values are the same
-    at any BLAS thread count.
+    one-row product other bits, while blocks of 2 or more rows that start
+    at multiples of _MIX_ROWS give each row the bits of the one-shot
+    product.  Blocks cut elsewhere may not: of 2050 points, a chunk that
+    starts at row 1025 gave two rows other bits.  A block is too small
+    for BLAS to split between threads.
     """
-    t_arr = _real_array("mixture_cdf", t)
-    sig, w = _mixture_rule()
-    t_col = t_arr.reshape(-1)
     n = t_col.size
     vals = np.empty(n)
     buf = np.empty((min(n, _MIX_ROWS + 1), sig.size))
@@ -263,7 +288,7 @@ def mixture_cdf(t) -> np.ndarray:
         _normal_cdf_array(block, out=block)
         np.matmul(block, w, out=vals[lo:hi])
     vals *= 2.0
-    return vals if t_arr.ndim else float(vals[0])
+    return vals[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +348,26 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _split_rows(kernel, nums: np.ndarray, min_chunk: int) -> np.ndarray:
+def _split_rows(kernel, nums: np.ndarray, min_chunk: int,
+                step: int = 1) -> np.ndarray:
     """kernel(nums) as one float64 array of rows, one row per point, with
     the points split across the available cores.
 
     ``kernel`` maps a slice of ``nums`` to a 2-D float64 array with one row
-    per point, each row a function of its own point alone.  The points are
-    cut into contiguous chunks in order, one per available core, with at
-    least ``min_chunk`` points in each.  This process runs the kernel on
-    the first chunk; each other chunk runs in a forked child, which sends
-    its rows back through a pipe.  So the rows are the same bit for bit at
-    any number of processes.  A child that fails sends a short result,
-    which raises RotsumError; every child is reaped before this returns or
-    raises.
+    per point, and gives each point of a slice that starts at a multiple
+    of ``step`` the row it has in kernel(nums).  The points are cut into
+    contiguous chunks in order, one per available core, at multiples of
+    ``step``, with at least ``min_chunk`` points in each, less step - 1 at
+    most where a cut moves down to a multiple.  This process runs the
+    kernel on the first chunk; each other chunk runs in a forked child,
+    which sends its rows back through a pipe.  So the rows are the same
+    bit for bit at any number of processes.  A child that fails sends a
+    short result, which raises RotsumError; every child is reaped before
+    this returns or raises.
     """
     parts = max(1, min(_cores(), len(nums) // min_chunk))
-    cuts = [len(nums) * i // parts for i in range(parts + 1)]
+    cuts = [len(nums) * i // parts // step * step for i in range(parts)]
+    cuts.append(len(nums))
     children = []           # (pid, read end of its pipe)
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
@@ -368,7 +397,7 @@ def _split_rows(kernel, nums: np.ndarray, min_chunk: int) -> np.ndarray:
                 rows = np.frombuffer(src.read(), dtype=np.float64)
             if rows.size != (hi - lo) * width:
                 raise RotsumError(
-                    f"sampling process {pid} returned {rows.size} of "
+                    f"forked process {pid} returned {rows.size} of "
                     f"{(hi - lo) * width} values for points {lo}..{hi - 1}")
             chunks.append(rows.reshape(hi - lo, width))
     finally:

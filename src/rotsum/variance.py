@@ -220,6 +220,20 @@ def level_of(n: int, trunc: RationalTruncation) -> int:
 # Lemma-level inequality diagnostics
 # ---------------------------------------------------------------------------
 
+def _fraction_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the fractions u / v, v > 0, of ``terms`` as one unreduced
+    pair (numerator, denominator), added pairwise in a balanced tree, so
+    that each product joins numbers of about the same size and no gcd is
+    taken."""
+    if not terms:
+        return 0, 1
+    while len(terms) > 1:
+        pairs = [(u * y + x * v, v * y)
+                 for (u, v), (x, y) in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2:]
+    return terms[0]
+
+
 def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     """Checks three repartition inequalities for the orbit of 0.
 
@@ -250,22 +264,19 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     kscan = min(_RMAX, trunc.validity_bound - 1)
     if qn > kscan:
         raise ConfigError("q_n beyond the scan range")
-    # (i) exact: 1/(k^2 ||k a||^2) = q^2 / (k m_k)^2 with m_k = ||k a|| q,
-    # summed over a running common denominator; every k < q_n <= kscan lies
-    # inside the exact window
+    # (i) exact: 1/(k^2 ||k a||^2) = q^2 / (k m_k)^2 with m_k = ||k a|| q;
+    # every k < q_n <= kscan lies inside the exact window.  The sum stays
+    # one unreduced fraction, compared by cross-multiplication and rounded
+    # once with int / int
     p, q = trunc.p, trunc.q
-    num, den = 0, 1
+    terms = []
     for k in range(1, qn):
         res = k * p % q
-        x = k * min(res, q - res)
-        x *= x
-        g = math.gcd(den, x)
-        scale = x // g
-        num = num * scale + den // g
-        den *= scale
-    lhs1 = Fraction(num * q * q, den)
+        terms.append((1, (k * min(res, q - res)) ** 2))
+    num, den = _fraction_sum(terms)
+    num *= q * q
     rhs1 = 6 * sum(Fraction(trunc.qs[j + 1], trunc.qs[j]) ** 2 for j in range(n))
-    ok1 = lhs1 <= rhs1
+    ok1 = num * rhs1.denominator <= rhs1.numerator * den
     # (ii)/(iii) vectorized floats with exact residues
     table = AlphaFourierTable(trunc, kscan)
     dist = table.dist
@@ -283,7 +294,7 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
     rhs3 = 4.0 * m / qn + 8.0 * m * m / qn ** 2
     ok3 = lhs3 <= rhs3
     report = {
-        "orbit_sum": (float(lhs1), float(rhs1), ok1),
+        "orbit_sum": (num / den, float(rhs1), ok1),
         "close_frequencies": (lhs2, rhs2, ok2),
         "far_frequencies": (lhs3, rhs3, ok3),
     }

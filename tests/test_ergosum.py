@@ -189,22 +189,31 @@ def _true_levels(n, a, b, c):
 
 def _walk_branches(n, a, b, c):
     """The names of the walk branches that floor_sum(n, a, b, c) takes,
-    recomputed level by level by the plain recursion: a level whose true
-    n' is the chain's nominal one reduces b' mod a; one that misses it by
-    d = n' - nominal divides, and carries d into the next level or, where
-    the nominal n' is 0, sums the d terms left."""
+    recomputed level by level by the plain recursion.  At each level the
+    walk's x = b + D is d c + b', d = n' - nominal the miss, and its
+    quotient s = x // a by the level's a tells the cases apart: the carry
+    is the nominal one where 0 <= s < k, or s = k and x < c, and then
+    b' = x is named against a.  A level that misses carries d into the
+    next level or, where the nominal n' is 0, leaves d terms at the
+    end."""
     names = {f"n = {n}"} if n < 2 else set()
     if not 0 <= b < c:
         names.add("b < 0" if b < 0 else "b >= c")
     if n == 0:
         return names
     levels = list(_true_levels(n, a, b, c))
-    for i, ((_, _, a, k, nominal), n, b) in enumerate(levels):
+    for i, ((_, c, a, k, nominal), n, b) in enumerate(levels):
         d = n - nominal
+        x = d * c + b
+        s = x // a
+        kind = "k = 1, " if k == 1 else "k > 1, "
+        if s < 0 or s > k:
+            names.add(kind + ("s < 0" if s < 0 else "s > k"))
+        elif s == k:
+            names.add(kind + ("s = k, x < c" if x < c else "s = k, x >= c"))
         if not d:
             names.add("carry at nominal")
-            names.add(("k = 1" if k == 1 else "k > 1")
-                      + (", b >= a" if b >= a else ", b < a"))
+            names.add(kind + ("b >= a" if b >= a else "b < a"))
             continue
         names.add("carry below nominal" if d < 0 else "carry above nominal")
         if abs(d) > 1:
@@ -216,22 +225,31 @@ def _walk_branches(n, a, b, c):
     return names
 
 
-# one pinned example per branch of the walk and per edge of its input
+# one pinned example per branch of the walk, per quotient case of a level
+# and per edge of its input
 _WALK_EXAMPLES = {
     "n = 0": (0, 2 ** 100, -7, 3 ** 50),
     "n = 1": (1, 3 ** 40, -(2 ** 70), 2 ** 64 + 13),
     "b < 0": (10 ** 30, 3 ** 90, -(7 ** 60), 2 ** 160 + 7),
     "b >= c": (10 ** 300, _fib(1500), 2 * _fib(1501) + 17, _fib(1501)),
-    "k = 1, b >= a": (2, 2, 1, 3),
-    "k = 1, b < a": (1, 2, 1, 3),
-    "k > 1, b >= a": (2, 1, 1, 2),
-    "k > 1, b < a": (1, 1, 1, 2),
     "carry at nominal": (1, 1, 1, 2),
     "carry below nominal": (1, 1, 0, 2),
     "carry above nominal": (1, 1, 2, 3),
     "two carries off nominal": (10, 9, 13, 14),
     "miss carried into the next level": (1, 2, 0, 3),
     "carries left at the end": (1, 1, 2, 3),
+    "k = 1, b >= a": (2, 2, 1, 3),
+    "k = 1, b < a": (1, 2, 1, 3),
+    "k > 1, b >= a": (2, 1, 1, 2),
+    "k > 1, b < a": (1, 1, 1, 2),
+    "k = 1, s < 0": (1, 2, 0, 3),
+    "k = 1, s = k, x < c": (2, 2, 1, 3),
+    "k = 1, s = k, x >= c": (2, 2, 2, 3),
+    "k = 1, s > k": (4, 3, 4, 5),
+    "k > 1, s < 0": (1, 1, 0, 2),
+    "k > 1, s = k, x < c": (1, 2, 2, 5),
+    "k > 1, s = k, x >= c": (1, 1, 2, 3),
+    "k > 1, s > k": (2, 1, 4, 5),
 }
 
 

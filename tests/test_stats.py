@@ -87,8 +87,12 @@ def two_matrix_mixture_cdf(t):
 
 # one-row, block-sized, one-row-tail and thread-split sizes: the last block
 # has 17 rows at 17, 33 and 4097, and two BLAS threads split a one-shot
-# product of 10001 rows unevenly
-_MIX_SIZES = (1, 2, 15, 16, 17, 18, 33, 4097, 10000, 10001)
+# product of 10001 rows unevenly.  From 2 * _MIN_MIX_CHUNK = 2000 points on
+# two processes split the rows at a multiple of _MIX_ROWS: 1999 stays
+# whole, 2000 and 2001 are cut at row 992, not at their middle, and 2050
+# at 1024, not at 1025, where two rows took other bits
+_MIX_SIZES = (1, 2, 15, 16, 17, 18, 33, 1999, 2000, 2001, 2050, 4097, 10000,
+              10001)
 
 
 def mixture_lines(cdf) -> str:
@@ -103,16 +107,17 @@ def mixture_lines(cdf) -> str:
     return "\n".join(lines)
 
 
-def mixture_lines_at(threads: int, cdf: str) -> list[str]:
-    """mixture_lines of this module's ``cdf`` in a new process whose BLAS
-    runs ``threads`` threads, set before numpy loads."""
+def lines_at(threads: int, call: str) -> list[str]:
+    """The lines that ``call``, an expression over this module as ``t``,
+    returns in a new process on two cores whose BLAS runs ``threads``
+    threads, set before numpy loads."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here)]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
-    code = ("import sys, test_stats as t; "
-            f"sys.stdout.write(t.mixture_lines({cdf}))")
+    code = ("import sys, test_stats as t; t.st._cores = lambda: 2; "
+            f"sys.stdout.write({call})")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -122,8 +127,8 @@ def mixture_lines_at(threads: int, cdf: str) -> list[str]:
 def test_mixture_cdf_in_place_is_bitwise_the_two_matrix_formula():
     # at one BLAS thread, since the one-shot oracle's bits depend on how
     # BLAS splits its product between threads
-    got = mixture_lines_at(1, "t.st.mixture_cdf")
-    assert got == mixture_lines_at(1, "t.two_matrix_mixture_cdf")
+    got = lines_at(1, "t.mixture_lines(t.st.mixture_cdf)")
+    assert got == lines_at(1, "t.mixture_lines(t.two_matrix_mixture_cdf)")
     assert all(line.startswith("ndarray ") for line in got[:-5])
     assert all(line.startswith("float ") for line in got[-5:])
     assert st.mixture_cdf(math.inf) == 1.0
@@ -133,8 +138,8 @@ def test_mixture_cdf_in_place_is_bitwise_the_two_matrix_formula():
 def test_mixture_cdf_is_the_same_at_any_blas_thread_count():
     # a one-shot n x 512 product gives other bits at 10001 points under two
     # BLAS threads
-    assert (mixture_lines_at(1, "t.st.mixture_cdf")
-            == mixture_lines_at(2, "t.st.mixture_cdf"))
+    assert (lines_at(1, "t.mixture_lines(t.st.mixture_cdf)")
+            == lines_at(2, "t.mixture_lines(t.st.mixture_cdf)"))
 
 
 def test_mixture_cdf_holds_one_block():
@@ -148,6 +153,38 @@ def test_mixture_cdf_holds_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 2 ** 20
+
+
+def split_lines() -> str:
+    """mixture_cdf at 2 * _MIN_MIX_CHUNK + 51 sorted points in one process,
+    then split between two, before and after a product that BLAS splits
+    between its threads: one hex line each, then the forks made and any
+    child left behind."""
+    t = np.sort(1.3 * np.random.default_rng(5).standard_normal(
+        2 * st._MIN_MIX_CHUNK + 51))
+    forks = []
+    real = os.fork
+    os.fork = lambda: forks.append(1) or real()
+    lines = []
+    for cores, threaded in ((1, False), (2, False), (1, True), (2, True)):
+        st._cores = lambda: cores
+        if threaded:
+            m = np.random.default_rng(0).standard_normal((800, 800))
+            m @ m
+        lines.append(st.mixture_cdf(t).tobytes().hex())
+    try:
+        lines.append(f"child {os.waitpid(-1, os.WNOHANG)} left")
+    except ChildProcessError:
+        pass
+    lines.append(f"forks {len(forks)}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mixture_cdf_is_the_same_at_any_process_count(threads):
+    *values, forks = lines_at(threads, "t.split_lines()")
+    assert values == [values[0]] * 4
+    assert forks == "forks 2"
 
 
 @pytest.mark.parametrize("bad", [math.nan, [0.1, math.nan], "abc",
