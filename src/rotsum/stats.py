@@ -16,7 +16,8 @@ here.
 Every sampler is deterministic in (seed, K) and reports are reproducible
 bit for bit, at any number of processes and at any BLAS thread count.
 ``draw_sums``, the doubling-map sums and ``mixture_cdf`` split their
-points across the cores through ``_split_rows``, and no value depends on
+points across the cores through ``_split_rows``, as
+``variance.variance_profile`` splits its rows, and no value depends on
 where the points are cut.
 """
 
@@ -93,6 +94,12 @@ _MIN_CHUNK = 256
 # so that no chunk is one row: two processes beat one from about 1,500
 # points on the same Xeon, and won 19-20 of 25 interleaved calls at 2,000.
 _MIN_MIX_CHUNK = 1000
+# Fewest rows of variance.variance_profile a forked process is given: on
+# golden's cheapest rows (a 20,000-frequency table, about 0.7 ms a row),
+# in a process with 30 MB of ballast, two processes beat one in 30 of 31
+# interleaved calls at 16 rows in each of two rounds, but in 14 and 29 of
+# 31 at 12; sqrt2m1's 1.6-ms rows win from 6 rows on the same Xeon.
+_MIN_PROFILE_ROWS = 8
 # Fewest points times steps of _f0_sum a forked process is given: two
 # processes beat one on 10,000 points from about 140,000 point-steps on
 # the same Xeon.
@@ -353,6 +360,8 @@ def _split_rows(kernel, nums: np.ndarray, min_chunk: int,
     """kernel(nums) as one float64 array of rows, one row per point, with
     the points split across the available cores.
 
+    The points are whatever the kernel maps to rows: sample numerators, the
+    t of ``mixture_cdf``, or the row indices of a variance profile.
     ``kernel`` maps a slice of ``nums`` to a 2-D float64 array with one row
     per point, and gives each point of a slice that starts at a multiple
     of ``step`` the row it has in kernel(nums).  The points are cut into

@@ -19,11 +19,18 @@ mod 2 is integer arithmetic, so G_n is evaluated without float drift even
 when n * r is large.  The exact piecewise profile (``ergosum``) is the
 oracle of record; the Fourier backend is the scalable route with a reported
 tail bound.
+
+``variance_profile`` forms the table, the weights and the lower and upper
+variance scales of every level once, the scales from one running sum over
+the convergents, and then splits its rows across the cores through
+``stats._split_rows``; its rows are the same bit for bit at any number of
+processes.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +42,7 @@ from .errors import CertificateError, ConfigError, _at_least, _integers
 from .observables import (_INT64_SAFE, _RMAX, Observable, _scalar,
                           gamma_sq_array, reduce_phases, series_weights)
 from .ergosum import orbit_sum_profile
+from .stats import _MIN_PROFILE_ROWS, _split_rows
 
 __all__ = [
     "gn_kernel",
@@ -201,14 +209,22 @@ def bound_series(phi: Observable, ell: int, trunc: RationalTruncation):
     """
     _scalar(phi)
     ell = _at_least("ell", ell, 0)
-    trunc.require_level(ell + 1, f"the variance series at ell = {ell}")
-    lower = 0.0
-    for j in range(ell):
+    lows, ups = _scales(phi, ell, trunc)
+    return lows[ell], ups[ell]
+
+
+def _scales(phi: Observable, top: int, trunc: RationalTruncation):
+    """``bound_series``' lower and upper scales at every level 0..top, as
+    two lists, from one running sum over j in increasing order, so each
+    entry has the bits of the sum up to its own level."""
+    trunc.require_level(top + 1, f"the variance series at ell = {top}")
+    a_sq = [trunc.a(j + 1) ** 2 for j in range(top + 1)]
+    lows = [0.0]
+    for j in range(top):
         g = phi.fourier_gamma(trunc.qs[j])
-        lower += (g.real * g.real + g.imag * g.imag) * trunc.a(j + 1) ** 2
+        lows.append(lows[-1] + (g.real * g.real + g.imag * g.imag) * a_sq[j])
     k = phi.kbound()
-    upper = k * k * sum(trunc.a(j + 1) ** 2 for j in range(ell + 1))
-    return lower, upper
+    return lows, [k * k * total for total in itertools.accumulate(a_sq)]
 
 
 def level_of(n: int, trunc: RationalTruncation) -> int:
@@ -331,19 +347,34 @@ class VarianceProfile:
 def variance_profile(phi: Observable, trunc: RationalTruncation,
                      ns) -> VarianceProfile:
     """The norms, Cesaro means and variance scales at each n of ``ns``, the
-    Fourier series truncated as in ``norm_sq`` at the largest n."""
+    Fourier series truncated as in ``norm_sq`` at the largest n.
+
+    The kernel table, the series weights and the scales of every level up
+    to the largest one (one running sum, as in ``bound_series``) are formed
+    here; ``_split_rows`` then splits the rows across the cores, with at
+    least _MIN_PROFILE_ROWS rows in each process.  Every row runs the same
+    code on the same arrays, so the profile is the same bit for bit at any
+    number of processes.
+    """
     ns = tuple(_integers("profile indices", *ns))
     if not ns or min(ns) < 1:
         raise ConfigError("a profile needs indices, each >= 1")
     table, w = _series(phi, trunc, max(ns))
-    norms, means, lows, ups, lvls = [], [], [], [], []
-    for n in ns:
-        norms.append(float(np.sum(w * table.gn(n))))
-        means.append(float(np.sum(w * table.gn_mean(n))))
-        ell = level_of(n, trunc)
-        lo, up = bound_series(phi, ell, trunc) if ell >= 1 else (0.0, 0.0)
-        lows.append(lo)
-        ups.append(up)
-        lvls.append(ell)
-    return VarianceProfile(ns, tuple(norms), tuple(means), tuple(lows),
-                           tuple(ups), tuple(lvls))
+    levels = [level_of(n, trunc) for n in ns]
+    top = max(levels)
+    # level-0 rows carry no scales and need no level of the truncation
+    lows, ups = _scales(phi, top, trunc) if top else ([0.0], [0.0])
+    ups[0] = 0.0
+
+    def rows(idx):
+        out = np.empty((idx.size, 5))
+        for row, i in zip(out, idx):
+            n, ell = ns[i], levels[i]
+            row[:] = (np.sum(w * table.gn(n)), np.sum(w * table.gn_mean(n)),
+                      lows[ell], ups[ell], ell)
+        return out
+
+    cols = _split_rows(rows, np.arange(len(ns)), _MIN_PROFILE_ROWS)
+    norms, means, lower, upper = (tuple(c.tolist()) for c in cols[:, :4].T)
+    return VarianceProfile(ns, norms, means, lower, upper,
+                           tuple(int(ell) for ell in cols[:, 4]))

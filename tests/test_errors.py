@@ -73,7 +73,8 @@ def test_library_reads_no_environment():
 def test_only_split_rows_forks():
     # stats._split_rows is the one place that starts a process (draw_sums,
     # the doubling-map experiments and mixture_cdf split their points
-    # through it): its children end in os._exit, and it reaps every one
+    # through it, variance.variance_profile its rows): its children end in
+    # os._exit, and it reaps every one
     def forks(node):
         return ((isinstance(node, ast.Attribute) and node.attr == "fork"
                  and ast.unparse(node.value) == "os")

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,10 @@ from scipy import integrate
 from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import observables as obs
+from rotsum import stats as st
 from rotsum import variance as var
-from rotsum.errors import CertificateError, ConfigError, PrecisionError
+from rotsum.errors import (CertificateError, ConfigError, PrecisionError,
+                           RotsumError)
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +286,29 @@ def test_level_of_matches_the_loop(name):
     check()
 
 
+def _bound_series_loop(phi, ell, trunc):
+    """bound_series summed afresh at level ell alone."""
+    lower = 0.0
+    for j in range(ell):
+        g = phi.fourier_gamma(trunc.qs[j])
+        lower += (g.real * g.real + g.imag * g.imag) * trunc.a(j + 1) ** 2
+    k = phi.kbound()
+    upper = k * k * sum(trunc.a(j + 1) ** 2 for j in range(ell + 1))
+    return lower, upper
+
+
+@pytest.mark.parametrize("name", sorted(A4_TRUNCATIONS))
+def test_bound_series_prefix_matches_the_sum_at_each_level(name):
+    trunc = A4_TRUNCATIONS[name][0]
+    for phi in CATALOG + [obs.half_shifted(Fraction(2, 7))]:
+        for ell in range(trunc.level):
+            got = var.bound_series(phi, ell, trunc)
+            want = _bound_series_loop(phi, ell, trunc)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+    with pytest.raises(PrecisionError):
+        var.bound_series(CATALOG[1], trunc.level, trunc)
+
+
 def test_variance_profile_shape(golden_trunc):
     prof = var.variance_profile(obs.Sawtooth(), golden_trunc, [1, 5, 21, 100])
     assert prof.ns == (1, 5, 21, 100)
@@ -301,3 +328,89 @@ def test_variance_profile_matches_pointwise(phi, golden_trunc):
     for n, norm, mean in zip(ns, prof.norm_sq, prof.mean_variance):
         assert norm == var.norm_sq(phi, n, golden_trunc)[0]
         assert mean == var.mean_variance(phi, n, golden_trunc)
+    for ell, lower, upper in zip(prof.levels, prof.lower_series,
+                                 prof.upper_series):
+        assert (lower, upper) == var.bound_series(phi, ell, golden_trunc)
+
+
+def _profile_bytes(prof):
+    return [np.array(col).tobytes() for col in (
+        prof.norm_sq, prof.mean_variance, prof.lower_series,
+        prof.upper_series)]
+
+
+# 32 rows split at 2 and 3 processes; 2 * _MIN_PROFILE_ROWS - 1 rows, which
+# include sqrt2m1's level-0 row at n = 1, stay in one
+@pytest.mark.parametrize("alpha, rows", [
+    ("golden", 32), ("sqrt2m1", 2 * st._MIN_PROFILE_ROWS - 1)])
+def test_variance_profile_identical_at_any_process_count(monkeypatch, alpha,
+                                                         rows):
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    tr = cli.parse_alpha(alpha, 48)
+    phi = obs.double_interval(Fraction(1, 5), Fraction(3, 8))
+    # the rows of `rotsum variance --opt nmax=200`
+    ns = sorted({max(1, round(200 ** (i / 39))) for i in range(40)})[:rows]
+    profs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(st, "_cores", lambda: cores)
+        forks.clear()
+        profs.append(var.variance_profile(phi, tr, ns))
+        parts = max(1, min(cores, rows // st._MIN_PROFILE_ROWS))
+        assert len(forks) == parts - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    for prof in profs:
+        assert prof.ns == tuple(ns)
+        assert _profile_bytes(prof) == _profile_bytes(profs[0])
+        assert prof.levels == profs[0].levels
+        assert all(type(ell) is int for ell in prof.levels)
+
+
+def test_failed_profile_child_raises_and_is_reaped(monkeypatch):
+    # the kernel fails in the children only: the parent raises a typed
+    # error and leaves no child behind
+    parent = os.getpid()
+    real = var.AlphaFourierTable.gn
+
+    def failing(self, n):
+        if os.getpid() != parent:
+            raise MemoryError("no room in the child")
+        return real(self, n)
+
+    tr = cli.parse_alpha("golden", 48)
+    phi = obs.half()
+    ns = range(1, 4 * st._MIN_PROFILE_ROWS)
+    monkeypatch.setattr(var.AlphaFourierTable, "gn", failing)
+    monkeypatch.setattr(st, "_cores", lambda: 3)
+    with pytest.raises(RotsumError, match="returned 0 of"):
+        var.variance_profile(phi, tr, ns)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # a failure in this process reaps the children too
+    monkeypatch.setattr(var.AlphaFourierTable, "gn", lambda self, n: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        var.variance_profile(phi, tr, ns)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# recorded when every row was computed in one process, one after another
+@pytest.mark.parametrize("alpha, digest", [
+    ("sqrt2m1",
+     "6544657b01d50e779cad22e7561739ff6179d74e80c72f909b6fe7aed5d91939"),
+    ("golden",
+     "0949dba95c2aab21f7f813f35bac5ae96e5339739e3224fbca884dd7cbfc828e"),
+])
+def test_variance_cli_pinned_at_one_and_two_processes(monkeypatch, capsys,
+                                                      alpha, digest):
+    argv = ["variance", "--alpha", alpha, "--observable",
+            "double_interval:beta=1/5,gamma=3/8", "--opt", "nmax=500"]
+    for cores in (1, 2):
+        monkeypatch.setattr(st, "_cores", lambda: cores)
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
