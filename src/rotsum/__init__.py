@@ -9,6 +9,7 @@ Subpackages:
 * ``variance``    -- Fourier-side variance kernels, bounds and diagnostics
 * ``sequences``   -- certified subsequence plans (growth, parity, lacunarity)
 * ``stats``       -- samplers, KS instruments and the CLT experiments
+* ``parallel``    -- the one fork layer: rows split across cores by their cost
 * ``billiard``    -- the rectangular periodic billiard at the diagonal direction
 * ``cli``         -- command-line front end
 """

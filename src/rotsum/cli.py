@@ -130,8 +130,10 @@ def _parse_kw(text: str) -> dict:
     for part in text.split(","):
         if not part:
             continue
-        k, _, v = part.partition("=")
-        out[k.strip()] = v.strip()
+        k, _, v = (side.strip() for side in part.partition("="))
+        if k in out:
+            raise ConfigError(f"key {k!r} given twice")
+        out[k] = v
     return out
 
 
@@ -403,7 +405,12 @@ def main(argv=None) -> int:
     # reading or printing them
     sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        cfg = config_from_args(args)
+    except ConfigError as exc:      # a repeated --opt key
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return run(cfg)
 
 
 if __name__ == "__main__":

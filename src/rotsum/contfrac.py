@@ -73,7 +73,7 @@ def _design_params(params: dict) -> tuple:
     except KeyError as exc:
         raise ConfigError(f"design rule needs params c and beta, missing "
                           f"{exc.args[0]!r}") from None
-    return _at_least("boost factor c", c, 1), *_integers("exponent beta", beta)
+    return _at_least("boost factor c", c, 1), _at_least("exponent beta", beta, 1)
 
 
 def _rule_clt_design(k: int, params: dict) -> int:

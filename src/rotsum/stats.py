@@ -16,9 +16,8 @@ here.
 Every sampler is deterministic in (seed, K) and reports are reproducible
 bit for bit, at any number of processes and at any BLAS thread count.
 ``draw_sums``, the doubling-map sums and ``mixture_cdf`` split their
-points across the cores through ``_split_rows``, as
-``variance.variance_profile`` splits its rows, and no value depends on
-where the points are cut.
+points across the cores through ``parallel._split_rows``, each by its
+estimated work per point, and no value depends on where they are cut.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,6 +38,7 @@ from .errors import (CertificateError, ConfigError, RotsumError, _at_least,
                      _integers)
 from .observables import (Observable, VectorObservable, _scalar,
                           gamma_sq_array, series_weights)
+from .parallel import _split_rows
 from .sequences import SubsequencePlan
 
 __all__ = [
@@ -87,23 +86,12 @@ _MIX_ROWS = 16
 _COS_BUCKETS = 128
 # Partial-sum length of fourier_tail_norm.
 _TAIL_JMAX = 20_000
-# Fewest points a forked process of draw_sums is given: a fork and its
-# pipe cost 2-3 ms on a 2-core Xeon, the time of a few 500-bit samples.
-_MIN_CHUNK = 256
-# Fewest points of t a forked process of mixture_cdf is given, at least 2
-# so that no chunk is one row: two processes beat one from about 1,500
-# points on the same Xeon, and won 19-20 of 25 interleaved calls at 2,000.
-_MIN_MIX_CHUNK = 1000
-# Fewest rows of variance.variance_profile a forked process is given: on
-# golden's cheapest rows (a 20,000-frequency table, about 0.7 ms a row),
-# in a process with 30 MB of ballast, two processes beat one in 30 of 31
-# interleaved calls at 16 rows in each of two rounds, but in 14 and 29 of
-# 31 at 12; sqrt2m1's 1.6-ms rows win from 6 rows on the same Xeon.
-_MIN_PROFILE_ROWS = 8
-# Fewest points times steps of _f0_sum a forked process is given: two
-# processes beat one on 10,000 points from about 140,000 point-steps on
-# the same Xeon.
-_MIN_F0_CHUNK = 70_000
+# Nanoseconds of work per unit in one process, for _split_rows: one
+# Euclid walk of a draw_sums sample at 500 bits, one point-step of _f0_sum
+# and one point of mixture_cdf.
+_WALK_NS = 15_000
+_STEP_NS = 30
+_MIX_NS = 4_800
 # Most points one sampler draws: about 0.4 GB of Python-int numerators.
 # Every workload and README run draws at most 20,000.
 _SAMPLE_CAP = 2 ** 23
@@ -258,16 +246,17 @@ def mixture_cdf(t) -> np.ndarray:
     and F(+-inf) is exactly 1 or 0.  ``t`` is a real number or a 1-D array of
     them; NaN, non-numbers and arrays of more dimensions raise ConfigError.
 
-    ``_split_rows`` cuts the points into contiguous chunks of about
-    _MIN_MIX_CHUNK or more, one per available core, at multiples of
-    _MIX_ROWS, and ``_mixture_rows`` evaluates each.  So every process
-    computes the blocks that one process would, and the values are the
-    same at any number of processes, as at any BLAS thread count.
+    ``_split_rows`` cuts the points into contiguous chunks of 600 points or
+    more (one fork's cost at _MIX_NS a point), at most one per available
+    core, at multiples of _MIX_ROWS, and ``_mixture_rows`` evaluates each.
+    So no chunk is one row, every process computes the blocks that one
+    process would, and the values are the same at any number of processes,
+    as at any BLAS thread count.
     """
     t_arr = _real_array("mixture_cdf", t)
     rule = _mixture_rule()
     vals = _split_rows(lambda rows: _mixture_rows(rows, *rule),
-                       t_arr.reshape(-1), _MIN_MIX_CHUNK, _MIX_ROWS)[:, 0]
+                       t_arr.reshape(-1), _MIX_NS, _MIX_ROWS)[:, 0]
     return vals if t_arr.ndim else float(vals[0])
 
 
@@ -347,75 +336,6 @@ def two_sample_ks(a, b) -> float:
 # Subsequence CLT sampling
 # ---------------------------------------------------------------------------
 
-def _cores() -> int:
-    """The cores this process may run on; 1 without os.fork or without an
-    affinity mask to read."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _split_rows(kernel, nums: np.ndarray, min_chunk: int,
-                step: int = 1) -> np.ndarray:
-    """kernel(nums) as one float64 array of rows, one row per point, with
-    the points split across the available cores.
-
-    The points are whatever the kernel maps to rows: sample numerators, the
-    t of ``mixture_cdf``, or the row indices of a variance profile.
-    ``kernel`` maps a slice of ``nums`` to a 2-D float64 array with one row
-    per point, and gives each point of a slice that starts at a multiple
-    of ``step`` the row it has in kernel(nums).  The points are cut into
-    contiguous chunks in order, one per available core, at multiples of
-    ``step``, with at least ``min_chunk`` points in each, less step - 1 at
-    most where a cut moves down to a multiple.  This process runs the
-    kernel on the first chunk; each other chunk runs in a forked child,
-    which sends its rows back through a pipe.  So the rows are the same
-    bit for bit at any number of processes.  A child that fails sends a
-    short result, which raises RotsumError; every child is reaped before
-    this returns or raises.
-    """
-    parts = max(1, min(_cores(), len(nums) // min_chunk))
-    cuts = [len(nums) * i // parts // step * step for i in range(parts)]
-    cuts.append(len(nums))
-    children = []           # (pid, read end of its pipe)
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:    # the child never returns
-                status = 1
-                try:
-                    for fd in [r] + [fd for _, fd in children]:
-                        os.close(fd)
-                    with open(w, "wb") as out:
-                        out.write(kernel(nums[lo:hi]).tobytes())
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append((pid, r))
-        chunks = [kernel(nums[:cuts[1]])]
-        width = chunks[0].shape[1]
-        for (pid, r), lo, hi in zip(children, cuts[1:], cuts[2:]):
-            with open(r, "rb", closefd=False) as src:
-                rows = np.frombuffer(src.read(), dtype=np.float64)
-            if rows.size != (hi - lo) * width:
-                raise RotsumError(
-                    f"forked process {pid} returned {rows.size} of "
-                    f"{(hi - lo) * width} values for points {lo}..{hi - 1}")
-            chunks.append(rows.reshape(hi - lo, width))
-    finally:
-        for pid, r in children:
-            os.close(r)
-            os.waitpid(pid, 0)
-    return np.concatenate(chunks)
-
-
 def draw_sums(phi: Observable | tuple[Observable, ...],
               trunc: RationalTruncation,
               sampler: StratifiedSampler | GridSampler, N: int) -> np.ndarray:
@@ -431,7 +351,7 @@ def draw_sums(phi: Observable | tuple[Observable, ...],
     """
     ctx = ErgodicContext(phi, trunc, sampler.den)
     return _split_rows(lambda nums: ctx.sums_at(nums, N),
-                       sampler.numerators(), _MIN_CHUNK)
+                       sampler.numerators(), len(ctx.offsets) * _WALK_NS)
 
 
 def sample_sums(plan: SubsequencePlan, phi: Observable,
@@ -532,14 +452,13 @@ def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
 def _f0_columns(n: int, samples: int, seed: int, *shifted_sets) -> np.ndarray:
     """The ``_f0_sum`` sums at the stratified doubling-map sample, one row
     per point and one column per shifted set, split across the cores by
-    ``_split_rows`` with at least ``_MIN_F0_CHUNK`` point-steps in each
-    process.  A column of the result is strided: divide or copy it before
-    a reduction, so the reduction sums a contiguous array in the order it
-    always has."""
+    ``_split_rows`` at n point-steps per point.  A column of the result is
+    strided: divide or copy it before a reduction, so the reduction sums a
+    contiguous array in the order it always has."""
     sampler = StratifiedSampler(seed, samples, DOUBLING_DEN)
     return _split_rows(
         lambda nums: np.column_stack(_f0_sum(nums, n, *shifted_sets)),
-        sampler.numerators().astype(np.int64), -(-_MIN_F0_CHUNK // n))
+        sampler.numerators().astype(np.int64), n * _STEP_NS)
 
 
 def erdos_fortet_experiment(n: int, samples: int, seed: int) -> ExperimentReport:
@@ -618,7 +537,7 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int) -> ExperimentReport:
     s_plain, s_mod = (s / math.sqrt(n)
                       for s in _f0_columns(n, samples, seed, (), mism).T)
     ks = two_sample_ks(s_plain, s_mod)
-    count = gaposhkin_count(a, n)
+    count = len(mism)
     sup_diff = float(np.max(np.abs(s_plain - s_mod)))
     sup_bound = 2.0 * 2.0 * count / math.sqrt(n)  # 2 ||f0||_inf per mismatch
     passed = (ks <= _GAPOSHKIN_KS_TOL) and (sup_diff <= sup_bound)

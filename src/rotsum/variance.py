@@ -23,8 +23,8 @@ tail bound.
 ``variance_profile`` forms the table, the weights and the lower and upper
 variance scales of every level once, the scales from one running sum over
 the convergents, and then splits its rows across the cores through
-``stats._split_rows``; its rows are the same bit for bit at any number of
-processes.
+``parallel._split_rows``, by their frequencies; its rows are the same bit
+for bit at any number of processes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import CertificateError, ConfigError, _at_least, _integers
 from .observables import (_INT64_SAFE, _RMAX, Observable, _scalar,
                           gamma_sq_array, reduce_phases, series_weights)
 from .ergosum import orbit_sum_profile
-from .stats import _MIN_PROFILE_ROWS, _split_rows
+from .parallel import _split_rows
 
 __all__ = [
     "gn_kernel",
@@ -334,6 +334,11 @@ def diagnostic_inequalities(trunc: RationalTruncation, n: int, m: int) -> dict:
 # Profiles over n-ranges
 # ---------------------------------------------------------------------------
 
+# Nanoseconds of one frequency of a profile row in one process, for
+# _split_rows: golden's int64 angles (sqrt2m1's big-integer ones take 2x).
+_FREQ_NS = 44
+
+
 @dataclass(frozen=True)
 class VarianceProfile:
     ns: tuple[int, ...]
@@ -351,8 +356,8 @@ def variance_profile(phi: Observable, trunc: RationalTruncation,
 
     The kernel table, the series weights and the scales of every level up
     to the largest one (one running sum, as in ``bound_series``) are formed
-    here; ``_split_rows`` then splits the rows across the cores, with at
-    least _MIN_PROFILE_ROWS rows in each process.  Every row runs the same
+    here; ``_split_rows`` then splits the rows across the cores, at
+    table.rmax frequencies of work a row.  Every row runs the same
     code on the same arrays, so the profile is the same bit for bit at any
     number of processes.
     """
@@ -374,7 +379,7 @@ def variance_profile(phi: Observable, trunc: RationalTruncation,
                       lows[ell], ups[ell], ell)
         return out
 
-    cols = _split_rows(rows, np.arange(len(ns)), _MIN_PROFILE_ROWS)
+    cols = _split_rows(rows, np.arange(len(ns)), table.rmax * _FREQ_NS)
     norms, means, lower, upper = (tuple(c.tolist()) for c in cols[:, :4].T)
     return VarianceProfile(ns, norms, means, lower, upper,
                            tuple(int(ell) for ell in cols[:, 4]))

@@ -1,6 +1,8 @@
-"""Brute-force oracles shared by the test files, and the hypothesis profile."""
+"""Brute-force oracles shared by the test files, the hypothesis profile and
+the fork-counting fixture."""
 
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,41 @@ from hypothesis import settings
 from rotsum import billiard as bil
 from rotsum import ergosum as es
 from rotsum import observables as obs
+from rotsum import parallel
 from rotsum.errors import SingularOrbitError
 
 # every property test draws the same examples on every run
 settings.register_profile("rotsum", derandomize=True, deadline=None)
 settings.load_profile("rotsum")
+
+
+class _Forks:
+    """os.fork calls made by this process since the last ``cores`` call."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        self._monkeypatch = monkeypatch
+        real = os.fork
+
+        def fork():
+            self.count += 1
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def cores(self, n):
+        """Gives parallel._split_rows n cores and restarts the count."""
+        self._monkeypatch.setattr(parallel, "_cores", lambda: n)
+        self.count = 0
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts os.fork calls; ``forks.cores(n)`` sets the cores that
+    parallel._split_rows may use.  At teardown no child process is left."""
+    yield _Forks(monkeypatch)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _euclid_floor_sum(n, a, b, c):

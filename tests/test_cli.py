@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -389,10 +390,20 @@ def test_non_integer_alpha_values_raise_config_error(alpha, levels, what,
      "a sample of 1000000000000 points exceeds the cap"),
     (["sum", "--opt", "grid=1000000000000"],
      "a sample of 1000000000000 points exceeds the cap"),
+    # a repeated key used to keep its last value; a design exponent below 1
+    # used to build a bounded-type rotation of all-ones quotients
+    (["sum", "--alpha", "golden", "--opt", "N=3,N=4"], "key 'N' given twice"),
+    (["sum", "--opt", "N=3", "--opt", "N=4"], "key 'N' given twice"),
+    (["cf", "--alpha", "clt:c=2,c=30"], "key 'c' given twice"),
+    (["clt", "--alpha", "clt:c=30", "--terms", "6", "--samples", "10",
+      "--observable", "indicator:beta=1/3,beta=1/4"], "key 'beta' given twice"),
+    (["cf", "--alpha", "clt:c=1,beta=-3"], "exponent beta must be >= 1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_option_values_exit_with_config_error(argv, what, capsys):
-    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    # a repeated --opt key is refused as the config is read, every other
+    # input by the handler
     with pytest.raises(ConfigError, match=what):
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
         cli._HANDLERS[cfg.command][0](cfg)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -575,3 +586,86 @@ def test_console_entry_point():
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "q_n" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Grammar fuzz: every argv ends in output, one error line or argparse's exit
+# ---------------------------------------------------------------------------
+
+# mostly well-formed values, so that most argvs reach the library
+_VALUES = hst.sampled_from(["1", "2", "3", "5", "7", "1/3", "2/5", "3/8",
+                            "0", "-1", "1/0", "abc", "", "1.5"])
+
+
+def _pairs(keys, size=2):
+    """'k=v,..' over ``keys``, a key possibly repeated."""
+    pair = hst.tuples(hst.sampled_from(keys), _VALUES).map("=".join)
+    return hst.lists(pair, max_size=size).map(",".join)
+
+
+_FLAG_VALUES = {
+    "alpha": hst.one_of(
+        hst.sampled_from(["golden", "sqrt2m1", "gloden", "clt:c=30",
+                          "parity:c=30", "list:"]),
+        hst.lists(hst.sampled_from(["1", "2", "5", "0", "-1", "x", ""]),
+                  max_size=12).map(lambda qs: "list:" + ",".join(qs)),
+        hst.tuples(hst.sampled_from(["clt", "parity"]),
+                   _pairs(["c", "beta", "zzz"])).map(":".join)),
+    "observable": hst.one_of(
+        hst.sampled_from(["phi0", "half", "indicator:beta=1/3", "nope"]),
+        hst.tuples(hst.sampled_from(["indicator", "double_interval",
+                                     "half_shifted", "billiard_displacement"]),
+                   _pairs(["beta", "gamma", "alpha", "x"])).map(":".join)),
+    "beta": hst.sampled_from(["2", "2", "1.5", "0", "nan", "x"]),
+    "terms": hst.sampled_from(["1", "3", "6", "6", "0", "x"]),
+    "samples": hst.sampled_from(["7", "30", "30", "1", "0", "1/2"]),
+    "seed": hst.sampled_from(["0", "3", "7", "-1", "x"]),
+    "format": hst.sampled_from(["csv", "json", "json", "xml"]),
+}
+# flags and keys that are always given, so that no default size applies
+_SIZED_FLAGS = {"terms", "samples"}
+_SIZED_KEYS = {"variance": "nmax", "erdos-fortet": "n", "gaposhkin": "n"}
+
+
+@hst.composite
+def _argvs(draw):
+    command = draw(hst.sampled_from(sorted(cli._HANDLERS)))
+    _, flags, keys = cli._HANDLERS[command]
+    argv = [command]
+    for flag in flags:
+        if flag in _FLAG_VALUES and (flag in _SIZED_FLAGS
+                                     or draw(hst.booleans())):
+            argv += [f"--{flag}", draw(_FLAG_VALUES[flag])]
+    # the keys read, a misspelt one and an empty one; --opt where no key is
+    # read is argparse's to refuse
+    read = [k for k in keys if k != "samples_csv"]
+    opts = [draw(_pairs(read * 4 + ["nmx", ""] if read else ["N"]))]
+    if command in _SIZED_KEYS:
+        size = draw(hst.sampled_from(["1", "5", "30", "30", "0", "x"]))
+        opts.insert(0, f"{_SIZED_KEYS[command]}={size}")
+    if draw(hst.booleans()):
+        opts = [",".join(opts)]
+    for opt in opts:
+        if opt.strip(","):
+            argv += ["--opt", opt]
+    return argv + draw(hst.sampled_from([[]] * 6 + [["--nope", "1"],
+                                                     ["--a", "1/3"]]))
+
+
+@settings(max_examples=150)
+@given(argv=_argvs())
+def test_every_argv_ends_in_output_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(argv)
+    except SystemExit as exc:               # argparse's own refusal
+        assert exc.code == 2 and out.getvalue() == "", argv
+        return
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert out.getvalue(), argv
+        assert not any(line.startswith("error:") for line in lines), argv
+    else:
+        assert rc == 2 and out.getvalue() == "", argv
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv

@@ -71,17 +71,17 @@ def test_library_reads_no_environment():
 
 
 def test_only_split_rows_forks():
-    # stats._split_rows is the one place that starts a process (draw_sums,
-    # the doubling-map experiments and mixture_cdf split their points
-    # through it, variance.variance_profile its rows): its children end in
-    # os._exit, and it reaps every one
+    # parallel._split_rows is the one place that starts a process
+    # (draw_sums, the doubling-map experiments and mixture_cdf split their
+    # points through it, variance.variance_profile its rows): its children
+    # end in os._exit, and it reaps every one
     def forks(node):
         return ((isinstance(node, ast.Attribute) and node.attr == "fork"
                  and ast.unparse(node.value) == "os")
                 or (isinstance(node, ast.ImportFrom) and node.module == "os"
                     and "fork" in {alias.name for alias in node.names}))
 
-    tree = ast.parse((SRC / "stats.py").read_text())
+    tree = ast.parse((SRC / "parallel.py").read_text())
     (split,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                 and node.name == "_split_rows"]
     inside = [node for node in ast.walk(split) if forks(node)]
@@ -89,6 +89,31 @@ def test_only_split_rows_forks():
     # _split_rows's nodes are among the library's, so equal counts leave no
     # fork outside it
     assert inside and len(found) == len(inside), found
+
+
+def _package_imports(name):
+    """The rotsum modules that module ``name`` imports from."""
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = (".".join(filter(None, ["rotsum", node.module]))
+                    if node.level else node.module)
+            names = [base + "." + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names
+                  if name.startswith("rotsum.")}
+    return found
+
+
+def test_fork_layer_imports_only_errors():
+    # the fork layer is a base layer, and variance reaches it directly,
+    # not through its peer stats
+    assert _package_imports("parallel") == {"errors"}
+    assert "stats" not in _package_imports("variance")
 
 
 def _decorator_name(node):
@@ -410,6 +435,9 @@ _BAD_SAMPLES = {"2-d": np.zeros((3, 4)), "scalar": 0.5, "str": ["a", "b"],
                  id="clt_design_rule-c-float"),
     pytest.param(lambda: cf.parity_design_rule(beta=1.5),
                  id="parity_design_rule-beta-float"),
+    # used to build all-ones quotients, a bounded-type rotation named clt
+    pytest.param(lambda: cf.clt_design_rule(c=1, beta=-3),
+                 id="clt_design_rule-beta-below-1"),
     pytest.param(lambda: cf.clt_design_rule(c="3"),
                  id="clt_design_rule-c-string"),
     pytest.param(lambda: cf.PartialQuotientSpec(name="golden", max_index="5"),

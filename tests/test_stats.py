@@ -18,9 +18,16 @@ from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import ergosum as es
 from rotsum import observables as obs
+from rotsum import parallel as par
 from rotsum import sequences as seq
 from rotsum import stats as st
 from rotsum.errors import ConfigError, RotsumError
+
+
+def fewest_to_split(row_ns: int) -> int:
+    """The fewest points that parallel._split_rows shares between two
+    processes at ``row_ns`` nanoseconds a point: two forks' cost of work."""
+    return -(-2 * par._FORK_NS // row_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +94,13 @@ def two_matrix_mixture_cdf(t):
 
 # one-row, block-sized, one-row-tail and thread-split sizes: the last block
 # has 17 rows at 17, 33 and 4097, and two BLAS threads split a one-shot
-# product of 10001 rows unevenly.  From 2 * _MIN_MIX_CHUNK = 2000 points on
-# two processes split the rows at a multiple of _MIX_ROWS: 1999 stays
-# whole, 2000 and 2001 are cut at row 992, not at their middle, and 2050
-# at 1024, not at 1025, where two rows took other bits
-_MIX_SIZES = (1, 2, 15, 16, 17, 18, 33, 1999, 2000, 2001, 2050, 4097, 10000,
-              10001)
+# product of 10001 rows unevenly.  From _MIX_SPLIT points on two processes
+# split the rows at a multiple of _MIX_ROWS: one point fewer stays whole,
+# _MIX_SPLIT (1250) and one more are cut below their middle (at row 624),
+# and 2050 at 1024, not at 1025, where two rows took other bits
+_MIX_SPLIT = fewest_to_split(st._MIX_NS)
+_MIX_SIZES = (1, 2, 15, 16, 17, 18, 33, _MIX_SPLIT - 1, _MIX_SPLIT,
+              _MIX_SPLIT + 1, 2050, 4097, 10000, 10001)
 
 
 def mixture_lines(cdf) -> str:
@@ -116,7 +124,7 @@ def lines_at(threads: int, call: str) -> list[str]:
         [str(here.parent / "src"), str(here)]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
-    code = ("import sys, test_stats as t; t.st._cores = lambda: 2; "
+    code = ("import sys, test_stats as t; t.par._cores = lambda: 2; "
             f"sys.stdout.write({call})")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -155,36 +163,37 @@ def test_mixture_cdf_holds_one_block():
     assert peak <= 2 ** 20
 
 
+def split_points(size: int) -> np.ndarray:
+    return np.sort(1.3 * np.random.default_rng(5).standard_normal(size))
+
+
 def split_lines() -> str:
-    """mixture_cdf at 2 * _MIN_MIX_CHUNK + 51 sorted points in one process,
-    then split between two, before and after a product that BLAS splits
-    between its threads: one hex line each, then the forks made and any
-    child left behind."""
-    t = np.sort(1.3 * np.random.default_rng(5).standard_normal(
-        2 * st._MIN_MIX_CHUNK + 51))
-    forks = []
-    real = os.fork
-    os.fork = lambda: forks.append(1) or real()
+    """mixture_cdf at _MIX_SPLIT sorted points in one process, then split
+    between two, before and after a product that BLAS splits between its
+    threads: one hex line each."""
+    t = split_points(_MIX_SPLIT)
     lines = []
     for cores, threaded in ((1, False), (2, False), (1, True), (2, True)):
-        st._cores = lambda: cores
+        par._cores = lambda: cores
         if threaded:
             m = np.random.default_rng(0).standard_normal((800, 800))
             m @ m
         lines.append(st.mixture_cdf(t).tobytes().hex())
-    try:
-        lines.append(f"child {os.waitpid(-1, os.WNOHANG)} left")
-    except ChildProcessError:
-        pass
-    lines.append(f"forks {len(forks)}")
     return "\n".join(lines)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mixture_cdf_is_the_same_at_any_process_count(threads):
-    *values, forks = lines_at(threads, "t.split_lines()")
+    values = lines_at(threads, "t.split_lines()")
     assert values == [values[0]] * 4
-    assert forks == "forks 2"
+
+
+def test_mixture_cdf_split_follows_the_work(forks):
+    # split_lines' size is the fewest points that two processes share
+    for size, count in ((_MIX_SPLIT - 1, 0), (_MIX_SPLIT, 1)):
+        forks.cores(2)
+        st.mixture_cdf(split_points(size))
+        assert forks.count == count
 
 
 @pytest.mark.parametrize("bad", [math.nan, [0.1, math.nan], "abc",
@@ -393,14 +402,14 @@ def test_sample_sums_rejects_vector_observable(plan40):
             st.sample_sums(plan40, vec, st.StratifiedSampler(seed=0, size=8), n)
 
 
-def test_floor_sums_per_sample(monkeypatch, plan40):
+def test_floor_sums_per_sample(monkeypatch, forks, plan40):
     # one walk of the Euclid chain per distinct jump point per sample,
     # shared by psi1 and psi2, counted in one process
     calls = []
     real = es._walk
     monkeypatch.setattr(es, "_walk",
                         lambda *args: calls.append(1) or real(*args))
-    monkeypatch.setattr(st, "_cores", lambda: 1)
+    forks.cores(1)
     k = 40
     sampler = st.StratifiedSampler(seed=0, size=k)
     for phi, per_sample in ((obs.Sawtooth(), 1),
@@ -431,36 +440,40 @@ def test_draw_sums_builds_one_chain(plan40):
 def split_sets():
     """(phi, truncation, sampler, N) of sample sets that split evenly,
     unevenly or not at all: the clt:c=30 indicator set at the 500-bit L_40,
-    the billiard's psi pair on a parity plan and a grid."""
+    at 1001 points and on each side of the split rule, the billiard's psi
+    pair on a parity plan and a grid."""
     plan = seq.plan_growth(cli.parse_alpha("clt:c=30", 48), 2.0, 40)
     tr = cf.truncation(cf.parity_design_rule(c=12, beta=2, max_index=30), 26)
     pplan = seq.plan_parity(tr, 2, 6)
     psi = bil.psi_components(bil.params_for_plan(pplan.trunc)).components
     ind = obs.indicator(Fraction(1, 3))
+    walks = len(es.ErgodicContext(ind, plan.trunc, 2 ** 64).offsets)
+    two = fewest_to_split(walks * st._WALK_NS)
     return {
         "clt_indicator_1001": (ind, plan.trunc,
                                st.StratifiedSampler(seed=3, size=1001),
                                plan.L[40]),
         "psi_pair_800": (psi, pplan.trunc,
                          st.StratifiedSampler(seed=5, size=800), pplan.L[6]),
-        "below_threshold_511": (ind, plan.trunc,
-                                st.StratifiedSampler(seed=1, size=511),
-                                plan.L[40]),
+        "indicator_one_process": (ind, plan.trunc,
+                                  st.StratifiedSampler(seed=1, size=two - 1),
+                                  plan.L[40]),
+        "indicator_two_processes": (ind, plan.trunc,
+                                    st.StratifiedSampler(seed=1, size=two),
+                                    plan.L[40]),
         "grid_600": (obs.half(), plan.trunc, st.GridSampler(600), 10 ** 30),
     }
 
 
 @pytest.mark.parametrize("name", ["clt_indicator_1001", "psi_pair_800",
-                                  "below_threshold_511", "grid_600"])
-def test_draw_sums_identical_at_any_process_count(monkeypatch, split_sets,
-                                                  name):
+                                  "indicator_one_process",
+                                  "indicator_two_processes", "grid_600"])
+def test_draw_sums_identical_at_any_process_count(forks, split_sets, name):
     phi, trunc, sampler, N = split_sets[name]
     draws = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(st, "_cores", lambda: cores)
+        forks.cores(cores)
         draws.append(st.draw_sums(phi, trunc, sampler, N))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
     width = len(phi) if isinstance(phi, tuple) else 1
     assert draws[0].shape == (sampler.size, width)
     assert draws[0].dtype == np.float64
@@ -468,21 +481,36 @@ def test_draw_sums_identical_at_any_process_count(monkeypatch, split_sets,
     assert draws[2].tobytes() == draws[0].tobytes()
 
 
-def test_draw_sums_forks_only_for_large_sets(monkeypatch, split_sets):
-    forks = []
-    real = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-    monkeypatch.setattr(st, "_cores", lambda: 3)
-    for name, children in (("below_threshold_511", 0), ("grid_600", 1),
+def test_draw_sums_forks_only_for_large_sets(forks, split_sets):
+    # on 3 cores: each forked process takes at least _FORK_NS of walks
+    for name, children in (("indicator_one_process", 0),
+                           ("indicator_two_processes", 1), ("grid_600", 2),
                            ("clt_indicator_1001", 2)):
-        forks.clear()
+        forks.cores(3)
         st.draw_sums(*split_sets[name])
-        assert len(forks) == children, name
+        assert forks.count == children, name
 
 
-def test_failed_child_raises_and_is_reaped(monkeypatch, split_sets):
+def test_split_gives_every_process_a_point(forks):
+    # no process gets an empty chunk, however much a point is worth: on 3
+    # cores, 1 point of ten forks' work stays here and 2 take one child
+    parent = []
+
+    def kernel(nums):
+        parent.append(len(nums))
+        return nums[:, None].astype(np.float64)
+
+    for size, count in ((1, 0), (2, 1)):
+        forks.cores(3)
+        parent.clear()
+        rows = par._split_rows(kernel, np.arange(size), 10 * par._FORK_NS)
+        assert rows[:, 0].tolist() == list(range(size))
+        assert forks.count == count and parent == [1]
+
+
+def test_failed_child_raises_and_is_reaped(monkeypatch, forks, split_sets):
     # the kernel fails in the children only: the parent raises a typed
-    # error and leaves no child behind
+    # error and leaves no child behind (``forks`` checks at teardown)
     parent = os.getpid()
     real = es.ErgodicContext.sums_at
 
@@ -492,18 +520,14 @@ def test_failed_child_raises_and_is_reaped(monkeypatch, split_sets):
         return real(self, nums, N)
 
     monkeypatch.setattr(es.ErgodicContext, "sums_at", failing)
-    monkeypatch.setattr(st, "_cores", lambda: 3)
+    forks.cores(3)
     with pytest.raises(RotsumError, match="returned 0 of"):
         st.draw_sums(*split_sets["grid_600"])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
     # a failure in this process reaps the children too
     monkeypatch.setattr(es.ErgodicContext, "sums_at",
                         lambda self, nums, N: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         st.draw_sums(*split_sets["clt_indicator_1001"])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_clt_experiment_report(plan40):
@@ -636,45 +660,41 @@ DOUBLING_RUNS = {
 }
 
 
-# at n = 250 a process takes at least 280 points: 1001 points split
-# unevenly, 511 stay under the fork threshold
+# at n = 250 two processes need at least 800 points (_STEP_NS of work a
+# point-step): 1001 points split unevenly, on 2 and on 3 cores, and 511
+# stay in one process
 @pytest.mark.parametrize("size", [1001, 511])
 @pytest.mark.parametrize("name", sorted(DOUBLING_RUNS))
-def test_doubling_experiments_identical_at_any_process_count(monkeypatch,
-                                                             name, size):
-    forks = []
-    real = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+def test_doubling_experiments_identical_at_any_process_count(forks, name,
+                                                             size):
     reports, columns = [], []
-    chunk = -(-st._MIN_F0_CHUNK // 250)
     for cores in (1, 2, 3):
-        monkeypatch.setattr(st, "_cores", lambda: cores)
-        forks.clear()
+        forks.cores(cores)
         reports.append(DOUBLING_RUNS[name](size, 3).to_json())
-        assert len(forks) == max(1, min(cores, size // chunk)) - 1
+        assert forks.count == (1 if size == 1001 and cores > 1 else 0)
         # the reports' statistics barely see the order of the points, the
         # columns do
         columns.append(st._f0_columns(
             250, size, 3, None, (), st.gaposhkin_index_set(5, 250)).tobytes())
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
     assert reports[1] == reports[0] and columns[1] == columns[0]
     assert reports[2] == reports[0] and columns[2] == columns[0]
 
 
 # erdos-fortet --samples 10000 --opt n=5 used to fork at a loss; the
-# benchmark's n = 500 on 10000 points still splits
-@pytest.mark.parametrize("n, forks", [(5, 0), (500, 1)])
-def test_doubling_split_follows_the_work(monkeypatch, n, forks):
-    count = []
-    real = os.fork
-    monkeypatch.setattr(os, "fork", lambda: count.append(1) or real())
-    monkeypatch.setattr(st, "_cores", lambda: 2)
+# benchmark's n = 500 on 10000 points still splits, and so does every n
+# from the fewest steps that give two processes two forks' cost of work
+_F0_SPLIT_N = fewest_to_split(10000 * st._STEP_NS)
+
+
+@pytest.mark.parametrize("n, count", [(5, 0), (_F0_SPLIT_N - 1, 0),
+                                      (_F0_SPLIT_N, 1), (500, 1)])
+def test_doubling_split_follows_the_work(forks, n, count):
+    forks.cores(2)
     st._f0_columns(n, 10000, 0, None)
-    assert len(count) == forks
+    assert forks.count == count
 
 
-def test_failed_doubling_child_raises_and_is_reaped(monkeypatch):
+def test_failed_doubling_child_raises_and_is_reaped(monkeypatch, forks):
     parent = os.getpid()
     real = st._f0_sum
 
@@ -684,12 +704,10 @@ def test_failed_doubling_child_raises_and_is_reaped(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(st, "_f0_sum", failing)
-    monkeypatch.setattr(st, "_cores", lambda: 3)
+    forks.cores(3)
     for run in DOUBLING_RUNS.values():
         with pytest.raises(RotsumError, match="returned 0 of"):
             run(1001, 3)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 def test_gaposhkin_demo_small():

@@ -12,7 +12,7 @@ from scipy import integrate
 from rotsum import cli
 from rotsum import contfrac as cf
 from rotsum import observables as obs
-from rotsum import stats as st
+from rotsum import parallel as par
 from rotsum import variance as var
 from rotsum.errors import (CertificateError, ConfigError, PrecisionError,
                            RotsumError)
@@ -339,28 +339,32 @@ def _profile_bytes(prof):
         prof.upper_series)]
 
 
-# 32 rows split at 2 and 3 processes; 2 * _MIN_PROFILE_ROWS - 1 rows, which
-# include sqrt2m1's level-0 row at n = 1, stay in one
-@pytest.mark.parametrize("alpha, rows", [
-    ("golden", 32), ("sqrt2m1", 2 * st._MIN_PROFILE_ROWS - 1)])
-def test_variance_profile_identical_at_any_process_count(monkeypatch, alpha,
-                                                         rows):
-    forks = []
-    real = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+# the fewest rows of a 20,000-frequency table that two processes share:
+# two forks' cost of work at _FREQ_NS a frequency
+_PROFILE_SPLIT = -(-2 * par._FORK_NS // (20_000 * var._FREQ_NS))
+
+
+# forks at 1, 2 and 3 cores: 32 golden and 15 sqrt2m1 rows split at 2 and
+# 3 processes, and so do the fewest rows on the split rule's far side, at
+# 2; the rows of each sqrt2m1 case include its level-0 row at n = 1
+@pytest.mark.parametrize("alpha, rows, counts", [
+    pytest.param("golden", 32, (0, 1, 2), id="golden-32"),
+    pytest.param("sqrt2m1", 15, (0, 1, 2), id="sqrt2m1-15"),
+    pytest.param("sqrt2m1", _PROFILE_SPLIT - 1, (0, 0, 0),
+                 id="sqrt2m1-one-process"),
+    pytest.param("sqrt2m1", _PROFILE_SPLIT, (0, 1, 1),
+                 id="sqrt2m1-two-processes")])
+def test_variance_profile_identical_at_any_process_count(forks, alpha, rows,
+                                                         counts):
     tr = cli.parse_alpha(alpha, 48)
     phi = obs.double_interval(Fraction(1, 5), Fraction(3, 8))
-    # the rows of `rotsum variance --opt nmax=200`
+    # the rows of `rotsum variance --opt nmax=200`, a 20,000-frequency table
     ns = sorted({max(1, round(200 ** (i / 39))) for i in range(40)})[:rows]
     profs = []
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(st, "_cores", lambda: cores)
-        forks.clear()
+    for cores, count in zip((1, 2, 3), counts):
+        forks.cores(cores)
         profs.append(var.variance_profile(phi, tr, ns))
-        parts = max(1, min(cores, rows // st._MIN_PROFILE_ROWS))
-        assert len(forks) == parts - 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert forks.count == count
     for prof in profs:
         assert prof.ns == tuple(ns)
         assert _profile_bytes(prof) == _profile_bytes(profs[0])
@@ -368,9 +372,9 @@ def test_variance_profile_identical_at_any_process_count(monkeypatch, alpha,
         assert all(type(ell) is int for ell in prof.levels)
 
 
-def test_failed_profile_child_raises_and_is_reaped(monkeypatch):
+def test_failed_profile_child_raises_and_is_reaped(monkeypatch, forks):
     # the kernel fails in the children only: the parent raises a typed
-    # error and leaves no child behind
+    # error and leaves no child behind (``forks`` checks at teardown)
     parent = os.getpid()
     real = var.AlphaFourierTable.gn
 
@@ -381,19 +385,16 @@ def test_failed_profile_child_raises_and_is_reaped(monkeypatch):
 
     tr = cli.parse_alpha("golden", 48)
     phi = obs.half()
-    ns = range(1, 4 * st._MIN_PROFILE_ROWS)
+    ns = range(1, 32)                     # three processes on 3 cores
     monkeypatch.setattr(var.AlphaFourierTable, "gn", failing)
-    monkeypatch.setattr(st, "_cores", lambda: 3)
+    forks.cores(3)
     with pytest.raises(RotsumError, match="returned 0 of"):
         var.variance_profile(phi, tr, ns)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert forks.count == 2
     # a failure in this process reaps the children too
     monkeypatch.setattr(var.AlphaFourierTable, "gn", lambda self, n: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         var.variance_profile(phi, tr, ns)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # recorded when every row was computed in one process, one after another
@@ -403,14 +404,13 @@ def test_failed_profile_child_raises_and_is_reaped(monkeypatch):
     ("golden",
      "0949dba95c2aab21f7f813f35bac5ae96e5339739e3224fbca884dd7cbfc828e"),
 ])
-def test_variance_cli_pinned_at_one_and_two_processes(monkeypatch, capsys,
-                                                      alpha, digest):
+def test_variance_cli_pinned_at_one_and_two_processes(forks, capsys, alpha,
+                                                      digest):
     argv = ["variance", "--alpha", alpha, "--observable",
             "double_interval:beta=1/5,gamma=3/8", "--opt", "nmax=500"]
     for cores in (1, 2):
-        monkeypatch.setattr(st, "_cores", lambda: cores)
+        forks.cores(cores)
         assert cli.main(argv) == 0
+        assert forks.count == cores - 1
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
