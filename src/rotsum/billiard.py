@@ -201,19 +201,12 @@ def step(state: LatticeState, params: ObstacleParams) -> LatticeState:
 
 
 def cell_after_direct(n: int, x: Fraction, params: ObstacleParams) -> tuple[int, int]:
-    """S(n, Psi)(x) by literal skew-product iteration (exact, O(n))."""
+    """S(n, Psi)(x) by literal skew-product iteration: ``step`` n times."""
     n = _at_least("n", n, 0)
-    u, v = _point("x", x)
-    p, q = params.alpha.numerator, params.alpha.denominator
-    # x_j = u_j / (vq) with u_j = (u q + j p v) mod vq
-    w, u, dp = v * q, u * q, p * v
-    z1 = z2 = 0
+    state = LatticeState(Fraction(*_point("x", x)), (0, 0))
     for _ in range(n):
-        dz1, dz2 = _psi(u, w, p, q)
-        z1 += dz1
-        z2 += dz2
-        u = (u + dp) % w
-    return (z1, z2)
+        state = step(state, params)
+    return state.z
 
 
 def cell_after(n: int, x: Fraction, params: ObstacleParams) -> tuple[int, int]:
@@ -266,6 +259,8 @@ def section_start(chi: Fraction, params: ObstacleParams):
 
 # Obstacle columns _first_hit walks before giving up on a ray.
 _MAX_SLABS = 256
+# Most collisions of one ray: `rotsum billiard` at 100,000 takes 2 s, 140 MB.
+_COLLISION_CAP = 100_000
 
 
 def _first_hit(px: int, py: int, sx: int, sy: int, ha: int, hb: int, D: int):
@@ -321,6 +316,9 @@ def ray_trace(chi: Fraction, params: ObstacleParams, collisions: int = 2) -> Bil
     velocity component normal to the struck side.
     """
     collisions = _at_least("collisions", collisions, 1)
+    if collisions > _COLLISION_CAP:
+        raise ConfigError(f"a ray of {collisions} collisions exceeds the cap "
+                          f"{_COLLISION_CAP}")
     pos, direction = section_start(chi, params)
     exact = (*pos, params.a / 2, params.b / 2)
     D = math.lcm(*(v.denominator for v in exact))

@@ -326,6 +326,11 @@ class RationalTruncation:
         return trunc
 
 
+# Deepest level truncation freezes (billiard-clt's default is 133): `rotsum
+# cf` at 1000 takes 0.8 s on a 2-core Xeon, a cost quadratic in the level.
+_LEVEL_CAP = 1000
+
+
 def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
     """Freeze the spec at p_level/q_level.  The validity window
     [1, q_(level-1)) must hold a multiple: level 2 does only when a_1 >= 2
@@ -334,6 +339,9 @@ def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
     if level > spec.max_index:
         raise SpecExhaustedError(f"spec exhausted: convergent {level} needs "
                                  f"a_{level}, max_index={spec.max_index}")
+    if level > _LEVEL_CAP:
+        raise ConfigError(f"truncation level {level} exceeds the cap "
+                          f"{_LEVEL_CAP}")
     ps, qs = [1, 0], [0, 1]
     for k in range(1, level + 1):
         a = spec.a(k)

@@ -53,7 +53,6 @@ __all__ = [
     "catalog",
     "hat_observable",
     "reduce_phases",
-    "phase_fracs",
     "gamma_array",
     "gamma_sq_array",
     "series_weights",
@@ -458,11 +457,6 @@ def reduce_phases(num: int, den: int, rmax: int):
             return res, _certified_phases(num, den, rmax)
         return res, res.astype(np.float64) / den
     return None, _certified_phases(num, den, rmax)
-
-
-def phase_fracs(theta: Fraction, rmax: int):
-    """{r * theta} for r = 1..rmax as float64, exactly reduced."""
-    return reduce_phases(*_point("theta", theta), rmax)[1]
 
 
 def gamma_array(phi: Observable, stride, rmax: int):

@@ -34,8 +34,7 @@ import numpy as np
 from . import __version__ as _VERSION
 from .contfrac import RationalTruncation
 from .ergosum import ErgodicContext
-from .errors import (CertificateError, ConfigError, RotsumError, _at_least,
-                     _integers)
+from .errors import CertificateError, ConfigError, _at_least, _integers
 from .observables import (Observable, VectorObservable, _scalar,
                           gamma_sq_array, series_weights)
 from .parallel import _split_rows
@@ -246,9 +245,9 @@ def mixture_cdf(t) -> np.ndarray:
     and F(+-inf) is exactly 1 or 0.  ``t`` is a real number or a 1-D array of
     them; NaN, non-numbers and arrays of more dimensions raise ConfigError.
 
-    ``_split_rows`` cuts the points into contiguous chunks of 600 points or
-    more (one fork's cost at _MIX_NS a point), at most one per available
-    core, at multiples of _MIX_ROWS, and ``_mixture_rows`` evaluates each.
+    ``_split_rows`` cuts the points into contiguous chunks of at least one
+    fork's cost at _MIX_NS a point, at most one per available core, at
+    multiples of _MIX_ROWS, and ``_mixture_rows`` evaluates each.
     So no chunk is one row, every process computes the blocks that one
     process would, and the values are the same at any number of processes,
     as at any BLAS thread count.

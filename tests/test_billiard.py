@@ -357,7 +357,8 @@ def gamma_array_full_length(prof, rmax):
     """PiecewiseLinear.gamma_array with every break's cos/sin table built at
     full length rmax."""
     def unit(t):
-        angle = -obs.TWO_PI * obs.phase_fracs(t, rmax)
+        angle = -obs.TWO_PI * obs.reduce_phases(
+            t.numerator, t.denominator, rmax)[1]
         return np.cos(angle), np.sin(angle)
 
     k = len(prof.breaks)

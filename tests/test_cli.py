@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from rotsum import billiard as bil
 from rotsum import cli
+from rotsum import contfrac as cf
 from rotsum import stats as st
 from rotsum.errors import ConfigError
 
@@ -209,6 +211,29 @@ def test_variance_refuses_tables_above_the_cap(capsys):
     assert cli.main(["variance", "--opt", "nmax=1001"]) == 2
     assert capsys.readouterr().err == (
         "error: a Fourier table of 100100 frequencies exceeds the cap 100000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--terms", "1000000"],
+    ["ostrowski", "--terms", "5000"],
+    ["plan", "--terms", "1000000", "--opt", "parity=1"],
+    ["billiard", "--opt", "collisions=1000000000"],
+], ids=" ".join)
+def test_sizes_above_their_caps_exit_before_any_work(argv, capsys,
+                                                      monkeypatch):
+    # refused before a partial quotient is read or a collision searched
+    # for; each used to run as long as it asked, or until memory failed
+    def never(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cf.PartialQuotientSpec, "_read", never)
+    monkeypatch.setattr(bil, "_first_hit", never)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "exceeds the cap" in \
+        captured.err
 
 
 def test_invalid_config_exit_code(capsys):

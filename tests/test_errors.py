@@ -173,8 +173,6 @@ def test_fourier_tables_reject_rmax_below_one(phi, rmax):
     with pytest.raises(ConfigError, match="rmax"):
         obs.reduce_phases(1, 3, rmax)
     with pytest.raises(ConfigError, match="rmax"):
-        obs.phase_fracs(Fraction(1, 3), rmax)
-    with pytest.raises(ConfigError, match="rmax"):
         _INSTANCES[bil.PiecewiseLinear].gamma_array(rmax)
 
 
@@ -446,6 +444,11 @@ _BAD_SAMPLES = {"2-d": np.zeros((3, 4)), "scalar": 0.5, "str": ["a", "b"],
     pytest.param(lambda: obs.gamma_sq_array(obs.Sawtooth(), 0.3, 3),
                  id="gamma_sq_array-sawtooth-stride"),
     pytest.param(lambda: cf.truncation(cf.golden(15), 1), id="truncation-1"),
+    # sizes past their caps: each used to run as long as it asked
+    pytest.param(lambda: cf.truncation(cf.golden(cf._LEVEL_CAP + 1),
+                                       cf._LEVEL_CAP + 1), id="truncation-cap"),
+    pytest.param(lambda: bil.ray_trace(_X, _SHAPE, bil._COLLISION_CAP + 1),
+                 id="ray_trace-cap"),
     pytest.param(lambda: cli.parse_alpha("list:1,2,3,4,5", 3),
                  id="parse_alpha-short-list"),
     pytest.param(lambda: seq.check_lacunarity([5]), id="check_lacunarity-one"),
@@ -470,6 +473,11 @@ _BAD_SAMPLES = {"2-d": np.zeros((3, 4)), "scalar": 0.5, "str": ["a", "b"],
 def test_edge_inputs_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+def test_truncation_at_its_cap_is_built():
+    assert cf.truncation(cf.golden(cf._LEVEL_CAP), cf._LEVEL_CAP).level == \
+        cf._LEVEL_CAP
 
 
 _OBSERVABLE = re.compile(r"\b(Observable|StepFunction|Sawtooth)\b")
@@ -618,7 +626,7 @@ def test_exact_inputs_are_found():
             ("StepFunction", "slope"),
             ("covariance_2d", "n"), ("StratifiedSampler", "seed"),
             ("estimate_c", "seed")} <= found
-    assert len(found) >= 43
+    assert len(found) >= 42
 
 
 @pytest.mark.parametrize("bad", [0.3, "1/3"], ids=["float", "string"])
@@ -780,6 +788,8 @@ def test_precision_error_is_raised_only_by_the_truncation():
     ("_PROFILE_CAP", ("ergosum.py", "_signed_profile")),
     ("_RMAX", ("observables.py", "_table_length")),
     ("_SAMPLE_CAP", ("stats.py", "_capped")),
+    ("_COLLISION_CAP", ("billiard.py", "ray_trace")),
+    ("_LEVEL_CAP", ("contfrac.py", "truncation")),
 ])
 def test_each_size_cap_is_compared_in_one_place(cap, owner):
     owners = []
@@ -848,8 +858,6 @@ def test_exact_profile_cap_refuses_before_allocating(call):
     # build its 100,001 entries
     pytest.param(lambda: obs.reduce_phases(1, 3, 100_001), ConfigError,
                  id="reduce_phases-cap"),
-    pytest.param(lambda: obs.phase_fracs(Fraction(1, 3), 100_001),
-                 ConfigError, id="phase_fracs-cap"),
     pytest.param(lambda: obs.gamma_array(_HALF, 1, 100_001), ConfigError,
                  id="gamma_array-cap"),
     pytest.param(lambda: obs.gamma_sq_array(_HALF, 1, 100_001), ConfigError,
@@ -890,7 +898,7 @@ _RMAX_READERS = sorted(_rmax_readers(), key=lambda e: e[0])
 
 
 def test_rmax_readers_are_found():
-    assert {"reduce_phases", "phase_fracs", "gamma_array", "gamma_sq_array",
+    assert {"reduce_phases", "gamma_array", "gamma_sq_array",
             "PiecewiseLinear.gamma_array", "AlphaFourierTable"} <= \
         {name for name, _ in _RMAX_READERS}
 

@@ -396,7 +396,9 @@ def gamma_array_oracle(phi, stride, rmax):
     acc = np.zeros(rmax, dtype=complex)
     for t, j in phi.jumps().items():
         theta = (stride * t) % 1
-        acc += float(j) * np.exp(-2j * math.pi * obs.phase_fracs(theta, rmax))
+        acc += float(j) * np.exp(
+            -2j * math.pi
+            * obs.reduce_phases(theta.numerator, theta.denominator, rmax)[1])
     return acc / (2j * math.pi)
 
 
