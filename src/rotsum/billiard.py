@@ -472,13 +472,11 @@ def estimate_c(params: ObstacleParams, n_starts: int = 2000, seed: int = 0):
 # CLT experiment
 # ---------------------------------------------------------------------------
 
-def params_for_plan(trunc: RationalTruncation, scale: Fraction = Fraction(1)) -> ObstacleParams:
-    """Obstacle sides realizing alpha = trunc.value: a = alpha*s, b = (1-alpha)*s."""
-    scale = _rational("scale", scale)
-    if not 0 < scale <= 1:
-        raise ConfigError("scale must be in (0,1]")
+def params_for_plan(trunc: RationalTruncation) -> ObstacleParams:
+    """Obstacle sides realizing alpha = trunc.value with a + b = 1:
+    a = alpha, b = 1 - alpha."""
     alpha = trunc.value
-    return ObstacleParams(a=alpha * scale, b=(1 - alpha) * scale)
+    return ObstacleParams(a=alpha, b=1 - alpha)
 
 
 def mild_hypothesis_values(spec, ns) -> list[float]:

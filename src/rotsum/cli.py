@@ -62,12 +62,6 @@ class RunConfig:
         # config hashes include it
         return json.dumps({**asdict(self), "threads": "1"}, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        doc = json.loads(text)
-        doc.pop("threads")
-        return RunConfig(**doc)
-
     def hash(self) -> str:
         # output paths are not semantic: identical experiments hashed
         # identically wherever they (and their sample CSV) are written
@@ -310,8 +304,7 @@ def _cmd_billiard(cfg: RunConfig) -> str:
 
 def _cmd_billiard_clt(cfg: RunConfig) -> str:
     plan = _plan_for(cfg, parity=True)
-    scale = _fraction("scale", cfg.options.get("scale", "1"))
-    params = bil.params_for_plan(plan.trunc, scale=scale)
+    params = bil.params_for_plan(plan.trunc)
     rep = bil.clt_experiment(params, plan, cfg.terms, cfg.samples, cfg.seed)
     _write_report(rep, cfg)
     return (f"billiard-clt: c11={rep.empirical['c11']:.3f} "
@@ -348,7 +341,7 @@ _HANDLERS = {
     "billiard": (_cmd_billiard, ("seed", "out", "format"),
                  ("a", "b", "collisions", "x")),
     "billiard-clt": (_cmd_billiard_clt, ("alpha", "beta", "terms", "samples",
-                                         "seed", "out"), ("scale",)),
+                                         "seed", "out"), ()),
 }
 
 

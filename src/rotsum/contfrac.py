@@ -66,7 +66,7 @@ def _rule_sqrt2m1(k: int, params: dict) -> int:
 
 
 def _design_params(params: dict) -> tuple:
-    # the builders record both keys; a spec read back without them would
+    # the builders record both keys; a spec built without them would
     # otherwise be built from a second, hidden copy of their defaults
     try:
         c, beta = params["c"], params["beta"]
@@ -176,15 +176,6 @@ class PartialQuotientSpec:
                    "max_index": self.max_index}
         return json.dumps(doc, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "PartialQuotientSpec":
-        doc = json.loads(text)
-        if doc["kind"] == "list":
-            return PartialQuotientSpec(name="list", max_index=doc["max_index"],
-                                       quotients=tuple(doc["quotients"]))
-        return PartialQuotientSpec(name=doc["name"], max_index=doc["max_index"],
-                                   params=doc.get("params", {}))
-
 
 def golden(max_index: int = 64) -> PartialQuotientSpec:
     """alpha = (sqrt(5)-1)/2, all partial quotients 1, Fibonacci denominators."""
@@ -260,20 +251,25 @@ class RationalTruncation:
         q_(j+1) = a_(j+1) q_j + q_(j-1) continues through the spec, a named
         rule read past max_index (the CLI sets max_index to the level); an
         explicit list that ends first gives the index just past its end,
-        which no truncation of it reaches."""
+        which no truncation of it reaches.  The walk stops at _LEVEL_CAP:
+        past it the index is _LEVEL_CAP + 1, a level no truncation builds."""
         j = bisect.bisect_right(self.qs, k)
         if j <= self.level:
             return j
         j, (prev, q) = self.level, self.qs[-2:]
         while q <= k:
-            a = self.spec._read(j + 1)
+            a = None if _past_cap(j + 1) else self.spec._read(j + 1)
             if a is None:
                 return j + 1
             prev, q, j = q, a * q + prev, j + 1
         return j
 
     def _raise(self, message: str, level: int | None) -> None:
-        # the level is reported only where the spec defines a_level
+        # the level is reported only where truncation can freeze the spec
+        if level is not None and _past_cap(level):
+            message += (f"; the request lies beyond level {_LEVEL_CAP}, the "
+                        "deepest the cap allows")
+            level = None
         known = level is not None and self.spec._read(level) is not None
         raise PrecisionError(f"precision exhausted: {message}",
                              required_level=level if known else None)
@@ -307,28 +303,15 @@ class RationalTruncation:
         # |q_n p_M - p_n q_M| / q_M, exact by the continuant identity
         return Fraction(abs(self.qs[n] * self.p - self.ps[n] * self.q), self.q)
 
-    def to_json(self) -> str:
-        doc = {
-            "spec": json.loads(self.spec.to_json()),
-            "level": self.level,
-            "p": str(self.p),
-            "q": str(self.q),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "RationalTruncation":
-        doc = json.loads(text)
-        spec = PartialQuotientSpec.from_json(json.dumps(doc["spec"]))
-        trunc = truncation(spec, doc["level"])
-        if str(trunc.p) != doc["p"] or str(trunc.q) != doc["q"]:
-            raise ConfigError("truncation JSON does not match its spec")
-        return trunc
-
 
 # Deepest level truncation freezes (billiard-clt's default is 133): `rotsum
 # cf` at 1000 takes 0.8 s on a 2-core Xeon, a cost quadratic in the level.
 _LEVEL_CAP = 1000
+
+
+def _past_cap(level: int) -> bool:
+    """Whether truncation refuses ``level`` as deeper than _LEVEL_CAP."""
+    return level > _LEVEL_CAP
 
 
 def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
@@ -339,7 +322,7 @@ def truncation(spec: PartialQuotientSpec, level: int) -> RationalTruncation:
     if level > spec.max_index:
         raise SpecExhaustedError(f"spec exhausted: convergent {level} needs "
                                  f"a_{level}, max_index={spec.max_index}")
-    if level > _LEVEL_CAP:
+    if _past_cap(level):
         raise ConfigError(f"truncation level {level} exceeds the cap "
                           f"{_LEVEL_CAP}")
     ps, qs = [1, 0], [0, 1]

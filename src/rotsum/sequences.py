@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contfrac import PartialQuotientSpec, RationalTruncation, truncation
+from .contfrac import RationalTruncation
 from .errors import (ConfigError, InsufficientPartialQuotientsError,
                      ParityPatternError, _at_least, _integers)
 from .observables import Observable, _scalar, hat_norm_sq
@@ -96,25 +97,6 @@ class SubsequencePlan:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "SubsequencePlan":
-        """Rebuild a plan from ``to_json``: the truncation from its spec and
-        level, then L and the certificate by re-certifying t under beta and
-        the recorded parity; a document that disagrees raises ConfigError."""
-        doc = json.loads(text)
-        spec = PartialQuotientSpec.from_json(json.dumps(doc["spec"]))
-        trunc = truncation(spec, doc["level"])
-        t = [int(tk) for tk in doc["t"]]
-        last = min(spec.max_index, trunc.level)
-        if any(not 1 <= tk < last for tk in t) or t != sorted(set(t)):
-            raise ConfigError(f"plan indices {t} are not increasing in [1, {last})")
-        plan = _certify(trunc, t, doc["beta"], parity=doc["certified"]["parity"])
-        rho = None if doc["rho"] is None else Fraction(*map(int, doc["rho"]))
-        if ([str(v) for v in plan.L] != doc["L"]
-                or plan.certified != doc["certified"] or plan.rho != rho):
-            raise ConfigError("plan JSON does not match its spec")
-        return plan
-
 
 @dataclass(frozen=True)
 class LacunaryCertificate:
@@ -145,7 +127,10 @@ def _greedy(trunc: RationalTruncation, beta: float, count: int,
     t: list[int] = []
     n = 1
     for k in range(1, count + 1):
-        need = k ** beta
+        try:
+            need = k ** beta
+        except OverflowError:       # past the float range: no a_k meets it
+            need = math.inf
         while n < last and not (admissible(k, n) and spec.a(n + 1) >= need):
             n += 1
         if n >= last:
@@ -191,14 +176,6 @@ def _certify(trunc: RationalTruncation, t: list[int], beta: float,
     if len(qs) >= 2:
         rho = min(Fraction(qs[i + 1], qs[i]) for i in range(len(qs) - 1))
         cert["lacunary"] = rho > 1
-    if parity:
-        ok = all(trunc.qs[tk] % 2 == 1 for tk in t)
-        ok = ok and all(trunc.ps[tk] % 2 == (1 if (k + 1) % 2 == 1 else 0)
-                        for k, tk in enumerate(t))
-        if not ok:
-            raise ParityPatternError("constructed plan fails parity audit",
-                                     diagnostic=[(trunc.ps[tk] % 2,
-                                                  trunc.qs[tk] % 2) for tk in t])
     return SubsequencePlan(t=tuple(t), L=L, beta=beta, trunc=trunc,
                            certified=cert, rho=rho)
 

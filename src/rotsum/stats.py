@@ -94,6 +94,11 @@ _MIX_NS = 4_800
 # Most points one sampler draws: about 0.4 GB of Python-int numerators.
 # Every workload and README run draws at most 20,000.
 _SAMPLE_CAP = 2 ** 23
+# Longest doubling-map horizon n, n point-steps a sample: `rotsum
+# erdos-fortet` at 10,000 and its default 20,000 samples takes 4.4 s
+# (gaposhkin 5.6 s) on a 2-core Xeon.  Every workload and README run stops
+# at n = 500.
+_HORIZON_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +411,15 @@ def clt_experiment(plan: SubsequencePlan, phi: Observable, n: int,
 # Doubling-map experiments
 # ---------------------------------------------------------------------------
 
+def _horizon(n) -> int:
+    """``n`` read by ``_at_least``, refused above _HORIZON_CAP."""
+    n = _at_least("n", n, 1)
+    if n > _HORIZON_CAP:
+        raise ConfigError(f"a horizon of {n} steps exceeds the cap "
+                          f"{_HORIZON_CAP}")
+    return n
+
+
 def _f0_sum(nums: np.ndarray, n: int, *shifted_sets) -> list[np.ndarray]:
     """One sum_{k=1..n} f0(e_k x) per shifted set, f0 = cos(2 pi x) +
     cos(4 pi x), with e_k = 2^k - 1 when the set is None or holds k, else
@@ -467,7 +481,7 @@ def erdos_fortet_experiment(n: int, samples: int, seed: int) -> ExperimentReport
     Passes when KS(mixture) <= _EF_KS_MIX_TOL and the best-fit single normal
     is worse by at least _EF_GAP_TOL.
     """
-    n = _at_least("n", n, 1)
+    n = _horizon(n)
     z = _f0_columns(n, samples, seed, None)[:, 0] / math.sqrt(n)
     ks_mix = ks_statistic(z, mixture_cdf)
     sd = math.sqrt(float(np.mean(z ** 2)))
@@ -531,7 +545,7 @@ def gaposhkin_demo(a: int, n: int, samples: int, seed: int) -> ExperimentReport:
     2^k - 1 on the sparse index set I_a: the modification is invisible at
     scale sqrt(n)."""
     a = _at_least("exponent a", a, 5)
-    n = _at_least("n", n, 1)
+    n = _horizon(n)
     mism = gaposhkin_index_set(a, n)
     s_plain, s_mod = (s / math.sqrt(n)
                       for s in _f0_columns(n, samples, seed, (), mism).T)

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import inspect
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -22,8 +23,10 @@ from rotsum import observables as obs
 from rotsum import sequences as seq
 from rotsum import stats as st
 from rotsum import variance as var
-from rotsum.errors import (CertificateError, ConfigError, PrecisionError,
-                           RotsumError, SpecExhaustedError)
+from rotsum.errors import (CertificateError, ConfigError,
+                           InsufficientPartialQuotientsError,
+                           ParityPatternError, PrecisionError, RotsumError,
+                           SpecExhaustedError)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rotsum"
 
@@ -369,8 +372,6 @@ _BAD_SAMPLES = {"2-d": np.zeros((3, 4)), "scalar": 0.5, "str": ["a", "b"],
                  id="mild_hypothesis-nan"),
     pytest.param(lambda: bil.mild_hypothesis_values(cf.golden(10), [_INF]),
                  id="mild_hypothesis-inf"),
-    pytest.param(lambda: bil.params_for_plan(_GOLDEN, scale=_NAN),
-                 id="params_for_plan-scale-nan"),
     pytest.param(lambda: bil.estimate_c(_SHAPE, 3, seed=-1),
                  id="estimate_c-seed-1"),
     # plan positions outside the plan: q(0) used to read the last term's
@@ -393,8 +394,6 @@ _BAD_SAMPLES = {"2-d": np.zeros((3, 4)), "scalar": 0.5, "str": ["a", "b"],
                  id="ObstacleParams-side-0"),
     pytest.param(lambda: bil.ObstacleParams(Fraction(1, 2), Fraction(1)),
                  id="ObstacleParams-side-1"),
-    pytest.param(lambda: bil.params_for_plan(_GOLDEN, scale=Fraction(3, 2)),
-                 id="params_for_plan-scale"),
     pytest.param(lambda: obs.StepFunction((0, 0.5), (1, -1)),
                  id="StepFunction-float"),
     pytest.param(lambda: obs.StepFunction((Fraction(1, 4),), (1,)),
@@ -469,6 +468,12 @@ _BAD_SAMPLES = {"2-d": np.zeros((3, 4)), "scalar": 0.5, "str": ["a", "b"],
                  id="norm_sq-mode"),
     pytest.param(lambda: var.diagnostic_inequalities(_GOLDEN, 4, 2),
                  id="diagnostics-m2"),
+    # doubling-map horizons past their cap: each used to run n point-steps
+    # a sample, however many it asked for
+    pytest.param(lambda: st.erdos_fortet_experiment(st._HORIZON_CAP + 1, 10,
+                                                    0), id="erdos_fortet-cap"),
+    pytest.param(lambda: st.gaposhkin_demo(5, st._HORIZON_CAP + 1, 10, 0),
+                 id="gaposhkin-cap"),
 ])
 def test_edge_inputs_raise_config_error(call):
     with pytest.raises(ConfigError):
@@ -626,7 +631,7 @@ def test_exact_inputs_are_found():
             ("StepFunction", "slope"),
             ("covariance_2d", "n"), ("StratifiedSampler", "seed"),
             ("estimate_c", "seed")} <= found
-    assert len(found) >= 42
+    assert len(found) >= 41
 
 
 @pytest.mark.parametrize("bad", [0.3, "1/3"], ids=["float", "string"])
@@ -673,6 +678,20 @@ def test_catalog_takes_exactly_its_builders_parameters(name, params):
 def test_edge_inputs_raise_spec_exhausted_error(call):
     with pytest.raises(SpecExhaustedError):
         call()
+
+
+# a growth need k^beta past the float range used to escape as a bare
+# OverflowError; it is read as infinite, as beta = inf always was
+@pytest.mark.parametrize("beta", [1100.0, 1e30, _INF])
+@pytest.mark.parametrize("plan, error", [
+    (seq.plan_growth, InsufficientPartialQuotientsError),
+    (seq.plan_parity, ParityPatternError),
+], ids=["growth", "parity"])
+def test_growth_need_past_the_float_range_exhausts_the_plan(plan, error,
+                                                            beta):
+    trunc = cf.truncation(cf.parity_design_rule(max_index=30), 30)
+    with pytest.raises(error, match=r"a_\(t\+1\) >= inf"):
+        plan(trunc, beta, 3)
 
 
 def _deeper(trunc, level):
@@ -752,6 +771,50 @@ def test_explicit_list_past_its_end_names_no_level(trunc, call):
     assert exc.value.required_level is None
 
 
+_CAP_QS = cf.truncation(cf.golden(cf._LEVEL_CAP), cf._LEVEL_CAP).qs
+
+
+# (request, the level it needs): the hint names the deepest level the cap
+# allows and none past it, and finding it reads at most _LEVEL_CAP partial
+# quotients; it used to name level 1198 at 10**250, and to walk the
+# recurrence to level 239251 at 10**50000
+@pytest.mark.parametrize("call, level", [
+    pytest.param(lambda tr: tr.distance(_CAP_QS[-3]), cf._LEVEL_CAP,
+                 id="distance-at-cap"),
+    pytest.param(lambda tr: tr.distance(_CAP_QS[-2]), None,
+                 id="distance-past-cap"),
+    pytest.param(lambda tr: tr.distance(10 ** 50000), None,
+                 id="distance-1e50000"),
+    pytest.param(lambda tr: cf.ostrowski_digits(_CAP_QS[-2], tr),
+                 cf._LEVEL_CAP, id="ostrowski_digits-at-cap"),
+    pytest.param(lambda tr: cf.ostrowski_digits(_CAP_QS[-1], tr), None,
+                 id="ostrowski_digits-past-cap"),
+    pytest.param(lambda tr: cf.ostrowski_digits(10 ** 50000, tr), None,
+                 id="ostrowski_digits-1e50000"),
+    pytest.param(lambda tr: tr.denominator_distance(cf._LEVEL_CAP - 1),
+                 cf._LEVEL_CAP, id="denominator_distance-at-cap"),
+    pytest.param(lambda tr: tr.denominator_distance(cf._LEVEL_CAP), None,
+                 id="denominator_distance-past-cap"),
+])
+def test_level_hint_stops_at_the_cap(call, level, monkeypatch):
+    reads = []
+    read = cf.PartialQuotientSpec._read
+    monkeypatch.setattr(cf.PartialQuotientSpec, "_read",
+                        lambda spec, j: reads.append(j) or read(spec, j))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)       # the message prints the request
+    try:
+        with pytest.raises(PrecisionError) as exc:
+            call(_GOLDEN)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.required_level == level
+    assert ("the deepest the cap allows" in str(exc.value)) == (level is None)
+    assert len(reads) <= cf._LEVEL_CAP
+    if level is not None:
+        call(cf.truncation(cf.golden(level), level))
+
+
 def test_sawtooth_is_tested_for_only_by_its_two_constants():
     # one observable type: Sawtooth only builds the one-jump, slope-1 step
     # function, and only the constant |gamma_r|^2 and the exact norm 1/12
@@ -789,7 +852,8 @@ def test_precision_error_is_raised_only_by_the_truncation():
     ("_RMAX", ("observables.py", "_table_length")),
     ("_SAMPLE_CAP", ("stats.py", "_capped")),
     ("_COLLISION_CAP", ("billiard.py", "ray_trace")),
-    ("_LEVEL_CAP", ("contfrac.py", "truncation")),
+    ("_LEVEL_CAP", ("contfrac.py", "_past_cap")),
+    ("_HORIZON_CAP", ("stats.py", "_horizon")),
 ])
 def test_each_size_cap_is_compared_in_one_place(cap, owner):
     owners = []

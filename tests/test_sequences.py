@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
 from rotsum import contfrac as cf
 from rotsum import observables as obs
@@ -182,39 +180,3 @@ def test_plan_json_round_trip():
     assert doc["L"][-1] == str(plan.L[-1])
     assert doc["certified"]["growth"]
     assert len(plan.plan_hash()) == 16
-
-
-@settings(max_examples=40)
-@given(parity=hst.booleans(), c=hst.integers(1, 40),
-       spec_beta=hst.integers(2, 3), beta=hst.sampled_from([1.5, 2, 2.0]),
-       count=hst.integers(1, 8))
-def test_plan_from_json_round_trip(parity, c, spec_beta, beta, count):
-    levels = (3 * count if parity else count) + 13
-    rule = cf.parity_design_rule if parity else cf.clt_design_rule
-    tr = cf.truncation(rule(c=c, beta=spec_beta, max_index=levels), levels)
-    plan = (seq.plan_parity if parity else seq.plan_growth)(tr, beta, count)
-    text = plan.to_json()
-    back = seq.SubsequencePlan.from_json(text)
-    assert back == plan
-    assert back.to_json() == text and back.plan_hash() == plan.plan_hash()
-
-
-def test_plan_from_json_rejects_mismatch(parity_trunc):
-    text = seq.plan_parity(parity_trunc, 2, 6).to_json()
-    tampered = []
-    for edit in ("L", "growth", "rho", "t_range", "t_order"):
-        doc = json.loads(text)
-        if edit == "L":
-            doc["L"][-1] = str(int(doc["L"][-1]) + 1)
-        elif edit == "growth":
-            doc["certified"]["growth"] = False
-        elif edit == "rho":
-            doc["rho"] = ["3", "1"]
-        elif edit == "t_range":
-            doc["t"][-1] = doc["level"]
-        else:
-            doc["t"][0], doc["t"][1] = doc["t"][1], doc["t"][0]
-        tampered.append(json.dumps(doc))
-    for bad in tampered:
-        with pytest.raises(ConfigError):
-            seq.SubsequencePlan.from_json(bad)
