@@ -278,14 +278,17 @@ class RationalTruncation:
         """Raise PrecisionError unless 1 <= k < q_(M-1), with the smallest
         level whose window holds k."""
         if not 1 <= k < self.validity_bound:
-            self._raise(f"{what} {k} outside window [1, q_(M-1)) = "
-                        f"[1, {self.validity_bound}); rebuild with a deeper "
-                        "level", self._index_above(k) + 1 if k >= 1 else None)
+            self._raise(f"{what} {_decimal(k)} outside window [1, q_(M-1)) = "
+                        f"[1, {_decimal(self.validity_bound)}); rebuild with a "
+                        "deeper level",
+                        self._index_above(k) + 1 if k >= 1 else None)
 
-    def require_level(self, m: int, what: str) -> None:
+    def require_level(self, m: int, what: str, *numbers: int) -> None:
         """Raise PrecisionError unless the truncation reaches convergent m,
-        for the requests that name a convergent index."""
+        for the requests that name a convergent index.  ``what`` is a
+        format string for ``numbers``, filled in only on the raising path."""
         if self.level < m:
+            what = what.format(*map(_decimal, numbers))
             self._raise(f"{what} needs convergent {m}, truncation at level "
                         f"{self.level}", m)
 
@@ -307,6 +310,15 @@ class RationalTruncation:
 # Deepest level truncation freezes (billiard-clt's default is 133): `rotsum
 # cf` at 1000 takes 0.8 s on a 2-core Xeon, a cost quadratic in the level.
 _LEVEL_CAP = 1000
+
+
+def _decimal(k: int) -> str:
+    """k in decimal where Python will print it, else by its bit length: past
+    sys.get_int_max_str_digits() digits, str(k) raises ValueError."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"a {k.bit_length()}-bit integer"
 
 
 def _past_cap(level: int) -> bool:
@@ -386,7 +398,7 @@ def ostrowski_digits(N: int, trunc: RationalTruncation) -> OstrowskiDigits:
     qs = trunc.qs
     # the digits run up to the m with q_m <= N < q_(m+1), so level m + 1
     trunc.require_level(trunc._index_above(N),
-                        f"the Ostrowski expansion of N={N}")
+                        "the Ostrowski expansion of N={}", N)
     m = trunc.level - 1
     while m > 0 and qs[m] > N:
         m -= 1

@@ -191,5 +191,10 @@ def _fraction_ray_trace(chi, params, collisions):
 
 
 @pytest.fixture(scope="session")
+def fraction_first_hit():
+    return _fraction_first_hit
+
+
+@pytest.fixture(scope="session")
 def fraction_ray_trace():
     return _fraction_ray_trace

@@ -1,4 +1,5 @@
 import bisect
+import math
 import random
 from fractions import Fraction
 
@@ -220,6 +221,77 @@ def test_ray_trace_matches_fraction_oracle(params, chi, collisions,
 def _orbit_fields(chi, params, collisions):
     orbit = bil.ray_trace(chi, params, collisions)
     return orbit.chi, orbit.events, orbit.start, orbit.direction0
+
+
+def test_small_case_sweep_matches_fraction_oracle(fraction_ray_trace):
+    # every shape with side denominators <= 6 from every start k/e, e <= 8:
+    # corner starts, copy boundaries, tangencies and a + b = 1 included
+    sides = sorted({Fraction(i, den)
+                    for den in range(2, 7) for i in range(1, den)})
+    starts = sorted({Fraction(k, e) for e in range(2, 9) for k in range(1, e)})
+    for a in sides:
+        for b in sides:
+            if a + b > 1:
+                continue
+            params = bil.ObstacleParams(a, b)
+            for chi in starts:
+                assert _outcome(_orbit_fields, chi, params, 8) == \
+                    _outcome(fraction_ray_trace, chi, params, 8), (a, b, chi)
+
+
+def _first_hit_outcomes(point, direction, params, fraction_first_hit):
+    """_first_hit and the Fraction slab walk on one ray, each as
+    (t, hit point, obstacle, side) or as its typed failure."""
+    exact = (*point, params.a / 2, params.b / 2)
+    D = math.lcm(*(v.denominator for v in exact))
+    px, py, ha, hb = (int(v * D) for v in exact)
+
+    def closed_form():
+        t, obstacle, side = bil._first_hit(px, py, *direction, ha, hb, D)
+        t = Fraction(t, D)
+        return (t, (point[0] + direction[0] * t, point[1] + direction[1] * t),
+                obstacle, side)
+
+    return (_outcome(closed_form),
+            _outcome(fraction_first_hit, *point, *direction, params))
+
+
+DIRECTIONS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_first_hit_on_no_diagonal(direction, fraction_first_hit):
+    # a + b < 1 and the line half-way between two obstacle diagonals meets
+    # no obstacle (ray_trace never traces such a line)
+    params = bil.ObstacleParams(Fraction(1, 4), Fraction(1, 3))
+    sx, sy = direction
+    for x, y in [(Fraction(1, 2), Fraction(0)),
+                 (Fraction(-7, 6), Fraction(4, 3)),
+                 (Fraction(13, 24), Fraction(1, 24))]:
+        ours, oracle = _first_hit_outcomes((sx * x, sy * y), direction, params,
+                                           fraction_first_hit)
+        assert ours == oracle == (
+            SingularOrbitError, "no obstacle found within the slab horizon")
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_first_hit_through_corners_of_two_diagonals(direction,
+                                                    fraction_first_hit):
+    # a + b = 1 and the line half-way between two obstacle diagonals
+    # touches a corner of every obstacle on both: the closed form names the
+    # corner the slab walk meets first (ray_trace never traces such a line)
+    params = bil.ObstacleParams(Fraction(2, 5), Fraction(3, 5))
+    sx, sy = direction
+    named = set()
+    for u in range(-10, 11):
+        point = (sx * Fraction(u, 10), sy * Fraction(u - 5, 10))
+        ours, oracle = _first_hit_outcomes(point, direction, params,
+                                           fraction_first_hit)
+        assert ours == oracle, point
+        kind, message = ours
+        assert kind is SingularOrbitError
+        named.add(message)
+    assert len(named) > 2       # the named corner moves with the start
 
 
 @settings(max_examples=60)

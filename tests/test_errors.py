@@ -774,6 +774,29 @@ def test_explicit_list_past_its_end_names_no_level(trunc, call):
 _CAP_QS = cf.truncation(cf.golden(cf._LEVEL_CAP), cf._LEVEL_CAP).qs
 
 
+@pytest.fixture
+def default_digit_limit():
+    # cli.main lifts Python's 4300-digit limit on int-to-decimal conversion
+    # for the rest of the process; the library must not need it lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_huge_numbers_need_no_lifted_digit_limit(default_digit_limit):
+    # both used to escape as a bare ValueError from printing the number: the
+    # window message names it by bit length, and a request inside the window
+    # prints nothing
+    with pytest.raises(PrecisionError, match=r"multiple a 16610-bit integer "
+                       r"outside window \[1, q_\(M-1\)\) = \[1, 55\)"):
+        _GOLDEN.distance(10 ** 5000)
+    trunc = cf.truncation(cf.clt_design_rule(max_index=990), 990)
+    N = trunc.qs[900] + 12345       # 5862 digits
+    digits = cf.ostrowski_digits(N, trunc)
+    assert len(digits.digits) == 901 and digits.value == N
+
+
 # (request, the level it needs): the hint names the deepest level the cap
 # allows and none past it, and finding it reads at most _LEVEL_CAP partial
 # quotients; it used to name level 1198 at 10**250, and to walk the
@@ -796,18 +819,14 @@ _CAP_QS = cf.truncation(cf.golden(cf._LEVEL_CAP), cf._LEVEL_CAP).qs
     pytest.param(lambda tr: tr.denominator_distance(cf._LEVEL_CAP), None,
                  id="denominator_distance-past-cap"),
 ])
-def test_level_hint_stops_at_the_cap(call, level, monkeypatch):
+def test_level_hint_stops_at_the_cap(call, level, monkeypatch,
+                                    default_digit_limit):
     reads = []
     read = cf.PartialQuotientSpec._read
     monkeypatch.setattr(cf.PartialQuotientSpec, "_read",
                         lambda spec, j: reads.append(j) or read(spec, j))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)       # the message prints the request
-    try:
-        with pytest.raises(PrecisionError) as exc:
-            call(_GOLDEN)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with pytest.raises(PrecisionError) as exc:
+        call(_GOLDEN)
     assert exc.value.required_level == level
     assert ("the deepest the cap allows" in str(exc.value)) == (level is None)
     assert len(reads) <= cf._LEVEL_CAP
